@@ -121,7 +121,10 @@ ClusterRouter::ClusterRouter(std::vector<NodeSeat> seats,
 }
 
 void ClusterRouter::enqueue(Request request) {
-  DAOP_CHECK_MSG(!ran_, "enqueue() after run()");
+  // Sessions borrow their request's trace from tracks_, so tracks_ must not
+  // grow (and reallocate) once run() has started opening them.
+  DAOP_CHECK_MSG(!ran_, "enqueue() after run() started: sessions borrow "
+                        "traces from the request table");
   DAOP_CHECK_GE(request.arrival, 0.0);
   DAOP_CHECK_GE(request.deadline_s, 0.0);
   if (!tracks_.empty()) {

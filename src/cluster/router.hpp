@@ -269,7 +269,9 @@ class ClusterRouter {
 
   ClusterRouter(std::vector<NodeSeat> seats, const ClusterOptions& options);
 
-  /// Enqueues one request. Requests must arrive in nondecreasing order.
+  /// Enqueues one request. Requests must arrive in nondecreasing order, and
+  /// all of them before run(): every session the router opens borrows its
+  /// request's trace from the request table, which must not reallocate.
   void enqueue(Request request);
 
   /// Drives every enqueued request to served or shed and returns the

@@ -34,6 +34,16 @@ struct NextLayerPlan {
       : precalc_arrival(static_cast<std::size_t>(n_experts), -1.0),
         substitute(static_cast<std::size_t>(n_experts), -1),
         precalc_span(static_cast<std::size_t>(n_experts), 0) {}
+
+  /// Back to the freshly constructed state, keeping the heap blocks.
+  void reset() {
+    active = false;
+    mispredicted = false;
+    pred_span = 0;
+    std::fill(precalc_arrival.begin(), precalc_arrival.end(), -1.0);
+    std::fill(substitute.begin(), substitute.end(), -1);
+    std::fill(precalc_span.begin(), precalc_span.end(), 0);
+  }
 };
 
 /// Best GPU-resident expert by `scores`, excluding `exclude`; -1 if none.
@@ -81,7 +91,17 @@ class DaopSession final : public engines::SequenceSession {
                 : costs.expert_cpu()),
         swap_ready_(static_cast<std::size_t>(L_) * E_, 0.0),
         window_(static_cast<std::size_t>(L_),
-                std::vector<double>(static_cast<std::size_t>(E_), 0.0)) {}
+                std::vector<double>(static_cast<std::size_t>(E_), 0.0)),
+        plan_(E_) {
+    // Sized for the worst case up front: exclude holds the selected experts
+    // plus at most one fallback per selected expert.
+    const auto k = static_cast<std::size_t>(costs.config().top_k);
+    selected_.reserve(k);
+    exclude_.reserve(2 * k);
+    predicted_.reserve(k);
+    pred_cpu_.reserve(k);
+    weights_.reserve(k);
+  }
 
  private:
   /// The shared placement under an arbiter, a private copy otherwise.
@@ -205,13 +225,18 @@ class DaopSession final : public engines::SequenceSession {
   void run_decode_token(int t) override {
     const model::ModelConfig& cfg = costs_.config();
     const int ctx = trace().prompt_len + t;
-    NextLayerPlan plan(E_);  // produced at layer l-1 for layer l
+    // Session-owned scratch, reset rather than reallocated: a decode step
+    // makes no heap allocation (tests/engines/session_alloc_test.cpp).
+    NextLayerPlan& plan = plan_;  // produced at layer l-1 for layer l
+    plan.reset();
+    std::vector<int>& selected = selected_;
+    std::vector<int>& exclude = exclude_;
     for (int l = 0; l < L_; ++l) {
       const double nonmoe_end = tl().schedule(
           sim::Res::GpuStream, ready_, costs_.nonmoe_gpu(ctx), "non-MoE");
 
       const data::TokenRouting& tok = trace().at(data::Phase::Decode, l, t);
-      std::vector<int> selected = topk_indices(tok.scores, cfg.top_k);
+      topk_indices_into(tok.scores, cfg.top_k, selected);
       if (tracing()) {
         tinstant(engines::tracks::kGate, "gate L" + std::to_string(l),
                  nonmoe_end);
@@ -219,9 +244,9 @@ class DaopSession final : public engines::SequenceSession {
       // Adaptive expert skipping (extension): confident tokens keep only
       // their top-1 expert.
       if (config_.skip_top1_margin > 0.0 && selected.size() >= 2) {
-        std::vector<float> w(selected.size());
-        softmax_subset(tok.scores, selected, w);
-        if (w[0] >= config_.skip_top1_margin) {
+        weights_.resize(selected.size());
+        softmax_subset(tok.scores, selected, weights_);
+        if (weights_[0] >= config_.skip_top1_margin) {
           counters_.skipped_experts +=
               static_cast<long long>(selected.size()) - 1;
           selected.resize(1);
@@ -229,7 +254,8 @@ class DaopSession final : public engines::SequenceSession {
       }
 
       double layer_end = nonmoe_end;
-      std::vector<int> exclude = selected;  // fallbacks must be fresh experts
+      // Fallbacks must be fresh experts.
+      exclude.assign(selected.begin(), selected.end());
       for (int e : selected) {
         window_[static_cast<std::size_t>(l)][static_cast<std::size_t>(e)] +=
             1.0;
@@ -353,7 +379,7 @@ class DaopSession final : public engines::SequenceSession {
 
       // ---- Plan pre-calculation for layer l+1 using this layer's hidden
       // states (available at nonmoe_end). ----
-      plan = NextLayerPlan(E_);
+      plan.reset();
       const int nl = l + 1;
       if (config_.enable_precalc && nl < L_ &&
           nl >= config_.min_predict_layer) {
@@ -367,17 +393,18 @@ class DaopSession final : public engines::SequenceSession {
                 tinstant(engines::tracks::kPrediction,
                          "predict L" + std::to_string(nl), nonmoe_end);
           }
-          std::vector<int> predicted =
-              topk_indices(ntok.pred_scores, cfg.top_k);
+          std::vector<int>& predicted = predicted_;
+          topk_indices_into(ntok.pred_scores, cfg.top_k, predicted);
           // Under adaptive skipping, confident predictions only need their
           // top-1 expert pre-calculated.
           if (config_.skip_top1_margin > 0.0 && predicted.size() >= 2) {
-            std::vector<float> w(predicted.size());
-            softmax_subset(ntok.pred_scores, predicted, w);
-            if (w[0] >= config_.skip_top1_margin) predicted.resize(1);
+            weights_.resize(predicted.size());
+            softmax_subset(ntok.pred_scores, predicted, weights_);
+            if (weights_[0] >= config_.skip_top1_margin) predicted.resize(1);
           }
 
-          std::vector<int> pred_cpu;
+          std::vector<int>& pred_cpu = pred_cpu_;
+          pred_cpu.clear();
           for (int e : predicted) {
             if (!placement().on_gpu(nl, e)) pred_cpu.push_back(e);
           }
@@ -453,8 +480,9 @@ class DaopSession final : public engines::SequenceSession {
 
   // ---- Warm-restart checkpointing: everything run_decode_token/post_token
   // consult beyond the base class — the swap-arrival gates and the trailing
-  // activation window. NextLayerPlan is per-token-local and never crosses a
-  // decode_step boundary, so it is not state.
+  // activation window. The NextLayerPlan scratch is reset at the start of
+  // every token and never carries across a decode_step boundary, so it is
+  // not state.
   bool save_policy_state(recovery::ByteWriter& w) const override {
     w.i32(L_);
     w.i32(E_);
@@ -504,6 +532,14 @@ class DaopSession final : public engines::SequenceSession {
   std::vector<double> swap_ready_;
   /// Trailing-window activation counts for decode re-allocation.
   std::vector<std::vector<double>> window_;
+
+  // ---- Per-layer scratch for run_decode_token (not policy state).
+  NextLayerPlan plan_;
+  std::vector<int> selected_;
+  std::vector<int> exclude_;
+  std::vector<int> predicted_;
+  std::vector<int> pred_cpu_;
+  std::vector<float> weights_;
 };
 
 }  // namespace
@@ -525,7 +561,7 @@ std::string DaopEngine::name() const {
   return n;
 }
 
-std::unique_ptr<engines::SequenceSession> DaopEngine::open_session(
+std::unique_ptr<engines::SequenceSession> DaopEngine::do_open_session(
     const data::SequenceTrace& trace, const cache::Placement& initial,
     const engines::SessionEnv& env) {
   const model::ModelConfig& cfg = costs_.config();

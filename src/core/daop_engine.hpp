@@ -24,11 +24,12 @@ class DaopEngine : public engines::Engine {
 
   std::string name() const override;
 
-  std::unique_ptr<engines::SequenceSession> open_session(
+  const DaopConfig& config() const { return config_; }
+
+ protected:
+  std::unique_ptr<engines::SequenceSession> do_open_session(
       const data::SequenceTrace& trace, const cache::Placement& initial,
       const engines::SessionEnv& env) override;
-
-  const DaopConfig& config() const { return config_; }
 
  private:
   DaopConfig config_;

@@ -43,9 +43,14 @@ struct SequenceTrace {
 
   /// Top-k expert ids for a token (descending true score).
   std::vector<int> selected(Phase phase, int layer, int token) const;
+  /// selected() into a caller-owned buffer (cleared, capacity kept).
+  void selected_into(Phase phase, int layer, int token,
+                     std::vector<int>& out) const;
 
   /// Top-k expert ids by predicted score; empty when no prediction exists.
   std::vector<int> predicted(int layer, int token) const;
+  /// predicted() into a caller-owned buffer (cleared, capacity kept).
+  void predicted_into(int layer, int token, std::vector<int>& out) const;
 
   /// Activation-count matrix for a phase: out[layer][expert] = number of
   /// tokens routed to that expert (paper observation ②'s P / D matrices).

@@ -28,6 +28,12 @@ void EngineCounters::add(const EngineCounters& o) {
   hazard_stall_s += o.hazard_stall_s;
 }
 
+std::unique_ptr<SequenceSession> Engine::open_session(
+    const data::SequenceTrace& trace, const cache::Placement& initial,
+    const SessionEnv& env) {
+  return do_open_session(trace, initial, env);
+}
+
 RunResult Engine::run(const data::SequenceTrace& trace,
                       const cache::Placement& initial, sim::Timeline* tl,
                       long long request_id) {

@@ -127,9 +127,16 @@ class Engine {
   /// (timeline, start time, request id, placement arbiter). The session
   /// captures the engine's fault model and tracer at open time; the engine,
   /// trace, and env-referenced objects must outlive the session.
-  virtual std::unique_ptr<SequenceSession> open_session(
+  ///
+  /// Borrow contract: the session holds a reference to `trace`, never a
+  /// copy. Whoever opens it keeps the trace alive and at a fixed address
+  /// until the session is destroyed; passing a temporary is a compile error.
+  std::unique_ptr<SequenceSession> open_session(
       const data::SequenceTrace& trace, const cache::Placement& initial,
-      const SessionEnv& env) = 0;
+      const SessionEnv& env);
+  std::unique_ptr<SequenceSession> open_session(
+      const data::SequenceTrace&& trace, const cache::Placement& initial,
+      const SessionEnv& env) = delete;
 
   /// The per-op cost table this engine schedules with. Recovery-plane
   /// helpers (placement reconciliation before a warm restart) price their
@@ -162,6 +169,12 @@ class Engine {
   obs::Profiler* profiler() const { return profiler_; }
 
  protected:
+  /// Engine-specific session factory behind open_session(). Overriders see
+  /// only lvalue traces, so a subclass cannot reopen the temporary path.
+  virtual std::unique_ptr<SequenceSession> do_open_session(
+      const data::SequenceTrace& trace, const cache::Placement& initial,
+      const SessionEnv& env) = 0;
+
   const model::OpCosts& costs_;
   sim::FaultModel* fault_model_ = nullptr;
   obs::SpanTracer* tracer_ = nullptr;

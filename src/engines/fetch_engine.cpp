@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_set>
+#include <span>
 
 #include "cache/arbiter.hpp"
 #include "common/check.hpp"
@@ -34,6 +34,10 @@ class FetchSession final : public SequenceSession {
         prefetch_pending_(last_use_.size(), 0),
         fetch_span_(last_use_.size(), 0),
         pattern_prefetched_(last_use_.size(), false) {
+    const auto k = static_cast<std::size_t>(costs.config().top_k);
+    selected_.reserve(k);
+    guess_.reserve(k);
+    pattern_scores_.reserve(static_cast<std::size_t>(initial.n_experts()));
     if (policy_.ignore_initial_cache) {
       // DeepSpeed-MII has no expert offloading mechanism (§V-C): every
       // expert streams from host memory on every use. Under a shared
@@ -63,12 +67,15 @@ class FetchSession final : public SequenceSession {
   /// LRU victim among residents of `layer` that are not in `protect` and —
   /// under an arbiter — not pinned by another session. When only pins stand
   /// between the caller and a victim, the refusal is counted.
-  int victim(int layer, const std::unordered_set<int>& protect) {
+  int victim(int layer, std::span<const int> protect) {
     int best = -1;
     long long best_use = 0;
     bool pin_blocked = false;
     for (int e = 0; e < placement().n_experts(); ++e) {
-      if (!placement().on_gpu(layer, e) || protect.count(e) != 0) continue;
+      if (!placement().on_gpu(layer, e) ||
+          std::find(protect.begin(), protect.end(), e) != protect.end()) {
+        continue;
+      }
       if (arbiter() != nullptr &&
           arbiter()->pinned_by_other(layer, e, request_id())) {
         pin_blocked = true;
@@ -88,7 +95,7 @@ class FetchSession final : public SequenceSession {
   // needed, and marks it resident. Returns false if it could not be cached
   // (zero capacity, or every candidate victim pinned by another session) —
   // the expert is then streamed without residency.
-  bool make_resident(int l, int e, const std::unordered_set<int>& protect) {
+  bool make_resident(int l, int e, std::span<const int> protect) {
     if (placement().capacity(l) == 0) return false;
     if (placement().gpu_count(l) >= placement().capacity(l)) {
       const int v = victim(l, protect);
@@ -147,7 +154,6 @@ class FetchSession final : public SequenceSession {
         return counts[static_cast<std::size_t>(l)][static_cast<std::size_t>(a)] >
                counts[static_cast<std::size_t>(l)][static_cast<std::size_t>(b)];
       });
-      std::unordered_set<int> protect(active.begin(), active.end());
 
       double layer_end = nonmoe_end;
       double prev_exec_end = nonmoe_end;
@@ -159,7 +165,7 @@ class FetchSession final : public SequenceSession {
           ++counters_.cache_misses;
           const double done = fetch(l, e, nonmoe_end, prev_exec_end);
           exec_ready = done;
-          if (!policy_.reuse_cache || !make_resident(l, e, protect)) {
+          if (!policy_.reuse_cache || !make_resident(l, e, active)) {
             fetch_ready_[idx(l, e)] = -1.0;
           }
         } else {
@@ -190,26 +196,27 @@ class FetchSession final : public SequenceSession {
     for (int l = 0; l < cfg.n_layers; ++l) {
       const double nonmoe_end = tl().schedule(
           sim::Res::GpuStream, ready_, costs_.nonmoe_gpu(ctx), "non-MoE");
-      const std::vector<int> selected =
-          trace().selected(data::Phase::Decode, l, t);
-      std::unordered_set<int> protect(selected.begin(), selected.end());
+      trace().selected_into(data::Phase::Decode, l, t, selected_);
+      const std::span<const int> selected = selected_;
       if (tracing()) {
         tinstant(tracks::kGate, "gate L" + std::to_string(l), nonmoe_end);
       }
 
       // Issue next-layer prefetches as soon as this layer's gate resolves.
       if (policy_.prefetch_next_layer && l + 1 < cfg.n_layers) {
-        std::vector<int> guess;
+        std::span<const int> guess;
         std::uint64_t pred_span = 0;
         if (policy_.prefetch_uses_sequence_pattern) {
           // MoE-Infinity: prefetch the next layer's sequence-level dominant
           // experts (prefill activation pattern).
-          std::vector<float> scores(
-              prefill_counts_[static_cast<std::size_t>(l + 1)].begin(),
-              prefill_counts_[static_cast<std::size_t>(l + 1)].end());
-          guess = topk_indices(scores, cfg.top_k);
+          const std::vector<double>& counts =
+              prefill_counts_[static_cast<std::size_t>(l + 1)];
+          pattern_scores_.assign(counts.begin(), counts.end());
+          topk_indices_into(pattern_scores_, cfg.top_k, guess_);
+          guess = guess_;
         } else if (policy_.prefetch_uses_prediction) {
-          guess = trace().predicted(l + 1, t);
+          trace().predicted_into(l + 1, t, guess_);
+          guess = guess_;
           if (!guess.empty()) {
             ++counters_.predictions;
             if (tracing()) {
@@ -233,10 +240,7 @@ class FetchSession final : public SequenceSession {
           fetch(l + 1, e, nonmoe_end, nonmoe_end);
           prefetch_pending_[i] = 1;
           tflow(pred_span, fetch_span_[i], "prefetch");
-          if (policy_.reuse_cache) {
-            make_resident(l + 1, e, std::unordered_set<int>(guess.begin(),
-                                                            guess.end()));
-          }
+          if (policy_.reuse_cache) make_resident(l + 1, e, guess);
         }
       }
 
@@ -268,7 +272,7 @@ class FetchSession final : public SequenceSession {
           }
           // Streamed weights are discarded after use unless a cache slot
           // absorbs them.
-          if (!policy_.reuse_cache || !make_resident(l, e, protect)) {
+          if (!policy_.reuse_cache || !make_resident(l, e, selected)) {
             fetch_ready_[i] = -1.0;
           }
         }
@@ -374,6 +378,12 @@ class FetchSession final : public SequenceSession {
   /// (layer, expert): the pattern is static for the sequence, so
   /// re-issuing it every token would only thrash the cache.
   std::vector<bool> pattern_prefetched_;
+
+  // ---- Per-layer scratch for run_decode_token, reused so a step never
+  // allocates (not policy state).
+  std::vector<int> selected_;
+  std::vector<int> guess_;
+  std::vector<float> pattern_scores_;
 };
 
 }  // namespace
@@ -384,7 +394,7 @@ FetchBasedEngine::FetchBasedEngine(const model::OpCosts& costs,
   DAOP_CHECK_GT(policy_.weight_bytes_factor, 0.0);
 }
 
-std::unique_ptr<SequenceSession> FetchBasedEngine::open_session(
+std::unique_ptr<SequenceSession> FetchBasedEngine::do_open_session(
     const data::SequenceTrace& trace, const cache::Placement& initial,
     const SessionEnv& env) {
   const model::ModelConfig& cfg = costs_.config();

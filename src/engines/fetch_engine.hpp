@@ -49,7 +49,8 @@ class FetchBasedEngine : public Engine {
 
   std::string name() const override { return policy_.name; }
 
-  std::unique_ptr<SequenceSession> open_session(
+ protected:
+  std::unique_ptr<SequenceSession> do_open_session(
       const data::SequenceTrace& trace, const cache::Placement& initial,
       const SessionEnv& env) override;
 

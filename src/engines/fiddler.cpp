@@ -19,7 +19,9 @@ class FiddlerSession final : public SequenceSession {
                  obs::SpanTracer* tracer, obs::Profiler* profiler,
                  const cache::Placement& initial)
       : SequenceSession("Fiddler", costs, trace, env, fault, tracer, profiler),
-        placement_(initial) {}
+        placement_(initial) {
+    selected_.reserve(static_cast<std::size_t>(costs.config().top_k));
+  }
 
  private:
   /// The shared placement under an arbiter, a private copy otherwise.
@@ -76,7 +78,8 @@ class FiddlerSession final : public SequenceSession {
         tinstant(tracks::kGate, "gate L" + std::to_string(l), nonmoe_end);
       }
       double layer_end = nonmoe_end;
-      for (int e : trace().selected(data::Phase::Decode, l, t)) {
+      trace().selected_into(data::Phase::Decode, l, t, selected_);
+      for (int e : selected_) {
         if (placement().on_gpu(l, e)) {
           ++counters_.cache_hits;
           ++counters_.gpu_expert_execs;
@@ -118,11 +121,14 @@ class FiddlerSession final : public SequenceSession {
   cache::Placement* private_placement() override { return &placement_; }
 
   cache::Placement placement_;
+  /// run_decode_token's per-layer selection, reused so a step never
+  /// allocates.
+  std::vector<int> selected_;
 };
 
 }  // namespace
 
-std::unique_ptr<SequenceSession> FiddlerEngine::open_session(
+std::unique_ptr<SequenceSession> FiddlerEngine::do_open_session(
     const data::SequenceTrace& trace, const cache::Placement& initial,
     const SessionEnv& env) {
   DAOP_CHECK_EQ(initial.n_layers(), costs_.config().n_layers);

@@ -15,7 +15,8 @@ class FiddlerEngine : public Engine {
 
   std::string name() const override { return "Fiddler"; }
 
-  std::unique_ptr<SequenceSession> open_session(
+ protected:
+  std::unique_ptr<SequenceSession> do_open_session(
       const data::SequenceTrace& trace, const cache::Placement& initial,
       const SessionEnv& env) override;
 };

@@ -169,6 +169,13 @@ struct SessionSnapshotInfo {
   recovery::PlacementImage placement;
 };
 
+/// Trace ownership: a session borrows its routing trace. It stores a
+/// reference to the SequenceTrace it was opened with, so opening a session
+/// costs no per-token copy, and the caller must keep that trace alive and at
+/// a fixed address until the session is destroyed — the same contract as the
+/// engine and the env-referenced timeline/arbiter/cache. Owners that keep
+/// requests in containers that move (the continuous-batching scheduler's
+/// queues) pin the trace behind a unique_ptr for the session's lifetime.
 class SequenceSession {
  public:
   SequenceSession(std::string engine_name, const model::OpCosts& costs,
@@ -388,7 +395,8 @@ class SequenceSession {
   void maybe_cache_realloc(int t);
 
   std::string name_;
-  data::SequenceTrace trace_;
+  /// Borrowed, never copied (see the class comment).
+  const data::SequenceTrace& trace_;
   std::unique_ptr<sim::Timeline> owned_tl_;
   sim::Timeline* tl_;
   double start_time_;

@@ -210,8 +210,9 @@ ContinuousBatchingScheduler::run_legacy() {
       a.arrival = head.request.arrival;
       a.start = t_admit;
       a.retries = head.attempts;
-      a.session =
-          engine_.open_session(head.request.trace, arbiter_.placement(), env);
+      a.trace = std::make_unique<data::SequenceTrace>(
+          std::move(head.request.trace));
+      a.session = engine_.open_session(*a.trace, arbiter_.placement(), env);
       a.session->prefill();
       ts.admitted(a.start - a.arrival, a.session->ready_time() - a.arrival);
       free_slots_.erase(free_slots_.begin() +
@@ -582,8 +583,9 @@ ContinuousBatchingScheduler::run_overload() {
       a.start = t_admit;
       a.deadline = deadline_of(head);
       a.retries = head.attempts;
-      a.session =
-          engine_.open_session(head.request.trace, arbiter_.placement(), env);
+      a.trace = std::make_unique<data::SequenceTrace>(
+          std::move(head.request.trace));
+      a.session = engine_.open_session(*a.trace, arbiter_.placement(), env);
       a.session->prefill();
       ts.admitted(a.start - a.arrival, a.session->ready_time() - a.arrival);
       free_slots_.erase(free_slots_.begin() +

@@ -137,6 +137,11 @@ class ContinuousBatchingScheduler {
     double deadline = 0.0;  ///< absolute first-token deadline (0 = none)
     long long retries = 0;
     long long preemptions = 0;
+    /// The request's routing trace, moved out of the pending queue at
+    /// admission. The session borrows it, so it lives behind a pointer that
+    /// active_/parked_ moves never relocate, and is declared before
+    /// `session` so it is destroyed after it.
+    std::unique_ptr<data::SequenceTrace> trace;
     std::unique_ptr<engines::SequenceSession> session;
   };
 

@@ -185,6 +185,13 @@ void rope_inplace(std::span<float> x, int n_heads, int head_dim, int pos,
 }
 
 std::vector<int> topk_indices(std::span<const float> x, int k) {
+  std::vector<int> out;
+  topk_indices_into(x, k, out);
+  return out;
+}
+
+void topk_indices_into(std::span<const float> x, int k,
+                       std::vector<int>& out) {
   DAOP_CHECK_GE(k, 0);
   DAOP_CHECK_LE(static_cast<std::size_t>(k), x.size());
   // Repeated max-scan over the strict total order (score desc, index asc).
@@ -193,7 +200,7 @@ std::vector<int> topk_indices(std::span<const float> x, int k) {
   // exactly — but with no index scratch vector and O(k*n) work, which wins
   // for MoE routing's tiny k (top-2 of 8 experts) on the hottest call site
   // in the simulator (every token × layer of every generated trace).
-  std::vector<int> out;
+  out.clear();
   out.reserve(static_cast<std::size_t>(k));
   float prev_x = 0.0f;
   int prev_i = -1;
@@ -217,7 +224,6 @@ std::vector<int> topk_indices(std::span<const float> x, int k) {
     prev_x = best_x;
     prev_i = best;
   }
-  return out;
 }
 
 int argmax(std::span<const float> x) {

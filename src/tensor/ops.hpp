@@ -71,6 +71,11 @@ void rope_inplace(std::span<float> x, int n_heads, int head_dim, int pos,
 /// (ties broken by lower index, making selection deterministic).
 std::vector<int> topk_indices(std::span<const float> x, int k);
 
+/// topk_indices into a caller-owned buffer: `out` is cleared and refilled,
+/// keeping its capacity, so a hot loop that reuses one buffer never
+/// allocates once the buffer holds k entries.
+void topk_indices_into(std::span<const float> x, int k, std::vector<int>& out);
+
 int argmax(std::span<const float> x);
 
 }  // namespace daop

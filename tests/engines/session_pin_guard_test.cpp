@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "../testing/helpers.hpp"
 #include "cache/arbiter.hpp"
 #include "cache/calibration.hpp"
@@ -18,6 +20,19 @@
 namespace daop::engines {
 namespace {
 
+// Sessions borrow their trace: open_session accepts lvalues only, so a
+// temporary that would dangle is rejected at compile time.
+template <class T>
+concept OpensSessionFrom = requires(Engine& e, T&& trace,
+                                    const cache::Placement& p,
+                                    const SessionEnv& env) {
+  e.open_session(std::forward<T>(trace), p, env);
+};
+static_assert(OpensSessionFrom<data::SequenceTrace&>);
+static_assert(OpensSessionFrom<const data::SequenceTrace&>);
+static_assert(!OpensSessionFrom<data::SequenceTrace>);
+static_assert(!OpensSessionFrom<const data::SequenceTrace>);
+
 struct SessionRig {
   model::ModelConfig cfg = daop::testing::small_mixtral();
   sim::CostModel cm{sim::a6000_i9_platform()};
@@ -26,6 +41,8 @@ struct SessionRig {
       eval::make_engine(eval::EngineKind::Fiddler, costs);
   cache::PlacementArbiter arbiter;
   sim::Timeline tl;
+  /// Sessions borrow their trace, so it lives as long as the rig.
+  data::SequenceTrace trace = daop::testing::fixed_trace(cfg, 8, 4, {0, 1});
 
   SessionRig()
       : arbiter([this] {
@@ -45,8 +62,7 @@ struct SessionRig {
     env.shared = true;
     env.request_id = id;
     env.failover_replay_tokens = replay_tokens;
-    return engine->open_session(daop::testing::fixed_trace(cfg, 8, 4, {0, 1}),
-                                arbiter.placement(), env);
+    return engine->open_session(trace, arbiter.placement(), env);
   }
 };
 

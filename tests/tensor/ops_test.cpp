@@ -185,6 +185,27 @@ TEST(Ops, TopkFullAndEmpty) {
   const auto all = topk_indices(x, 2);
   EXPECT_EQ(all, (std::vector<int>{0, 1}));
   EXPECT_THROW(topk_indices(x, 3), CheckError);
+
+  // The caller-buffer form: same selection, buffer cleared on entry, and
+  // its heap block reused (no reallocation once it holds k entries).
+  Rng rng(5);
+  std::vector<int> out = {9, 9, 9, 9, 9, 9, 9, 9, 9, 9};
+  const std::size_t cap = out.capacity();
+  const int* block = out.data();
+  for (int trial = 0; trial < 300; ++trial) {
+    const int n = 1 + trial % 9;
+    std::vector<float> v(static_cast<std::size_t>(n));
+    // Three distinct values over up to nine entries force ties.
+    for (float& f : v) f = static_cast<float>(rng.uniform_int(0, 2));
+    for (const int k : {0, 1, 2, n}) {
+      if (k > n) continue;
+      topk_indices_into(v, k, out);
+      EXPECT_EQ(out, topk_indices(v, k)) << "n " << n << " k " << k;
+      EXPECT_EQ(out.capacity(), cap);
+      EXPECT_EQ(out.data(), block);
+    }
+  }
+  EXPECT_THROW(topk_indices_into(x, 3, out), CheckError);
 }
 
 TEST(Ops, Argmax) {
