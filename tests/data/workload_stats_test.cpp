@@ -9,6 +9,11 @@
 #include "model/config.hpp"
 
 namespace daop::data {
+
+// Print a spec by name: gtest's default byte dump includes the name string's
+// heap pointer, which puts a per-build address into the registered test name.
+void PrintTo(const WorkloadSpec& spec, std::ostream* os) { *os << spec.name; }
+
 namespace {
 
 constexpr int kSeqs = 48;  // enough for +-1.5% precision at test speed
