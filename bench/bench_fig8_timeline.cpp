@@ -15,6 +15,8 @@
 // the CPU expert behind GPU work that Fiddler serializes after. Exits
 // non-zero when the claim does not hold.
 #include <cstdio>
+#include <span>
+#include <vector>
 
 #include "cache/placement.hpp"
 #include "common/strings.hpp"
@@ -36,30 +38,24 @@ using namespace daop;
 // activates {C=2, D=3}; predictions are perfect. A short one-token prompt
 // keeps prefill out of the interesting window.
 data::SequenceTrace micro_trace(const model::ModelConfig& cfg) {
-  data::SequenceTrace tr;
-  tr.n_experts = cfg.n_experts;
-  tr.top_k = 2;
-  tr.prompt_len = 1;
-  tr.gen_len = 1;
-  tr.prefill.resize(static_cast<std::size_t>(cfg.n_layers));
-  tr.decode.resize(static_cast<std::size_t>(cfg.n_layers));
+  data::SequenceTrace tr(cfg.n_layers, cfg.n_experts, cfg.top_k,
+                         /*prompt_len=*/1, /*gen_len=*/1);
   for (int l = 0; l < cfg.n_layers; ++l) {
-    data::TokenRouting dec;
-    dec.scores.assign(static_cast<std::size_t>(cfg.n_experts), 0.0F);
+    std::vector<float> scores(static_cast<std::size_t>(cfg.n_experts), 0.0F);
     if (l % 2 == 0) {
-      dec.scores[0] = 2.0F;  // A
-      dec.scores[1] = 1.5F;  // B
+      scores[0] = 2.0F;  // A
+      scores[1] = 1.5F;  // B
     } else {
-      dec.scores[2] = 2.0F;  // C
-      dec.scores[3] = 1.5F;  // D
+      scores[2] = 2.0F;  // C
+      scores[3] = 1.5F;  // D
     }
-    if (l >= 1) dec.pred_scores = dec.scores;  // perfect prediction
-    tr.decode[static_cast<std::size_t>(l)].tokens = {dec};
+    // Perfect prediction from layer 1 on.
+    tr.set_cell(data::Phase::Decode, l, 0, scores,
+                l >= 1 ? std::span<const float>(scores)
+                       : std::span<const float>());
     // Prefill routes like decode so the figure's initial cache state
     // (A, B, C resident) survives the prefill phase for every engine.
-    data::TokenRouting pre;
-    pre.scores = dec.scores;
-    tr.prefill[static_cast<std::size_t>(l)].tokens = {pre};
+    tr.set_cell(data::Phase::Prefill, l, 0, scores);
   }
   return tr;
 }

@@ -1,5 +1,7 @@
 #include "cache/calibration.hpp"
 
+#include <span>
+
 #include "common/check.hpp"
 
 namespace daop::cache {
@@ -10,15 +12,15 @@ std::vector<std::vector<double>> calibrate_activation_counts(
   std::vector<std::vector<double>> total;
   for (int s = 0; s < n_sequences; ++s) {
     const data::SequenceTrace tr = gen.generate(s);
-    const auto counts = tr.activation_counts(data::Phase::Decode);
     if (total.empty()) {
-      total.assign(counts.size(),
-                   std::vector<double>(counts[0].size(), 0.0));
+      total.assign(static_cast<std::size_t>(tr.n_layers()),
+                   std::vector<double>(static_cast<std::size_t>(tr.n_experts),
+                                       0.0));
     }
-    for (std::size_t l = 0; l < counts.size(); ++l) {
-      for (std::size_t e = 0; e < counts[l].size(); ++e) {
-        total[l][e] += counts[l][e];
-      }
+    for (int l = 0; l < tr.n_layers(); ++l) {
+      const std::span<const double> counts = tr.counts(data::Phase::Decode, l);
+      auto& row = total[static_cast<std::size_t>(l)];
+      for (std::size_t e = 0; e < counts.size(); ++e) row[e] += counts[e];
     }
   }
   return total;

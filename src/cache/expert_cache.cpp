@@ -1,6 +1,7 @@
 #include "cache/expert_cache.hpp"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -110,12 +111,10 @@ void ExpertCache::note_session_open(long long session,
   // observation (Table 2) is that prefill routing predicts decode routing
   // for the same sequence, which is exactly MoE-Infinity's sequence-level
   // reuse prior.
-  const auto counts = trace.activation_counts(data::Phase::Prefill);
   for (int l = 0; l < n_layers_; ++l) {
-    for (int e = 0; e < n_experts_; ++e) {
-      sig[idx(l, e)] = counts[static_cast<std::size_t>(l)]
-                             [static_cast<std::size_t>(e)];
-    }
+    const std::span<const double> counts =
+        trace.counts(data::Phase::Prefill, l);
+    std::copy(counts.begin(), counts.end(), sig.begin() + idx(l, 0));
   }
   live_[session] = std::move(sig);
 }

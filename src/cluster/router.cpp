@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 #include <utility>
 
 #include "common/check.hpp"
@@ -165,13 +166,14 @@ double ClusterRouter::projected_ttft(const Node& n, double t,
          arrival;
 }
 
-double ClusterRouter::affinity(
-    const Node& n, const std::vector<std::vector<double>>& counts) const {
+double ClusterRouter::affinity(const Node& n,
+                               const data::SequenceTrace& trace) const {
   const cache::Placement& p = n.arbiter->placement();
   double hit = 0.0;
   double total = 0.0;
-  for (int l = 0; l < static_cast<int>(counts.size()); ++l) {
-    const auto& layer = counts[static_cast<std::size_t>(l)];
+  for (int l = 0; l < trace.n_layers(); ++l) {
+    const std::span<const double> layer =
+        trace.counts(data::Phase::Prefill, l);
     for (int e = 0; e < static_cast<int>(layer.size()); ++e) {
       const double c = layer[static_cast<std::size_t>(e)];
       if (c <= 0.0) continue;
@@ -222,11 +224,10 @@ int ClusterRouter::pick_node(const std::vector<int>& eligible,
   // Expert-affinity: route to the node whose GPU-resident expert set best
   // covers the sequence's prefill activation signature (MoE-Infinity-style
   // sticky routing). Ties fall back to least-loaded.
-  const auto counts = trace.activation_counts(data::Phase::Prefill);
   double best = -1.0;
   std::vector<int> tied;
   for (const int id : eligible) {
-    const double a = affinity(nodes_[static_cast<std::size_t>(id)], counts);
+    const double a = affinity(nodes_[static_cast<std::size_t>(id)], trace);
     if (a > best + 1e-12) {
       best = a;
       tied.assign(1, id);

@@ -360,8 +360,7 @@ class ClusterRouter {
 
   double projected_start(const Node& n, double t) const;
   double projected_ttft(const Node& n, double t, double arrival) const;
-  double affinity(const Node& n,
-                  const std::vector<std::vector<double>>& counts) const;
+  double affinity(const Node& n, const data::SequenceTrace& trace) const;
   int pick_node(const std::vector<int>& eligible,
                 const data::SequenceTrace& trace, double t);
   int least_loaded_of(const std::vector<int>& eligible, double t,

@@ -92,6 +92,7 @@ class DaopSession final : public engines::SequenceSession {
         swap_ready_(static_cast<std::size_t>(L_) * E_, 0.0),
         window_(static_cast<std::size_t>(L_),
                 std::vector<double>(static_cast<std::size_t>(E_), 0.0)),
+        exec_on_gpu_(static_cast<std::size_t>(E_), 0),
         plan_(E_) {
     // Sized for the worst case up front: exclude holds the selected experts
     // plus at most one fallback per selected expert.
@@ -162,24 +163,23 @@ class DaopSession final : public engines::SequenceSession {
     // Prefill: in-place hybrid execution + Algorithm 1 swaps whose
     // migrations ride the PCIe link underneath the remaining compute.
     const int np = trace().prompt_len;
-    const auto counts = trace().activation_counts(data::Phase::Prefill);
     double last_swap_end = 0.0;
     for (int l = 0; l < L_; ++l) {
       const double nonmoe_end = tl().schedule(
           sim::Res::GpuStream, ready_, costs_.nonmoe_gpu_prefill(np),
           "prefill non-MoE");
+      const std::span<const double> counts =
+          trace().counts(data::Phase::Prefill, l);
 
       // Execute this layer where experts currently live; swaps adjust the
       // cache for the decode phase and ride the PCIe link concurrently.
-      std::vector<bool> exec_on_gpu(static_cast<std::size_t>(E_));
       for (int e = 0; e < E_; ++e) {
-        exec_on_gpu[static_cast<std::size_t>(e)] = placement().on_gpu(l, e);
+        exec_on_gpu_[static_cast<std::size_t>(e)] = placement().on_gpu(l, e);
       }
 
       if (config_.enable_seq_allocation) {
-        const auto swaps = sequence_specific_swaps(
-            counts[static_cast<std::size_t>(l)], placement(), l,
-            config_.swap_in_out);
+        const auto swaps = sequence_specific_swaps(counts, placement(), l,
+                                                   config_.swap_in_out);
         for (const SwapDecision& s : swaps) {
           const double done = swap_in(l, s, nonmoe_end, "swap-in expert");
           if (done < 0.0) continue;
@@ -190,10 +190,9 @@ class DaopSession final : public engines::SequenceSession {
 
       double layer_end = nonmoe_end;
       for (int e = 0; e < E_; ++e) {
-        const int tok = static_cast<int>(
-            counts[static_cast<std::size_t>(l)][static_cast<std::size_t>(e)]);
+        const int tok = static_cast<int>(counts[static_cast<std::size_t>(e)]);
         if (tok == 0) continue;
-        if (exec_on_gpu[static_cast<std::size_t>(e)]) {
+        if (exec_on_gpu_[static_cast<std::size_t>(e)] != 0) {
           ++counters_.cache_hits;
           ++counters_.gpu_expert_execs;
           const double eready = shared_weight_gate(l, e, nonmoe_end);
@@ -235,8 +234,8 @@ class DaopSession final : public engines::SequenceSession {
       const double nonmoe_end = tl().schedule(
           sim::Res::GpuStream, ready_, costs_.nonmoe_gpu(ctx), "non-MoE");
 
-      const data::TokenRouting& tok = trace().at(data::Phase::Decode, l, t);
-      topk_indices_into(tok.scores, cfg.top_k, selected);
+      const data::TokenRouting tok = trace().at(data::Phase::Decode, l, t);
+      selected.assign(tok.selected.begin(), tok.selected.end());
       if (tracing()) {
         tinstant(engines::tracks::kGate, "gate L" + std::to_string(l),
                  nonmoe_end);
@@ -383,7 +382,7 @@ class DaopSession final : public engines::SequenceSession {
       const int nl = l + 1;
       if (config_.enable_precalc && nl < L_ &&
           nl >= config_.min_predict_layer) {
-        const data::TokenRouting& ntok =
+        const data::TokenRouting ntok =
             trace().at(data::Phase::Decode, nl, t);
         if (!ntok.pred_scores.empty()) {
           plan.active = true;
@@ -394,7 +393,7 @@ class DaopSession final : public engines::SequenceSession {
                          "predict L" + std::to_string(nl), nonmoe_end);
           }
           std::vector<int>& predicted = predicted_;
-          topk_indices_into(ntok.pred_scores, cfg.top_k, predicted);
+          predicted.assign(ntok.predicted.begin(), ntok.predicted.end());
           // Under adaptive skipping, confident predictions only need their
           // top-1 expert pre-calculated.
           if (config_.skip_top1_margin > 0.0 && predicted.size() >= 2) {
@@ -415,7 +414,7 @@ class DaopSession final : public engines::SequenceSession {
           if (config_.enable_degradation &&
               static_cast<int>(pred_cpu.size()) == cfg.top_k &&
               cfg.top_k >= 2) {
-            int drop = pred_cpu.back();  // topk_indices is score-descending
+            int drop = pred_cpu.back();  // ids are score-descending
             const int sub = best_gpu_expert(placement(), nl,
                                             ntok.pred_scores, predicted);
             if (sub >= 0) {
@@ -532,6 +531,10 @@ class DaopSession final : public engines::SequenceSession {
   std::vector<double> swap_ready_;
   /// Trailing-window activation counts for decode re-allocation.
   std::vector<std::vector<double>> window_;
+
+  /// Per-layer prefill scratch: where each expert lived before the layer's
+  /// swaps (it executes there).
+  std::vector<char> exec_on_gpu_;
 
   // ---- Per-layer scratch for run_decode_token (not policy state).
   NextLayerPlan plan_;

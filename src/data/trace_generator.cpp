@@ -16,6 +16,7 @@ TraceGenerator::TraceGenerator(WorkloadSpec spec, int n_layers, int n_experts,
       seed_(seed) {
   DAOP_CHECK_GT(n_layers_, 0);
   DAOP_CHECK_GT(n_experts_, 0);
+  DAOP_CHECK_LE(n_experts_, kMaxTraceExperts);
   DAOP_CHECK_GT(top_k_, 0);
   DAOP_CHECK_LE(top_k_, n_experts_);
   DAOP_CHECK_GE(spec_.layer_rho, 0.0);
@@ -37,13 +38,10 @@ SequenceTrace TraceGenerator::generate(int seq_index, int prompt_len,
   const double rho = spec_.layer_rho;
   const double shift = spec_.phase_shift_sigma;
 
-  SequenceTrace tr;
-  tr.n_experts = n_experts_;
-  tr.top_k = top_k_;
-  tr.prompt_len = prompt_len;
-  tr.gen_len = gen_len;
-  tr.prefill.resize(static_cast<std::size_t>(n_layers_));
-  tr.decode.resize(static_cast<std::size_t>(n_layers_));
+  SequenceTrace tr(n_layers_, n_experts_, top_k_, prompt_len, gen_len);
+  // One cell's scores and prediction, staged as floats for set_cell.
+  std::vector<float> scores(E);
+  std::vector<float> pred(E);
 
   // Layer-correlated sequence preference field.
   std::vector<std::vector<double>> pref(static_cast<std::size_t>(n_layers_),
@@ -75,50 +73,40 @@ SequenceTrace TraceGenerator::generate(int seq_index, int prompt_len,
 
   // Prefill tokens.
   for (int l = 0; l < n_layers_; ++l) {
-    auto& lt = tr.prefill[static_cast<std::size_t>(l)];
-    lt.tokens.resize(static_cast<std::size_t>(prompt_len));
     for (int t = 0; t < prompt_len; ++t) {
-      auto& tok = lt.tokens[static_cast<std::size_t>(t)];
-      tok.scores.resize(E);
       for (std::size_t e = 0; e < E; ++e) {
-        tok.scores[e] = static_cast<float>(
+        scores[e] = static_cast<float>(
             pref[static_cast<std::size_t>(l)][e] +
             spec_.token_noise_sigma * rng.normal());
       }
+      tr.set_cell(Phase::Prefill, l, t, scores);
     }
   }
 
   // Decode tokens with random-walk drift and gate-ahead predictions.
   std::vector<std::vector<double>> drift(static_cast<std::size_t>(n_layers_),
                                          std::vector<double>(E, 0.0));
-  for (int l = 0; l < n_layers_; ++l) {
-    tr.decode[static_cast<std::size_t>(l)].tokens.resize(
-        static_cast<std::size_t>(gen_len));
-  }
   for (int t = 0; t < gen_len; ++t) {
     for (int l = 0; l < n_layers_; ++l) {
       auto& d = drift[static_cast<std::size_t>(l)];
       for (std::size_t e = 0; e < E; ++e) {
         d[e] = spec_.drift_rho * d[e] + spec_.drift_sigma * skew * rng.normal();
       }
-      auto& tok =
-          tr.decode[static_cast<std::size_t>(l)].tokens[static_cast<std::size_t>(t)];
-      tok.scores.resize(E);
       for (std::size_t e = 0; e < E; ++e) {
-        tok.scores[e] = static_cast<float>(
+        scores[e] = static_cast<float>(
             dpref[static_cast<std::size_t>(l)][e] + d[e] +
             spec_.token_noise_sigma * rng.normal());
       }
-      if (l >= 1) {
-        // A prediction for this layer, formed while layer l-1 executed.
-        const double pn =
-            l < 4 ? spec_.pred_noise_early : spec_.pred_noise_late;
-        tok.pred_scores.resize(E);
-        for (std::size_t e = 0; e < E; ++e) {
-          tok.pred_scores[e] =
-              tok.scores[e] + static_cast<float>(pn * rng.normal());
-        }
+      if (l == 0) {
+        tr.set_cell(Phase::Decode, l, t, scores);
+        continue;
       }
+      // A prediction for this layer, formed while layer l-1 executed.
+      const double pn = l < 4 ? spec_.pred_noise_early : spec_.pred_noise_late;
+      for (std::size_t e = 0; e < E; ++e) {
+        pred[e] = scores[e] + static_cast<float>(pn * rng.normal());
+      }
+      tr.set_cell(Phase::Decode, l, t, scores, pred);
     }
   }
   return tr;

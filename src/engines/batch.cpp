@@ -21,6 +21,7 @@ void check_batch(std::span<const data::SequenceTrace> traces,
     const auto& tr = traces[b];
     DAOP_CHECK_EQ(tr.n_layers(), cfg.n_layers);
     DAOP_CHECK_EQ(tr.n_experts, cfg.n_experts);
+    DAOP_CHECK_EQ(tr.top_k, cfg.top_k);
     // The batched engines fuse per-layer work across sequences, so every
     // sequence must share one prompt length and one generation length (see
     // docs/API.md). Name the offender: a bare equality check is useless when
@@ -42,10 +43,11 @@ std::vector<std::vector<double>> batch_prefill_counts(
     std::span<const data::SequenceTrace> traces) {
   auto total = traces[0].activation_counts(data::Phase::Prefill);
   for (std::size_t b = 1; b < traces.size(); ++b) {
-    const auto counts = traces[b].activation_counts(data::Phase::Prefill);
-    for (std::size_t l = 0; l < counts.size(); ++l) {
-      for (std::size_t e = 0; e < counts[l].size(); ++e) {
-        total[l][e] += counts[l][e];
+    for (std::size_t l = 0; l < total.size(); ++l) {
+      const std::span<const double> counts =
+          traces[b].counts(data::Phase::Prefill, static_cast<int>(l));
+      for (std::size_t e = 0; e < counts.size(); ++e) {
+        total[l][e] += counts[e];
       }
     }
   }
@@ -252,13 +254,13 @@ BatchResult run_daop_batch(const model::OpCosts& costs,
       std::fill(cpu_exact_tokens.begin(), cpu_exact_tokens.end(), 0);
       double precalc_wait = nonmoe_end;
       for (int b = 0; b < B; ++b) {
-        const auto& tok = traces[static_cast<std::size_t>(b)].at(
-            data::Phase::Decode, l, t);
+        const data::TokenRouting tok =
+            traces[static_cast<std::size_t>(b)].at(data::Phase::Decode, l, t);
         // Charged at most once per sequence per plan: the counter means
         // "this sequence's predicted set missed a used expert", matching
         // the single-sequence engine's per-plan semantics.
         bool missed = false;
-        for (int e : topk_indices(tok.scores, cfg.top_k)) {
+        for (const int e : tok.selected) {
           const auto ei = static_cast<std::size_t>(e);
           if (placement.on_gpu(l, e)) {
             ++counters.cache_hits;
@@ -313,13 +315,13 @@ BatchResult run_daop_batch(const model::OpCosts& costs,
         std::vector<int> pre_tokens(static_cast<std::size_t>(E), 0);
         bool any_pred = false;
         for (int b = 0; b < B; ++b) {
-          const auto& ntok = traces[static_cast<std::size_t>(b)].at(
-              data::Phase::Decode, nl, t);
+          const data::TokenRouting ntok =
+              traces[static_cast<std::size_t>(b)].at(data::Phase::Decode, nl,
+                                                     t);
           if (ntok.pred_scores.empty()) continue;
           any_pred = true;
-          std::vector<int> predicted = topk_indices(ntok.pred_scores, cfg.top_k);
           std::vector<int> pred_cpu;
-          for (int e : predicted) {
+          for (const int e : ntok.predicted) {
             if (!placement.on_gpu(nl, e)) pred_cpu.push_back(e);
           }
           if (config.enable_degradation &&

@@ -26,7 +26,6 @@ class FetchSession final : public SequenceSession {
         placement_(initial),
         mig_time_(costs.cost_model().h2d_time(costs.config().expert_bytes() *
                                               policy.weight_bytes_factor)),
-        prefill_counts_(this->trace().activation_counts(data::Phase::Prefill)),
         last_use_(static_cast<std::size_t>(initial.n_layers()) *
                       initial.n_experts(),
                   0),
@@ -37,7 +36,21 @@ class FetchSession final : public SequenceSession {
     const auto k = static_cast<std::size_t>(costs.config().top_k);
     selected_.reserve(k);
     guess_.reserve(k);
-    pattern_scores_.reserve(static_cast<std::size_t>(initial.n_experts()));
+    if (policy_.prefetch_uses_sequence_pattern) {
+      // MoE-Infinity's guess per layer: the top-k experts of the prefill
+      // activation pattern. The pattern is constant for the sequence, so
+      // it is ranked once here rather than on every decode token-layer.
+      std::vector<float> pattern(static_cast<std::size_t>(initial.n_experts()));
+      std::vector<int> top;
+      pattern_guess_.reserve(static_cast<std::size_t>(initial.n_layers()) * k);
+      for (int l = 0; l < initial.n_layers(); ++l) {
+        const std::span<const double> counts =
+            this->trace().counts(data::Phase::Prefill, l);
+        std::copy(counts.begin(), counts.end(), pattern.begin());
+        topk_indices_into(pattern, costs.config().top_k, top);
+        pattern_guess_.insert(pattern_guess_.end(), top.begin(), top.end());
+      }
+    }
     if (policy_.ignore_initial_cache) {
       // DeepSpeed-MII has no expert offloading mechanism (§V-C): every
       // expert streams from host memory on every use. Under a shared
@@ -137,29 +150,26 @@ class FetchSession final : public SequenceSession {
   void run_prefill() override {
     const model::ModelConfig& cfg = costs_.config();
     const int np = trace().prompt_len;
-    const auto& counts = prefill_counts_;
     for (int l = 0; l < cfg.n_layers; ++l) {
       const double nonmoe_end = tl().schedule(
           sim::Res::GpuStream, ready_, costs_.nonmoe_gpu_prefill(np),
           "prefill non-MoE");
+      const std::span<const double> counts =
+          trace().counts(data::Phase::Prefill, l);
       // Activated experts, most-loaded first so heavy work starts earliest.
       std::vector<int> active;
       for (int e = 0; e < cfg.n_experts; ++e) {
-        if (counts[static_cast<std::size_t>(l)][static_cast<std::size_t>(e)] >
-            0.0) {
-          active.push_back(e);
-        }
+        if (counts[static_cast<std::size_t>(e)] > 0.0) active.push_back(e);
       }
       std::stable_sort(active.begin(), active.end(), [&](int a, int b) {
-        return counts[static_cast<std::size_t>(l)][static_cast<std::size_t>(a)] >
-               counts[static_cast<std::size_t>(l)][static_cast<std::size_t>(b)];
+        return counts[static_cast<std::size_t>(a)] >
+               counts[static_cast<std::size_t>(b)];
       });
 
       double layer_end = nonmoe_end;
       double prev_exec_end = nonmoe_end;
       for (int e : active) {
-        const int tok = static_cast<int>(
-            counts[static_cast<std::size_t>(l)][static_cast<std::size_t>(e)]);
+        const int tok = static_cast<int>(counts[static_cast<std::size_t>(e)]);
         double exec_ready = nonmoe_end;
         if (!placement().on_gpu(l, e)) {
           ++counters_.cache_misses;
@@ -196,7 +206,8 @@ class FetchSession final : public SequenceSession {
     for (int l = 0; l < cfg.n_layers; ++l) {
       const double nonmoe_end = tl().schedule(
           sim::Res::GpuStream, ready_, costs_.nonmoe_gpu(ctx), "non-MoE");
-      trace().selected_into(data::Phase::Decode, l, t, selected_);
+      const data::TokenRouting tok = trace().at(data::Phase::Decode, l, t);
+      selected_.assign(tok.selected.begin(), tok.selected.end());
       const std::span<const int> selected = selected_;
       if (tracing()) {
         tinstant(tracks::kGate, "gate L" + std::to_string(l), nonmoe_end);
@@ -209,13 +220,13 @@ class FetchSession final : public SequenceSession {
         if (policy_.prefetch_uses_sequence_pattern) {
           // MoE-Infinity: prefetch the next layer's sequence-level dominant
           // experts (prefill activation pattern).
-          const std::vector<double>& counts =
-              prefill_counts_[static_cast<std::size_t>(l + 1)];
-          pattern_scores_.assign(counts.begin(), counts.end());
-          topk_indices_into(pattern_scores_, cfg.top_k, guess_);
-          guess = guess_;
+          const auto k = static_cast<std::size_t>(cfg.top_k);
+          guess = std::span<const int>(pattern_guess_)
+                      .subspan(static_cast<std::size_t>(l + 1) * k, k);
         } else if (policy_.prefetch_uses_prediction) {
-          trace().predicted_into(l + 1, t, guess_);
+          const std::span<const data::ExpertId> predicted =
+              trace().predicted(l + 1, t);
+          guess_.assign(predicted.begin(), predicted.end());
           guess = guess_;
           if (!guess.empty()) {
             ++counters_.predictions;
@@ -360,7 +371,9 @@ class FetchSession final : public SequenceSession {
   const FetchPolicy policy_;
   cache::Placement placement_;
   const double mig_time_;
-  const std::vector<std::vector<double>> prefill_counts_;
+  /// MoE-Infinity's per-layer prefetch guess, [layer][top_k]; empty for
+  /// every other policy.
+  std::vector<int> pattern_guess_;
   /// Monotonic use counter per (layer, expert) for LRU eviction.
   std::vector<long long> last_use_;
   long long use_clock_ = 0;
@@ -383,7 +396,6 @@ class FetchSession final : public SequenceSession {
   // allocates (not policy state).
   std::vector<int> selected_;
   std::vector<int> guess_;
-  std::vector<float> pattern_scores_;
 };
 
 }  // namespace

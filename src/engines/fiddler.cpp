@@ -19,9 +19,7 @@ class FiddlerSession final : public SequenceSession {
                  obs::SpanTracer* tracer, obs::Profiler* profiler,
                  const cache::Placement& initial)
       : SequenceSession("Fiddler", costs, trace, env, fault, tracer, profiler),
-        placement_(initial) {
-    selected_.reserve(static_cast<std::size_t>(costs.config().top_k));
-  }
+        placement_(initial) {}
 
  private:
   /// The shared placement under an arbiter, a private copy otherwise.
@@ -32,15 +30,15 @@ class FiddlerSession final : public SequenceSession {
   void run_prefill() override {
     const model::ModelConfig& cfg = costs_.config();
     const int np = trace().prompt_len;
-    const auto counts = trace().activation_counts(data::Phase::Prefill);
     for (int l = 0; l < cfg.n_layers; ++l) {
       const double nonmoe_end = tl().schedule(
           sim::Res::GpuStream, ready_, costs_.nonmoe_gpu_prefill(np),
           "prefill non-MoE");
+      const std::span<const double> counts =
+          trace().counts(data::Phase::Prefill, l);
       double layer_end = nonmoe_end;
       for (int e = 0; e < cfg.n_experts; ++e) {
-        const int tok = static_cast<int>(
-            counts[static_cast<std::size_t>(l)][static_cast<std::size_t>(e)]);
+        const int tok = static_cast<int>(counts[static_cast<std::size_t>(e)]);
         if (tok == 0) continue;
         if (placement().on_gpu(l, e)) {
           ++counters_.cache_hits;
@@ -78,8 +76,7 @@ class FiddlerSession final : public SequenceSession {
         tinstant(tracks::kGate, "gate L" + std::to_string(l), nonmoe_end);
       }
       double layer_end = nonmoe_end;
-      trace().selected_into(data::Phase::Decode, l, t, selected_);
-      for (int e : selected_) {
+      for (const int e : trace().selected(data::Phase::Decode, l, t)) {
         if (placement().on_gpu(l, e)) {
           ++counters_.cache_hits;
           ++counters_.gpu_expert_execs;
@@ -121,9 +118,6 @@ class FiddlerSession final : public SequenceSession {
   cache::Placement* private_placement() override { return &placement_; }
 
   cache::Placement placement_;
-  /// run_decode_token's per-layer selection, reused so a step never
-  /// allocates.
-  std::vector<int> selected_;
 };
 
 }  // namespace

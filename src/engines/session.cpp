@@ -82,6 +82,10 @@ SequenceSession::SequenceSession(std::string engine_name,
       profiler_(profiler),
       bufs_(SessionBuffers::acquire()) {
   DAOP_CHECK_GE(start_time_, 0.0);
+  // Sessions replay the trace's stored top-k ids, so its gate must be the
+  // model's.
+  DAOP_CHECK_EQ(trace.n_experts, costs.config().n_experts);
+  DAOP_CHECK_EQ(trace.top_k, costs.config().top_k);
   tl_->set_fault_model(fault_);
   stall0_ = tl_->hazard_stall_s();
   ready_ = start_time_;

@@ -1,7 +1,9 @@
 #include "eval/similarity.hpp"
 
 #include <algorithm>
+#include <span>
 
+#include "cache/calibration.hpp"
 #include "common/check.hpp"
 #include "tensor/ops.hpp"
 
@@ -37,19 +39,8 @@ double avg_prefill_decode_similarity(const data::TraceGenerator& gen,
 
 std::vector<std::vector<double>> marginal_activation(
     const data::TraceGenerator& gen, int n_seqs) {
-  DAOP_CHECK_GT(n_seqs, 0);
-  std::vector<std::vector<double>> total;
-  for (int s = 0; s < n_seqs; ++s) {
-    const auto counts = gen.generate(s).activation_counts(data::Phase::Decode);
-    if (total.empty()) {
-      total.assign(counts.size(), std::vector<double>(counts[0].size(), 0.0));
-    }
-    for (std::size_t l = 0; l < counts.size(); ++l) {
-      for (std::size_t e = 0; e < counts[l].size(); ++e) {
-        total[l][e] += counts[l][e];
-      }
-    }
-  }
+  // The same decode-count sum as §IV-A calibration, normalized per layer.
+  auto total = cache::calibrate_activation_counts(gen, n_seqs);
   for (auto& row : total) {
     double sum = 0.0;
     for (double v : row) sum += v;
@@ -73,10 +64,10 @@ std::vector<double> prediction_accuracy_by_layer(
     }
     for (int l = 1; l < tr.n_layers(); ++l) {
       for (int t = 0; t < tr.gen_len; ++t) {
-        const std::vector<int> pred = tr.predicted(l, t);
+        const data::TokenRouting cell = tr.at(data::Phase::Decode, l, t);
+        const std::span<const data::ExpertId> pred = cell.predicted;
         if (pred.empty()) continue;
-        const std::vector<int> truth = tr.selected(data::Phase::Decode, l, t);
-        for (int e : truth) {
+        for (const data::ExpertId e : cell.selected) {
           total[static_cast<std::size_t>(l)] += 1.0;
           if (std::find(pred.begin(), pred.end(), e) != pred.end()) {
             correct[static_cast<std::size_t>(l)] += 1.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
@@ -194,17 +195,24 @@ void topk_indices_into(std::span<const float> x, int k,
                        std::vector<int>& out) {
   DAOP_CHECK_GE(k, 0);
   DAOP_CHECK_LE(static_cast<std::size_t>(k), x.size());
+  out.resize(static_cast<std::size_t>(k));
+  topk_indices_into(x, std::span<int>(out));
+}
+
+template <typename T>
+void topk_indices_into(std::span<const float> x, std::span<T> out) {
+  DAOP_CHECK_LE(out.size(), x.size());
+  DAOP_CHECK_LE(x.size(),
+                static_cast<std::size_t>(std::numeric_limits<T>::max()) + 1);
   // Repeated max-scan over the strict total order (score desc, index asc).
   // (score, index) pairs are distinct, so the top-k sequence is uniquely
   // determined and this matches a partial_sort with the same comparator
   // exactly — but with no index scratch vector and O(k*n) work, which wins
-  // for MoE routing's tiny k (top-2 of 8 experts) on the hottest call site
-  // in the simulator (every token × layer of every generated trace).
-  out.clear();
-  out.reserve(static_cast<std::size_t>(k));
+  // for MoE routing's tiny k (top-2 of 8 experts). Routing traces run it
+  // once per recorded cell when they are built; replay reads the stored ids.
   float prev_x = 0.0f;
   int prev_i = -1;
-  for (int round = 0; round < k; ++round) {
+  for (T& slot : out) {
     int best = -1;
     float best_x = 0.0f;
     for (std::size_t i = 0; i < x.size(); ++i) {
@@ -220,11 +228,15 @@ void topk_indices_into(std::span<const float> x, int k,
         best_x = xi;
       }
     }
-    out.push_back(best);
+    slot = static_cast<T>(best);
     prev_x = best_x;
     prev_i = best;
   }
 }
+
+template void topk_indices_into<int>(std::span<const float>, std::span<int>);
+template void topk_indices_into<std::uint8_t>(std::span<const float>,
+                                              std::span<std::uint8_t>);
 
 int argmax(std::span<const float> x) {
   DAOP_CHECK(!x.empty());

@@ -76,6 +76,13 @@ std::vector<int> topk_indices(std::span<const float> x, int k);
 /// allocates once the buffer holds k entries.
 void topk_indices_into(std::span<const float> x, int k, std::vector<int>& out);
 
+/// The single top-k kernel the other forms wrap: writes the top out.size()
+/// indices of `x`, in topk_indices order, into `out` without allocating.
+/// Instantiated for `int` and `std::uint8_t` (trace expert ids); every
+/// index of `x` must fit in T.
+template <typename T>
+void topk_indices_into(std::span<const float> x, std::span<T> out);
+
 int argmax(std::span<const float> x);
 
 }  // namespace daop

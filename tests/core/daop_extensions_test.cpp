@@ -69,8 +69,8 @@ TEST_F(DaopExtensionsPerfTest, DecodeReallocFollowsDrift) {
   const auto late = fixed_trace(cfg, 4, gen, {6, 7});
   for (int l = 0; l < cfg.n_layers; ++l) {
     for (int t = change_at; t < gen; ++t) {
-      tr.decode[static_cast<std::size_t>(l)].tokens[static_cast<std::size_t>(t)] =
-          late.decode[static_cast<std::size_t>(l)].tokens[static_cast<std::size_t>(t)];
+      const data::TokenRouting cell = late.at(data::Phase::Decode, l, t);
+      tr.set_cell(data::Phase::Decode, l, t, cell.scores, cell.pred_scores);
     }
   }
   const auto placement = prefix_placement(cfg, 2);

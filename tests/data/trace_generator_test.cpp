@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "common/check.hpp"
 
 namespace daop::data {
 namespace {
+
+std::vector<float> vec(std::span<const float> s) {
+  return {s.begin(), s.end()};
+}
 
 TraceGenerator make_gen(std::uint64_t seed = 7) {
   return TraceGenerator(c4(), /*n_layers=*/8, /*n_experts=*/8, /*top_k=*/2,
@@ -27,16 +34,18 @@ TEST(TraceGenerator, ShapeMatchesRequest) {
 TEST(TraceGenerator, DeterministicPerSequenceIndex) {
   const auto a = make_gen().generate(4);
   const auto b = make_gen().generate(4);
-  EXPECT_EQ(a.at(Phase::Decode, 2, 7).scores, b.at(Phase::Decode, 2, 7).scores);
-  EXPECT_EQ(a.at(Phase::Prefill, 5, 3).scores,
-            b.at(Phase::Prefill, 5, 3).scores);
+  EXPECT_EQ(vec(a.at(Phase::Decode, 2, 7).scores),
+            vec(b.at(Phase::Decode, 2, 7).scores));
+  EXPECT_EQ(vec(a.at(Phase::Prefill, 5, 3).scores),
+            vec(b.at(Phase::Prefill, 5, 3).scores));
 }
 
 TEST(TraceGenerator, DifferentSequencesDiffer) {
   const auto gen = make_gen();
   const auto a = gen.generate(0);
   const auto b = gen.generate(1);
-  EXPECT_NE(a.at(Phase::Decode, 0, 0).scores, b.at(Phase::Decode, 0, 0).scores);
+  EXPECT_NE(vec(a.at(Phase::Decode, 0, 0).scores),
+            vec(b.at(Phase::Decode, 0, 0).scores));
 }
 
 TEST(TraceGenerator, PredictionsOnlyForLayersAboveZero) {
@@ -62,7 +71,7 @@ TEST(TraceGenerator, PrefillHasNoPredictions) {
 
 TEST(TraceGenerator, SelectedReturnsTopKDescending) {
   const auto tr = make_gen().generate(2, 4, 4);
-  const auto& scores = tr.at(Phase::Decode, 1, 1).scores;
+  const std::span<const float> scores = tr.at(Phase::Decode, 1, 1).scores;
   const auto sel = tr.selected(Phase::Decode, 1, 1);
   ASSERT_EQ(sel.size(), 2U);
   EXPECT_GE(scores[static_cast<std::size_t>(sel[0])],

@@ -3,13 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <span>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/check.hpp"
 #include "data/trace_generator.hpp"
 
 namespace daop::data {
 namespace {
+
+std::vector<float> vec(std::span<const float> s) {
+  return {s.begin(), s.end()};
+}
+
+std::vector<int> ids(std::span<const ExpertId> s) {
+  return {s.begin(), s.end()};
+}
 
 SequenceTrace sample_trace() {
   const TraceGenerator gen(c4(), 4, 8, 2, 123);
@@ -29,14 +40,14 @@ TEST(TraceIo, RoundTripPreservesEverything) {
   EXPECT_EQ(loaded.gen_len, original.gen_len);
   for (int l = 0; l < original.n_layers(); ++l) {
     for (int t = 0; t < original.prompt_len; ++t) {
-      EXPECT_EQ(loaded.at(Phase::Prefill, l, t).scores,
-                original.at(Phase::Prefill, l, t).scores);
+      EXPECT_EQ(vec(loaded.at(Phase::Prefill, l, t).scores),
+                vec(original.at(Phase::Prefill, l, t).scores));
     }
     for (int t = 0; t < original.gen_len; ++t) {
-      EXPECT_EQ(loaded.at(Phase::Decode, l, t).scores,
-                original.at(Phase::Decode, l, t).scores);
-      EXPECT_EQ(loaded.at(Phase::Decode, l, t).pred_scores,
-                original.at(Phase::Decode, l, t).pred_scores);
+      EXPECT_EQ(vec(loaded.at(Phase::Decode, l, t).scores),
+                vec(original.at(Phase::Decode, l, t).scores));
+      EXPECT_EQ(vec(loaded.at(Phase::Decode, l, t).pred_scores),
+                vec(original.at(Phase::Decode, l, t).pred_scores));
     }
   }
 }
@@ -47,9 +58,9 @@ TEST(TraceIo, RoundTripPreservesEngineDecisions) {
   save_trace(original, ss);
   const SequenceTrace loaded = load_trace(ss);
   // The quantities engines consume must survive the float round-trip.
-  EXPECT_EQ(loaded.selected(Phase::Decode, 2, 3),
-            original.selected(Phase::Decode, 2, 3));
-  EXPECT_EQ(loaded.predicted(3, 1), original.predicted(3, 1));
+  EXPECT_EQ(ids(loaded.selected(Phase::Decode, 2, 3)),
+            ids(original.selected(Phase::Decode, 2, 3)));
+  EXPECT_EQ(ids(loaded.predicted(3, 1)), ids(original.predicted(3, 1)));
   EXPECT_EQ(loaded.activation_counts(Phase::Prefill),
             original.activation_counts(Phase::Prefill));
 }
@@ -124,6 +135,39 @@ TEST(TraceIo, RejectsBadHeader) {
   EXPECT_THROW(load_trace(in2), CheckError);
 }
 
+// Headers are untrusted: the flat blocks are sized from them, so a shape
+// whose size overflows, exceeds the cap, or has more experts than a stored
+// id can name must be refused up front with a diagnostic naming the header
+// (not a bad_alloc, not a wrapped size).
+TEST(TraceIo, RejectsHostileHeaders) {
+  const auto expect_rejected = [](const std::string& header,
+                                  const std::string& reason) {
+    std::stringstream in("daop-trace v1\n" + header + "\n");
+    try {
+      (void)load_trace(in);
+      ADD_FAILURE() << "accepted '" << header << "'";
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'" + header + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find(reason), std::string::npos) << what;
+    }
+  };
+  // 100000 x (100000 + 2 x 100000) x 8 = 2.4e11 score values.
+  expect_rejected("header 100000 8 2 100000 100000", "exceeds the cap");
+  // One past the cap of 2^28.
+  expect_rejected("header 1 1 1 268435457 0", "exceeds the cap");
+  // The product wraps 64 bits.
+  expect_rejected("header 2147483647 256 2 2147483647 2147483647",
+                  "overflows");
+  // 257 experts cannot all be named by an 8-bit id.
+  expect_rejected("header 1 257 2 1 1", "exceeds the trace id bound");
+  expect_rejected("header 1 -8 2 1 1", "bad trace header");
+  // The same bounds guard traces built in memory.
+  EXPECT_THROW(SequenceTrace(1, kMaxTraceExperts + 1, 2, 1, 1), CheckError);
+  EXPECT_THROW(SequenceTrace(1, 1, 1, 1 << 28, 1), CheckError);
+  EXPECT_NO_THROW(SequenceTrace(1, kMaxTraceExperts, 2, 1, 1));
+}
+
 // Round-trip property sweep across trace shapes (including degenerate ones).
 class TraceIoRoundTrip
     : public ::testing::TestWithParam<std::tuple<int, int, int, int, int>> {};
@@ -138,14 +182,14 @@ TEST_P(TraceIoRoundTrip, Exact) {
   const SequenceTrace loaded = load_trace(ss);
   for (int l = 0; l < layers; ++l) {
     for (int t = 0; t < prompt; ++t) {
-      ASSERT_EQ(loaded.at(Phase::Prefill, l, t).scores,
-                original.at(Phase::Prefill, l, t).scores);
+      ASSERT_EQ(vec(loaded.at(Phase::Prefill, l, t).scores),
+                vec(original.at(Phase::Prefill, l, t).scores));
     }
     for (int t = 0; t < gen; ++t) {
-      ASSERT_EQ(loaded.at(Phase::Decode, l, t).scores,
-                original.at(Phase::Decode, l, t).scores);
-      ASSERT_EQ(loaded.at(Phase::Decode, l, t).pred_scores,
-                original.at(Phase::Decode, l, t).pred_scores);
+      ASSERT_EQ(vec(loaded.at(Phase::Decode, l, t).scores),
+                vec(original.at(Phase::Decode, l, t).scores));
+      ASSERT_EQ(vec(loaded.at(Phase::Decode, l, t).pred_scores),
+                vec(original.at(Phase::Decode, l, t).pred_scores));
     }
   }
 }

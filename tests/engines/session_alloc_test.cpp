@@ -2,7 +2,8 @@
 // routing trace instead of copying it, and engines keep their per-layer
 // selection buffers as session scratch, so:
 //  - opening a session costs a fixed number of allocations, independent of
-//    how many tokens the trace holds;
+//    how many tokens the trace holds, and so does DAOP's and Fiddler's
+//    prefill (they read the trace's stored activation counts);
 //  - a decode step on a private timeline with no tracer or profiler makes
 //    no heap allocation at all once the session is warm.
 // A counting global operator new makes every allocation in this binary
@@ -19,6 +20,7 @@
 #include "data/trace_generator.hpp"
 #include "engines/session.hpp"
 #include "eval/speed.hpp"
+#include "../testing/helpers.hpp"
 
 namespace {
 std::atomic<long long> g_allocs{0};
@@ -113,14 +115,72 @@ TEST(SessionAlloc, DecodeStepIsAllocationFreeAndOpenIsTraceLengthIndependent) {
   }
 }
 
-// The budget above is only meaningful if the counter sees allocations.
+/// Allocations of open_session and of prefill for one trace.
+struct PrefillAllocs {
+  long long open = 0;
+  long long prefill = 0;
+};
+
+PrefillAllocs open_and_prefill(Engine& engine,
+                               const data::SequenceTrace& trace,
+                               const cache::Placement& placement) {
+  PrefillAllocs a;
+  const long long before_open = allocs();
+  std::unique_ptr<SequenceSession> s = engine.open_session(trace, placement, {});
+  a.open = allocs() - before_open;
+  const long long before_prefill = allocs();
+  s->prefill();
+  a.prefill = allocs() - before_prefill;
+  (void)s->close();
+  return a;
+}
+
+// Prefill reads the trace's stored activation counts, so neither opening a
+// session nor its prefill does work that grows with the prompt. The two
+// traces route every token alike (experts 3 and 6; about half of those
+// (layer, expert) pairs are off-GPU under the calibrated placement), so
+// Algorithm 1 sees proportional counts and makes the same swaps at both
+// lengths.
+TEST(SessionAlloc, OpenAndPrefillArePromptLengthIndependent) {
+  const Rig rig;
+  const data::SequenceTrace short_prompt =
+      daop::testing::fixed_trace(rig.cfg, 16, 8, {3, 6});
+  const data::SequenceTrace long_prompt =
+      daop::testing::fixed_trace(rig.cfg, 512, 8, {3, 6});
+  for (const eval::EngineKind kind :
+       {eval::EngineKind::Daop, eval::EngineKind::Fiddler}) {
+    SCOPED_TRACE(eval::engine_kind_name(kind));
+    const std::unique_ptr<Engine> engine = eval::make_engine(kind, rig.costs);
+    (void)open_and_prefill(*engine, short_prompt, rig.placement);  // warm
+
+    const PrefillAllocs s =
+        open_and_prefill(*engine, short_prompt, rig.placement);
+    const PrefillAllocs l =
+        open_and_prefill(*engine, long_prompt, rig.placement);
+    EXPECT_EQ(s.open, l.open);
+    EXPECT_EQ(s.prefill, l.prefill) << "16 vs 512 prompt tokens";
+    if (kind == eval::EngineKind::Fiddler) {
+      // Static placement, stored counts: nothing to allocate.
+      EXPECT_EQ(s.prefill, 0);
+    }
+  }
+}
+
+// The budgets above are only meaningful if the counter sees allocations. A
+// trace is a fixed handful of flat blocks, so a copy allocates the same
+// number of times at any length.
 TEST(SessionAlloc, CounterObservesTraceCopies) {
   const Rig rig;
-  const long long before = allocs();
-  const data::SequenceTrace copy = rig.short_trace;
-  EXPECT_GT(allocs() - before,
-            static_cast<long long>(rig.cfg.n_layers) * (64 + 32));
-  EXPECT_EQ(copy.gen_len, 32);
+  long long before = allocs();
+  const data::SequenceTrace short_copy = rig.short_trace;
+  const long long short_allocs = allocs() - before;
+  before = allocs();
+  const data::SequenceTrace long_copy = rig.long_trace;
+  const long long long_allocs = allocs() - before;
+  EXPECT_GT(short_allocs, 0);
+  EXPECT_EQ(short_allocs, long_allocs);
+  EXPECT_EQ(short_copy.gen_len, 32);
+  EXPECT_EQ(long_copy.gen_len, 512);
 }
 
 }  // namespace

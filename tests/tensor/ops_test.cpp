@@ -208,6 +208,20 @@ TEST(Ops, TopkFullAndEmpty) {
   EXPECT_THROW(topk_indices_into(x, 3, out), CheckError);
 }
 
+TEST(Ops, TopkSpanCoreMatchesVectorForm) {
+  const std::vector<float> x = {1.0F, 5.0F, 5.0F, 0.0F, 4.0F};
+  std::vector<std::uint8_t> ids(3);
+  topk_indices_into(x, std::span<std::uint8_t>(ids));
+  EXPECT_EQ(std::vector<int>(ids.begin(), ids.end()), topk_indices(x, 3));
+  std::vector<std::uint8_t> too_many(6);
+  EXPECT_THROW(topk_indices_into(x, std::span<std::uint8_t>(too_many)),
+               CheckError);
+  // Every index must fit the id type: 257 scores overflow uint8_t.
+  const std::vector<float> wide(257, 0.0F);
+  EXPECT_THROW(topk_indices_into(wide, std::span<std::uint8_t>(ids)),
+               CheckError);
+}
+
 TEST(Ops, Argmax) {
   const std::vector<float> x = {0.5F, -1.0F, 3.0F, 3.0F};
   EXPECT_EQ(argmax(x), 2);  // first of equal maxima

@@ -2,6 +2,7 @@
 // traces with fully controlled expert selections and predictions.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "cache/placement.hpp"
@@ -20,6 +21,19 @@ inline model::ModelConfig small_mixtral(int n_layers = 4) {
   return c;
 }
 
+/// Scores that rank `sel` first, in order (10, 9, ...), and every other
+/// expert at 0.
+inline std::vector<float> scores_selecting(const model::ModelConfig& cfg,
+                                           const std::vector<int>& sel) {
+  std::vector<float> s(static_cast<std::size_t>(cfg.n_experts), 0.0F);
+  float v = 10.0F;
+  for (int e : sel) {
+    s[static_cast<std::size_t>(e)] = v;
+    v -= 1.0F;
+  }
+  return s;
+}
+
 /// A trace where every token at every layer selects exactly `experts`
 /// (descending preference) and predictions point at `predicted`
 /// (empty => same as experts) for layers >= 1.
@@ -28,34 +42,18 @@ inline data::SequenceTrace fixed_trace(const model::ModelConfig& cfg,
                                        std::vector<int> experts,
                                        std::vector<int> predicted = {}) {
   if (predicted.empty()) predicted = experts;
-  data::SequenceTrace tr;
-  tr.n_experts = cfg.n_experts;
-  tr.top_k = cfg.top_k;
-  tr.prompt_len = prompt_len;
-  tr.gen_len = gen_len;
-  tr.prefill.resize(static_cast<std::size_t>(cfg.n_layers));
-  tr.decode.resize(static_cast<std::size_t>(cfg.n_layers));
-
-  auto scores_for = [&](const std::vector<int>& sel) {
-    std::vector<float> s(static_cast<std::size_t>(cfg.n_experts), 0.0F);
-    float v = 10.0F;
-    for (int e : sel) {
-      s[static_cast<std::size_t>(e)] = v;
-      v -= 1.0F;
-    }
-    return s;
-  };
-
+  data::SequenceTrace tr(cfg.n_layers, cfg.n_experts, cfg.top_k, prompt_len,
+                         gen_len);
+  const std::vector<float> scores = scores_selecting(cfg, experts);
+  const std::vector<float> pred = scores_selecting(cfg, predicted);
   for (int l = 0; l < cfg.n_layers; ++l) {
-    auto& pf = tr.prefill[static_cast<std::size_t>(l)].tokens;
-    pf.resize(static_cast<std::size_t>(prompt_len));
-    for (auto& tok : pf) tok.scores = scores_for(experts);
-
-    auto& dc = tr.decode[static_cast<std::size_t>(l)].tokens;
-    dc.resize(static_cast<std::size_t>(gen_len));
-    for (auto& tok : dc) {
-      tok.scores = scores_for(experts);
-      if (l >= 1) tok.pred_scores = scores_for(predicted);
+    for (int t = 0; t < prompt_len; ++t) {
+      tr.set_cell(data::Phase::Prefill, l, t, scores);
+    }
+    for (int t = 0; t < gen_len; ++t) {
+      tr.set_cell(data::Phase::Decode, l, t, scores,
+                  l >= 1 ? std::span<const float>(pred)
+                         : std::span<const float>());
     }
   }
   return tr;
@@ -69,21 +67,14 @@ inline data::SequenceTrace alternating_trace(const model::ModelConfig& cfg,
                                              const std::vector<int>& a,
                                              const std::vector<int>& b) {
   data::SequenceTrace tr = fixed_trace(cfg, prompt_len, gen_len, a);
-  auto scores_for = [&](const std::vector<int>& sel) {
-    std::vector<float> s(static_cast<std::size_t>(cfg.n_experts), 0.0F);
-    float v = 10.0F;
-    for (int e : sel) {
-      s[static_cast<std::size_t>(e)] = v;
-      v -= 1.0F;
-    }
-    return s;
-  };
+  const std::vector<float> sa = scores_selecting(cfg, a);
+  const std::vector<float> sb = scores_selecting(cfg, b);
   for (int l = 0; l < cfg.n_layers; ++l) {
-    auto& dc = tr.decode[static_cast<std::size_t>(l)].tokens;
     for (int t = 0; t < gen_len; ++t) {
-      const auto& sel = (t % 2 == 0) ? a : b;
-      dc[static_cast<std::size_t>(t)].scores = scores_for(sel);
-      if (l >= 1) dc[static_cast<std::size_t>(t)].pred_scores = scores_for(sel);
+      const std::vector<float>& s = (t % 2 == 0) ? sa : sb;
+      tr.set_cell(data::Phase::Decode, l, t, s,
+                  l >= 1 ? std::span<const float>(s)
+                         : std::span<const float>());
     }
   }
   return tr;
