@@ -6,6 +6,8 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "eval/continuous_batching.hpp"
+#include "eval/serving_record.hpp"
 #include "recovery/reconcile.hpp"
 
 namespace daop::cluster {
@@ -241,14 +243,9 @@ int ClusterRouter::pick_node(const std::vector<int>& eligible,
 
 eval::DegradationController::Signals ClusterRouter::node_signals(
     const Node& n) const {
-  eval::DegradationController::Signals s;
+  eval::DegradationController::Signals s = n.closed;
   s.hazard_stall_s = n.timeline.hazard_stall_s();
-  s.migration_aborts = n.closed_aborts;
-  s.migration_retries = n.closed_retries;
-  for (const ActiveCopy& a : n.active) {
-    s.migration_aborts += a.session->counters().migration_aborts;
-    s.migration_retries += a.session->counters().migration_retries;
-  }
+  for (const ActiveCopy& a : n.active) s.add(a.session->counters());
   return s;
 }
 
@@ -287,26 +284,25 @@ void ClusterRouter::ts_served(const Track& tr, double start, double end,
                               const engines::RunResult& result) {
   obs::TimeSeriesRecorder& r = *options_.tseries;
   const int ch = ts_cluster_channel();
-  const double arrival = tr.request.arrival;
   r.advance(ch, end);
   r.count(ch, "daop_serving_requests_total", "Request resolutions.", 1.0,
           {{"outcome", "served"}});
   r.count(ch, "daop_serving_generated_tokens_total",
           "Tokens generated across served requests.",
           static_cast<double>(result.generated_tokens));
-  // Same client-observed formulas as cluster/serving.cpp: everything counts
-  // from the ORIGINAL arrival so failover backoffs show in the windows.
+  // The serving ledger's formulas: everything counts from the ORIGINAL
+  // arrival so failover backoffs show in the windows.
+  const eval::ServedTimes t =
+      eval::served_times(tr.request.arrival, start, end, result);
   r.observe(ch, "daop_serving_queue_wait_seconds",
-            "Arrival to admission on the serving node.", start - arrival);
+            "Arrival to admission on the serving node.", t.queue_wait_s);
   r.observe(ch, "daop_serving_ttft_seconds",
-            "Arrival to first output token.",
-            (start - arrival) + result.prefill_s);
+            "Arrival to first output token.", t.ttft_s);
   r.observe(ch, "daop_serving_latency_seconds",
-            "Arrival to request completion.", end - arrival);
+            "Arrival to request completion.", t.latency_s);
   if (result.generated_tokens > 0) {
     r.observe(ch, "daop_serving_tpot_seconds",
-              "Mean time per output token per request.",
-              result.decode_s / result.generated_tokens);
+              "Mean time per output token per request.", t.tpot_s);
   }
 }
 
@@ -686,28 +682,17 @@ std::vector<ClusterRouter::Outcome> ClusterRouter::run() {
     std::size_t slot_i = kNone;
     for (const Node& n : nodes_) {
       if (!n.alive) continue;
-      int mc_eff = options_.max_concurrent_per_node;
-      if (n.degrade != nullptr && n.degrade->cap_concurrency()) {
-        mc_eff = std::max(1, mc_eff / 2);
-      }
+      const int mc_eff = eval::effective_concurrency(
+          options_.max_concurrent_per_node,
+          n.degrade != nullptr && n.degrade->cap_concurrency());
       double t_admit = kInf;
       std::size_t slot = kNone;
       if (!n.pending.empty() && !n.free_slots.empty() &&
           static_cast<int>(n.active.size()) < mc_eff) {
-        slot = static_cast<std::size_t>(
-            std::min_element(n.free_slots.begin(), n.free_slots.end()) -
-            n.free_slots.begin());
+        slot = eval::earliest_slot(n.free_slots);
         t_admit = std::max(n.pending.front().ready, n.free_slots[slot]);
       }
-      double t_step = kInf;
-      std::size_t si = kNone;
-      for (std::size_t i = 0; i < n.active.size(); ++i) {
-        const double r = n.active[i].session->ready_time();
-        if (r < t_step) {
-          t_step = r;
-          si = i;
-        }
-      }
+      const auto [si, t_step] = eval::least_advanced(n.active);
       // Within a node, admission wins ties against stepping — the same
       // preference as the single-node scheduler loops.
       const bool admit = t_admit <= t_step;
@@ -805,27 +790,16 @@ std::vector<ClusterRouter::Outcome> ClusterRouter::run() {
       if (n.degrade != nullptr) n.degrade->observe(t_admit, node_signals(n));
       // Deadline shedding against the ORIGINAL arrival: a copy that cannot
       // make its first token in time frees the slot for one that can.
-      const double budget = tr.request.deadline_s > 0.0
-                                ? tr.request.deadline_s
-                                : options_.deadline_s;
-      if (budget > 0.0) {
-        const double dl_full = tr.request.arrival + budget;
-        const double dl_eff =
-            (n.degrade != nullptr && n.degrade->shed_aggressively())
-                ? tr.request.arrival + 0.5 * budget
-                : dl_full;
-        const double projected = t_admit + options_.service_estimate_s;
-        if (projected > dl_eff) {
-          n.pending.pop_front();
-          --tr.live_copies;
-          if (tr.live_copies == 0) {
-            resolve_shed(q.track,
-                         projected > dl_full ? eval::ShedReason::kDeadline
-                                             : eval::ShedReason::kDegraded,
-                         t_admit);
-          }
-          continue;
-        }
+      if (const auto why = eval::deadline_shed(
+              tr.request.arrival,
+              eval::deadline_budget(tr.request.deadline_s,
+                                    options_.deadline_s),
+              t_admit + options_.service_estimate_s,
+              n.degrade != nullptr && n.degrade->shed_aggressively())) {
+        n.pending.pop_front();
+        --tr.live_copies;
+        if (tr.live_copies == 0) resolve_shed(q.track, *why, t_admit);
+        continue;
       }
       engines::SessionEnv env;
       env.timeline = &n.timeline;
@@ -935,8 +909,7 @@ std::vector<ClusterRouter::Outcome> ClusterRouter::run() {
     // `a.start + r.total_s`).
     const double session_start = a.session->start_time();
     engines::RunResult r = a.session->close();
-    n.closed_aborts += r.counters.migration_aborts;
-    n.closed_retries += r.counters.migration_retries;
+    n.closed.add(r.counters);
     const double end = session_start + r.total_s;
     const double start = a.start;
     const bool hedge = a.hedge;

@@ -330,8 +330,8 @@ class ClusterRouter {
     std::deque<QueuedCopy> pending;
     std::vector<ActiveCopy> active;
     std::vector<double> free_slots;
-    long long closed_aborts = 0;
-    long long closed_retries = 0;
+    /// Migration totals of the node's closed sessions.
+    eval::DegradationController::Signals closed;
   };
   /// Per-request routing state: how many live copies exist and what the
   /// failover path has consumed so far.

@@ -1,28 +1,16 @@
 #include "cluster/serving.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <utility>
 
-#include "cache/calibration.hpp"
 #include "common/check.hpp"
-#include "common/rng.hpp"
-#include "data/trace_generator.hpp"
-#include "engines/run_metrics.hpp"
+#include "eval/serving_core.hpp"
 #include "model/op_costs.hpp"
 
 namespace daop::cluster {
 
 void ClusterServingOptions::validate() const {
-  DAOP_CHECK_GT(base.arrival_rate_rps, 0.0);
-  DAOP_CHECK_GT(base.n_requests, 0);
-  DAOP_CHECK_LE(base.min_prompt, base.max_prompt);
-  DAOP_CHECK_LE(base.min_gen, base.max_gen);
-  DAOP_CHECK_GE(base.slo_ttft_s, 0.0);
-  DAOP_CHECK_GE(base.slo_latency_s, 0.0);
-  DAOP_CHECK_GE(base.priority_every, 0);
-  DAOP_CHECK_GE(base.priority_deadline_s, 0.0);
   DAOP_CHECK_GE(n_nodes, 1);
   cluster.validate();
   node_hazards.validate();
@@ -36,19 +24,20 @@ ClusterServingResult run_cluster_serving_eval(
     const sim::PlatformSpec& platform, const data::WorkloadSpec& workload,
     const ClusterServingOptions& options) {
   options.validate();
+  // The single-node request plan, so cluster and single-node runs on one
+  // seed serve identical traffic.
+  const eval::RequestPlan plan(model_cfg, workload, options.base);
+  ClusterServingResult out;
+  eval::ServingLedger ledger(out, options.base);
 
   const sim::CostModel cm(platform);
   const model::OpCosts costs(model_cfg, cm);
 
-  // Identical calibration to run_serving_eval: homogeneous replicas start
-  // from the very placement the single-node server would use.
-  const data::TraceGenerator calib_gen(
-      data::sharegpt_calibration(), model_cfg.n_layers, model_cfg.n_experts,
-      model_cfg.top_k, options.base.seed ^ 0xCA11Bu);
-  const auto calib_counts = cache::calibrate_activation_counts(
-      calib_gen, options.base.calibration_seqs);
-  const cache::Placement calibrated = cache::init_placement_calibrated(
-      model_cfg.n_layers, model_cfg.n_experts, options.base.ecr, calib_counts);
+  // Homogeneous replicas start from the very placement the single-node
+  // server would use.
+  const cache::Placement calibrated = eval::calibrated_initial_placement(
+      model_cfg, options.base.ecr, options.base.calibration_seqs,
+      options.base.seed);
 
   std::vector<ClusterRouter::NodeSeat> seats;
   seats.reserve(static_cast<std::size_t>(options.n_nodes));
@@ -79,50 +68,14 @@ ClusterServingResult run_cluster_serving_eval(
   if (options.base.profiler != nullptr) router_opts.record_intervals = true;
   ClusterRouter router(std::move(seats), router_opts);
 
-  // EXACT single-node request plan: same RNG seed and draw order (gap,
-  // prompt, gen per request), so cluster and single-node runs on one seed
-  // serve identical traffic.
-  const data::TraceGenerator gen(workload, model_cfg.n_layers,
-                                 model_cfg.n_experts, model_cfg.top_k,
-                                 options.base.seed);
-  Rng rng(options.base.seed ^ 0x5e7511e5ULL);
-  double arrival = 0.0;
-  for (int i = 0; i < options.base.n_requests; ++i) {
-    arrival += -std::log(std::max(rng.uniform(), 1e-12)) /
-               options.base.arrival_rate_rps;
-    const int prompt =
-        rng.uniform_int(options.base.min_prompt, options.base.max_prompt);
-    const int gen_len =
-        rng.uniform_int(options.base.min_gen, options.base.max_gen);
-    ClusterRouter::Request req;
-    req.id = i;
-    req.arrival = arrival;
-    if (options.base.priority_every > 0 &&
-        (i + 1) % options.base.priority_every == 0) {
-      req.deadline_s = options.base.priority_deadline_s;
-    }
-    req.trace = gen.generate(i, prompt, gen_len);
-    router.enqueue(std::move(req));
+  for (const eval::RequestPlan::Request& p : plan.requests()) {
+    router.enqueue({p.id, p.arrival, p.deadline_s, plan.trace(p)});
   }
 
   const std::vector<ClusterRouter::Outcome> outcomes = router.run();
   // Satellite invariant, re-asserted at the harness boundary: no cluster
   // run may end with a pinned expert anywhere.
   DAOP_CHECK_EQ(router.total_leaked_pins(), 0);
-
-  ClusterServingResult out;
-  out.requests = options.base.n_requests;
-
-  std::vector<double> ttft;
-  std::vector<double> latency;
-  std::vector<double> wait;
-  std::vector<double> tpot;
-  obs::HistogramData ttft_hist(obs::default_latency_buckets());
-  obs::HistogramData tpot_hist(obs::default_latency_buckets());
-  obs::HistogramData latency_hist(obs::default_latency_buckets());
-  obs::HistogramData wait_hist(obs::default_latency_buckets());
-  double makespan = 0.0;
-  long long tokens = 0;
 
   for (const ClusterRouter::Outcome& o : outcomes) {
     eval::ServingResult::RequestLogEntry log;
@@ -132,92 +85,39 @@ ClusterServingResult run_cluster_serving_eval(
     log.restores = o.restores;
     if (!o.recovery.empty()) log.recovery = o.recovery;
     if (o.shed) {
-      log.outcome =
-          std::string("shed:") + eval::shed_reason_name(o.shed_reason);
-      ++out.shed;
-      ++out.slo_violations;
-      switch (o.shed_reason) {
-        case eval::ShedReason::kNodeLost:
-          ++out.shed_node_lost;
-          break;
-        case eval::ShedReason::kDeadline:
-          ++out.shed_deadline;
-          break;
-        case eval::ShedReason::kDegraded:
-          ++out.shed_degraded;
-          break;
-        case eval::ShedReason::kQueueFull:
-          DAOP_CHECK_MSG(false, "cluster router never sheds queue_full");
-          break;
-      }
+      ledger.shed(std::move(log), o.shed_reason);
     } else {
-      log.outcome = "served";
-      ++out.served;
-      tokens += o.result.generated_tokens;
-      makespan = std::max(makespan, o.end);
-      // Same client-observed formulas as eval/serving.cpp's record_served:
-      // everything counts from the ORIGINAL arrival, so failover backoffs
-      // and re-run prefills show up in TTFT/latency.
-      const double w = o.start - o.arrival;
-      const double first_tok = w + o.result.prefill_s;
-      const double lat = o.end - o.arrival;
-      const double per_tok = o.result.generated_tokens > 0
-                                 ? o.result.decode_s / o.result.generated_tokens
-                                 : 0.0;
-      wait.push_back(w);
-      ttft.push_back(first_tok);
-      latency.push_back(lat);
-      tpot.push_back(per_tok);
-      ttft_hist.observe(first_tok);
-      tpot_hist.observe(per_tok);
-      latency_hist.observe(lat);
-      wait_hist.observe(w);
-      if ((options.base.slo_ttft_s > 0.0 &&
-           first_tok > options.base.slo_ttft_s) ||
-          (options.base.slo_latency_s > 0.0 &&
-           lat > options.base.slo_latency_s)) {
-        ++out.slo_violations;
-      }
-      out.counters.add(o.result.counters);
+      ledger.served(std::move(log), o.start, o.end, o.result);
     }
-    out.request_log.push_back(std::move(log));
   }
 
-  // Conservation (cluster-aware, satellite 2): every enqueued request is
-  // either served or shed, exactly once, regardless of copies/failovers.
-  DAOP_CHECK_EQ(out.served + out.shed, options.base.n_requests);
   out.cluster = router.stats();
   out.recovery = router.recovery();
   out.health_events = router.health_events();
+  DAOP_CHECK_MSG(out.shed_queue_full == 0,
+                 "cluster router never sheds queue_full");
   DAOP_CHECK_EQ(out.shed_node_lost, out.cluster.shed_node_lost);
   DAOP_CHECK_EQ(out.shed_deadline, out.cluster.shed_deadline);
   DAOP_CHECK_EQ(out.shed_degraded, out.cluster.shed_degraded);
 
-  // Hazard stall is a per-timeline total (shared sessions report none);
-  // account every node's timeline once.
+  // Hazard stall is a per-timeline total (shared sessions report none), so
+  // every node's timeline is accounted once; dynamic-cache totals sum the
+  // per-node caches.
   double stall = 0.0;
   for (int i = 0; i < router.n_nodes(); ++i) {
     stall += router.node_timeline(i).hazard_stall_s();
-  }
-  out.counters.hazard_stall_s = stall;
-
-  // Dynamic-cache totals summed across the per-node caches.
-  for (int i = 0; i < router.n_nodes(); ++i) {
     if (const cache::ExpertCache* ec = router.node_cache(i)) {
-      out.cache_fills += ec->fills();
-      out.cache_evictions += ec->evictions();
-      out.cache_refusals += static_cast<long long>(ec->refusals().size());
-      out.cache_aborts += ec->aborts();
+      eval::add_cache_totals(out, *ec, model_cfg.expert_bytes());
     }
   }
-  out.cache_bytes_moved =
-      static_cast<double>(out.cache_fills) * model_cfg.expert_bytes();
+  out.counters.hazard_stall_s = stall;
 
   out.engine = std::string("cluster[") + std::to_string(options.n_nodes) +
                "x " + eval::engine_kind_name(kind) + "]";
   // Seal the final time-series window at the run makespan (the recorder the
   // router recorded into — router_opts.tseries — which defaulted from the
   // base sink above).
+  const double makespan = ledger.makespan();
   if (router_opts.tseries != nullptr) router_opts.tseries->finalize(makespan);
   if (options.base.profiler != nullptr) {
     // One whole-window profile per node timeline, mirroring the
@@ -230,56 +130,15 @@ ClusterServingResult run_cluster_serving_eval(
           tl.hazard_intervals(), 0.0, std::max(makespan, tl.span()));
     }
   }
-  if (!latency.empty()) {
-    out.ttft_s = summarize(ttft);
-    out.latency_s = summarize(latency);
-    out.queue_wait_s = summarize(wait);
-    out.tpot_s = summarize(tpot);
-  }
-  out.ttft_hist = ttft_hist;
-  out.tpot_hist = tpot_hist;
-  out.latency_hist = latency_hist;
-  out.makespan_s = makespan;
-  out.slo_violation_rate =
-      static_cast<double>(out.slo_violations) / options.base.n_requests;
-  if (makespan > 0.0) {
-    out.throughput_tps = static_cast<double>(tokens) / makespan;
-  }
+  ledger.finish(options.base.n_requests);
 
   if (options.base.metrics != nullptr) {
     obs::MetricsRegistry& reg = *options.base.metrics;
     const obs::Labels labels{{"engine", out.engine}};
     const std::vector<double> buckets = obs::default_latency_buckets();
-    reg.counter("daop_serving_requests_total", "Requests by final outcome.",
-                obs::Labels{{"engine", out.engine}, {"outcome", "served"}})
-        .inc(static_cast<double>(out.served));
-    reg.counter("daop_serving_slo_violations_total",
-                "Served requests breaching an SLO, plus shed requests.",
-                labels)
-        .inc(static_cast<double>(out.slo_violations));
-    reg.counter("daop_serving_generated_tokens_total",
-                "Tokens generated across served requests.", labels)
-        .inc(static_cast<double>(tokens));
-    reg.histogram("daop_serving_ttft_seconds",
-                  "Arrival to first output token.", buckets, labels)
-        .merge(ttft_hist);
-    reg.histogram("daop_serving_tpot_seconds",
-                  "Mean time per output token per request.", buckets, labels)
-        .merge(tpot_hist);
-    reg.histogram("daop_serving_latency_seconds",
-                  "Arrival to request completion.", buckets, labels)
-        .merge(latency_hist);
-    reg.histogram("daop_serving_queue_wait_seconds",
-                  "Arrival to admission on the serving node.", buckets,
-                  labels)
-        .merge(wait_hist);
-    reg.gauge("daop_serving_throughput_tokens_per_second",
-              "Generated tokens per second of makespan.", labels)
-        .set(out.throughput_tps);
-    reg.gauge("daop_serving_makespan_seconds",
-              "Last request completion time.", labels)
-        .set(out.makespan_s);
-    engines::record_counter_metrics(reg, out.counters, labels);
+    ledger.record_metrics(
+        reg, "Served requests breaching an SLO, plus shed requests.",
+        "Arrival to admission on the serving node.");
 
     const auto shed_counter = [&](const char* reason, long long n) {
       reg.counter("daop_requests_shed_total",
@@ -413,37 +272,7 @@ ClusterServingResult run_cluster_serving_eval(
           .merge(rec_hist);
     }
 
-    // Dynamic-cache families only exist when a dynamic policy is on, so
-    // frozen-policy cluster metrics stay bit-identical to PR 6.
-    if (options.cluster.cache.enabled()) {
-      const char* policy =
-          cache::cache_policy_name(options.cluster.cache.policy);
-      const auto cache_counter = [&](const char* kind, long long n) {
-        reg.counter("daop_cache_migrations_total",
-                    "Dynamic expert-cache placement changes, by kind.",
-                    obs::Labels{{"engine", out.engine},
-                                {"kind", kind},
-                                {"policy", policy}})
-            .inc(static_cast<double>(n));
-      };
-      cache_counter("fill", out.cache_fills);
-      cache_counter("evict", out.cache_evictions);
-      const obs::Labels clabels{{"engine", out.engine}, {"policy", policy}};
-      reg.counter("daop_cache_pin_refusals_total",
-                  "Cache evictions refused because the victim was pinned by "
-                  "another session.",
-                  clabels)
-          .inc(static_cast<double>(out.cache_refusals));
-      reg.counter("daop_cache_migration_aborts_total",
-                  "Cache swap migrations abandoned by the retry/deadline "
-                  "discipline.",
-                  clabels)
-          .inc(static_cast<double>(out.cache_aborts));
-      reg.counter("daop_cache_bytes_moved_total",
-                  "Expert weight bytes moved over PCIe by cache fills.",
-                  clabels)
-          .inc(out.cache_bytes_moved);
-    }
+    eval::record_cache_metrics(reg, options.cluster.cache, out);
   }
   return out;
 }

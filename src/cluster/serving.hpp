@@ -2,28 +2,24 @@
 // fault-tolerant cluster (cluster/router.hpp).
 //
 // Builds one engine + fault model + arbitrated placement per node, replays
-// the EXACT single-node request plan (same seed, same RNG draw order:
-// arrival gap, prompt length, gen length per request), routes it through a
-// ClusterRouter, and reports client-observed serving metrics with the same
-// formulas as eval/serving.cpp — TTFT, latency and queue wait all measured
-// from the ORIGINAL arrival, so failover delays and hedging savings show up
-// in the distributions and single-node vs cluster runs are directly
-// comparable on one seed.
+// the single-node request plan (eval::RequestPlan), routes it through a
+// ClusterRouter, and counts outcomes with the single-node harness's ledger
+// (eval::ServingLedger) — TTFT, latency and queue wait all measured from
+// the ORIGINAL arrival, so failover delays and hedging savings show up in
+// the distributions and single-node vs cluster runs are directly comparable
+// on one seed.
 //
 // Deterministic in (options, seed). Node i's fault model draws from
 // seed ^ 0xC105731 ^ (i * golden-ratio), so per-node fault outcomes are
 // independent of each other and of the single-node fault stream.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "cache/placement.hpp"
 #include "cluster/router.hpp"
-#include "common/stats.hpp"
 #include "eval/serving.hpp"
 #include "eval/speed.hpp"
-#include "obs/metrics.hpp"
 
 namespace daop::cluster {
 
@@ -53,29 +49,12 @@ struct ClusterServingOptions {
   void validate() const;
 };
 
-struct ClusterServingResult {
-  std::string engine;
-  int requests = 0;
-  int served = 0;
-  int shed = 0;  ///< conservation: served + shed == requests (DAOP_CHECKed)
-  Summary ttft_s;        ///< arrival -> first output token (served only)
-  Summary latency_s;     ///< arrival -> request complete (served only)
-  Summary queue_wait_s;  ///< arrival -> admission on the serving node
-  Summary tpot_s;
-  obs::HistogramData ttft_hist;
-  obs::HistogramData tpot_hist;
-  obs::HistogramData latency_hist;
-  double throughput_tps = 0.0;  ///< generated tokens / makespan
-  double makespan_s = 0.0;
-  int slo_violations = 0;  ///< SLO-breaching served requests + all shed
-  double slo_violation_rate = 0.0;
-  long long shed_node_lost = 0;
-  long long shed_deadline = 0;
-  long long shed_degraded = 0;
-  /// Engine counters summed over served requests; hazard_stall_s is the
-  /// total across every node timeline (accounted once, like the
-  /// continuous-batching harness).
-  engines::EngineCounters counters;
+/// The single-node serving result, counted by the same ledger (cluster
+/// runs never drop, so `dropped` stays 0 and `served + shed == requests`;
+/// `request_log` retries carry failover re-dispatches; engine counters'
+/// hazard_stall_s totals every node timeline once; cache totals sum the
+/// per-node caches), plus the cluster-only telemetry.
+struct ClusterServingResult : eval::ServingResult {
   /// Router-level telemetry: failovers, replayed tokens, hedges, crashes,
   /// ejections, per-node dispatch/serve counts and final states.
   ClusterStats cluster;
@@ -83,16 +62,6 @@ struct ClusterServingResult {
   /// except the loss-episode conservation counts, which are always kept).
   RecoveryStats recovery;
   std::vector<HealthEvent> health_events;
-  // ---- Dynamic-cache telemetry summed across node caches (all zero under
-  // policy `frozen`; see ClusterOptions::cache) ----
-  long long cache_fills = 0;
-  long long cache_evictions = 0;
-  long long cache_refusals = 0;
-  long long cache_aborts = 0;
-  double cache_bytes_moved = 0.0;
-  /// Per-request outcome log in id order ("served" or "shed:<reason>";
-  /// `retries` carries the failover re-dispatch count).
-  std::vector<eval::ServingResult::RequestLogEntry> request_log;
 };
 
 /// Simulates `options.base.n_requests` requests through an N-node cluster.

@@ -1,6 +1,8 @@
 #include "common/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 #include "common/check.hpp"
 
@@ -55,8 +57,14 @@ int FlagParser::get_int(const std::string& name, int def) const {
   if (it == flags_.end()) return def;
   used_[name] = true;
   char* end = nullptr;
+  errno = 0;
   const long v = std::strtol(it->second.c_str(), &end, 10);
-  DAOP_CHECK_MSG(end && *end == '\0' && !it->second.empty(),
+  // Out-of-range text (strtol's ERANGE, or a long that int cannot hold) is
+  // rejected rather than silently wrapped.
+  DAOP_CHECK_MSG(end && *end == '\0' && !it->second.empty() &&
+                     errno != ERANGE &&
+                     v >= std::numeric_limits<int>::min() &&
+                     v <= std::numeric_limits<int>::max(),
                  "--" << name << " expects an integer, got '" << it->second
                       << "'");
   return static_cast<int>(v);

@@ -3,107 +3,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "common/check.hpp"
+#include "eval/serving_record.hpp"
 
 namespace daop::eval {
-namespace {
-
-/// Null-gated time-series shim shared by both scheduler loops. Every method
-/// is a no-op when no recorder is attached, so the hot path costs one
-/// pointer test per decision and the recorder stays strictly passive.
-class TsHook {
- public:
-  TsHook(obs::TimeSeriesRecorder* rec, int ch) : rec_(rec), ch_(ch) {}
-  bool on() const { return rec_ != nullptr; }
-
-  /// Called once per scheduling decision, BEFORE the decision's recordings,
-  /// so each lands in the grid window containing its decision time.
-  void decision(double t, double hazard_stall_s, long long waiting,
-                std::size_t active, std::size_t parked) {
-    if (rec_ == nullptr) return;
-    rec_->advance(ch_, t);
-    rec_->count_total(ch_, "daop_hazard_stall_seconds_total",
-                      "Simulated seconds lost to injected hazard stalls.",
-                      hazard_stall_s);
-    rec_->gauge_set(ch_, "daop_queue_depth",
-                    "Arrived requests waiting for admission.",
-                    static_cast<double>(waiting));
-    rec_->gauge_set(ch_, "daop_active_sessions",
-                    "In-flight decode sessions.",
-                    static_cast<double>(active));
-    rec_->gauge_set(ch_, "daop_parked_sessions",
-                    "Preempted sessions awaiting resume.",
-                    static_cast<double>(parked));
-  }
-  void admitted(double wait_s, double ttft_s) {
-    if (rec_ == nullptr) return;
-    rec_->observe(ch_, "daop_serving_queue_wait_seconds",
-                  "Admission queue wait per served request.", wait_s);
-    rec_->observe(ch_, "daop_serving_ttft_seconds",
-                  "Time to first token (arrival to end of prefill).",
-                  ttft_s);
-  }
-  void served(double latency_s, double tpot_s, long long tokens) {
-    if (rec_ == nullptr) return;
-    rec_->count(ch_, "daop_serving_requests_total", "Request resolutions.",
-                1.0, {{"outcome", "served"}});
-    rec_->count(ch_, "daop_serving_generated_tokens_total",
-                "Decode tokens generated by served requests.",
-                static_cast<double>(tokens));
-    rec_->observe(ch_, "daop_serving_latency_seconds",
-                  "End-to-end latency (arrival to completion).", latency_s);
-    if (tpot_s >= 0.0) {
-      rec_->observe(ch_, "daop_serving_tpot_seconds",
-                    "Mean time per generated token.", tpot_s);
-    }
-  }
-  void dropped() {
-    if (rec_ == nullptr) return;
-    rec_->count(ch_, "daop_serving_requests_total", "Request resolutions.",
-                1.0, {{"outcome", "dropped"}});
-  }
-  void shed(ShedReason reason) {
-    if (rec_ == nullptr) return;
-    rec_->count(ch_, "daop_serving_requests_total", "Request resolutions.",
-                1.0, {{"outcome", "shed"}});
-    rec_->count(ch_, "daop_requests_shed_total",
-                "Requests rejected by admission control.", 1.0,
-                {{"reason", shed_reason_name(reason)}});
-  }
-  void preempted() {
-    if (rec_ == nullptr) return;
-    rec_->count(ch_, "daop_session_preemptions_total",
-                "Sessions parked by preemptive admission.");
-  }
-  void resumed() {
-    if (rec_ == nullptr) return;
-    rec_->count(ch_, "daop_session_resumes_total",
-                "Parked sessions resumed into a freed slot.");
-  }
-  void degrade_event(const DegradationEvent& e) {
-    if (rec_ == nullptr) return;
-    rec_->count(ch_, "daop_degrade_steps_total",
-                "Degradation ladder steps.", 1.0,
-                {{"direction", e.down ? "down" : "up"}});
-    rec_->gauge_set(ch_, "daop_degrade_level",
-                    "Current degradation ladder level.",
-                    static_cast<double>(e.level));
-    rec_->record_event(
-        e.time, ch_, e.down ? "degrade" : "recover",
-        std::string("level ") +
-            degrade_level_name(static_cast<DegradeLevel>(e.level)));
-  }
-
- private:
-  obs::TimeSeriesRecorder* rec_;
-  int ch_;
-};
-
-}  // namespace
-
 ContinuousBatchingScheduler::ContinuousBatchingScheduler(
     engines::Engine& engine, sim::Timeline& timeline,
     const cache::Placement& initial, const Options& options)
@@ -134,128 +41,12 @@ void ContinuousBatchingScheduler::enqueue(Request request) {
   pending_.push_back(std::move(p));
 }
 
-std::vector<ContinuousBatchingScheduler::Outcome>
-ContinuousBatchingScheduler::run() {
-  options_.overload.validate();
-  return options_.overload.enabled() ? run_overload() : run_legacy();
-}
-
-std::vector<ContinuousBatchingScheduler::Outcome>
-ContinuousBatchingScheduler::run_legacy() {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const std::size_t total = pending_.size() + outcomes_.size();
-  TsHook ts(options_.tseries, options_.tseries_channel);
-
-  while (!pending_.empty() || !active_.empty()) {
-    // Candidate admission: the FIFO head starts at the later of its
-    // (re-)arrival and the earliest free slot.
-    double t_admit = kInf;
-    std::size_t slot = 0;
-    if (!pending_.empty() && !free_slots_.empty()) {
-      slot = static_cast<std::size_t>(
-          std::min_element(free_slots_.begin(), free_slots_.end()) -
-          free_slots_.begin());
-      t_admit = std::max(pending_.front().eff_arrival, free_slots_[slot]);
-    }
-    // Candidate decode step: the least-advanced in-flight session. Ties go
-    // to the earliest-admitted (lowest request id) — active_ is kept in
-    // admission order, so the first strict minimum wins.
-    std::size_t si = active_.size();
-    double t_step = kInf;
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-      const double r = active_[i].session->ready_time();
-      if (r < t_step) {
-        t_step = r;
-        si = i;
-      }
-    }
-
-    if (ts.on()) {
-      const double t_dec = std::min(t_admit, t_step);
-      long long waiting = 0;
-      for (const Pending& p : pending_) {
-        if (p.eff_arrival <= t_dec) ++waiting;
-      }
-      ts.decision(t_dec, tl_.hazard_stall_s(), waiting, active_.size(), 0);
-    }
-
-    if (t_admit <= t_step) {
-      Pending& head = pending_.front();
-      if (options_.request_timeout_s > 0.0 &&
-          t_admit - head.eff_arrival > options_.request_timeout_s) {
-        if (head.attempts < options_.max_request_retries) {
-          ++head.attempts;
-          head.eff_arrival +=
-              options_.request_timeout_s + options_.retry_backoff_s;
-          continue;
-        }
-        Outcome o;
-        o.id = head.request.id;
-        o.arrival = head.request.arrival;
-        o.retries = head.attempts;
-        outcomes_.push_back(std::move(o));
-        pending_.pop_front();
-        ts.dropped();
-        continue;
-      }
-      engines::SessionEnv env;
-      env.timeline = &tl_;
-      env.start_time = t_admit;
-      env.request_id = head.request.id;
-      env.arbiter = &arbiter_;
-      env.cache = cache_.get();
-      env.shared = true;
-      Active a;
-      a.id = head.request.id;
-      a.arrival = head.request.arrival;
-      a.start = t_admit;
-      a.retries = head.attempts;
-      a.trace = std::make_unique<data::SequenceTrace>(
-          std::move(head.request.trace));
-      a.session = engine_.open_session(*a.trace, arbiter_.placement(), env);
-      a.session->prefill();
-      ts.admitted(a.start - a.arrival, a.session->ready_time() - a.arrival);
-      free_slots_.erase(free_slots_.begin() +
-                        static_cast<std::ptrdiff_t>(slot));
-      active_.push_back(std::move(a));
-      pending_.pop_front();
-      continue;
-    }
-
-    Active& a = active_[si];
-    if (a.session->decode_step()) continue;
-    // All tokens scheduled: close the session, free its slot at the
-    // completion time, and record the outcome.
-    engines::RunResult r = a.session->close();
-    Outcome o;
-    o.id = a.id;
-    o.arrival = a.arrival;
-    o.served = true;
-    o.start = a.start;
-    o.end = a.start + r.total_s;
-    o.retries = a.retries;
-    ts.served(o.end - o.arrival,
-              r.generated_tokens > 0
-                  ? r.decode_s / static_cast<double>(r.generated_tokens)
-                  : -1.0,
-              r.generated_tokens);
-    o.result = std::move(r);
-    free_slots_.push_back(o.end);
-    outcomes_.push_back(std::move(o));
-    active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(si));
-  }
-
-  DAOP_CHECK_EQ(outcomes_.size(), total);
-  std::sort(outcomes_.begin(), outcomes_.end(),
-            [](const Outcome& x, const Outcome& y) { return x.id < y.id; });
-  return std::move(outcomes_);
-}
-
-// Overload-aware loop. Same event structure as run_legacy() — each
-// iteration performs the earliest of {resume, admit, step} — plus the
-// overload plane's decisions layered on top:
-//  - the admission candidate is chosen by the configured policy instead of
-//    always being the FIFO head;
+// The event loop: each iteration performs the earliest of {resume, admit,
+// step} — admission wins ties against stepping, stepping takes the
+// least-advanced session — with the overload plane's decisions layered on
+// top:
+//  - the admission candidate is chosen by the configured policy (the FIFO
+//    head by default);
 //  - a bounded queue sheds overflow, and a deadline budget sheds requests
 //    whose projected first token would land past their deadline;
 //  - under deadline-edf with preemption, a deadline-critical arrival may
@@ -264,43 +55,48 @@ ContinuousBatchingScheduler::run_legacy() {
 //    free;
 //  - a DegradationController observes fault-plane telemetry at every
 //    decision time; its directives apply from the next decision on.
+// With the plane disabled none of these fire and the loop is plain FIFO
+// continuous batching.
 // Determinism: every choice is a pure function of (enqueue order, per-seed
-// engine behaviour), with the same tie-breaks as the legacy loop.
+// engine behaviour).
 std::vector<ContinuousBatchingScheduler::Outcome>
-ContinuousBatchingScheduler::run_overload() {
+ContinuousBatchingScheduler::run() {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   const OverloadOptions& ov = options_.overload;
+  ov.validate();
+  const bool overload_on = ov.enabled();
   const std::size_t total = pending_.size() + outcomes_.size();
   DegradationController degrade(ov.degrade);
   obs::SpanTracer* const tracer = options_.tracer;
-  const std::uint32_t ov_track =
-      tracer != nullptr ? tracer->track("Overload") : 0;
-  TsHook ts(options_.tseries, options_.tseries_channel);
+  // The "Overload" track is registered up front when the plane is on, and
+  // otherwise only if something is ever emitted on it, so a default-option
+  // trace carries no empty track.
+  std::optional<std::uint32_t> ov_track_id;
+  const auto ov_track = [&] {
+    if (!ov_track_id) ov_track_id = tracer->track("Overload");
+    return *ov_track_id;
+  };
+  if (tracer != nullptr && overload_on) ov_track();
+  TsHook ts(options_.tseries);
   std::size_t degrade_events_seen = 0;
 
   // Counter totals of already-closed sessions, so the controller's signals
   // stay cumulative across session lifetimes.
-  long long closed_aborts = 0;
-  long long closed_retries = 0;
+  DegradationController::Signals closed;
   const auto live_signals = [&] {
-    DegradationController::Signals s;
+    DegradationController::Signals s = closed;
     s.hazard_stall_s = tl_.hazard_stall_s();
-    s.migration_aborts = closed_aborts;
-    s.migration_retries = closed_retries;
-    for (const Active& a : active_) {
-      s.migration_aborts += a.session->counters().migration_aborts;
-      s.migration_retries += a.session->counters().migration_retries;
-    }
-    for (const Active& a : parked_) {
-      s.migration_aborts += a.session->counters().migration_aborts;
-      s.migration_retries += a.session->counters().migration_retries;
-    }
+    for (const Active& a : active_) s.add(a.session->counters());
+    for (const Active& a : parked_) s.add(a.session->counters());
     return s;
   };
 
+  // Per-request budgets belong to the overload plane: with it disabled no
+  // deadline is ever enforced.
   const auto budget_of = [&](const Pending& p) {
-    return p.request.deadline_s > 0.0 ? p.request.deadline_s : ov.deadline_s;
+    return overload_on ? deadline_budget(p.request.deadline_s, ov.deadline_s)
+                       : 0.0;
   };
   // Absolute first-token deadline, anchored on the ORIGINAL arrival so
   // retries never extend a client's budget. kInf = no deadline.
@@ -309,20 +105,24 @@ ContinuousBatchingScheduler::run_overload() {
     return b > 0.0 ? p.request.arrival + b : kInf;
   };
 
-  const auto shed = [&](std::size_t idx, ShedReason reason, double t) {
-    Pending& p = pending_[idx];
+  // Outcome of a request resolved without ever being admitted.
+  const auto unadmitted = [](const Pending& p) {
     Outcome o;
     o.id = p.request.id;
     o.arrival = p.request.arrival;
+    o.retries = p.attempts;
+    return o;
+  };
+  const auto shed = [&](std::size_t idx, ShedReason reason, double t) {
+    Outcome o = unadmitted(pending_[idx]);
     o.shed = true;
     o.shed_reason = reason;
-    o.retries = p.attempts;
     ++overload_stats_.shed_by_reason[static_cast<int>(reason)];
     ++overload_stats_.shed_total;
     ts.shed(reason);
     if (tracer != nullptr) {
       const obs::RequestScope scope(tracer, o.id);
-      tracer->instant(ov_track,
+      tracer->instant(ov_track(),
                       std::string("shed (") + shed_reason_name(reason) + ")",
                       t);
     }
@@ -379,9 +179,8 @@ ContinuousBatchingScheduler::run_overload() {
   };
 
   while (!pending_.empty() || !active_.empty() || !parked_.empty()) {
-    const int mc_eff = degrade.cap_concurrency()
-                           ? std::max(1, options_.max_concurrent / 2)
-                           : options_.max_concurrent;
+    const int mc_eff = effective_concurrency(options_.max_concurrent,
+                                             degrade.cap_concurrency());
     const bool slot_ok =
         !free_slots_.empty() && static_cast<int>(active_.size()) < mc_eff;
 
@@ -389,9 +188,7 @@ ContinuousBatchingScheduler::run_overload() {
     double t_resume = kInf;
     std::size_t slot_r = 0;
     if (!parked_.empty() && slot_ok) {
-      slot_r = static_cast<std::size_t>(
-          std::min_element(free_slots_.begin(), free_slots_.end()) -
-          free_slots_.begin());
+      slot_r = earliest_slot(free_slots_);
       t_resume = std::max(free_slots_[slot_r],
                           parked_.front().session->ready_time());
     }
@@ -405,9 +202,7 @@ ContinuousBatchingScheduler::run_overload() {
     std::size_t victim = kNone;
     if (!pending_.empty()) {
       if (slot_ok) {
-        slot_a = static_cast<std::size_t>(
-            std::min_element(free_slots_.begin(), free_slots_.end()) -
-            free_slots_.begin());
+        slot_a = earliest_slot(free_slots_);
         cand = pick_candidate(free_slots_[slot_a]);
         t_admit = std::max(pending_[cand].eff_arrival, free_slots_[slot_a]);
       } else if (ov.preempt &&
@@ -423,17 +218,8 @@ ContinuousBatchingScheduler::run_overload() {
       }
     }
 
-    // Candidate decode step: the least-advanced running session (parked
-    // sessions do not step). Ties -> earliest admitted, as in run_legacy.
-    double t_step = kInf;
-    std::size_t si = active_.size();
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-      const double r = active_[i].session->ready_time();
-      if (r < t_step) {
-        t_step = r;
-        si = i;
-      }
-    }
+    // Candidate decode step (parked sessions do not step).
+    const auto [si, t_step] = least_advanced(active_);
 
     const double t_dec = std::min({t_resume, t_admit, t_step});
     DAOP_CHECK_LT(t_dec, kInf);
@@ -496,7 +282,7 @@ ContinuousBatchingScheduler::run_overload() {
       ts.resumed();
       if (tracer != nullptr) {
         const obs::RequestScope scope(tracer, a.id);
-        tracer->instant(ov_track, "resume req " + std::to_string(a.id),
+        tracer->instant(ov_track(), "resume req " + std::to_string(a.id),
                         t_resume);
       }
       free_slots_.erase(free_slots_.begin() +
@@ -507,7 +293,9 @@ ContinuousBatchingScheduler::run_overload() {
 
     if (t_admit <= t_step && cand != kNone) {
       Pending& head = pending_[cand];
-      // Client-side timeout: identical semantics to the legacy loop.
+      // Client-side timeout: a request whose admission would start more
+      // than request_timeout_s after its (re-)arrival is abandoned and
+      // retries after a backoff, then is dropped without occupying a slot.
       if (options_.request_timeout_s > 0.0 &&
           t_admit - head.eff_arrival > options_.request_timeout_s) {
         if (head.attempts < options_.max_request_retries) {
@@ -516,34 +304,19 @@ ContinuousBatchingScheduler::run_overload() {
               options_.request_timeout_s + options_.retry_backoff_s;
           continue;
         }
-        Outcome o;
-        o.id = head.request.id;
-        o.arrival = head.request.arrival;
-        o.retries = head.attempts;
-        outcomes_.push_back(std::move(o));
+        outcomes_.push_back(unadmitted(head));
         pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(cand));
         ts.dropped();
         continue;
       }
       // Deadline shedding: a request whose projected first token would land
       // past its deadline is shed instead of admitted — the slot goes to a
-      // request that can still be served in time. Aggressive degradation
-      // halves the budget; a request that only the halved budget rejects is
-      // labeled degraded, not deadline.
-      const double b = budget_of(head);
-      if (b > 0.0) {
-        const double dl_full = head.request.arrival + b;
-        const double dl_eff = degrade.shed_aggressively()
-                                  ? head.request.arrival + 0.5 * b
-                                  : dl_full;
-        const double projected = t_admit + ov.service_estimate_s;
-        if (projected > dl_eff) {
-          shed(cand,
-               projected > dl_full ? ShedReason::kDeadline
-                                   : ShedReason::kDegraded,
-               t_admit);
-          continue;
-        }
+      // request that can still be served in time.
+      if (const auto why = deadline_shed(
+              head.request.arrival, budget_of(head),
+              t_admit + ov.service_estimate_s, degrade.shed_aggressively())) {
+        shed(cand, *why, t_admit);
+        continue;
       }
       if (victim != kNone) {
         // Preemptive admission: park the latest-deadline session, release
@@ -557,16 +330,14 @@ ContinuousBatchingScheduler::run_overload() {
         ts.preempted();
         if (tracer != nullptr) {
           const obs::RequestScope scope(tracer, v.id);
-          tracer->instant(ov_track,
+          tracer->instant(ov_track(),
                           "preempt req " + std::to_string(v.id) + " for req " +
                               std::to_string(head.request.id),
                           t_admit);
         }
         free_slots_.push_back(t_admit);
         parked_.push_back(std::move(v));
-        slot_a = static_cast<std::size_t>(
-            std::min_element(free_slots_.begin(), free_slots_.end()) -
-            free_slots_.begin());
+        slot_a = earliest_slot(free_slots_);
       }
       engines::SessionEnv env;
       env.timeline = &tl_;
@@ -598,8 +369,7 @@ ContinuousBatchingScheduler::run_overload() {
     Active& a = active_[si];
     if (a.session->decode_step()) continue;
     engines::RunResult r = a.session->close();
-    closed_aborts += r.counters.migration_aborts;
-    closed_retries += r.counters.migration_retries;
+    closed.add(r.counters);
     Outcome o;
     o.id = a.id;
     o.arrival = a.arrival;
@@ -608,11 +378,7 @@ ContinuousBatchingScheduler::run_overload() {
     o.end = a.start + r.total_s;
     o.retries = a.retries;
     o.preemptions = a.preemptions;
-    ts.served(o.end - o.arrival,
-              r.generated_tokens > 0
-                  ? r.decode_s / static_cast<double>(r.generated_tokens)
-                  : -1.0,
-              r.generated_tokens);
+    ts.served(served_times(o.arrival, o.start, o.end, r), r.generated_tokens);
     o.result = std::move(r);
     free_slots_.push_back(o.end);
     outcomes_.push_back(std::move(o));
@@ -628,7 +394,7 @@ ContinuousBatchingScheduler::run_overload() {
   overload_stats_.degrade_events = degrade.events();
   if (tracer != nullptr) {
     for (const DegradationEvent& e : degrade.events()) {
-      tracer->instant(ov_track,
+      tracer->instant(ov_track(),
                       std::string(e.down ? "degrade -> " : "recover -> ") +
                           degrade_level_name(
                               static_cast<DegradeLevel>(e.level)),

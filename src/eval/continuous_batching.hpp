@@ -18,8 +18,11 @@
 // "concurrent" sessions are interleaved by this scheduler, never by threads.
 #pragma once
 
+#include <algorithm>
 #include <deque>
+#include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cache/arbiter.hpp"
@@ -31,6 +34,29 @@
 #include "obs/timeseries.hpp"
 
 namespace daop::eval {
+
+/// Index of the slot that frees first (`free_slots` holds free times and
+/// must be non-empty). Shared with cluster::ClusterRouter, like
+/// least_advanced().
+inline std::size_t earliest_slot(const std::vector<double>& free_slots) {
+  return static_cast<std::size_t>(
+      std::min_element(free_slots.begin(), free_slots.end()) -
+      free_slots.begin());
+}
+
+/// The in-flight session to step next, as {index, ready time}: the
+/// least-advanced one, ties to the earliest admitted (`active` is in
+/// admission order). Empty: {active.size(), +inf}.
+template <class Sessions>
+std::pair<std::size_t, double> least_advanced(const Sessions& active) {
+  std::pair<std::size_t, double> best{
+      active.size(), std::numeric_limits<double>::infinity()};
+  for (std::size_t i = 0; i < active.size(); ++i) {
+    const double r = active[i].session->ready_time();
+    if (r < best.second) best = {i, r};
+  }
+  return best;
+}
 
 class ContinuousBatchingScheduler {
  public:
@@ -46,11 +72,10 @@ class ContinuousBatchingScheduler {
     double request_timeout_s = 0.0;
     int max_request_retries = 0;
     double retry_backoff_s = 0.5;
-    /// Overload-control plane (eval/overload.hpp). Default-constructed it
-    /// is disabled and the scheduler runs its original loop, bit-identical
-    /// to the pre-overload code; any non-default option switches to the
-    /// overload-aware loop (admission policies, bounded queue, deadline
-    /// shedding, preemption, hazard-adaptive degradation).
+    /// Overload-control plane (eval/overload.hpp): admission policies,
+    /// bounded queue, deadline shedding, preemption, hazard-adaptive
+    /// degradation. Default-constructed it is disabled and admission is
+    /// plain FIFO.
     OverloadOptions overload;
     /// Dynamic expert-cache policy (cache/expert_cache.hpp). Policy
     /// `frozen` (the default) constructs no cache and leaves every session
@@ -63,14 +88,11 @@ class ContinuousBatchingScheduler {
     /// ladder steps); session-level spans come from the engine's own
     /// tracer. nullptr (the default) disables them.
     obs::SpanTracer* tracer = nullptr;
-    /// Windowed time-series recorder (obs/timeseries.hpp). Strictly
-    /// passive: consulted only AFTER each scheduling decision, behind a
-    /// null-pointer gate, so attaching one never changes the run. nullptr
-    /// (the default) records nothing.
+    /// Windowed time-series recorder (obs/timeseries.hpp), recorded on
+    /// channel 0. Strictly passive: consulted only AFTER each scheduling
+    /// decision, behind a null-pointer gate, so attaching one never changes
+    /// the run. nullptr (the default) records nothing.
     obs::TimeSeriesRecorder* tseries = nullptr;
-    /// Recorder channel this scheduler records into (the cluster node
-    /// index; 0 for single-node serving).
-    int tseries_channel = 0;
   };
 
   struct Request {
@@ -78,9 +100,10 @@ class ContinuousBatchingScheduler {
     double arrival = 0.0;  ///< client arrival time (serving clock)
     /// Per-request deadline budget override for the overload plane: this
     /// request's first token is due `deadline_s` after `arrival`. 0 uses
-    /// OverloadOptions::deadline_s. A TIGHTER budget than the in-flight
-    /// sessions' makes the request deadline-critical (it is served first
-    /// under `deadline-edf`, preempting if allowed).
+    /// OverloadOptions::deadline_s; ignored while the plane is disabled. A
+    /// TIGHTER budget than the in-flight sessions' makes the request
+    /// deadline-critical (it is served first under `deadline-edf`,
+    /// preempting if allowed).
     double deadline_s = 0.0;
     data::SequenceTrace trace;
   };
@@ -145,14 +168,6 @@ class ContinuousBatchingScheduler {
     std::unique_ptr<engines::SequenceSession> session;
   };
 
-  /// The original loop, preserved verbatim: runs when the overload plane is
-  /// disabled so default-option serving stays bit-identical to the
-  /// pre-overload goldens.
-  std::vector<Outcome> run_legacy();
-  /// Overload-aware loop: admission policies, bounded queue, deadline
-  /// shedding, preemption/resume, degradation ladder.
-  std::vector<Outcome> run_overload();
-
   engines::Engine& engine_;
   sim::Timeline& tl_;
   cache::PlacementArbiter arbiter_;
@@ -162,8 +177,7 @@ class ContinuousBatchingScheduler {
   Options options_;
   std::deque<Pending> pending_;
   std::vector<Active> active_;
-  /// Preempted sessions waiting for a slot to resume in (overload loop
-  /// only), in park order.
+  /// Preempted sessions waiting for a slot to resume in, in park order.
   std::deque<Active> parked_;
   /// Times at which currently-unoccupied slots became free (size is always
   /// max_concurrent - active_.size(); a parked session holds no slot — its

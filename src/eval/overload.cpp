@@ -71,6 +71,17 @@ void DegradationOptions::validate() const {
   DAOP_CHECK_LE(max_level, static_cast<int>(DegradeLevel::kShedAggressively));
 }
 
+std::optional<ShedReason> deadline_shed(double arrival, double budget_s,
+                                        double projected,
+                                        bool shed_aggressively) {
+  if (budget_s <= 0.0) return std::nullopt;
+  const double dl_full = arrival + budget_s;
+  const double dl_eff =
+      shed_aggressively ? arrival + 0.5 * budget_s : dl_full;
+  if (projected <= dl_eff) return std::nullopt;
+  return projected > dl_full ? ShedReason::kDeadline : ShedReason::kDegraded;
+}
+
 bool OverloadOptions::enabled() const {
   return admission != AdmissionPolicy::kFifo || queue_capacity > 0 ||
          deadline_s > 0.0 || preempt || degrade.enabled;

@@ -31,14 +31,21 @@
 //
 //    and steps back up one level at a time after a calm window.
 //
+// The admission rules below (deadline shedding, concurrency capping) are
+// shared by the continuous-batching scheduler and the cluster router, so a
+// single-node and a cluster run shed and cap by the same arithmetic.
+//
 // Everything here is deterministic and, with a default-constructed
-// OverloadOptions, a strict no-op: the scheduler runs its legacy loop and
-// serving output stays bit-identical to the pre-overload goldens
-// (tests/golden/serving_runs.golden).
+// OverloadOptions, a strict no-op: no request is shed, preempted or
+// degraded.
 #pragma once
 
+#include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "engines/engine.hpp"
 
 namespace daop::eval {
 
@@ -130,6 +137,11 @@ class DegradationController {
     double hazard_stall_s = 0.0;
     long long migration_aborts = 0;
     long long migration_retries = 0;
+    /// Adds one session's migration aborts and retries.
+    void add(const engines::EngineCounters& c) {
+      migration_aborts += c.migration_aborts;
+      migration_retries += c.migration_retries;
+    }
   };
 
   /// Feeds one telemetry sample and applies at most one level change.
@@ -173,9 +185,31 @@ class DegradationController {
   std::vector<DegradationEvent> events_;
 };
 
+/// First-token budget a request is held to: its own override when > 0,
+/// else the configured default. 0 = no deadline.
+inline double deadline_budget(double request_budget_s,
+                              double default_budget_s) {
+  return request_budget_s > 0.0 ? request_budget_s : default_budget_s;
+}
+
+/// Deadline-shed verdict for a request about to be admitted. `budget_s`
+/// (0 = none) runs from the ORIGINAL `arrival`, so retries and failovers
+/// never extend it; `projected` is the projected first-token time. Returns
+/// std::nullopt to admit, kDeadline when the projection lands past the
+/// deadline, and kDegraded when only the halved budget that
+/// `shed_aggressively` applies rejects it.
+std::optional<ShedReason> deadline_shed(double arrival, double budget_s,
+                                        double projected,
+                                        bool shed_aggressively);
+
+/// Concurrency bound in force: `max_concurrent`, halved (never below 1)
+/// while the degradation ladder caps concurrency.
+inline int effective_concurrency(int max_concurrent, bool cap_concurrency) {
+  return cap_concurrency ? std::max(1, max_concurrent / 2) : max_concurrent;
+}
+
 /// Overload-control configuration carried by the scheduler / serving
-/// options. Default-constructed it is fully disabled and the scheduler's
-/// behaviour is bit-identical to the pre-overload code.
+/// options. Default-constructed it is fully disabled.
 struct OverloadOptions {
   AdmissionPolicy admission = AdmissionPolicy::kFifo;
   /// Bounded waiting queue: when more requests than this are waiting at an
@@ -196,8 +230,7 @@ struct OverloadOptions {
   bool preempt = false;
   DegradationOptions degrade;
 
-  /// True when any option deviates from the strict no-op defaults (the
-  /// scheduler then runs the overload-aware loop).
+  /// True when any option deviates from the strict no-op defaults.
   bool enabled() const;
   void validate() const;
 };

@@ -124,7 +124,8 @@ struct ServingResult {
   obs::HistogramData latency_hist;
   double throughput_tps = 0.0;  ///< generated tokens / makespan
   double makespan_s = 0.0;
-  /// Fraction of the makespan the server spent serving (1.0 ≈ saturated).
+  /// Summed service time of served requests over the makespan, clamped to
+  /// 1 (1.0 ≈ saturated).
   double busy_fraction = 0.0;
 
   // ---- Robustness telemetry ----

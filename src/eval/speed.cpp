@@ -66,17 +66,22 @@ std::unique_ptr<engines::Engine> make_engine(
 }
 
 cache::Placement calibrated_initial_placement(
-    const model::ModelConfig& model_cfg, const SpeedEvalOptions& options) {
+    const model::ModelConfig& model_cfg, double ecr, int calibration_seqs,
+    std::uint64_t seed) {
   // §IV-A calibration on the ShareGPT-like distribution.
   const data::TraceGenerator calib_gen(data::sharegpt_calibration(),
                                        model_cfg.n_layers, model_cfg.n_experts,
-                                       model_cfg.top_k,
-                                       options.seed ^ 0xCA11Bu);
-  const auto calib_counts = cache::calibrate_activation_counts(
-      calib_gen, options.calibration_seqs);
-  return cache::init_placement_calibrated(model_cfg.n_layers,
-                                          model_cfg.n_experts, options.ecr,
-                                          calib_counts);
+                                       model_cfg.top_k, seed ^ 0xCA11Bu);
+  const auto calib_counts =
+      cache::calibrate_activation_counts(calib_gen, calibration_seqs);
+  return cache::init_placement_calibrated(
+      model_cfg.n_layers, model_cfg.n_experts, ecr, calib_counts);
+}
+
+cache::Placement calibrated_initial_placement(
+    const model::ModelConfig& model_cfg, const SpeedEvalOptions& options) {
+  return calibrated_initial_placement(model_cfg, options.ecr,
+                                      options.calibration_seqs, options.seed);
 }
 
 std::vector<data::SequenceTrace> generate_eval_traces(

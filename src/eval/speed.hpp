@@ -87,8 +87,15 @@ struct SpeedEvalOptions {
   const std::vector<data::SequenceTrace>* traces = nullptr;
 };
 
-/// The §IV-A calibrated initial placement exactly as run_speed_eval computes
-/// it from `options` (calibration workload, seed ^ 0xCA11B, ECR).
+/// The §IV-A calibrated initial placement: `calibration_seqs` sequences of
+/// the calibration workload drawn from seed ^ 0xCA11B, ranked into a
+/// placement at `ecr`. Every harness (speed, serving, cluster) starts from
+/// it.
+cache::Placement calibrated_initial_placement(
+    const model::ModelConfig& model_cfg, double ecr, int calibration_seqs,
+    std::uint64_t seed);
+/// The placement run_speed_eval starts from (`options`' ECR, calibration
+/// size and seed).
 cache::Placement calibrated_initial_placement(
     const model::ModelConfig& model_cfg, const SpeedEvalOptions& options);
 

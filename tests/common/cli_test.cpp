@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/check.hpp"
 
 namespace daop {
@@ -34,10 +36,18 @@ TEST(Cli, BooleanFlags) {
 }
 
 TEST(Cli, IntParsingAndValidation) {
-  const auto p = parse({"speed", "--seqs", "12", "--bad", "12x"});
+  const auto p = parse({"speed", "--seqs", "12", "--bad", "12x", "--wrap",
+                        "4294967298", "--huge", "99999999999999999999",
+                        "--low", "-2147483649", "--min", "-2147483648"});
   EXPECT_EQ(p.get_int("seqs", 0), 12);
   EXPECT_EQ(p.get_int("absent", 7), 7);
   EXPECT_THROW(p.get_int("bad", 0), CheckError);
+  // Values outside int are rejected, never wrapped (2^32 + 2 used to parse
+  // as 2); so is text that overflows long itself.
+  EXPECT_THROW(p.get_int("wrap", 0), CheckError);
+  EXPECT_THROW(p.get_int("huge", 0), CheckError);
+  EXPECT_THROW(p.get_int("low", 0), CheckError);
+  EXPECT_EQ(p.get_int("min", 0), std::numeric_limits<int>::min());
 }
 
 TEST(Cli, DoubleValidation) {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "../testing/helpers.hpp"
@@ -107,6 +108,61 @@ TEST(ShedReason, NamesAreStable) {
   EXPECT_STREQ(shed_reason_name(ShedReason::kQueueFull), "queue_full");
   EXPECT_STREQ(shed_reason_name(ShedReason::kDeadline), "deadline");
   EXPECT_STREQ(shed_reason_name(ShedReason::kDegraded), "degraded");
+}
+
+// ---------------------------------------------------------------------------
+// Admission rule shared by the continuous-batching scheduler and the
+// cluster router
+
+TEST(AdmissionRule, ProjectionExactlyAtTheDeadlineIsAdmitted) {
+  // arrival 1 + budget 2: the first token is due at exactly 3.
+  EXPECT_FALSE(deadline_shed(1.0, 2.0, 3.0, false).has_value());
+  EXPECT_FALSE(deadline_shed(1.0, 2.0, 2.5, false).has_value());
+}
+
+TEST(AdmissionRule, ProjectionJustPastTheDeadlineIsShedDeadline) {
+  const double just_past = std::nextafter(3.0, 4.0);
+  const auto why = deadline_shed(1.0, 2.0, just_past, false);
+  ASSERT_TRUE(why.has_value());
+  EXPECT_EQ(*why, ShedReason::kDeadline);
+  // Past the full budget stays kDeadline under aggressive shedding too.
+  EXPECT_EQ(deadline_shed(1.0, 2.0, just_past, true), ShedReason::kDeadline);
+}
+
+TEST(AdmissionRule, OnlyTheHalvedBudgetRejectsIsShedDegraded) {
+  // Halved deadline at 1 + 0.5 * 2 = 2; the full one at 3.
+  EXPECT_FALSE(deadline_shed(1.0, 2.0, 2.0, true).has_value());
+  EXPECT_EQ(deadline_shed(1.0, 2.0, 2.5, true), ShedReason::kDegraded);
+  EXPECT_EQ(deadline_shed(1.0, 2.0, 3.0, true), ShedReason::kDegraded);
+  EXPECT_FALSE(deadline_shed(1.0, 2.0, 2.5, false).has_value());
+}
+
+TEST(AdmissionRule, NoBudgetNeverSheds) {
+  EXPECT_FALSE(deadline_shed(1.0, 0.0, 1e9, false).has_value());
+  EXPECT_FALSE(deadline_shed(1.0, 0.0, 1e9, true).has_value());
+}
+
+TEST(AdmissionRule, PerRequestBudgetOverridesTheDefault) {
+  EXPECT_EQ(deadline_budget(0.5, 2.0), 0.5);
+  EXPECT_EQ(deadline_budget(3.0, 2.0), 3.0);
+  EXPECT_EQ(deadline_budget(0.0, 2.0), 2.0);
+  EXPECT_EQ(deadline_budget(0.0, 0.0), 0.0);
+  // The override decides the verdict: admitted under the 2 s default,
+  // shed under a 0.5 s per-request budget.
+  EXPECT_FALSE(
+      deadline_shed(0.0, deadline_budget(0.0, 2.0), 1.0, false).has_value());
+  EXPECT_EQ(deadline_shed(0.0, deadline_budget(0.5, 2.0), 1.0, false),
+            ShedReason::kDeadline);
+}
+
+TEST(AdmissionRule, SlotHalvingNeverDropsBelowOne) {
+  EXPECT_EQ(effective_concurrency(4, false), 4);
+  EXPECT_EQ(effective_concurrency(4, true), 2);
+  EXPECT_EQ(effective_concurrency(5, true), 2);
+  EXPECT_EQ(effective_concurrency(3, true), 1);
+  EXPECT_EQ(effective_concurrency(2, true), 1);
+  EXPECT_EQ(effective_concurrency(1, true), 1);
+  EXPECT_EQ(effective_concurrency(1, false), 1);
 }
 
 // ---------------------------------------------------------------------------
