@@ -13,7 +13,8 @@
 namespace daop::cache {
 
 /// Accumulates decode-phase activation counts of `n_sequences` calibration
-/// sequences: result[layer][expert] = tokens routed there.
+/// sequences: result[layer][expert] = tokens routed there. Built on
+/// ThreadPool::global(), bit-identical to a serial loop.
 std::vector<std::vector<double>> calibrate_activation_counts(
     const data::TraceGenerator& gen, int n_sequences);
 

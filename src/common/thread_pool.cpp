@@ -7,6 +7,13 @@
 
 namespace daop {
 
+namespace {
+
+// The pool whose worker_loop() the current thread is running, if any.
+thread_local const ThreadPool* tl_owner = nullptr;
+
+}  // namespace
+
 ThreadPool::ThreadPool(unsigned threads) {
   if (threads == 0) {
     threads = std::thread::hardware_concurrency();
@@ -38,6 +45,7 @@ void ThreadPool::shutdown() {
 }
 
 void ThreadPool::worker_loop() {
+  tl_owner = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -54,7 +62,9 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::int64_t n,
                               const std::function<void(std::int64_t)>& fn) {
   if (n <= 0) return;
-  if (workers_.empty() || n == 1) {
+  // A call from one of our own workers runs inline: queueing the chunks and
+  // blocking here would deadlock once every worker waits on its own chunks.
+  if (workers_.empty() || n == 1 || tl_owner == this) {
     for (std::int64_t i = 0; i < n; ++i) fn(i);
     return;
   }

@@ -1,7 +1,8 @@
 // Minimal fixed-size thread pool with a parallel_for helper.
 //
-// Used by the tensor library to parallelize GEMM row blocks and by the
-// functional model for per-expert execution. The pool degrades gracefully to
+// Used by the tensor library to parallelize GEMM row blocks, by the
+// functional model for per-expert execution, and by trace generation and
+// calibration to build sequences concurrently. The pool degrades gracefully to
 // inline execution when constructed with a single worker (the common case on
 // small CI machines), so results never depend on thread count.
 #pragma once
@@ -30,7 +31,10 @@ class ThreadPool {
   /// Runs fn(i) for i in [0, n) across the pool and blocks until all
   /// iterations finish (n <= 0 is a no-op). Iterations are chunked to limit
   /// dispatch overhead. Exceptions thrown by fn are rethrown (first one
-  /// wins) on the caller; the pool stays usable afterwards.
+  /// wins) on the caller; the pool stays usable afterwards. Re-entrant: a
+  /// call made from one of this pool's own workers (a nested parallel_for)
+  /// runs inline on that worker, so library code may use the pool without
+  /// knowing whether its caller already does.
   void parallel_for(std::int64_t n,
                     const std::function<void(std::int64_t)>& fn);
 

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <map>
-#include <memory>
 
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
@@ -80,39 +79,26 @@ std::vector<SpeedGridCellResult> ParallelSweepRunner::run_speed_grid(
     const std::vector<SpeedGridCell>& cells,
     obs::MetricsRegistry* metrics) const {
   // Shared precomputation: one calibration / trace-generation pass per
-  // distinct key, computed concurrently (each value is a pure function of
-  // its key's inputs, so order cannot matter).
-  std::map<std::string, std::unique_ptr<cache::Placement>> placements;
-  std::map<std::string, std::unique_ptr<std::vector<data::SequenceTrace>>>
-      trace_sets;
-  std::vector<std::function<void()>> jobs;
+  // distinct key, run on the calling thread one key after another — each
+  // pass fans its sequences out over the shared pool itself.
+  std::map<std::string, cache::Placement> placements;
+  std::map<std::string, std::vector<data::SequenceTrace>> trace_sets;
   for (const SpeedGridCell& c : cells) {
     DAOP_CHECK_MSG(c.options.metrics == nullptr,
                    "grid cells must not carry a metrics registry; pass it to "
                    "run_speed_grid for the ordered merge");
     DAOP_CHECK_MSG(c.options.profiler == nullptr,
                    "grid cells must not carry a profiler");
-    if (c.options.initial_placement == nullptr) {
-      auto [it, fresh] = placements.try_emplace(placement_key(c), nullptr);
-      if (fresh) {
-        jobs.emplace_back([&c, &slot = it->second] {
-          slot = std::make_unique<cache::Placement>(
-              calibrated_initial_placement(c.model, c.options));
-        });
-      }
+    if (c.options.initial_placement == nullptr &&
+        !placements.contains(placement_key(c))) {
+      placements.emplace(placement_key(c),
+                         calibrated_initial_placement(c.model, c.options));
     }
-    if (c.options.traces == nullptr) {
-      auto [it, fresh] = trace_sets.try_emplace(traces_key(c), nullptr);
-      if (fresh) {
-        jobs.emplace_back([&c, &slot = it->second] {
-          slot = std::make_unique<std::vector<data::SequenceTrace>>(
-              generate_eval_traces(c.model, c.workload, c.options));
-        });
-      }
+    if (c.options.traces == nullptr && !trace_sets.contains(traces_key(c))) {
+      trace_sets.emplace(traces_key(c),
+                         generate_eval_traces(c.model, c.workload, c.options));
     }
   }
-  run_cells(static_cast<std::int64_t>(jobs.size()),
-            [&](std::int64_t i) { jobs[static_cast<std::size_t>(i)](); });
 
   // Parallel phase: each cell runs fully isolated into its index slot.
   std::vector<SpeedGridCellResult> results(cells.size());
@@ -121,10 +107,10 @@ std::vector<SpeedGridCellResult> ParallelSweepRunner::run_speed_grid(
     SpeedGridCellResult& out = results[static_cast<std::size_t>(i)];
     SpeedEvalOptions opt = c.options;
     if (opt.initial_placement == nullptr) {
-      opt.initial_placement = placements.at(placement_key(c)).get();
+      opt.initial_placement = &placements.at(placement_key(c));
     }
     if (opt.traces == nullptr) {
-      opt.traces = trace_sets.at(traces_key(c)).get();
+      opt.traces = &trace_sets.at(traces_key(c));
     }
     if (opt.cache.enabled()) opt.cache_report = &out.cache_report;
     out.per_sequence =

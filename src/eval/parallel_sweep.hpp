@@ -54,9 +54,11 @@ struct SpeedGridCellResult {
 
 class ParallelSweepRunner {
  public:
-  /// threads == 0 shares ThreadPool::global(); any other value runs on a
-  /// private pool of that many workers (1 executes inline — fully serial).
-  /// The thread count never changes any output byte, only wall-clock time.
+  /// `threads` bounds the cell phase: 0 shares ThreadPool::global(); any
+  /// other value runs cells on a private pool of that many workers (1 runs
+  /// them inline). Set-up — calibration and trace generation — always
+  /// spreads its sequences over the shared pool. The thread count never
+  /// changes any output byte, only wall-clock time.
   explicit ParallelSweepRunner(unsigned threads = 0) : threads_(threads) {}
 
   /// Runs every cell and returns their results in cell order. When

@@ -5,6 +5,7 @@
 
 #include "cache/calibration.hpp"
 #include "common/check.hpp"
+#include "common/thread_pool.hpp"
 #include "tensor/ops.hpp"
 
 namespace daop::eval {
@@ -30,10 +31,13 @@ double prefill_decode_similarity(const data::SequenceTrace& trace) {
 double avg_prefill_decode_similarity(const data::TraceGenerator& gen,
                                      int n_seqs) {
   DAOP_CHECK_GT(n_seqs, 0);
+  std::vector<double> sims(static_cast<std::size_t>(n_seqs));
+  ThreadPool::global().parallel_for(n_seqs, [&](std::int64_t s) {
+    sims[static_cast<std::size_t>(s)] =
+        prefill_decode_similarity(gen.generate(static_cast<int>(s)));
+  });
   double total = 0.0;
-  for (int s = 0; s < n_seqs; ++s) {
-    total += prefill_decode_similarity(gen.generate(s));
-  }
+  for (const double v : sims) total += v;
   return total / n_seqs;
 }
 
@@ -54,26 +58,38 @@ std::vector<std::vector<double>> marginal_activation(
 std::vector<double> prediction_accuracy_by_layer(
     const data::TraceGenerator& gen, int n_seqs) {
   DAOP_CHECK_GT(n_seqs, 0);
-  std::vector<double> correct;
-  std::vector<double> total;
-  for (int s = 0; s < n_seqs; ++s) {
-    const data::SequenceTrace tr = gen.generate(s);
-    if (correct.empty()) {
-      correct.assign(static_cast<std::size_t>(tr.n_layers()), 0.0);
-      total.assign(static_cast<std::size_t>(tr.n_layers()), 0.0);
-    }
+  // Per-sequence hit and selection tallies, built concurrently and summed on
+  // the caller in sequence order.
+  struct Tally {
+    std::vector<double> correct;
+    std::vector<double> total;
+  };
+  std::vector<Tally> per_seq(static_cast<std::size_t>(n_seqs));
+  ThreadPool::global().parallel_for(n_seqs, [&](std::int64_t s) {
+    const data::SequenceTrace tr = gen.generate(static_cast<int>(s));
+    Tally& out = per_seq[static_cast<std::size_t>(s)];
+    out.correct.assign(static_cast<std::size_t>(tr.n_layers()), 0.0);
+    out.total.assign(static_cast<std::size_t>(tr.n_layers()), 0.0);
     for (int l = 1; l < tr.n_layers(); ++l) {
       for (int t = 0; t < tr.gen_len; ++t) {
         const data::TokenRouting cell = tr.at(data::Phase::Decode, l, t);
         const std::span<const data::ExpertId> pred = cell.predicted;
         if (pred.empty()) continue;
         for (const data::ExpertId e : cell.selected) {
-          total[static_cast<std::size_t>(l)] += 1.0;
+          out.total[static_cast<std::size_t>(l)] += 1.0;
           if (std::find(pred.begin(), pred.end(), e) != pred.end()) {
-            correct[static_cast<std::size_t>(l)] += 1.0;
+            out.correct[static_cast<std::size_t>(l)] += 1.0;
           }
         }
       }
+    }
+  });
+  std::vector<double> correct(per_seq[0].correct.size(), 0.0);
+  std::vector<double> total(correct.size(), 0.0);
+  for (const Tally& t : per_seq) {
+    for (std::size_t l = 0; l < correct.size(); ++l) {
+      correct[l] += t.correct[l];
+      total[l] += t.total[l];
     }
   }
   std::vector<double> acc(correct.size(), 0.0);
@@ -111,10 +127,13 @@ double decode_window_similarity(const data::SequenceTrace& trace,
 double avg_decode_window_similarity(const data::TraceGenerator& gen,
                                     int n_seqs, int window) {
   DAOP_CHECK_GT(n_seqs, 0);
+  std::vector<double> sims(static_cast<std::size_t>(n_seqs));
+  ThreadPool::global().parallel_for(n_seqs, [&](std::int64_t s) {
+    sims[static_cast<std::size_t>(s)] =
+        decode_window_similarity(gen.generate(static_cast<int>(s)), window);
+  });
   double total = 0.0;
-  for (int s = 0; s < n_seqs; ++s) {
-    total += decode_window_similarity(gen.generate(s), window);
-  }
+  for (const double v : sims) total += v;
   return total / n_seqs;
 }
 

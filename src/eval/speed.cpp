@@ -3,6 +3,7 @@
 #include "cache/arbiter.hpp"
 #include "cache/calibration.hpp"
 #include "common/check.hpp"
+#include "common/thread_pool.hpp"
 #include "core/daop_engine.hpp"
 #include "data/trace_generator.hpp"
 #include "engines/fetch_engine.hpp"
@@ -90,11 +91,14 @@ std::vector<data::SequenceTrace> generate_eval_traces(
   const data::TraceGenerator gen(workload, model_cfg.n_layers,
                                  model_cfg.n_experts, model_cfg.top_k,
                                  options.seed);
-  std::vector<data::SequenceTrace> traces;
-  traces.reserve(static_cast<std::size_t>(options.n_seqs));
-  for (int s = 0; s < options.n_seqs; ++s) {
-    traces.push_back(gen.generate(s, options.prompt_len, options.gen_len));
-  }
+  // Each trace is a pure function of its index, so sequences build
+  // concurrently into their own slots with the serial loop's exact bytes.
+  std::vector<data::SequenceTrace> traces(
+      static_cast<std::size_t>(options.n_seqs));
+  ThreadPool::global().parallel_for(options.n_seqs, [&](std::int64_t s) {
+    traces[static_cast<std::size_t>(s)] = gen.generate(
+        static_cast<int>(s), options.prompt_len, options.gen_len);
+  });
   return traces;
 }
 

@@ -100,7 +100,8 @@ cache::Placement calibrated_initial_placement(
     const model::ModelConfig& model_cfg, const SpeedEvalOptions& options);
 
 /// The eval's per-sequence routing traces exactly as run_speed_eval
-/// generates them (sequence ids 0..n_seqs-1 from `options.seed`).
+/// generates them (sequence ids 0..n_seqs-1 from `options.seed`). Built on
+/// ThreadPool::global(), bit-identical to a serial loop.
 std::vector<data::SequenceTrace> generate_eval_traces(
     const model::ModelConfig& model_cfg, const data::WorkloadSpec& workload,
     const SpeedEvalOptions& options);

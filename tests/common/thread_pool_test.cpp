@@ -77,6 +77,19 @@ TEST(ThreadPool, ManyIterationsFewThreads) {
   EXPECT_EQ(sum.load(), 100000LL * 99999 / 2);
 }
 
+TEST(ThreadPool, NestedParallelForRunsInline) {
+  // Every worker blocks in the outer call's chunks; the inner calls must run
+  // inline on them rather than queue work no free worker could pick up.
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> hits(64);
+  pool.parallel_for(8, [&](std::int64_t i) {
+    pool.parallel_for(8, [&](std::int64_t j) {
+      hits[static_cast<std::size_t>(i * 8 + j)].fetch_add(1);
+    });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
 TEST(ThreadPool, EmptyAndNegativeRangesAreNoOps) {
   ThreadPool pool(2);
   std::atomic<int> count{0};
