@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "core/allocation.hpp"
+#include "data/routing_trace.hpp"
 #include "tensor/ops.hpp"
 
 namespace daop::core {
@@ -65,7 +66,7 @@ void DaopFunctionalExecutor::run_expert(int layer, int expert, bool on_cpu,
 std::vector<int> DaopFunctionalExecutor::generate(
     std::span<const int> prompt, int n_gen, const cache::Placement& initial,
     const model::GateBias& bias, FunctionalRunStats* stats,
-    std::span<const int> teacher) const {
+    std::span<const int> teacher, data::SequenceTrace* trace) const {
   DAOP_CHECK(!prompt.empty());
   DAOP_CHECK_GE(n_gen, 0);
   DAOP_CHECK(teacher.empty() ||
@@ -89,6 +90,13 @@ std::vector<int> DaopFunctionalExecutor::generate(
   std::vector<int> out;
   out.reserve(static_cast<std::size_t>(n_gen));
 
+  if (trace != nullptr) {
+    *trace = data::SequenceTrace(L, E, cfg.top_k,
+                                 static_cast<int>(prompt.size()),
+                                 std::max(n_gen - 1, 0));
+  }
+  std::vector<float> prefill_gate;
+
   // ---- Prefill: exact numerics; collect per-layer expert token counts ----
   std::vector<std::vector<double>> counts(
       static_cast<std::size_t>(L),
@@ -97,7 +105,11 @@ std::vector<int> DaopFunctionalExecutor::generate(
   for (int pos = 0; pos < static_cast<int>(prompt.size()); ++pos) {
     model_.embed(prompt[static_cast<std::size_t>(pos)], x);
     for (int l = 0; l < L; ++l) {
-      const model::RouteDecision d = model_.official_block(l, x, kv, pos, bias);
+      const model::RouteDecision d = model_.official_block(
+          l, x, kv, pos, bias, trace != nullptr ? &prefill_gate : nullptr);
+      if (trace != nullptr) {
+        trace->set_cell(data::Phase::Prefill, l, pos, prefill_gate);
+      }
       for (int e : d.experts) {
         counts[static_cast<std::size_t>(l)][static_cast<std::size_t>(e)] += 1.0;
       }
@@ -147,6 +159,12 @@ std::vector<int> DaopFunctionalExecutor::generate(
       model_.ffn_input(l, x, h);
       model_.gate(l, h, gate_logits);
       if (bias) bias(l, pos, gate_logits);
+      if (trace != nullptr) {
+        // pred_logits still holds the gate-ahead logits planned for layer l.
+        trace->set_cell(data::Phase::Decode, l, g, gate_logits,
+                        plan.active ? std::span<const float>(pred_logits)
+                                    : std::span<const float>());
+      }
       model::RouteDecision sel = model_.route(gate_logits);
       // Adaptive expert skipping (extension): confident tokens keep only
       // their top-1 expert.

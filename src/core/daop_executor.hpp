@@ -21,6 +21,10 @@
 #include "model/functional_model.hpp"
 #include "model/quantized_expert.hpp"
 
+namespace daop::data {
+struct SequenceTrace;
+}  // namespace daop::data
+
 namespace daop::core {
 
 struct FunctionalRunStats {
@@ -54,11 +58,18 @@ class DaopFunctionalExecutor {
   /// Comparing the result against the official generation then measures
   /// per-step approximation error without compounding divergence — the
   /// primary accuracy proxy for Table VI.
+  ///
+  /// When `trace` is non-null it is overwritten with the routing this run
+  /// took: the biased prefill and decode gate logits and, where a plan was
+  /// made, the gate-ahead logits, one decode cell per executed step
+  /// (n_gen - 1). Replaying it through DaopEngine prices the same decisions
+  /// (tests/core/policy_differential_test.cpp).
   std::vector<int> generate(std::span<const int> prompt, int n_gen,
                             const cache::Placement& initial,
                             const model::GateBias& bias = nullptr,
                             FunctionalRunStats* stats = nullptr,
-                            std::span<const int> teacher = {}) const;
+                            std::span<const int> teacher = {},
+                            data::SequenceTrace* trace = nullptr) const;
 
  private:
   /// Runs expert (layer, e) on input h, quantized when the expert executes
