@@ -8,6 +8,7 @@
 #include "cache/calibration.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
+#include "core/daop_batch.hpp"
 #include "data/trace_generator.hpp"
 #include "engines/batch.hpp"
 #include "model/config.hpp"
@@ -41,8 +42,8 @@ int main() {
     std::vector<data::SequenceTrace> traces;
     for (int i = 0; i < b; ++i) traces.push_back(gen.generate(i, 256, 256));
     const auto rf = engines::run_fiddler_batch(costs, traces, placement);
-    const auto rd = engines::run_daop_batch(costs, core::DaopConfig{}, traces,
-                                            placement);
+    const auto rd =
+        core::run_daop_batch(costs, core::DaopConfig{}, traces, placement);
     const double edge = rd.tokens_per_s / rf.tokens_per_s - 1.0;
     t.add_row({std::to_string(b), fmt_f(rf.tokens_per_s, 2),
                fmt_f(rf.per_seq_tokens_per_s, 2), fmt_f(rd.tokens_per_s, 2),

@@ -6,63 +6,12 @@
 #include "cache/arbiter.hpp"
 #include "common/check.hpp"
 #include "core/allocation.hpp"
+#include "core/decode_policy.hpp"
 #include "engines/session.hpp"
-#include "tensor/ops.hpp"
 #include "tensor/quant.hpp"
 
 namespace daop::core {
 namespace {
-
-/// Pre-calculation plan produced at layer i for layer i+1.
-struct NextLayerPlan {
-  bool active = false;
-  /// Whether this plan has already been charged a misprediction (the counter
-  /// means "the predicted set missed a used expert", so it is charged at
-  /// most once per plan even when several selected experts were missed).
-  bool mispredicted = false;
-  /// Result-arrival time (on GPU) per pre-calculated CPU expert; < 0 when
-  /// the expert was not pre-calculated.
-  std::vector<double> precalc_arrival;
-  /// Graceful-degradation substitute per dropped CPU expert; -1 when none.
-  std::vector<int> substitute;
-  /// Tracing: span id of the prediction instant and of each expert's
-  /// pre-calculation span (0 when tracing is off / not pre-calculated).
-  std::uint64_t pred_span = 0;
-  std::vector<std::uint64_t> precalc_span;
-
-  explicit NextLayerPlan(int n_experts)
-      : precalc_arrival(static_cast<std::size_t>(n_experts), -1.0),
-        substitute(static_cast<std::size_t>(n_experts), -1),
-        precalc_span(static_cast<std::size_t>(n_experts), 0) {}
-
-  /// Back to the freshly constructed state, keeping the heap blocks.
-  void reset() {
-    active = false;
-    mispredicted = false;
-    pred_span = 0;
-    std::fill(precalc_arrival.begin(), precalc_arrival.end(), -1.0);
-    std::fill(substitute.begin(), substitute.end(), -1);
-    std::fill(precalc_span.begin(), precalc_span.end(), 0);
-  }
-};
-
-/// Best GPU-resident expert by `scores`, excluding `exclude`; -1 if none.
-int best_gpu_expert(const cache::Placement& placement, int layer,
-                    std::span<const float> scores,
-                    const std::vector<int>& exclude) {
-  int best = -1;
-  float best_score = 0.0F;
-  for (int e = 0; e < placement.n_experts(); ++e) {
-    if (!placement.on_gpu(layer, e)) continue;
-    if (std::find(exclude.begin(), exclude.end(), e) != exclude.end()) continue;
-    const float s = scores[static_cast<std::size_t>(e)];
-    if (best < 0 || s > best_score) {
-      best = e;
-      best_score = s;
-    }
-  }
-  return best;
-}
 
 /// DAOP session: Algorithm-1 prefill swaps, predictive pre-calculation, and
 /// graceful degradation as policy over the session base's mechanics.
@@ -93,16 +42,10 @@ class DaopSession final : public engines::SequenceSession {
         window_(static_cast<std::size_t>(L_),
                 std::vector<double>(static_cast<std::size_t>(E_), 0.0)),
         exec_on_gpu_(static_cast<std::size_t>(E_), 0),
-        plan_(E_) {
-    // Sized for the worst case up front: exclude holds the selected experts
-    // plus at most one fallback per selected expert.
-    const auto k = static_cast<std::size_t>(costs.config().top_k);
-    selected_.reserve(k);
-    exclude_.reserve(2 * k);
-    predicted_.reserve(k);
-    pred_cpu_.reserve(k);
-    weights_.reserve(k);
-  }
+        policy_(config, L_, costs.config().top_k),
+        precalc_arrival_(static_cast<std::size_t>(E_), 0.0),
+        precalc_span_(static_cast<std::size_t>(E_), 0),
+        stale_(static_cast<std::size_t>(E_), 0) {}
 
  private:
   /// The shared placement under an arbiter, a private copy otherwise.
@@ -194,17 +137,10 @@ class DaopSession final : public engines::SequenceSession {
         if (tok == 0) continue;
         if (exec_on_gpu_[static_cast<std::size_t>(e)] != 0) {
           ++counters_.cache_hits;
-          ++counters_.gpu_expert_execs;
-          const double eready = shared_weight_gate(l, e, nonmoe_end);
-          const double exec_end =
-              tl().schedule(sim::Res::GpuStream, eready,
-                            costs_.expert_gpu_prefill(tok), "prefill expert");
-          if (tracing()) {
-            tspan(engines::tracks::kExpertGpu, "prefill expert",
-                  tl().last_start(), exec_end);
-          }
-          note_expert_exec(l, e, /*on_gpu=*/true, tl().last_start(), exec_end);
-          layer_end = std::max(layer_end, exec_end);
+          layer_end = std::max(
+              layer_end, gpu_expert(shared_weight_gate(l, e, nonmoe_end),
+                                    costs_.expert_gpu_prefill(tok), l, e,
+                                    "prefill expert"));
         } else {
           ++counters_.cache_misses;
           layer_end = std::max(
@@ -222,226 +158,122 @@ class DaopSession final : public engines::SequenceSession {
   }
 
   void run_decode_token(int t) override {
-    const model::ModelConfig& cfg = costs_.config();
     const int ctx = trace().prompt_len + t;
-    // Session-owned scratch, reset rather than reallocated: a decode step
-    // makes no heap allocation (tests/engines/session_alloc_test.cpp).
-    NextLayerPlan& plan = plan_;  // produced at layer l-1 for layer l
-    plan.reset();
-    std::vector<int>& selected = selected_;
-    std::vector<int>& exclude = exclude_;
     for (int l = 0; l < L_; ++l) {
       const double nonmoe_end = tl().schedule(
           sim::Res::GpuStream, ready_, costs_.nonmoe_gpu(ctx), "non-MoE");
 
       const data::TokenRouting tok = trace().at(data::Phase::Decode, l, t);
-      selected.assign(tok.selected.begin(), tok.selected.end());
       if (tracing()) {
         tinstant(engines::tracks::kGate, "gate L" + std::to_string(l),
                  nonmoe_end);
       }
-      // Adaptive expert skipping (extension): confident tokens keep only
-      // their top-1 expert.
-      if (config_.skip_top1_margin > 0.0 && selected.size() >= 2) {
-        weights_.resize(selected.size());
-        softmax_subset(tok.scores, selected, weights_);
-        if (weights_[0] >= config_.skip_top1_margin) {
-          counters_.skipped_experts +=
-              static_cast<long long>(selected.size()) - 1;
-          selected.resize(1);
+      // Stale-discard policy: a pre-calc result landing too late (e.g. the
+      // CPU pool was stolen by a co-running app) is dropped in favour of
+      // the best GPU-resident substitute with exact inputs.
+      const double gpu_cost = costs_.expert_gpu();
+      std::span<const char> stale;
+      if (config_.stale_precalc_factor > 0.0) {
+        for (const int e : policy_.plan().precalc) {
+          const auto ei = static_cast<std::size_t>(e);
+          stale_[ei] = precalc_arrival_[ei] >
+                       nonmoe_end + config_.stale_precalc_factor * gpu_cost;
         }
+        stale = stale_;
       }
+      const LayerDecision d = policy_.plan_layer(placement(), l, tok.selected,
+                                                 tok.scores, stale);
+      counters_.skipped_experts += d.skipped;
+      if (d.mispredicted) ++counters_.mispredictions;
 
       double layer_end = nonmoe_end;
-      // Fallbacks must be fresh experts.
-      exclude.assign(selected.begin(), selected.end());
-      for (int e : selected) {
-        window_[static_cast<std::size_t>(l)][static_cast<std::size_t>(e)] +=
-            1.0;
-        if (placement().on_gpu(l, e)) {
-          ++counters_.cache_hits;
-          ++counters_.gpu_expert_execs;
-          pin_shared(l, e);
-          // Experts swapped in mid-decode are usable once their weights
-          // arrive (no-op when decode re-allocation is off).
-          const double eready = shared_weight_gate(
-              l, e, std::max(nonmoe_end, swap_ready_[sidx(l, e)]));
-          const double exec_end = tl().schedule(sim::Res::GpuStream, eready,
-                                                costs_.expert_gpu(),
-                                                "GPU expert");
-          if (tracing()) {
-            tspan(engines::tracks::kExpertGpu, "GPU expert",
-                  tl().last_start(), exec_end);
-          }
-          note_expert_exec(l, e, /*on_gpu=*/true, tl().last_start(), exec_end);
-          layer_end = std::max(layer_end, exec_end);
-          continue;
-        }
-        ++counters_.cache_misses;
+      for (const ExpertStep& s : d.steps) {
+        const int e = s.expert;
         const auto ei = static_cast<std::size_t>(e);
-        if (plan.active && plan.precalc_arrival[ei] >= 0.0) {
-          // Pre-calculated on CPU from the previous layer's hidden states;
-          // normally just wait for the result (usually already arrived).
-          // Under the stale-discard policy a result landing too late (e.g.
-          // the CPU pool was stolen by a co-running app) is dropped in
-          // favour of the best GPU-resident substitute with exact inputs.
-          const double arrival = plan.precalc_arrival[ei];
-          int fb = -1;
-          if (config_.stale_precalc_factor > 0.0 &&
-              arrival > nonmoe_end + config_.stale_precalc_factor *
-                                         costs_.expert_gpu()) {
-            fb = best_gpu_expert(placement(), l, tok.scores, exclude);
-          }
-          if (fb >= 0) {
+        window_[static_cast<std::size_t>(l)][ei] += 1.0;
+        ++(s.action == DecodeAction::GpuHit ? counters_.cache_hits
+                                            : counters_.cache_misses);
+        double end = nonmoe_end;
+        switch (s.action) {
+          case DecodeAction::GpuHit:
+            pin_shared(l, e);
+            // Experts swapped in mid-decode are usable once their weights
+            // arrive (no-op when decode re-allocation is off).
+            end = gpu_expert(
+                shared_weight_gate(
+                    l, e, std::max(nonmoe_end, swap_ready_[sidx(l, e)])),
+                gpu_cost, l, e, "GPU expert");
+            break;
+          case DecodeAction::PrecalcCommit:
+            // Usually already arrived: just wait for the result.
+            end = precalc_arrival_[ei];
+            if (tracing()) {
+              tflow(precalc_span_[ei],
+                    tinstant(engines::tracks::kPrecalc,
+                             "pre-calc commit E" + std::to_string(e), end),
+                    "commit");
+            }
+            break;
+          case DecodeAction::StaleDiscard:
             ++counters_.stale_precalcs;
             ++counters_.degradations;
-            ++counters_.gpu_expert_execs;
-            exclude.push_back(fb);
             if (tracing()) {
-              const std::uint64_t d = tinstant(
-                  engines::tracks::kPrecalc,
-                  "pre-calc discard E" + std::to_string(e), nonmoe_end);
-              tflow(plan.precalc_span[ei], d, "stale");
+              tflow(precalc_span_[ei],
+                    tinstant(engines::tracks::kPrecalc,
+                             "pre-calc discard E" + std::to_string(e),
+                             nonmoe_end),
+                    "stale");
             }
-            const double exec_end =
-                tl().schedule(sim::Res::GpuStream, nonmoe_end,
-                              costs_.expert_gpu(), "stale fallback");
-            if (tracing()) {
-              tspan(engines::tracks::kExpertGpu, "stale fallback",
-                    tl().last_start(), exec_end);
-            }
-            note_expert_exec(l, fb, /*on_gpu=*/true, tl().last_start(),
-                             exec_end);
-            layer_end = std::max(layer_end, exec_end);
-          } else {
-            if (tracing()) {
-              const std::uint64_t c = tinstant(
-                  engines::tracks::kPrecalc,
-                  "pre-calc commit E" + std::to_string(e), arrival);
-              tflow(plan.precalc_span[ei], c, "commit");
-            }
-            layer_end = std::max(layer_end, arrival);
-          }
-        } else if (plan.active && plan.substitute[ei] >= 0) {
-          // Graceful degradation planned at prediction time: the GPU
-          // substitute executes with exact current inputs.
-          ++counters_.gpu_expert_execs;
-          exclude.push_back(plan.substitute[ei]);
-          const double exec_end =
-              tl().schedule(sim::Res::GpuStream, nonmoe_end,
-                            costs_.expert_gpu(), "substitute expert");
-          if (tracing()) {
-            tspan(engines::tracks::kExpertGpu, "substitute expert",
-                  tl().last_start(), exec_end);
-          }
-          note_expert_exec(l, plan.substitute[ei], /*on_gpu=*/true,
-                           tl().last_start(), exec_end);
-          layer_end = std::max(layer_end, exec_end);
-        } else if (plan.active) {
-          // Misprediction: a selected CPU expert was not pre-calculated.
-          // Charged once per plan — the counter's unit is "predicted set
-          // missed a used expert", not "missed expert", so a top-k gate
-          // missing both experts is still one misprediction.
-          if (!plan.mispredicted) {
-            plan.mispredicted = true;
-            ++counters_.mispredictions;
-          }
-          int fb = -1;
-          if (config_.mispredict_policy ==
-              MispredictPolicy::GracefulFallback) {
-            fb = best_gpu_expert(placement(), l, tok.scores, exclude);
-          }
-          if (fb >= 0) {
+            end = gpu_expert(nonmoe_end, gpu_cost, l, s.exec, "stale fallback");
+            break;
+          case DecodeAction::Substitute:
+            end = gpu_expert(nonmoe_end, gpu_cost, l, s.exec,
+                             "substitute expert");
+            break;
+          case DecodeAction::Fallback:
             ++counters_.degradations;
-            ++counters_.gpu_expert_execs;
-            exclude.push_back(fb);
-            const double exec_end =
-                tl().schedule(sim::Res::GpuStream, nonmoe_end,
-                              costs_.expert_gpu(), "fallback expert");
-            if (tracing()) {
-              tspan(engines::tracks::kExpertGpu, "fallback expert",
-                    tl().last_start(), exec_end);
-            }
-            note_expert_exec(l, fb, /*on_gpu=*/true, tl().last_start(),
-                             exec_end);
-            layer_end = std::max(layer_end, exec_end);
-          } else {
-            layer_end = std::max(
-                layer_end, cpu_expert(nonmoe_end, 1, cpu_expert_cost_, l, e));
-          }
-        } else {
-          // Early layers (or precalc disabled): in-place hybrid execution.
-          layer_end = std::max(
-              layer_end, cpu_expert(nonmoe_end, 1, cpu_expert_cost_, l, e));
+            end = gpu_expert(nonmoe_end, gpu_cost, l, s.exec,
+                             "fallback expert");
+            break;
+          case DecodeAction::Recompute:
+          case DecodeAction::InPlaceCpu:
+            end = cpu_expert(nonmoe_end, 1, cpu_expert_cost_, l, e);
+            break;
         }
+        layer_end = std::max(layer_end, end);
       }
 
-      // ---- Plan pre-calculation for layer l+1 using this layer's hidden
-      // states (available at nonmoe_end). ----
-      plan.reset();
+      // Plan pre-calculation for layer l+1 from this layer's hidden states
+      // (available at nonmoe_end).
       const int nl = l + 1;
-      if (config_.enable_precalc && nl < L_ &&
-          nl >= config_.min_predict_layer) {
+      if (policy_.predicts(nl)) {
         const data::TokenRouting ntok =
             trace().at(data::Phase::Decode, nl, t);
         if (!ntok.pred_scores.empty()) {
-          plan.active = true;
           ++counters_.predictions;
+          std::uint64_t pred_span = 0;
           if (tracing()) {
-            plan.pred_span =
-                tinstant(engines::tracks::kPrediction,
-                         "predict L" + std::to_string(nl), nonmoe_end);
+            pred_span = tinstant(engines::tracks::kPrediction,
+                                 "predict L" + std::to_string(nl), nonmoe_end);
           }
-          std::vector<int>& predicted = predicted_;
-          predicted.assign(ntok.predicted.begin(), ntok.predicted.end());
-          // Under adaptive skipping, confident predictions only need their
-          // top-1 expert pre-calculated.
-          if (config_.skip_top1_margin > 0.0 && predicted.size() >= 2) {
-            weights_.resize(predicted.size());
-            softmax_subset(ntok.pred_scores, predicted, weights_);
-            if (weights_[0] >= config_.skip_top1_margin) predicted.resize(1);
-          }
-
-          std::vector<int>& pred_cpu = pred_cpu_;
-          pred_cpu.clear();
-          for (int e : predicted) {
-            if (!placement().on_gpu(nl, e)) pred_cpu.push_back(e);
-          }
-
-          // Graceful degradation: if every predicted expert sits on the
-          // CPU, replace the lowest-scored one with the best GPU-resident
-          // expert.
-          if (config_.enable_degradation &&
-              static_cast<int>(pred_cpu.size()) == cfg.top_k &&
-              cfg.top_k >= 2) {
-            int drop = pred_cpu.back();  // ids are score-descending
-            const int sub = best_gpu_expert(placement(), nl,
-                                            ntok.pred_scores, predicted);
-            if (sub >= 0) {
-              plan.substitute[static_cast<std::size_t>(drop)] = sub;
-              pred_cpu.pop_back();
-              ++counters_.degradations;
-            }
-          }
-
-          // Pre-calculate the remaining predicted CPU experts from this
-          // layer's non-MoE hidden states.
-          for (int e : pred_cpu) {
+          const NextLayerPlan& plan = policy_.plan_next(
+              placement(), nl, ntok.predicted, ntok.pred_scores);
+          if (plan.substitute >= 0) ++counters_.degradations;
+          for (const int e : plan.precalc) {
             const engines::CpuExpertTimes ct = engines::cpu_expert_roundtrip(
                 tl(), costs_, nonmoe_end, 1, cpu_expert_cost_, counters_,
                 {"precalc acts", "precalc CPU expert", "precalc result"});
             note_expert_exec(nl, e, /*on_gpu=*/false, ct.cpu_start,
                              ct.cpu_end);
-            const double arrival = ct.result_arrival;
-            plan.precalc_arrival[static_cast<std::size_t>(e)] = arrival;
+            const auto ei = static_cast<std::size_t>(e);
+            precalc_arrival_[ei] = ct.result_arrival;
             if (tracing()) {
-              const std::uint64_t ps =
+              precalc_span_[ei] =
                   tspan(engines::tracks::kPrecalc,
                         "pre-calc L" + std::to_string(nl) + " E" +
                             std::to_string(e),
-                        ct.acts_out_start, arrival);
-              plan.precalc_span[static_cast<std::size_t>(e)] = ps;
-              tflow(plan.pred_span, ps, "pre-calc");
+                        ct.acts_out_start, ct.result_arrival);
+              tflow(pred_span, precalc_span_[ei], "pre-calc");
             }
           }
         }
@@ -479,9 +311,8 @@ class DaopSession final : public engines::SequenceSession {
 
   // ---- Warm-restart checkpointing: everything run_decode_token/post_token
   // consult beyond the base class — the swap-arrival gates and the trailing
-  // activation window. The NextLayerPlan scratch is reset at the start of
-  // every token and never carries across a decode_step boundary, so it is
-  // not state.
+  // activation window. The policy's pre-calc plan never outlives the token
+  // that made it (the last layer plans nothing), so it is not state.
   bool save_policy_state(recovery::ByteWriter& w) const override {
     w.i32(L_);
     w.i32(E_);
@@ -537,12 +368,13 @@ class DaopSession final : public engines::SequenceSession {
   std::vector<char> exec_on_gpu_;
 
   // ---- Per-layer scratch for run_decode_token (not policy state).
-  NextLayerPlan plan_;
-  std::vector<int> selected_;
-  std::vector<int> exclude_;
-  std::vector<int> predicted_;
-  std::vector<int> pred_cpu_;
-  std::vector<float> weights_;
+  DecodePolicy policy_;
+  /// Result-arrival time and tracing span of each pre-calculated expert of
+  /// the pending plan (valid for the experts in policy_.plan().precalc).
+  std::vector<double> precalc_arrival_;
+  std::vector<std::uint64_t> precalc_span_;
+  /// Stale mask handed to the policy, filled for the same experts.
+  std::vector<char> stale_;
 };
 
 }  // namespace

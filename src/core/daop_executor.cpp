@@ -4,40 +4,29 @@
 
 #include "common/check.hpp"
 #include "core/allocation.hpp"
+#include "core/decode_policy.hpp"
 #include "data/routing_trace.hpp"
 #include "tensor/ops.hpp"
 
 namespace daop::core {
 namespace {
 
-int best_gpu_expert(const cache::Placement& placement, int layer,
-                    std::span<const float> scores,
-                    const std::vector<int>& exclude) {
-  int best = -1;
-  float best_score = 0.0F;
-  for (int e = 0; e < placement.n_experts(); ++e) {
-    if (!placement.on_gpu(layer, e)) continue;
-    if (std::find(exclude.begin(), exclude.end(), e) != exclude.end()) continue;
-    const float s = scores[static_cast<std::size_t>(e)];
-    if (best < 0 || s > best_score) {
-      best = e;
-      best_score = s;
-    }
+/// The FunctionalRunStats counter a DecodeAction increments. StaleDiscard
+/// needs a clock, so it never occurs here (this plane passes no stale mask).
+long long& action_stat(FunctionalRunStats& st, DecodeAction a) {
+  switch (a) {
+    case DecodeAction::PrecalcCommit:
+      return st.stale_input_execs;
+    case DecodeAction::Substitute:
+      return st.degradations;
+    case DecodeAction::Fallback:
+      return st.mispredict_fallbacks;
+    case DecodeAction::Recompute:
+      return st.mispredict_recomputes;
+    default:  // GpuHit, InPlaceCpu: true expert, exact input
+      return st.exact_execs;
   }
-  return best;
 }
-
-/// Pre-calculation plan carried from layer l to layer l+1.
-struct Plan {
-  bool active = false;
-  /// Pre-calculated outputs (stale input) per expert; empty vector = none.
-  std::vector<std::vector<float>> precalc;
-  std::vector<int> substitute;
-
-  explicit Plan(int n_experts)
-      : precalc(static_cast<std::size_t>(n_experts)),
-        substitute(static_cast<std::size_t>(n_experts), -1) {}
-};
 
 }  // namespace
 
@@ -141,6 +130,12 @@ std::vector<int> DaopFunctionalExecutor::generate(
       static_cast<std::size_t>(L),
       std::vector<double>(static_cast<std::size_t>(E), 0.0));
 
+  DecodePolicy policy(config_, L, cfg.top_k);
+  /// Pre-calculated (stale-input) outputs of the pending plan's experts.
+  std::vector<std::vector<float>> precalc(static_cast<std::size_t>(E));
+  std::vector<int> exec_ids;
+  std::vector<float> weights;
+
   for (int g = 0; g < n_gen; ++g) {
     if (static_cast<int>(out.size()) < n_gen) out.push_back(next_token);
     if (static_cast<int>(out.size()) == n_gen && g == n_gen - 1) {
@@ -153,7 +148,6 @@ std::vector<int> DaopFunctionalExecutor::generate(
         teacher.empty() ? next_token : teacher[static_cast<std::size_t>(g)];
     model_.embed(consumed, x);
 
-    Plan plan(E);
     for (int l = 0; l < L; ++l) {
       model_.attention_block(l, x, kv, pos);
       model_.ffn_input(l, x, h);
@@ -162,110 +156,50 @@ std::vector<int> DaopFunctionalExecutor::generate(
       if (trace != nullptr) {
         // pred_logits still holds the gate-ahead logits planned for layer l.
         trace->set_cell(data::Phase::Decode, l, g, gate_logits,
-                        plan.active ? std::span<const float>(pred_logits)
-                                    : std::span<const float>());
+                        policy.plan().active
+                            ? std::span<const float>(pred_logits)
+                            : std::span<const float>());
       }
-      model::RouteDecision sel = model_.route(gate_logits);
-      // Adaptive expert skipping (extension): confident tokens keep only
-      // their top-1 expert.
-      if (config_.skip_top1_margin > 0.0 && sel.experts.size() >= 2 &&
-          sel.weights[0] >= config_.skip_top1_margin) {
-        st.skipped_experts += static_cast<long long>(sel.experts.size()) - 1;
-        sel.experts.resize(1);
-        sel.weights.assign(1, 1.0F);
-      }
+      const std::vector<int> selected = topk_indices(gate_logits, cfg.top_k);
+      const LayerDecision d = policy.plan_layer(
+          placement, l, std::span<const int>(selected), gate_logits);
+      st.skipped_experts += d.skipped;
 
-      // Decide the executed expert set.
-      struct Exec {
-        int expert;                      ///< id used for gate weighting
-        const std::vector<float>* precomputed = nullptr;
-        bool on_cpu = false;             ///< executes on the CPU (may be
-                                         ///< quantized under the extension)
-      };
-      std::vector<Exec> execs;
-      std::vector<int> used = sel.experts;
-      for (int e : sel.experts) {
-        window[static_cast<std::size_t>(l)][static_cast<std::size_t>(e)] += 1.0;
+      exec_ids.clear();
+      std::vector<double>& layer_window = window[static_cast<std::size_t>(l)];
+      for (const ExpertStep& s : d.steps) {
+        layer_window[static_cast<std::size_t>(s.expert)] += 1.0;
         ++st.decode_expert_uses;
-        const auto ei = static_cast<std::size_t>(e);
-        if (placement.on_gpu(l, e) || !plan.active) {
-          // GPU-resident, or an early/in-place layer: true expert, true
-          // input. In-place CPU execution is exact in fp, quantized only
-          // under the cpu_quant_bits extension.
-          ++st.exact_execs;
-          execs.push_back({e, nullptr, !placement.on_gpu(l, e)});
-        } else if (!plan.precalc[ei].empty()) {
-          ++st.stale_input_execs;
-          execs.push_back({e, &plan.precalc[ei], true});
-        } else if (plan.substitute[ei] >= 0) {
-          ++st.degradations;
-          used.push_back(plan.substitute[ei]);
-          execs.push_back({plan.substitute[ei], nullptr, false});
-        } else {
-          // Misprediction on a CPU-resident expert.
-          int fb = -1;
-          if (config_.mispredict_policy == MispredictPolicy::GracefulFallback) {
-            fb = best_gpu_expert(placement, l, gate_logits, used);
-          }
-          if (fb >= 0) {
-            ++st.mispredict_fallbacks;
-            used.push_back(fb);
-            execs.push_back({fb, nullptr, false});
-          } else {
-            ++st.mispredict_recomputes;
-            execs.push_back({e, nullptr, true});
-          }
-        }
+        ++action_stat(st, s.action);
+        exec_ids.push_back(s.exec);
       }
 
       // Renormalize gate weights over the experts actually executed.
-      std::vector<int> exec_ids;
-      exec_ids.reserve(execs.size());
-      for (const Exec& ex : execs) exec_ids.push_back(ex.expert);
-      std::vector<float> weights(execs.size());
+      weights.resize(exec_ids.size());
       softmax_subset(gate_logits, exec_ids, weights);
-
-      for (std::size_t i = 0; i < execs.size(); ++i) {
-        if (execs[i].precomputed) {
-          axpy_inplace(x, weights[i], *execs[i].precomputed);
+      for (std::size_t i = 0; i < d.steps.size(); ++i) {
+        const ExpertStep& s = d.steps[i];
+        if (s.action == DecodeAction::PrecalcCommit) {
+          axpy_inplace(x, weights[i],
+                       precalc[static_cast<std::size_t>(s.expert)]);
         } else {
-          run_expert(l, execs[i].expert, execs[i].on_cpu, h, expert_out, st);
+          // In-place CPU execution is exact in fp, quantized only under the
+          // cpu_quant_bits extension.
+          run_expert(l, s.exec, runs_on_cpu(s.action), h, expert_out, st);
           axpy_inplace(x, weights[i], expert_out);
         }
       }
 
       // Plan pre-calculation for layer l+1 from this layer's hidden state.
-      plan = Plan(E);
       const int nl = l + 1;
-      if (config_.enable_precalc && nl < L &&
-          nl >= config_.min_predict_layer) {
-        plan.active = true;
+      if (policy.predicts(nl)) {
         model_.gate(nl, h, pred_logits);
         if (bias) bias(nl, pos, pred_logits);
-        model::RouteDecision pred = model_.route(pred_logits);
-        // Under adaptive skipping, confident predictions only need their
-        // top-1 expert pre-calculated.
-        if (config_.skip_top1_margin > 0.0 && pred.experts.size() >= 2 &&
-            pred.weights[0] >= config_.skip_top1_margin) {
-          pred.experts.resize(1);
-        }
-
-        std::vector<int> pred_cpu;
-        for (int e : pred.experts) {
-          if (!placement.on_gpu(nl, e)) pred_cpu.push_back(e);
-        }
-        if (config_.enable_degradation &&
-            static_cast<int>(pred_cpu.size()) == cfg.top_k && cfg.top_k >= 2) {
-          const int drop = pred_cpu.back();
-          const int sub =
-              best_gpu_expert(placement, nl, pred_logits, pred.experts);
-          if (sub >= 0) {
-            plan.substitute[static_cast<std::size_t>(drop)] = sub;
-            pred_cpu.pop_back();
-          }
-        }
-        for (int e : pred_cpu) {
-          auto& dst = plan.precalc[static_cast<std::size_t>(e)];
+        const std::vector<int> predicted = topk_indices(pred_logits, cfg.top_k);
+        const NextLayerPlan& plan = policy.plan_next(
+            placement, nl, std::span<const int>(predicted), pred_logits);
+        for (const int e : plan.precalc) {
+          auto& dst = precalc[static_cast<std::size_t>(e)];
           dst.assign(D, 0.0F);
           // Stale input: this layer's non-MoE hidden state stands in for
           // the next layer's (residual-stream approximation, §IV-C).

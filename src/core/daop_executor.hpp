@@ -1,8 +1,9 @@
 // DAOP — functional (real-numerics) plane.
 //
-// Runs the same policy brain as DaopEngine (Algorithm 1 placement, gate-ahead
-// prediction, pre-calculation on stale hidden states, graceful degradation)
-// against a FunctionalModel, so its effect on model OUTPUTS is measurable.
+// Runs the same policy as DaopEngine — Algorithm 1 placement and the
+// core::DecodePolicy planner (gate-ahead prediction, pre-calculation on
+// stale hidden states, graceful degradation, mispredict handling) — against
+// a FunctionalModel, so its effect on model OUTPUTS is measurable.
 // This is the executor behind the paper's accuracy results (Tables V & VI):
 //  - prefill is numerically exact (placement only moves weights, §IV-B), so
 //    prefill-dependent tasks match the official model;

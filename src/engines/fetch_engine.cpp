@@ -182,15 +182,8 @@ class FetchSession final : public SequenceSession {
           ++counters_.cache_hits;
           exec_ready = shared_weight_gate(l, e, exec_ready);
         }
-        const double exec_end =
-            tl().schedule(sim::Res::GpuStream, exec_ready,
-                          costs_.expert_gpu_prefill(tok), "prefill expert");
-        ++counters_.gpu_expert_execs;
-        if (tracing()) {
-          tspan(tracks::kExpertGpu, "prefill expert", tl().last_start(),
-                exec_end);
-        }
-        note_expert_exec(l, e, /*on_gpu=*/true, tl().last_start(), exec_end);
+        const double exec_end = gpu_expert(
+            exec_ready, costs_.expert_gpu_prefill(tok), l, e, "prefill expert");
         touch(l, e);
         prev_exec_end = exec_end;
         layer_end = std::max(layer_end, exec_end);

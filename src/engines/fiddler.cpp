@@ -42,17 +42,10 @@ class FiddlerSession final : public SequenceSession {
         if (tok == 0) continue;
         if (placement().on_gpu(l, e)) {
           ++counters_.cache_hits;
-          ++counters_.gpu_expert_execs;
-          const double eready = shared_weight_gate(l, e, nonmoe_end);
-          const double exec_end =
-              tl().schedule(sim::Res::GpuStream, eready,
-                            costs_.expert_gpu_prefill(tok), "prefill expert");
-          if (tracing()) {
-            tspan(tracks::kExpertGpu, "prefill expert", tl().last_start(),
-                  exec_end);
-          }
-          note_expert_exec(l, e, /*on_gpu=*/true, tl().last_start(), exec_end);
-          layer_end = std::max(layer_end, exec_end);
+          layer_end = std::max(
+              layer_end, gpu_expert(shared_weight_gate(l, e, nonmoe_end),
+                                    costs_.expert_gpu_prefill(tok), l, e,
+                                    "prefill expert"));
         } else {
           ++counters_.cache_misses;
           layer_end = std::max(
@@ -79,18 +72,10 @@ class FiddlerSession final : public SequenceSession {
       for (const int e : trace().selected(data::Phase::Decode, l, t)) {
         if (placement().on_gpu(l, e)) {
           ++counters_.cache_hits;
-          ++counters_.gpu_expert_execs;
           pin_shared(l, e);
-          const double eready = shared_weight_gate(l, e, nonmoe_end);
-          const double exec_end = tl().schedule(sim::Res::GpuStream, eready,
-                                                costs_.expert_gpu(),
-                                                "GPU expert");
-          if (tracing()) {
-            tspan(tracks::kExpertGpu, "GPU expert", tl().last_start(),
-                  exec_end);
-          }
-          note_expert_exec(l, e, /*on_gpu=*/true, tl().last_start(), exec_end);
-          layer_end = std::max(layer_end, exec_end);
+          layer_end = std::max(
+              layer_end, gpu_expert(shared_weight_gate(l, e, nonmoe_end),
+                                    costs_.expert_gpu(), l, e, "GPU expert"));
         } else {
           ++counters_.cache_misses;
           layer_end = std::max(

@@ -606,6 +606,15 @@ double SequenceSession::cpu_expert(double start, int n_tokens,
   return t.result_arrival;
 }
 
+double SequenceSession::gpu_expert(double ready, double exec_cost, int layer,
+                                   int expert, const char* name) {
+  ++counters_.gpu_expert_execs;
+  const double end = tl().schedule(sim::Res::GpuStream, ready, exec_cost, name);
+  if (tracing()) tspan(tracks::kExpertGpu, name, tl().last_start(), end);
+  note_expert_exec(layer, expert, /*on_gpu=*/true, tl().last_start(), end);
+  return end;
+}
+
 void SequenceSession::pin_shared(int layer, int expert) {
   if (arbiter_ == nullptr) return;
   arbiter_->pin(layer, expert, request_id_);

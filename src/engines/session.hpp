@@ -340,6 +340,10 @@ class SequenceSession {
   /// profiler's utilization heatmap.
   double cpu_expert(double start, int n_tokens, double exec_cost,
                     int layer = -1, int expert = -1);
+  /// Traced GPU execution of expert (layer, expert) from `ready`, scheduled
+  /// and traced as `name`; returns its end time.
+  double gpu_expert(double ready, double exec_cost, int layer, int expert,
+                    const char* name);
 
   // ---- Shared-placement conveniences: exact no-ops without an arbiter
   // (the single-sequence path), so private-session behavior is untouched.

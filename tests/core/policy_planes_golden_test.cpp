@@ -23,11 +23,11 @@
 
 #include "../testing/helpers.hpp"
 #include "cache/calibration.hpp"
+#include "core/daop_batch.hpp"
 #include "core/daop_engine.hpp"
 #include "core/daop_executor.hpp"
 #include "data/gate_bias.hpp"
 #include "data/trace_generator.hpp"
-#include "engines/batch.hpp"
 #include "eval/accuracy.hpp"
 #include "obs/span_tracer.hpp"
 #include "sim/trace_export.hpp"
@@ -217,7 +217,7 @@ std::string batch_snapshot(const char* name, const DaopConfig& config,
       cfg.n_layers, cfg.n_experts, 0.469,
       cache::calibrate_activation_counts(calib, 6));
   const engines::BatchResult r =
-      engines::run_daop_batch(costs, config, traces, placement);
+      run_daop_batch(costs, config, traces, placement);
   const engines::EngineCounters& c = r.counters;
 
   std::ostringstream os;

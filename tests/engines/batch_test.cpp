@@ -5,6 +5,7 @@
 #include "../testing/helpers.hpp"
 #include "cache/calibration.hpp"
 #include "common/check.hpp"
+#include "core/daop_batch.hpp"
 #include "core/daop_engine.hpp"
 #include "data/trace_generator.hpp"
 #include "engines/fiddler.hpp"
@@ -13,6 +14,7 @@
 namespace daop::engines {
 namespace {
 
+using core::run_daop_batch;
 using daop::testing::prefix_placement;
 using daop::testing::small_mixtral;
 
@@ -126,6 +128,58 @@ TEST_F(BatchTest, RejectsHeterogeneousBatch) {
   EXPECT_THROW(run_fiddler_batch(costs_, traces, placement), CheckError);
   EXPECT_THROW(run_daop_batch(costs_, core::DaopConfig{}, traces, placement),
                CheckError);
+}
+
+// The per-session extensions have no batched model: naming the field beats
+// silently running without it.
+TEST_F(BatchTest, RejectsPerSessionExtensionsByName) {
+  const auto traces = make_batch(2, 16, 8);
+  const auto placement = calibrated(0.469);
+  const auto error = [&](const core::DaopConfig& dc) -> std::string {
+    try {
+      (void)run_daop_batch(costs_, dc, traces, placement);
+    } catch (const CheckError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  core::DaopConfig dc;
+  dc.cpu_quant_bits = 4;
+  EXPECT_NE(error(dc).find("DaopConfig.cpu_quant_bits"), std::string::npos);
+  dc = {};
+  dc.decode_realloc_interval = 4;
+  EXPECT_NE(error(dc).find("DaopConfig.decode_realloc_interval"),
+            std::string::npos);
+  dc = {};
+  dc.stale_precalc_factor = 0.5;
+  EXPECT_NE(error(dc).find("DaopConfig.stale_precalc_factor"),
+            std::string::npos);
+}
+
+// Decisions come from the shared DecodePolicy, so the batch plane honours
+// adaptive skipping and the mispredict policy like the engine does.
+TEST_F(BatchTest, HonoursSkipMarginAndMispredictPolicy) {
+  const auto traces = make_batch(3, 16, 16);
+  const auto placement = calibrated(0.469);
+  core::DaopConfig base;
+  base.min_predict_layer = 1;
+  const auto r = run_daop_batch(costs_, base, traces, placement);
+  EXPECT_EQ(r.counters.skipped_experts, 0);
+
+  core::DaopConfig skip = base;
+  skip.skip_top1_margin = 0.7;
+  EXPECT_GT(run_daop_batch(costs_, skip, traces, placement)
+                .counters.skipped_experts,
+            0);
+
+  core::DaopConfig fallback = base;
+  fallback.mispredict_policy = core::MispredictPolicy::GracefulFallback;
+  const auto rf = run_daop_batch(costs_, fallback, traces, placement);
+  ASSERT_GT(r.counters.mispredictions, 0);
+  EXPECT_EQ(rf.counters.mispredictions, r.counters.mispredictions);
+  // Every fallback is a degradation and one fewer exact CPU execution.
+  EXPECT_GT(rf.counters.degradations, r.counters.degradations);
+  EXPECT_LT(rf.counters.cpu_expert_execs, r.counters.cpu_expert_execs);
 }
 
 TEST_F(BatchTest, EnergyWithinPhysicalBounds) {

@@ -15,8 +15,10 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <vector>
 
 #include "cache/calibration.hpp"
+#include "core/daop_engine.hpp"
 #include "data/trace_generator.hpp"
 #include "engines/session.hpp"
 #include "eval/speed.hpp"
@@ -78,6 +80,7 @@ struct SessionAllocs {
   long long open = 0;
   long long steps_measured = 0;
   long long step_allocs = 0;  ///< over the steps after the warm-up
+  EngineCounters counters;
 };
 
 SessionAllocs drive(Engine& engine, const data::SequenceTrace& trace,
@@ -91,7 +94,7 @@ SessionAllocs drive(Engine& engine, const data::SequenceTrace& trace,
   const long long before_steps = allocs();
   while (s->decode_step()) ++a.steps_measured;
   a.step_allocs = allocs() - before_steps;
-  (void)s->close();
+  a.counters = s->close().counters;
   return a;
 }
 
@@ -112,6 +115,40 @@ TEST(SessionAlloc, DecodeStepIsAllocationFreeAndOpenIsTraceLengthIndependent) {
     EXPECT_EQ(l.steps_measured, 512 - kWarmupSteps);
     EXPECT_EQ(s.step_allocs, 0);
     EXPECT_EQ(l.step_allocs, 0);
+  }
+}
+
+// Every DAOP decode-policy branch is pinned, not just the default config:
+// each variant must reach its branch (its distinguishing counter is
+// non-zero) and still make no allocation per decode step.
+TEST(SessionAlloc, DaopDecodeStepIsAllocationFreeOnEveryPolicyBranch) {
+  const Rig rig;
+  struct Variant {
+    const char* name;
+    core::DaopConfig config;
+    long long EngineCounters::*reached;
+  };
+  std::vector<Variant> variants;
+  core::DaopConfig c;
+  c.mispredict_policy = core::MispredictPolicy::GracefulFallback;
+  variants.push_back({"graceful-fallback", c, &EngineCounters::degradations});
+  c = {};
+  c.skip_top1_margin = 0.7;
+  variants.push_back({"skip-0.7", c, &EngineCounters::skipped_experts});
+  c = {};
+  c.stale_precalc_factor = 0.5;
+  variants.push_back({"stale-0.5", c, &EngineCounters::stale_precalcs});
+  c = {};
+  c.enable_degradation = false;
+  variants.push_back({"no-degradation", c, &EngineCounters::mispredictions});
+  for (const Variant& v : variants) {
+    SCOPED_TRACE(v.name);
+    core::DaopEngine engine(rig.costs, v.config);
+    (void)drive(engine, rig.short_trace, rig.placement);  // warm
+    const SessionAllocs a = drive(engine, rig.short_trace, rig.placement);
+    EXPECT_EQ(a.steps_measured, 32 - kWarmupSteps);
+    EXPECT_EQ(a.step_allocs, 0);
+    EXPECT_GT(a.counters.*v.reached, 0);
   }
 }
 
