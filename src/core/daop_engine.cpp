@@ -168,10 +168,10 @@ class DaopSession final : public engines::SequenceSession {
         tinstant(engines::tracks::kGate, "gate L" + std::to_string(l),
                  nonmoe_end);
       }
+      const double gpu_cost = costs_.expert_gpu();
       // Stale-discard policy: a pre-calc result landing too late (e.g. the
       // CPU pool was stolen by a co-running app) is dropped in favour of
       // the best GPU-resident substitute with exact inputs.
-      const double gpu_cost = costs_.expert_gpu();
       std::span<const char> stale;
       if (config_.stale_precalc_factor > 0.0) {
         for (const int e : policy_.plan().precalc) {

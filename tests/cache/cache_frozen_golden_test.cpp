@@ -14,13 +14,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "../testing/golden.hpp"
 #include "../testing/helpers.hpp"
 #include "cache/calibration.hpp"
 #include "cache/expert_cache.hpp"
@@ -36,20 +35,8 @@
 namespace daop::engines {
 namespace {
 
-std::string hexf(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
+using daop::testing::fnv1a_hex;
+using daop::testing::hexf;
 
 /// One snapshot block, formatted exactly like session_determinism_test.cpp
 /// so cache_frozen.golden and session_runs.golden are byte-comparable.
@@ -103,10 +90,7 @@ std::string run_snapshot(eval::EngineKind kind, const data::WorkloadSpec& wl,
      << "," << c.decode_swaps << "," << c.skipped_experts << ","
      << c.migration_retries << "," << c.migration_aborts << ","
      << c.stale_precalcs << "," << hexf(c.hazard_stall_s) << "\n";
-  char hash[32];
-  std::snprintf(hash, sizeof(hash), "%016llx",
-                static_cast<unsigned long long>(fnv1a(json)));
-  os << "chrome_trace_fnv1a=" << hash << "\n";
+  os << "chrome_trace_fnv1a=" << fnv1a_hex(json) << "\n";
   return os.str();
 }
 
@@ -139,28 +123,7 @@ std::string read_file(const char* path) {
 }
 
 TEST(CacheFrozenGolden, MatchesCommittedGolden) {
-  const std::string actual = all_snapshots();
-  if (std::getenv("DAOP_UPDATE_GOLDENS") != nullptr) {
-    std::ofstream f(kGoldenPath);
-    ASSERT_TRUE(f.good()) << "cannot write " << kGoldenPath;
-    f << actual;
-    GTEST_SKIP() << "goldens regenerated at " << kGoldenPath;
-  }
-  const std::string expected = read_file(kGoldenPath);
-  // Compare block by block so a failure names the first diverging run.
-  std::istringstream ea(expected);
-  std::istringstream aa(actual);
-  std::string eline;
-  std::string aline;
-  std::string block = "<header>";
-  while (std::getline(ea, eline)) {
-    if (!eline.empty() && eline.front() == '[') block = eline;
-    ASSERT_TRUE(static_cast<bool>(std::getline(aa, aline)))
-        << "snapshot truncated in " << block;
-    ASSERT_EQ(eline, aline) << "first divergence in " << block;
-  }
-  EXPECT_FALSE(static_cast<bool>(std::getline(aa, aline)))
-      << "snapshot has extra content after " << block;
+  daop::testing::expect_matches_golden(kGoldenPath, all_snapshots());
 }
 
 TEST(CacheFrozenGolden, ByteIdenticalToPreCacheSessionGolden) {

@@ -14,13 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "../testing/golden.hpp"
 #include "../testing/helpers.hpp"
 #include "cache/calibration.hpp"
 #include "core/daop_batch.hpp"
@@ -39,20 +37,8 @@
 namespace daop::core {
 namespace {
 
-std::string hexf(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
+using daop::testing::fnv1a_hex;
+using daop::testing::hexf;
 
 struct Variant {
   const char* name;
@@ -150,10 +136,7 @@ std::string engine_snapshot(const Variant& v, const data::WorkloadSpec& wl,
      << "," << c.decode_swaps << "," << c.skipped_experts << ","
      << c.migration_retries << "," << c.migration_aborts << ","
      << c.stale_precalcs << "," << hexf(c.hazard_stall_s) << "\n";
-  char hash[32];
-  std::snprintf(hash, sizeof(hash), "%016llx",
-                static_cast<unsigned long long>(fnv1a(json)));
-  os << "chrome_trace_fnv1a=" << hash << "\n\n";
+  os << "chrome_trace_fnv1a=" << fnv1a_hex(json) << "\n\n";
   return os.str();
 }
 
@@ -308,35 +291,7 @@ std::string all_snapshots() {
 const char* kGoldenPath = DAOP_GOLDEN_DIR "/policy_planes.golden";
 
 TEST(PolicyPlanesGolden, MatchesCommittedSnapshot) {
-  const std::string actual = all_snapshots();
-  if (std::getenv("DAOP_UPDATE_GOLDENS") != nullptr) {
-    std::ofstream f(kGoldenPath);
-    ASSERT_TRUE(f.good()) << "cannot write " << kGoldenPath;
-    f << actual;
-    GTEST_SKIP() << "golden regenerated at " << kGoldenPath;
-  }
-  std::ifstream f(kGoldenPath);
-  ASSERT_TRUE(f.good()) << "missing golden file " << kGoldenPath
-                        << " (regenerate with DAOP_UPDATE_GOLDENS=1)";
-  std::ostringstream expected;
-  expected << f.rdbuf();
-  // Block by block, so a failure names the first diverging run.
-  std::istringstream ea(expected.str());
-  std::istringstream aa(actual);
-  std::string eline;
-  std::string aline;
-  std::string block = "<header>";
-  int line_no = 0;
-  while (std::getline(ea, eline)) {
-    ++line_no;
-    if (!eline.empty() && eline.front() == '[') block = eline;
-    ASSERT_TRUE(static_cast<bool>(std::getline(aa, aline)))
-        << "snapshot truncated in " << block;
-    ASSERT_EQ(eline, aline) << "first divergence in " << block << " (line "
-                            << line_no << ")";
-  }
-  EXPECT_FALSE(static_cast<bool>(std::getline(aa, aline)))
-      << "snapshot has extra content after " << block;
+  daop::testing::expect_matches_golden(kGoldenPath, all_snapshots());
 }
 
 }  // namespace

@@ -10,13 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "../testing/golden.hpp"
 #include "../testing/helpers.hpp"
 #include "cache/calibration.hpp"
 #include "data/trace_generator.hpp"
@@ -31,22 +29,8 @@
 namespace daop::engines {
 namespace {
 
-/// Hexfloat rendering: two doubles render identically iff they are
-/// bit-identical (modulo -0.0/NaN, which the engines never produce here).
-std::string hexf(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
+using daop::testing::fnv1a_hex;
+using daop::testing::hexf;
 
 std::string run_snapshot(eval::EngineKind kind, const data::WorkloadSpec& wl,
                          std::uint64_t seed) {
@@ -96,10 +80,7 @@ std::string run_snapshot(eval::EngineKind kind, const data::WorkloadSpec& wl,
      << "," << c.decode_swaps << "," << c.skipped_experts << ","
      << c.migration_retries << "," << c.migration_aborts << ","
      << c.stale_precalcs << "," << hexf(c.hazard_stall_s) << "\n";
-  char hash[32];
-  std::snprintf(hash, sizeof(hash), "%016llx",
-                static_cast<unsigned long long>(fnv1a(json)));
-  os << "chrome_trace_fnv1a=" << hash << "\n";
+  os << "chrome_trace_fnv1a=" << fnv1a_hex(json) << "\n";
   return os.str();
 }
 
@@ -123,36 +104,7 @@ std::string all_snapshots() {
 const char* kGoldenPath = DAOP_GOLDEN_DIR "/session_runs.golden";
 
 TEST(SessionDeterminism, MatchesPreRefactorGoldens) {
-  const std::string actual = all_snapshots();
-  if (std::getenv("DAOP_UPDATE_GOLDENS") != nullptr) {
-    std::ofstream f(kGoldenPath);
-    ASSERT_TRUE(f.good()) << "cannot write " << kGoldenPath;
-    f << actual;
-    GTEST_SKIP() << "goldens regenerated at " << kGoldenPath;
-  }
-  std::ifstream f(kGoldenPath);
-  ASSERT_TRUE(f.good()) << "missing golden file " << kGoldenPath
-                        << " (regenerate with DAOP_UPDATE_GOLDENS=1)";
-  std::ostringstream expected;
-  expected << f.rdbuf();
-  // Compare block by block so a failure names the first diverging run
-  // instead of dumping the whole 48-run snapshot.
-  std::istringstream ea(expected.str());
-  std::istringstream aa(actual);
-  std::string eline;
-  std::string aline;
-  std::string block = "<header>";
-  int line_no = 0;
-  while (std::getline(ea, eline)) {
-    ++line_no;
-    if (!eline.empty() && eline.front() == '[') block = eline;
-    ASSERT_TRUE(static_cast<bool>(std::getline(aa, aline)))
-        << "snapshot truncated in " << block;
-    ASSERT_EQ(eline, aline) << "first divergence in " << block << " (line "
-                            << line_no << ")";
-  }
-  EXPECT_FALSE(static_cast<bool>(std::getline(aa, aline)))
-      << "snapshot has extra content after " << block;
+  daop::testing::expect_matches_golden(kGoldenPath, all_snapshots());
 }
 
 /// Same engine, same inputs, twice in a row: engines must not carry hidden

@@ -15,12 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 
+#include "../testing/golden.hpp"
 #include "../testing/helpers.hpp"
 #include "cluster/serving.hpp"
 #include "eval/serving.hpp"
@@ -37,33 +35,11 @@
 namespace daop::eval {
 namespace {
 
-/// Hexfloat rendering: two doubles render identically iff they are
-/// bit-identical (modulo -0.0/NaN, which serving never produces here).
-std::string hexf(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::string hash_str(const std::string& s) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(fnv1a(s)));
-  return buf;
-}
+using daop::testing::hexf;
 
 /// daop-tseries/1 export of a finalized recorder (no alert rules), hashed.
 std::string tseries_hash(const obs::TimeSeriesRecorder& rec) {
-  return hash_str(obs::to_tseries_json(rec, obs::AlertReport{}, {}));
+  return daop::testing::fnv1a_hex(obs::to_tseries_json(rec, obs::AlertReport{}, {}));
 }
 
 obs::TimeSeriesOptions tseries_window() {
@@ -147,8 +123,8 @@ std::string serving_snapshot(EngineKind kind, ServingOptions opt,
   // `daop_cli serve --out-json` writes (tracer tracks only).
   const sim::Timeline no_timeline;
   os << "trace_fnv1a="
-     << hash_str(sim::to_chrome_trace_json(no_timeline, &tracer)) << "\n";
-  os << "metrics_fnv1a=" << hash_str(reg.to_prometheus()) << "\n";
+     << daop::testing::fnv1a_hex(sim::to_chrome_trace_json(no_timeline, &tracer)) << "\n";
+  os << "metrics_fnv1a=" << daop::testing::fnv1a_hex(reg.to_prometheus()) << "\n";
   os << "overload=" << r.shed << "," << r.shed_queue_full << ","
      << r.shed_deadline << "," << r.shed_degraded << "," << r.preemptions
      << "," << r.degrade_steps_down << "," << r.degrade_steps_up << ","
@@ -222,8 +198,8 @@ std::string cluster_snapshot(EngineKind kind) {
   os << outcomes_line(r.request_log);
   const sim::Timeline no_timeline;
   os << "trace_fnv1a="
-     << hash_str(sim::to_chrome_trace_json(no_timeline, &tracer)) << "\n";
-  os << "metrics_fnv1a=" << hash_str(reg.to_prometheus()) << "\n";
+     << daop::testing::fnv1a_hex(sim::to_chrome_trace_json(no_timeline, &tracer)) << "\n";
+  os << "metrics_fnv1a=" << daop::testing::fnv1a_hex(reg.to_prometheus()) << "\n";
   os << "tseries_fnv1a=" << tseries_hash(rec) << "\n";
   return os.str();
 }
@@ -276,35 +252,7 @@ std::string all_snapshots() {
 const char* kGoldenPath = DAOP_GOLDEN_DIR "/serving_runs.golden";
 
 TEST(ServingGolden, DefaultOptionsMatchPreOverloadGoldens) {
-  const std::string actual = all_snapshots();
-  if (std::getenv("DAOP_UPDATE_GOLDENS") != nullptr) {
-    std::ofstream f(kGoldenPath);
-    ASSERT_TRUE(f.good()) << "cannot write " << kGoldenPath;
-    f << actual;
-    GTEST_SKIP() << "goldens regenerated at " << kGoldenPath;
-  }
-  std::ifstream f(kGoldenPath);
-  ASSERT_TRUE(f.good()) << "missing golden file " << kGoldenPath
-                        << " (regenerate with DAOP_UPDATE_GOLDENS=1)";
-  std::ostringstream expected;
-  expected << f.rdbuf();
-  // Compare block by block so a failure names the first diverging run.
-  std::istringstream ea(expected.str());
-  std::istringstream aa(actual);
-  std::string eline;
-  std::string aline;
-  std::string block = "<header>";
-  int line_no = 0;
-  while (std::getline(ea, eline)) {
-    ++line_no;
-    if (!eline.empty() && eline.front() == '[') block = eline;
-    ASSERT_TRUE(static_cast<bool>(std::getline(aa, aline)))
-        << "snapshot truncated in " << block;
-    ASSERT_EQ(eline, aline) << "first divergence in " << block << " (line "
-                            << line_no << ")";
-  }
-  EXPECT_FALSE(static_cast<bool>(std::getline(aa, aline)))
-      << "snapshot has extra content after " << block;
+  daop::testing::expect_matches_golden(kGoldenPath, all_snapshots());
 }
 
 }  // namespace
