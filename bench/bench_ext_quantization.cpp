@@ -14,7 +14,7 @@
 int main() {
   using namespace daop;
 
-  const std::vector<int> bit_options = {0, 8, 6, 4, 3};
+  const std::vector<int> bit_options = {0, 8, 4, 2};
 
   std::printf(
       "DAOP + quantized CPU experts (extension) — speed on simulated\n"
@@ -60,8 +60,8 @@ int main() {
   }
   std::printf("%s\n", t.render().c_str());
   std::printf(
-      "shape: int8/int6 are nearly free fidelity-wise and buy a solid\n"
-      "decode speedup; below int4 the fidelity cost becomes visible —\n"
+      "shape: int8 is nearly free fidelity-wise and buys a solid\n"
+      "decode speedup; int4 costs a little fidelity and int2 a lot —\n"
       "matching EdgeMoE's expert-wise bit-width adaptation argument.\n");
   return 0;
 }

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -25,10 +26,23 @@ class Rng {
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
   /// Next raw 64-bit value.
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double uniform();
+  double uniform() {
+    // 53 high-quality mantissa bits.
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
@@ -37,10 +51,38 @@ class Rng {
   int uniform_int(int lo, int hi);
 
   /// Standard normal via Box-Muller (cached second variate).
-  double normal();
+  double normal() {
+    if (has_cached_normal_) {
+      has_cached_normal_ = false;
+      return cached_normal_;
+    }
+    double u1 = 0.0;
+    do {
+      u1 = uniform();
+    } while (u1 <= 0.0);
+    const double u2 = uniform();
+    const double r = std::sqrt(-2.0 * std::log(u1));
+    const double theta = 2.0 * M_PI * u2;
+    cached_normal_ = r * std::sin(theta);
+    has_cached_normal_ = true;
+    return r * std::cos(theta);
+  }
 
   /// Normal with given mean / stddev.
   double normal(double mean, double stddev);
+
+  /// Skips the next `n` Box-Muller pairs: draws exactly the uniforms that
+  /// 2n normal() calls starting on a pair would, computes no variate, and
+  /// drops a cached one.
+  void skip_normal_pairs(std::uint64_t n) {
+    has_cached_normal_ = false;
+    for (; n > 0; --n) {
+      // uniform() <= 0.0 exactly when these 53 bits are zero.
+      while ((next_u64() >> 11) == 0) {
+      }
+      next_u64();
+    }
+  }
 
   /// Gamma(alpha, 1) via Marsaglia-Tsang; alpha > 0.
   double gamma(double alpha);
@@ -78,6 +120,19 @@ class Rng {
     cached_normal_ = st.cached_normal;
   }
 
+  /// The four xoshiro256** words alone: the stream position without the
+  /// fork seed or a cached variate. Cheap to record many of.
+  using Words = std::array<std::uint64_t, 4>;
+  Words words() const { return state_; }
+
+  /// Moves the stream to recorded words without seeding: the next draw is
+  /// the one that followed words(), and the next normal() starts a fresh
+  /// Box-Muller pair. The fork seed is kept.
+  void seek(const Words& w) {
+    state_ = w;
+    has_cached_normal_ = false;
+  }
+
   /// Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) {
@@ -88,6 +143,10 @@ class Rng {
   }
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_{};
   std::uint64_t seed_ = 0;  // retained so fork() is consumption-independent
   bool has_cached_normal_ = false;

@@ -1,6 +1,6 @@
 #include "common/thread_pool.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <exception>
 
 #include "common/check.hpp"
@@ -28,6 +28,17 @@ ThreadPool::ThreadPool(unsigned threads) {
   }
 }
 
+struct ThreadPool::Batch {
+  Batch(const std::function<void(std::int64_t)>& f, std::int64_t chunks)
+      : fn(f), remaining(chunks) {}
+
+  const std::function<void(std::int64_t)>& fn;
+  std::mutex mu;
+  std::condition_variable done;
+  std::int64_t remaining;          // chunks not yet finished, under mu
+  std::exception_ptr first_error;  // under mu
+};
+
 ThreadPool::~ThreadPool() { shutdown(); }
 
 void ThreadPool::shutdown() {
@@ -35,9 +46,10 @@ void ThreadPool::shutdown() {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_ && workers_.empty()) return;  // already shut down
     stop_ = true;
-    // Queued-but-unstarted tasks are dropped, not run: at shutdown time
-    // their captures may reference objects that are about to be destroyed.
-    while (!tasks_.empty()) tasks_.pop();
+    // Queued-but-unstarted chunks are dropped, not run: at shutdown time
+    // their batches may reference objects that are about to be destroyed.
+    queue_.clear();
+    head_ = 0;
   }
   cv_.notify_all();
   for (auto& w : workers_) w.join();
@@ -47,16 +59,37 @@ void ThreadPool::shutdown() {
 void ThreadPool::worker_loop() {
   tl_owner = this;
   for (;;) {
-    std::function<void()> task;
+    Chunk chunk;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
-      if (stop_ && tasks_.empty()) return;
-      task = std::move(tasks_.front());
-      tasks_.pop();
+      cv_.wait(lock, [this] { return stop_ || head_ < queue_.size(); });
+      if (stop_ && head_ == queue_.size()) return;
+      chunk = queue_[head_++];
+      // Drop the consumed prefix once it is half the queue: the rest moves
+      // down in place, and a drained queue keeps its storage.
+      if (head_ * 2 >= queue_.size()) {
+        queue_.erase(queue_.begin(),
+                     queue_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+      }
     }
-    task();
+    run(chunk);
   }
+}
+
+void ThreadPool::run(const Chunk& chunk) {
+  Batch& batch = *chunk.batch;
+  std::exception_ptr error;
+  try {
+    for (std::int64_t i = chunk.begin; i < chunk.end; ++i) batch.fn(i);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  // The caller returns (destroying the batch) only once it holds mu and
+  // sees remaining == 0, so nothing touches the batch after this unlock.
+  std::lock_guard<std::mutex> lock(batch.mu);
+  if (error && !batch.first_error) batch.first_error = error;
+  if (--batch.remaining == 0) batch.done.notify_all();
 }
 
 void ThreadPool::parallel_for(std::int64_t n,
@@ -73,36 +106,19 @@ void ThreadPool::parallel_for(std::int64_t n,
       std::min<std::int64_t>(n, static_cast<std::int64_t>(workers_.size()) * 4);
   const std::int64_t chunk_size = (n + chunks - 1) / chunks;
 
-  std::atomic<std::int64_t> remaining{chunks};
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-
+  Batch batch(fn, chunks);
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (std::int64_t c = 0; c < chunks; ++c) {
       const std::int64_t begin = c * chunk_size;
-      const std::int64_t end = std::min(n, begin + chunk_size);
-      tasks_.emplace([&, begin, end] {
-        try {
-          for (std::int64_t i = begin; i < end; ++i) fn(i);
-        } catch (...) {
-          std::lock_guard<std::mutex> elock(error_mu);
-          if (!first_error) first_error = std::current_exception();
-        }
-        if (remaining.fetch_sub(1) == 1) {
-          std::lock_guard<std::mutex> dlock(done_mu);
-          done_cv.notify_all();
-        }
-      });
+      queue_.push_back({&batch, begin, std::min(n, begin + chunk_size)});
     }
   }
   cv_.notify_all();
 
-  std::unique_lock<std::mutex> dlock(done_mu);
-  done_cv.wait(dlock, [&] { return remaining.load() == 0; });
-  if (first_error) std::rethrow_exception(first_error);
+  std::unique_lock<std::mutex> lock(batch.mu);
+  batch.done.wait(lock, [&] { return batch.remaining == 0; });
+  if (batch.first_error) std::rethrow_exception(batch.first_error);
 }
 
 ThreadPool& ThreadPool::global() {

@@ -1,8 +1,9 @@
 // Minimal fixed-size thread pool with a parallel_for helper.
 //
 // Used by the tensor library to parallelize GEMM row blocks, by the
-// functional model for per-expert execution, and by trace generation and
-// calibration to build sequences concurrently. The pool degrades gracefully to
+// functional model for per-expert execution, by trace generation and
+// calibration to build sequences concurrently, and by TraceGenerator to
+// build one trace's layers concurrently. The pool degrades gracefully to
 // inline execution when constructed with a single worker (the common case on
 // small CI machines), so results never depend on thread count.
 #pragma once
@@ -11,7 +12,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -34,7 +34,10 @@ class ThreadPool {
   /// wins) on the caller; the pool stays usable afterwards. Re-entrant: a
   /// call made from one of this pool's own workers (a nested parallel_for)
   /// runs inline on that worker, so library code may use the pool without
-  /// knowing whether its caller already does.
+  /// knowing whether its caller already does. Allocates nothing itself once
+  /// the queue has grown to its high-water mark; a caller that passes a
+  /// prebuilt std::function makes calls whose heap use does not depend on
+  /// how many it makes.
   void parallel_for(std::int64_t n,
                     const std::function<void(std::int64_t)>& fn);
 
@@ -52,10 +55,24 @@ class ThreadPool {
   static ThreadPool& global();
 
  private:
+  /// One parallel_for call's shared state, on the caller's stack.
+  struct Batch;
+  /// Iterations [begin, end) of one batch.
+  struct Chunk {
+    Batch* batch = nullptr;
+    std::int64_t begin = 0;
+    std::int64_t end = 0;
+  };
+
   void worker_loop();
+  static void run(const Chunk& chunk);
 
   std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_;
+  // Queued chunks, oldest at head_. Plain descriptors in storage that is
+  // kept (and compacted in place) as it drains, so queueing never
+  // allocates once the vector has grown.
+  std::vector<Chunk> queue_;
+  std::size_t head_ = 0;
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;

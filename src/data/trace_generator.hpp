@@ -12,6 +12,23 @@
 //                         prediction fidelity; layer-dependent per Fig. 5)
 //
 // Everything is deterministic in (spec, model dims, seed, sequence index).
+//
+// One trace is built in parallel over layers, byte-identical to drawing
+// its stream in the serial cell order (prefill layer by layer, then decode
+// token by token, layer by layer). The sequence's forked Rng yields one
+// stream of normal() variates; pref and dpref take its first 2 L E on the
+// caller. The rest splits into segments whose stream positions are
+// closed-form: one per prefill layer, one per decode (token, layer) cell.
+// A record pass walks the stream in order without computing any variate
+// (Rng::skip_normal_pairs) and keeps each segment's xoshiro words at the
+// Box-Muller pair boundary at or before its start (32 bytes). Each
+// ThreadPool::global().parallel_for over layers then replays every segment
+// of its layer (Rng::seek, dropping the cosine half when the position is
+// odd), carries that layer's drift across tokens, and writes only that
+// layer's rows of the trace. Decode goes in blocks of 64 tokens, so the
+// marks stay small, and one extra task of each parallel_for records the
+// next block while the layers replay this one. The pool is re-entrant: a
+// caller already on a pool worker runs the same code inline.
 #pragma once
 
 #include <cstdint>

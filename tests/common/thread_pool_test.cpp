@@ -3,9 +3,28 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <functional>
+#include <new>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
+
+namespace {
+std::atomic<long long> g_allocs{0};
+}  // namespace
+
+// Counts heap allocations, for the allocation-free dispatch test.
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace daop {
 namespace {
@@ -88,6 +107,21 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
     });
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ParallelForAllocatesNothingOnceWarm) {
+  // Callers such as TraceGenerator issue one call per block of work; their
+  // heap use must not grow with the number of calls.
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(64);
+  const std::function<void(std::int64_t)> fn = [&](std::int64_t i) {
+    hits[static_cast<std::size_t>(i)].fetch_add(1);
+  };
+  pool.parallel_for(64, fn);  // grows the queue to its high-water mark
+  const long long before = g_allocs.load();
+  for (int rep = 0; rep < 50; ++rep) pool.parallel_for(64, fn);
+  EXPECT_EQ(g_allocs.load() - before, 0);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 51);
 }
 
 TEST(ThreadPool, EmptyAndNegativeRangesAreNoOps) {
