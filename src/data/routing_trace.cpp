@@ -1,6 +1,8 @@
 #include "data/routing_trace.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <new>
 #include <string>
 
 #include "common/check.hpp"
@@ -15,37 +17,98 @@ bool has_nan(std::span<const float> x) {
   return std::any_of(x.begin(), x.end(), [](float v) { return v != v; });
 }
 
+/// The next `n` values of type T at `p`, advancing `p` past them.
+template <class T>
+T* carve(char*& p, std::size_t n) {
+  T* block = reinterpret_cast<T*>(p);
+  p += n * sizeof(T);
+  return block;
+}
+
 }  // namespace
+
+PhaseRouting::Blocks* PhaseRouting::allocate(bool with_pred) const {
+  // The blocks start right after the header, the doubles first.
+  static_assert(sizeof(Blocks) % alignof(double) == 0);
+  const std::size_t cells = static_cast<std::size_t>(n_layers_) *
+                            static_cast<std::size_t>(n_tokens_);
+  const std::size_t n_counts = static_cast<std::size_t>(n_layers_) *
+                               static_cast<std::size_t>(n_experts_);
+  const std::size_t n_scores = cells * static_cast<std::size_t>(n_experts_);
+  const std::size_t n_ids = cells * static_cast<std::size_t>(top_k_);
+  const std::size_t per_pred = with_pred ? 2 : 1;
+  const std::size_t bytes =
+      sizeof(Blocks) + n_counts * sizeof(double) +
+      per_pred * (n_scores * sizeof(float) + n_ids * sizeof(ExpertId)) +
+      (with_pred ? cells : 0);
+  void* mem = ::operator new(bytes);
+  auto* b = new (mem) Blocks;
+  b->bytes = bytes;
+  char* p = static_cast<char*>(mem) + sizeof(Blocks);
+  b->counts = carve<double>(p, n_counts);
+  b->scores = carve<float>(p, n_scores);
+  if (with_pred) b->pred_scores = carve<float>(p, n_scores);
+  b->ids = carve<ExpertId>(p, n_ids);
+  if (with_pred) {
+    b->pred_ids = carve<ExpertId>(p, n_ids);
+    b->has_pred = carve<std::uint8_t>(p, cells);
+  }
+  return b;
+}
 
 void PhaseRouting::reset(int n_layers, int n_tokens, int n_experts,
                          int top_k, bool with_pred) {
-  n_layers_ = n_layers;
-  n_tokens_ = n_tokens;
-  n_experts_ = n_experts;
-  top_k_ = top_k;
+  PhaseRouting fresh;
+  fresh.n_layers_ = n_layers;
+  fresh.n_tokens_ = n_tokens;
+  fresh.n_experts_ = n_experts;
+  fresh.top_k_ = top_k;
+  fresh.blocks_ = fresh.allocate(with_pred);
+  Blocks& b = *fresh.blocks_;
   const std::size_t cells = static_cast<std::size_t>(n_layers) *
                             static_cast<std::size_t>(n_tokens);
   const auto E = static_cast<std::size_t>(n_experts);
   const auto K = static_cast<std::size_t>(top_k);
-  scores_.assign(cells * E, 0.0F);
+  std::fill_n(b.scores, cells * E, 0.0F);
   // An all-zero cell selects experts 0..top_k-1 (the tie order), so each
   // of those experts starts with n_tokens activations per layer.
-  ids_.resize(cells * K);
   for (std::size_t c = 0; c < cells; ++c) {
     for (std::size_t j = 0; j < K; ++j) {
-      ids_[c * K + j] = static_cast<ExpertId>(j);
+      b.ids[c * K + j] = static_cast<ExpertId>(j);
     }
   }
-  counts_.assign(static_cast<std::size_t>(n_layers) * E, 0.0);
+  std::fill_n(b.counts, static_cast<std::size_t>(n_layers) * E, 0.0);
   for (std::size_t l = 0; l < static_cast<std::size_t>(n_layers); ++l) {
-    std::fill_n(counts_.begin() + static_cast<std::ptrdiff_t>(l * E), K,
-                static_cast<double>(n_tokens));
+    std::fill_n(b.counts + l * E, K, static_cast<double>(n_tokens));
   }
   if (with_pred) {
-    pred_scores_.assign(cells * E, 0.0F);
-    pred_ids_.assign(cells * K, 0);
-    has_pred_.assign(cells, 0);
+    std::fill_n(b.pred_scores, cells * E, 0.0F);
+    std::fill_n(b.pred_ids, cells * K, ExpertId{0});
+    std::fill_n(b.has_pred, cells, std::uint8_t{0});
   }
+  swap(fresh);
+}
+
+PhaseRouting::Blocks& PhaseRouting::own_blocks() {
+  // Acquire pairs with the release in another phase's release(): that
+  // phase's reads of the blocks happen before the writes that follow.
+  if (blocks_->refs.load(std::memory_order_acquire) != 1) {
+    Blocks* own = allocate(blocks_->has_pred != nullptr);
+    // Same shape, same layout: the blocks copy as one run of bytes.
+    std::memcpy(own->counts, blocks_->counts, own->bytes - sizeof(Blocks));
+    release();
+    blocks_ = own;
+  }
+  return *blocks_;
+}
+
+void PhaseRouting::release() noexcept {
+  if (blocks_ != nullptr &&
+      blocks_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    blocks_->~Blocks();
+    ::operator delete(blocks_);
+  }
+  blocks_ = nullptr;
 }
 
 void check_trace_shape(int n_layers, int n_experts, int top_k, int prompt_len,
@@ -145,19 +208,20 @@ void SequenceTrace::set_cell(Phase phase, int layer, int token,
   DAOP_CHECK_MSG(!has_nan(scores) && !has_nan(pred_scores),
                  "NaN gate score at layer " << layer << " token " << token);
   const std::size_t c = p.cell_index(layer, token);
-  std::copy(scores.begin(), scores.end(), p.scores_.begin() + c * E);
-  const std::span<ExpertId> ids(p.ids_.data() + c * K, K);
-  double* row = p.counts_.data() + static_cast<std::size_t>(layer) * E;
+  PhaseRouting::Blocks& b = p.own_blocks();
+  std::copy(scores.begin(), scores.end(), b.scores + c * E);
+  const std::span<ExpertId> ids(b.ids + c * K, K);
+  double* row = b.counts + static_cast<std::size_t>(layer) * E;
   for (const ExpertId e : ids) row[e] -= 1.0;
   topk_indices_into(scores, ids);
   for (const ExpertId e : ids) row[e] += 1.0;
   if (phase == Phase::Decode) {
-    p.has_pred_[c] = pred_scores.empty() ? 0 : 1;
+    b.has_pred[c] = pred_scores.empty() ? 0 : 1;
     if (!pred_scores.empty()) {
       std::copy(pred_scores.begin(), pred_scores.end(),
-                p.pred_scores_.begin() + c * E);
+                b.pred_scores + c * E);
       topk_indices_into(pred_scores,
-                        std::span<ExpertId>(p.pred_ids_.data() + c * K, K));
+                        std::span<ExpertId>(b.pred_ids + c * K, K));
     }
   }
 }

@@ -6,17 +6,33 @@
 // array (plus, for decode, one for the one-layer-ahead predictions), the
 // top-k expert ids of every cell, and the per-layer activation-count
 // matrix. Replay reads the stored ids and counts; nothing re-ranks a
-// recorded gate. TokenRouting and LayerTokens are read-only views into
-// those blocks, valid while the trace that produced them is alive and
-// unmodified. A trace is built by TraceGenerator::generate, load_trace, or
-// the shape constructor plus set_cell (hand-built traces).
+// recorded gate. A trace is built by TraceGenerator::generate, load_trace,
+// or the shape constructor plus set_cell (hand-built traces).
+//
+// Copy-on-write. A phase keeps its blocks in one reference-counted heap
+// buffer, so copying a trace (or a phase) shares them: a refcount bump, no
+// allocation. SequenceTrace::set_cell is the only writer; when the blocks
+// are shared it first clones them, so a write to one copy never shows in
+// another. The shape constructor (and load_trace) build fresh blocks; a
+// default-constructed trace allocates nothing.
+//
+// Views. TokenRouting and LayerTokens are read-only views into the blocks,
+// valid while the trace that produced them is alive and unmodified.
+//
+// Threads. Copying, reading and destroying copies of one trace from many
+// threads at once is safe, as for any const value. Concurrent set_cell
+// calls on disjoint cells are legal only on an unshared trace (no other
+// copy holds its blocks), as in TraceGenerator's per-layer tasks; a shared
+// trace would detach in each of them at once.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace daop::data {
@@ -116,6 +132,7 @@ struct LayerTokens {
 };
 
 /// One phase of a trace as flat blocks; iterates as a range of layers.
+/// Copies share the blocks (see the file comment).
 class PhaseRouting {
  public:
   /// The handle a layer iterator holds.
@@ -124,6 +141,27 @@ class PhaseRouting {
     LayerTokens operator[](std::size_t layer) const { return (*phase)[layer]; }
   };
   using iterator = IndexIterator<Ref, LayerTokens>;
+
+  PhaseRouting() = default;
+  /// Shares `o`'s blocks.
+  PhaseRouting(const PhaseRouting& o) noexcept
+      : n_layers_(o.n_layers_),
+        n_tokens_(o.n_tokens_),
+        n_experts_(o.n_experts_),
+        top_k_(o.top_k_),
+        blocks_(o.blocks_) {
+    if (blocks_ != nullptr) {
+      blocks_->refs.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  /// Takes `o`'s blocks, leaving `o` empty.
+  PhaseRouting(PhaseRouting&& o) noexcept { swap(o); }
+  /// Copy and move assignment (self-assignment included).
+  PhaseRouting& operator=(PhaseRouting o) noexcept {
+    swap(o);
+    return *this;
+  }
+  ~PhaseRouting() { release(); }
 
   /// Number of layers.
   std::size_t size() const { return static_cast<std::size_t>(n_layers_); }
@@ -141,16 +179,32 @@ class PhaseRouting {
   friend struct SequenceTrace;
   friend class LayerTokens::Tokens;
 
+  /// One heap buffer per phase: this header, then the blocks (the
+  /// counts, the scores and predictions, then the ids and flags, so each
+  /// block is aligned with no padding). Copies of the phase share the
+  /// buffer; the last one frees it.
+  struct Blocks {
+    std::atomic<int> refs{1};
+    std::size_t bytes = 0;             ///< the whole buffer
+    double* counts = nullptr;          ///< [layer][expert]
+    float* scores = nullptr;           ///< [layer][token][expert]
+    ExpertId* ids = nullptr;           ///< [layer][token][top_k]
+    // Decode only (null for prefill):
+    float* pred_scores = nullptr;      ///< [layer][token][expert]
+    ExpertId* pred_ids = nullptr;      ///< [layer][token][top_k]
+    std::uint8_t* has_pred = nullptr;  ///< [layer][token]
+  };
+
   /// The cell at (layer, token); indices are not checked.
   TokenRouting cell(int layer, int token) const {
     const std::size_t c = cell_index(layer, token);
     const auto E = static_cast<std::size_t>(n_experts_);
     const auto K = static_cast<std::size_t>(top_k_);
-    TokenRouting r{{scores_.data() + c * E, E}, {}, {ids_.data() + c * K, K},
-                   {}};
-    if (!has_pred_.empty() && has_pred_[c] != 0) {
-      r.pred_scores = {pred_scores_.data() + c * E, E};
-      r.predicted = {pred_ids_.data() + c * K, K};
+    const Blocks& b = *blocks_;
+    TokenRouting r{{b.scores + c * E, E}, {}, {b.ids + c * K, K}, {}};
+    if (b.has_pred != nullptr && b.has_pred[c] != 0) {
+      r.pred_scores = {b.pred_scores + c * E, E};
+      r.predicted = {b.pred_ids + c * K, K};
     }
     return r;
   }
@@ -158,13 +212,32 @@ class PhaseRouting {
   /// Tokens routed to each expert at `layer` (length n_experts); indices
   /// are not checked.
   std::span<const double> counts(int layer) const {
-    return {counts_.data() + static_cast<std::size_t>(layer) * n_experts_,
+    return {blocks_->counts + static_cast<std::size_t>(layer) * n_experts_,
             static_cast<std::size_t>(n_experts_)};
   }
 
-  /// Shapes the blocks for n_layers x n_tokens all-zero cells.
+  /// Shapes fresh blocks for n_layers x n_tokens all-zero cells.
   void reset(int n_layers, int n_tokens, int n_experts, int top_k,
              bool with_pred);
+
+  /// An unshared buffer laid out for this phase's dimensions, blocks
+  /// unset.
+  Blocks* allocate(bool with_pred) const;
+
+  /// The blocks, cloned first if another phase shares them; set_cell's
+  /// only way in.
+  Blocks& own_blocks();
+
+  /// Drops this phase's reference, freeing the blocks with the last one.
+  void release() noexcept;
+
+  void swap(PhaseRouting& o) noexcept {
+    std::swap(n_layers_, o.n_layers_);
+    std::swap(n_tokens_, o.n_tokens_);
+    std::swap(n_experts_, o.n_experts_);
+    std::swap(top_k_, o.top_k_);
+    std::swap(blocks_, o.blocks_);
+  }
 
   std::size_t cell_index(int layer, int token) const {
     return static_cast<std::size_t>(layer) *
@@ -176,13 +249,7 @@ class PhaseRouting {
   int n_tokens_ = 0;
   int n_experts_ = 0;
   int top_k_ = 0;
-  std::vector<float> scores_;        ///< [layer][token][expert]
-  std::vector<ExpertId> ids_;        ///< [layer][token][top_k]
-  std::vector<double> counts_;       ///< [layer][expert]
-  // Decode only (empty for prefill):
-  std::vector<float> pred_scores_;   ///< [layer][token][expert]
-  std::vector<ExpertId> pred_ids_;   ///< [layer][token][top_k]
-  std::vector<std::uint8_t> has_pred_;  ///< [layer][token]
+  Blocks* blocks_ = nullptr;  ///< null until reset
 };
 
 /// Complete routing trace of a single sequence through a model.
@@ -232,8 +299,10 @@ struct SequenceTrace {
   std::vector<std::vector<double>> decode_window_counts(int t0, int t1) const;
 
   /// Overwrites one cell and refreshes its stored ids and the phase's
-  /// counts. An empty `pred_scores` means no prediction; prefill cells
-  /// take none. NaN scores are rejected (they have no rank).
+  /// counts, first cloning the phase's blocks if another copy shares them
+  /// (so other copies keep their contents). An empty `pred_scores` means
+  /// no prediction; prefill cells take none. NaN scores are rejected (they
+  /// have no rank).
   void set_cell(Phase phase, int layer, int token,
                 std::span<const float> scores,
                 std::span<const float> pred_scores = {});

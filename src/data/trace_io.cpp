@@ -26,6 +26,15 @@ void read_scores(std::istringstream& line, std::vector<float>& out,
   }
 }
 
+/// Rejects anything left on a record line after its last field.
+void check_no_trailing(std::istringstream& line, const std::string& kind,
+                       int layer, int token) {
+  std::string extra;
+  DAOP_CHECK_MSG(!(line >> extra), "trailing '" << extra << "' on " << kind
+                                                << " record at layer " << layer
+                                                << " token " << token);
+}
+
 }  // namespace
 
 void save_trace(const SequenceTrace& trace, std::ostream& os) {
@@ -122,6 +131,7 @@ SequenceTrace load_trace(std::istream& is) {
     seen = 1;
     read_scores(ls, scores, "scores");
     if (is_prefill) {
+      check_no_trailing(ls, kind, l, t);
       trace.set_cell(Phase::Prefill, l, t, scores);
       ++prefill_cells;
       continue;
@@ -131,6 +141,7 @@ SequenceTrace load_trace(std::istream& is) {
     if (ls >> sep) {
       DAOP_CHECK_MSG(sep == "|", "expected '|' before predictions");
       read_scores(ls, pred, "pred");
+      check_no_trailing(ls, kind, l, t);
       trace.set_cell(Phase::Decode, l, t, scores, pred);
     } else {
       trace.set_cell(Phase::Decode, l, t, scores);

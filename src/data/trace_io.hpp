@@ -10,7 +10,8 @@
 //   header <n_layers> <n_experts> <top_k> <prompt_len> <gen_len>
 //   P <layer> <token> <score_0> ... <score_{E-1}>
 //   D <layer> <token> <score_0> ... <score_{E-1}> [| <pred_0> ... <pred_{E-1}>]
-// All (phase, layer, token) cells must be present exactly once. The header
+// All (phase, layer, token) cells must be present exactly once, each record
+// holding exactly its fields (trailing tokens are an error). The header
 // is validated before anything is sized from it: n_experts must fit a
 // stored expert id (<= kMaxTraceExperts) and n_layers x (prompt_len +
 // 2 gen_len) x n_experts must not overflow or exceed kMaxTraceScoreValues.

@@ -124,6 +124,59 @@ TEST(TraceIo, RejectsTruncatedScores) {
   EXPECT_THROW(load_trace(in), CheckError);
 }
 
+// A record holds exactly its fields; anything after them is an error
+// naming the record, never silently dropped.
+void expect_trailing_rejected(const std::string& text,
+                              const std::string& record) {
+  std::stringstream in(text);
+  try {
+    (void)load_trace(in);
+    ADD_FAILURE() << "accepted a record with trailing tokens";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("trailing"), std::string::npos) << what;
+    EXPECT_NE(what.find(record), std::string::npos) << what;
+  }
+}
+
+TEST(TraceIo, RejectsPrefillRecordWithExtraScores) {
+  // A 16-expert record under an 8-expert header.
+  expect_trailing_rejected(
+      "daop-trace v1\n"
+      "header 1 8 2 1 0\n"
+      "P 0 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16\n",
+      "P record at layer 0 token 0");
+}
+
+TEST(TraceIo, RejectsPrefillRecordWithPredictions) {
+  expect_trailing_rejected(
+      "daop-trace v1\n"
+      "header 1 2 1 2 0\n"
+      "P 0 0 1.0 2.0\n"
+      "P 0 1 1.0 2.0 | 2.0 1.0\n",
+      "P record at layer 0 token 1");
+}
+
+TEST(TraceIo, RejectsDecodeRecordWithExtraValuesAfterPredictions) {
+  expect_trailing_rejected(
+      "daop-trace v1\n"
+      "header 2 2 1 1 1\n"
+      "P 0 0 1.0 2.0\n"
+      "P 1 0 1.0 2.0\n"
+      "D 0 0 1.0 2.0\n"
+      "D 1 0 1.0 2.0 | 2.0 1.0 3.0\n",
+      "D record at layer 1 token 0");
+}
+
+TEST(TraceIo, RejectsDecodeRecordWithExtraScoresAndNoPredictions) {
+  std::stringstream in(
+      "daop-trace v1\n"
+      "header 1 2 1 1 1\n"
+      "P 0 0 1.0 2.0\n"
+      "D 0 0 1.0 2.0 3.0\n");
+  EXPECT_THROW(load_trace(in), CheckError);
+}
+
 TEST(TraceIo, RejectsBadHeader) {
   std::stringstream in(
       "daop-trace v1\n"

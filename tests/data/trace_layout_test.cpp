@@ -4,19 +4,24 @@
 // stored id is checked against an independent re-rank of its cell's scores
 // (ties included), every stored count against a recount, and save -> load
 // and copies against the original, over every dataset preset, several
-// seeds, two expert counts and three top-k widths. A counting global
-// operator new also pins the build cost: a fixed number of heap blocks,
-// whatever the trace length.
+// seeds, two expert counts and three top-k widths. Copies share their
+// blocks until set_cell writes one (copy-on-write); the tests below pin
+// that sharing, the isolation of a write, and view lifetimes across copies.
+// A counting global operator new also pins the costs: a build, and the
+// detach of a shared copy, take a fixed number of heap blocks whatever the
+// trace length, and a copy takes none.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <numeric>
 #include <span>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -264,6 +269,166 @@ TEST(TraceLayout, BuildAllocationsIndependentOfLength) {
     EXPECT_EQ(large.gen_len, 512);
     EXPECT_EQ(small.gen_len, 2);
   }
+}
+
+std::vector<float> floats(std::span<const float> s) {
+  return {s.begin(), s.end()};
+}
+
+/// `a` and `b` hold the same shape, scores, predictions, ids and counts.
+void expect_same_trace(const SequenceTrace& a, const SequenceTrace& b) {
+  ASSERT_EQ(a.n_experts, b.n_experts);
+  ASSERT_EQ(a.top_k, b.top_k);
+  expect_same_stored_routing(a, b);
+  for (const Phase phase : {Phase::Prefill, Phase::Decode}) {
+    const int n_tokens = phase == Phase::Prefill ? a.prompt_len : a.gen_len;
+    for (int l = 0; l < a.n_layers(); ++l) {
+      for (int t = 0; t < n_tokens; ++t) {
+        ASSERT_EQ(floats(a.at(phase, l, t).scores),
+                  floats(b.at(phase, l, t).scores));
+        ASSERT_EQ(floats(a.at(phase, l, t).pred_scores),
+                  floats(b.at(phase, l, t).pred_scores));
+      }
+    }
+  }
+}
+
+/// Scores that rank the experts in reverse index order.
+std::vector<float> descending_ids(int n_experts) {
+  std::vector<float> s(static_cast<std::size_t>(n_experts));
+  std::iota(s.begin(), s.end(), 0.0F);
+  return s;
+}
+
+TEST(TraceLayout, CopySharesBlocks) {
+  const TraceGenerator gen(c4(), 4, 8, 2, 5);
+  const SequenceTrace original = gen.generate(0, 6, 5);
+  const SequenceTrace copy = original;  // NOLINT(performance-*)
+  for (const Phase phase : {Phase::Prefill, Phase::Decode}) {
+    EXPECT_EQ(copy.at(phase, 2, 3).scores.data(),
+              original.at(phase, 2, 3).scores.data());
+    EXPECT_EQ(copy.counts(phase, 1).data(), original.counts(phase, 1).data());
+  }
+  EXPECT_EQ(copy.predicted(1, 0).data(), original.predicted(1, 0).data());
+}
+
+TEST(TraceLayout, SetCellOnACopyChangesOnlyTheCopy) {
+  const TraceGenerator gen(c4(), 4, 8, 2, 5);
+  const SequenceTrace original = gen.generate(0, 6, 5);
+  const SequenceTrace reference = gen.generate(0, 6, 5);  // private blocks
+  SequenceTrace copy = original;
+  const std::vector<float> scores = descending_ids(8);
+  std::vector<float> pred = scores;
+  std::reverse(pred.begin(), pred.end());
+  copy.set_cell(Phase::Decode, 1, 2, scores, pred);
+
+  expect_same_trace(original, reference);
+  EXPECT_NE(copy.at(Phase::Decode, 1, 2).scores.data(),
+            original.at(Phase::Decode, 1, 2).scores.data());
+  EXPECT_EQ(ids(copy.selected(Phase::Decode, 1, 2)), (std::vector<int>{7, 6}));
+  EXPECT_EQ(ids(copy.predicted(1, 2)), (std::vector<int>{0, 1}));
+  expect_stored_ids_match_rerank(copy);
+  // Only the written phase detached: prefill is still shared.
+  EXPECT_EQ(copy.at(Phase::Prefill, 0, 0).scores.data(),
+            original.at(Phase::Prefill, 0, 0).scores.data());
+
+  copy.set_cell(Phase::Prefill, 0, 0, scores);
+  expect_same_trace(original, reference);
+  EXPECT_EQ(ids(copy.selected(Phase::Prefill, 0, 0)), (std::vector<int>{7, 6}));
+  expect_stored_ids_match_rerank(copy);
+}
+
+TEST(TraceLayout, CopyAndDetachAllocationsIndependentOfLength) {
+  const TraceGenerator gen(c4(), 4, 8, 2, 5);
+  const std::vector<float> scores = descending_ids(8);
+  long long detach[2] = {};
+  int i = 0;
+  for (const auto [prompt, gen_len] : {std::pair{4, 2}, std::pair{256, 512}}) {
+    SCOPED_TRACE(::testing::Message() << prompt << "+" << gen_len);
+    const SequenceTrace original = gen.generate(0, prompt, gen_len);
+    long long before = allocs();
+    SequenceTrace copy = original;
+    EXPECT_EQ(allocs() - before, 0) << "a copy shares the blocks";
+    before = allocs();
+    copy.set_cell(Phase::Decode, 1, 0, scores);
+    detach[i++] = allocs() - before;
+    before = allocs();
+    copy.set_cell(Phase::Decode, 1, 1, scores);
+    EXPECT_EQ(allocs() - before, 0) << "an unshared phase writes in place";
+  }
+  EXPECT_GT(detach[0], 0);
+  EXPECT_EQ(detach[0], detach[1]);
+  const long long before = allocs();
+  const SequenceTrace empty;
+  EXPECT_EQ(allocs() - before, 0);
+  EXPECT_EQ(empty.n_layers(), 0);
+}
+
+TEST(TraceLayout, ViewsFromACopyOutliveTheOriginal) {
+  const TraceGenerator gen(c4(), 4, 8, 2, 5);
+  auto original = std::make_unique<SequenceTrace>(gen.generate(0, 6, 5));
+  const SequenceTrace copy = *original;
+  const TokenRouting cell = copy.at(Phase::Decode, 2, 4);
+  const LayerTokens layer = copy.prefill[3];
+  const std::span<const double> counts = copy.counts(Phase::Decode, 2);
+  original.reset();
+
+  const SequenceTrace reference = gen.generate(0, 6, 5);
+  const TokenRouting want = reference.at(Phase::Decode, 2, 4);
+  EXPECT_EQ(floats(cell.scores), floats(want.scores));
+  EXPECT_EQ(floats(cell.pred_scores), floats(want.pred_scores));
+  EXPECT_EQ(ids(cell.selected), ids(want.selected));
+  EXPECT_EQ(ids(cell.predicted), ids(want.predicted));
+  ASSERT_EQ(layer.tokens.size(), 6U);
+  for (std::size_t t = 0; t < layer.tokens.size(); ++t) {
+    EXPECT_EQ(floats(layer.tokens[t].scores),
+              floats(reference.at(Phase::Prefill, 3, static_cast<int>(t))
+                         .scores));
+  }
+  const std::span<const double> want_counts =
+      reference.counts(Phase::Decode, 2);
+  EXPECT_TRUE(std::equal(counts.begin(), counts.end(), want_counts.begin(),
+                         want_counts.end()));
+}
+
+TEST(TraceLayout, CopyMoveAndSelfAssignmentKeepBothSides) {
+  const TraceGenerator gen(c4(), 4, 8, 2, 5);
+  // Private references, built apart from the traces under test.
+  const SequenceTrace ref_a = gen.generate(0, 6, 5);
+  const SequenceTrace ref_b = gen.generate(1, 3, 7);
+  const std::vector<float> scores = descending_ids(8);
+
+  SequenceTrace a = gen.generate(0, 6, 5);
+  SequenceTrace b = gen.generate(1, 3, 7);
+  a = b;  // a's old blocks are freed here
+  expect_same_trace(a, ref_b);
+  expect_same_trace(b, ref_b);
+  a.set_cell(Phase::Decode, 0, 0, scores);
+  expect_same_trace(b, ref_b);
+  b.set_cell(Phase::Prefill, 1, 1, scores);
+  EXPECT_EQ(ids(a.selected(Phase::Prefill, 1, 1)),
+            ids(ref_b.selected(Phase::Prefill, 1, 1)));
+  EXPECT_EQ(ids(a.selected(Phase::Decode, 0, 0)), (std::vector<int>{7, 6}));
+
+  SequenceTrace c = gen.generate(0, 6, 5);
+  SequenceTrace d = c;
+  a = std::move(c);  // a now shares with d
+  expect_same_trace(a, ref_a);
+  expect_same_trace(d, ref_a);
+  d.set_cell(Phase::Decode, 3, 1, scores);
+  expect_same_trace(a, ref_a);
+  c = d;  // a moved-from trace takes a copy
+  expect_same_trace(c, d);
+
+  SequenceTrace& alias = a;
+  a = alias;
+  expect_same_trace(a, ref_a);
+  a = std::move(alias);
+  expect_same_trace(a, ref_a);
+  const float* in_place = a.at(Phase::Decode, 3, 1).scores.data();
+  a.set_cell(Phase::Decode, 3, 1, scores);  // sole owner: writes in place
+  EXPECT_EQ(a.at(Phase::Decode, 3, 1).scores.data(), in_place);
+  expect_same_trace(a, d);
 }
 
 }  // namespace

@@ -7,8 +7,9 @@
 //  - a decode step on a private timeline with no tracer or profiler makes
 //    no heap allocation at all once the session is warm.
 // A counting global operator new makes every allocation in this binary
-// visible; a regression that reintroduces a per-session trace copy or a
-// per-layer vector fails here before it shows up as lost throughput.
+// visible; a regression that reintroduces a per-session deep copy of the
+// trace or a per-layer vector fails here before it shows up as lost
+// throughput.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -203,19 +204,31 @@ TEST(SessionAlloc, OpenAndPrefillArePromptLengthIndependent) {
   }
 }
 
-// The budgets above are only meaningful if the counter sees allocations. A
-// trace is a fixed handful of flat blocks, so a copy allocates the same
-// number of times at any length.
+// The budgets above are only meaningful if the counter sees allocations.
+// The witness is building a trace: one buffer per phase, the same number
+// of allocations at any length. Copying a trace shares those buffers, so a
+// copy of either length allocates nothing.
 TEST(SessionAlloc, CounterObservesTraceCopies) {
   const Rig rig;
+  const auto shaped = [&rig](int prompt_len, int gen_len) {
+    return data::SequenceTrace(rig.cfg.n_layers, rig.cfg.n_experts,
+                               rig.cfg.top_k, prompt_len, gen_len);
+  };
   long long before = allocs();
-  const data::SequenceTrace short_copy = rig.short_trace;
+  const data::SequenceTrace short_built = shaped(64, 32);
   const long long short_allocs = allocs() - before;
   before = allocs();
-  const data::SequenceTrace long_copy = rig.long_trace;
+  const data::SequenceTrace long_built = shaped(256, 512);
   const long long long_allocs = allocs() - before;
   EXPECT_GT(short_allocs, 0);
   EXPECT_EQ(short_allocs, long_allocs);
+
+  before = allocs();
+  const data::SequenceTrace short_copy = short_built;
+  EXPECT_EQ(allocs() - before, 0);
+  before = allocs();
+  const data::SequenceTrace long_copy = long_built;
+  EXPECT_EQ(allocs() - before, 0);
   EXPECT_EQ(short_copy.gen_len, 32);
   EXPECT_EQ(long_copy.gen_len, 512);
 }
