@@ -16,12 +16,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "../testing/golden.hpp"
 #include "../testing/helpers.hpp"
 #include "cache/arbiter.hpp"
 #include "cache/calibration.hpp"
+#include "cache/expert_cache.hpp"
 #include "data/trace_generator.hpp"
 #include "engines/session.hpp"
 #include "eval/speed.hpp"
@@ -30,6 +34,10 @@
 #include "recovery/snapshot.hpp"
 #include "sim/fault_model.hpp"
 #include "sim/timeline.hpp"
+
+#ifndef DAOP_GOLDEN_DIR
+#error "DAOP_GOLDEN_DIR must be defined by the build"
+#endif
 
 namespace daop::recovery {
 namespace {
@@ -595,6 +603,103 @@ TEST(SessionSnapshot, ResumeFloorShiftsTheRestoredFrontier) {
   }
   const engines::RunResult r = b.session->close();
   EXPECT_EQ(r.generated_tokens, fx.trace.gen_len);
+}
+
+// ---------------------------------------------------------------------------
+// Golden digests of the `daop-ckpt/1` bytes themselves. The round-trip tests
+// above only prove that an encoder agrees with its own decoder; this pins
+// the wire format: DAOP sessions on a private placement (calm and under
+// hazards, so the fault-stream cursor is written) and three DAOP sessions
+// interleaved on one shared timeline under a PlacementArbiter with an lfu
+// cache (pins and a placement that moves mid-decode), each checkpointed
+// every 4th decode step. Regenerate (only after an INTENTIONAL format
+// change, together with kPayloadVersion) with:
+//   DAOP_UPDATE_GOLDENS=1 ./recovery_snapshot_test
+
+/// One line per checkpoint: request, step, blob size, FNV-1a of the bytes.
+void append_digest(std::ostringstream& os, const engines::SequenceSession& s) {
+  const std::vector<std::uint8_t> blob = s.checkpoint();
+  os << "req " << s.request_id() << " step " << s.tokens_generated()
+     << " bytes " << blob.size() << " fnv1a "
+     << daop::testing::fnv1a_hex(std::string(blob.begin(), blob.end()))
+     << "\n";
+}
+
+std::string private_digests(std::uint64_t seed, const char* hazard) {
+  const SessionFixture fx(seed);
+  const sim::HazardScenario hz =
+      hazard[0] == '\0' ? sim::HazardScenario{}
+                        : sim::make_hazard_scenario(hazard, 0.8);
+  LiveSession ls = open_live(fx, eval::EngineKind::Daop, hz, seed);
+  std::ostringstream os;
+  os << "[private | seed " << seed << " | hazard "
+     << (hazard[0] == '\0' ? "none" : hazard) << "]\n";
+  ls.session->prefill();
+  while (ls.session->decode_step()) {
+    if (ls.session->tokens_generated() % 4 == 0 &&
+        !ls.session->decode_done()) {
+      append_digest(os, *ls.session);
+    }
+  }
+  (void)ls.session->close();
+  return os.str();
+}
+
+std::string shared_digests(std::uint64_t seed) {
+  const SessionFixture fx(seed);
+  cache::ExpertCacheOptions copt;
+  copt.policy = cache::CachePolicy::kLfu;
+  copt.realloc_interval = 2;
+  cache::ExpertCache ecache(copt, fx.cfg.n_layers, fx.cfg.n_experts);
+  cache::PlacementArbiter arbiter(fx.placement);
+  sim::Timeline tl;
+  const std::unique_ptr<engines::Engine> engine =
+      eval::make_engine(eval::EngineKind::Daop, fx.costs, fx.dcfg);
+  const data::TraceGenerator gen(data::c4(), fx.cfg.n_layers,
+                                 fx.cfg.n_experts, fx.cfg.top_k, seed + 1);
+  std::vector<data::SequenceTrace> traces;
+  for (int i = 0; i < 3; ++i) traces.push_back(gen.generate(i, 16 + 4 * i, 12));
+  std::vector<std::unique_ptr<engines::SequenceSession>> sessions;
+  for (int i = 0; i < 3; ++i) {
+    engines::SessionEnv env;
+    env.timeline = &tl;
+    env.request_id = 100 + i;
+    env.arbiter = &arbiter;
+    env.cache = &ecache;
+    env.shared = true;
+    sessions.push_back(
+        engine->open_session(traces[static_cast<std::size_t>(i)],
+                             arbiter.placement(), env));
+    sessions.back()->prefill();
+  }
+  std::ostringstream os;
+  os << "[shared arbiter + lfu | seed " << seed << "]\n";
+  for (bool any = true; any;) {
+    any = false;
+    for (const auto& s : sessions) {
+      if (!s->decode_step()) continue;
+      any = true;
+      if (s->tokens_generated() % 4 == 0 && !s->decode_done()) {
+        append_digest(os, *s);
+      }
+    }
+  }
+  os << "swaps " << ecache.fills() << " refusals " << ecache.refusals().size()
+     << "\n";
+  for (const auto& s : sessions) (void)s->close();
+  EXPECT_EQ(arbiter.total_pin_count(), 0);
+  return os.str();
+}
+
+TEST(SessionSnapshot, CheckpointBytesMatchGoldenDigests) {
+  std::string actual;
+  for (const std::uint64_t seed : {7, 23}) {
+    actual += private_digests(seed, "");
+    actual += private_digests(seed, "all");
+    actual += shared_digests(seed);
+  }
+  daop::testing::expect_matches_golden(DAOP_GOLDEN_DIR "/checkpoint_blobs.golden",
+                                       actual);
 }
 
 }  // namespace
