@@ -11,34 +11,19 @@ PlacementArbiter::PlacementArbiter(Placement initial)
     : placement_(std::move(initial)),
       pins_(static_cast<std::size_t>(placement_.n_layers()) *
             static_cast<std::size_t>(placement_.n_experts())),
-      weight_ready_(pins_.size(), 0.0) {}
-
-std::size_t PlacementArbiter::idx(int layer, int expert) const {
-  DAOP_CHECK_GE(layer, 0);
-  DAOP_CHECK_LT(layer, placement_.n_layers());
-  DAOP_CHECK_GE(expert, 0);
-  DAOP_CHECK_LT(expert, placement_.n_experts());
-  return static_cast<std::size_t>(layer) *
-             static_cast<std::size_t>(placement_.n_experts()) +
-         static_cast<std::size_t>(expert);
-}
-
-void PlacementArbiter::pin(int layer, int expert, long long session) {
-  ++pins_[idx(layer, expert)][session];
-}
-
-void PlacementArbiter::unpin(int layer, int expert, long long session) {
-  auto& holders = pins_[idx(layer, expert)];
-  const auto it = holders.find(session);
-  DAOP_CHECK_MSG(it != holders.end(),
-                 "unpin without matching pin: layer " << layer << " expert "
-                                                      << expert << " session "
-                                                      << session);
-  if (--it->second == 0) holders.erase(it);
+      weight_ready_(pins_.size(), 0.0) {
+  // Room up front for the holders of a 4-slot batch, so pin() allocates
+  // only when more sessions than that compute with one expert at once.
+  for (Holders& holders : pins_) holders.reserve(4);
 }
 
 void PlacementArbiter::unpin_session(long long session) {
-  for (auto& holders : pins_) holders.erase(session);
+  for (Holders& holders : pins_) {
+    const auto it = holder_of(holders, session);
+    if (it == holders.end()) continue;
+    *it = holders.back();
+    holders.pop_back();
+  }
 }
 
 int PlacementArbiter::pin_count(int layer, int expert) const {
@@ -61,7 +46,7 @@ std::vector<long long> PlacementArbiter::pinning_sessions(int layer,
                                                           int expert) const {
   std::vector<long long> out;
   for (const auto& [holder, count] : pins_[idx(layer, expert)]) {
-    if (count > 0) out.push_back(holder);
+    out.push_back(holder);
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -69,18 +54,10 @@ std::vector<long long> PlacementArbiter::pinning_sessions(int layer,
 
 int PlacementArbiter::total_pin_count() const {
   int n = 0;
-  for (const auto& holders : pins_) {
+  for (const Holders& holders : pins_) {
     for (const auto& [session, count] : holders) n += count;
   }
   return n;
-}
-
-bool PlacementArbiter::pinned_by_other(int layer, int expert,
-                                       long long session) const {
-  for (const auto& [holder, count] : pins_[idx(layer, expert)]) {
-    if (holder != session && count > 0) return true;
-  }
-  return false;
 }
 
 bool PlacementArbiter::try_swap(int layer, int expert_in, int expert_out,

@@ -21,10 +21,12 @@
 // by threads.
 #pragma once
 
-#include <unordered_map>
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "cache/placement.hpp"
+#include "common/check.hpp"
 
 namespace daop::cache {
 
@@ -36,9 +38,30 @@ class PlacementArbiter {
   const Placement& placement() const { return placement_; }
 
   /// Pins (layer, expert) for `session`. Pins nest: each pin() needs a
-  /// matching unpin() — or a final unpin_session() — to release.
-  void pin(int layer, int expert, long long session);
-  void unpin(int layer, int expert, long long session);
+  /// matching unpin() — or a final unpin_session() — to release. Inline,
+  /// like pinned_by_other: every decode step of every shared session pins
+  /// and releases its working set.
+  void pin(int layer, int expert, long long session) {
+    Holders& holders = pins_[idx(layer, expert)];
+    const auto it = holder_of(holders, session);
+    if (it != holders.end()) {
+      ++it->second;
+    } else {
+      holders.emplace_back(session, 1);
+    }
+  }
+  void unpin(int layer, int expert, long long session) {
+    Holders& holders = pins_[idx(layer, expert)];
+    const auto it = holder_of(holders, session);
+    DAOP_CHECK_MSG(it != holders.end(),
+                   "unpin without matching pin: layer "
+                       << layer << " expert " << expert << " session "
+                       << session);
+    if (--it->second == 0) {
+      *it = holders.back();
+      holders.pop_back();
+    }
+  }
   /// Drops every pin `session` holds (called when a session closes).
   void unpin_session(long long session);
 
@@ -55,7 +78,12 @@ class PlacementArbiter {
   /// leak pins through preemption or close).
   int total_pin_count() const;
   /// True when any session other than `session` pins (layer, expert).
-  bool pinned_by_other(int layer, int expert, long long session) const;
+  bool pinned_by_other(int layer, int expert, long long session) const {
+    for (const auto& [holder, count] : pins_[idx(layer, expert)]) {
+      if (holder != session) return true;
+    }
+    return false;
+  }
 
   /// Swap arbitration: performs `expert_out` -> `expert_in` on `layer` and
   /// returns true, unless `expert_out` is pinned by a session other than
@@ -75,11 +103,34 @@ class PlacementArbiter {
   void set_weight_ready(int layer, int expert, double t);
 
  private:
-  std::size_t idx(int layer, int expert) const;
+  std::size_t idx(int layer, int expert) const {
+    DAOP_CHECK_GE(layer, 0);
+    DAOP_CHECK_LT(layer, placement_.n_layers());
+    DAOP_CHECK_GE(expert, 0);
+    DAOP_CHECK_LT(expert, placement_.n_experts());
+    return static_cast<std::size_t>(layer) *
+               static_cast<std::size_t>(placement_.n_experts()) +
+           static_cast<std::size_t>(expert);
+  }
+
+  /// The (session, nested count) holders of one (layer, expert) cell. A
+  /// cell rarely has more than a few holders (one per in-flight session
+  /// computing with the expert), so a flat list scanned linearly beats a
+  /// hash map, and once warm it never allocates: a released holder is
+  /// removed by swap-with-last and the cell keeps its capacity. Holder
+  /// order is arbitrary; every query is order-independent or sorts.
+  using Holders = std::vector<std::pair<long long, int>>;
+
+  /// The holder entry of `session` in a cell, or end() when it pins nothing.
+  static Holders::iterator holder_of(Holders& holders, long long session) {
+    return std::find_if(
+        holders.begin(), holders.end(),
+        [session](const auto& h) { return h.first == session; });
+  }
 
   Placement placement_;
-  /// Per-(layer, expert) pin refcount keyed by session id.
-  std::vector<std::unordered_map<long long, int>> pins_;
+  /// Per-(layer, expert) holders; every listed count is positive.
+  std::vector<Holders> pins_;
   std::vector<double> weight_ready_;
 };
 

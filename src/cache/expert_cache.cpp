@@ -128,12 +128,17 @@ void ExpertCache::note_use(int layer, int expert, long long session,
   const std::size_t i = idx(layer, expert);
   last_use_[i] = std::max(last_use_[i], t);
   freq_[i] += 1.0;
+  // Only kReusePredictor ever reads the per-session signatures.
+  if (opt_.policy != CachePolicy::kReusePredictor) return;
   auto it = live_.find(session);
   if (it != live_.end()) it->second[i] += 1.0;
 }
 
 double ExpertCache::score(int layer, int expert) const {
-  const std::size_t i = idx(layer, expert);
+  return score_at(idx(layer, expert));
+}
+
+double ExpertCache::score_at(std::size_t i) const {
   switch (opt_.policy) {
     case CachePolicy::kFrozen:
       return 0.0;
@@ -174,11 +179,14 @@ std::vector<PlannedSwap> ExpertCache::plan(const Placement& placement,
     // Potential victims: GPU residents not pinned by another session
     // (pinned working sets are inviolable — their demand is live by
     // definition). Candidates: every CPU resident.
-    std::vector<std::pair<double, int>> victims;
-    std::vector<std::pair<double, int>> candidates;
+    std::vector<std::pair<double, int>>& victims = victims_;
+    std::vector<std::pair<double, int>>& candidates = candidates_;
+    victims.clear();
+    candidates.clear();
     double lo = 0.0, hi = 0.0;
+    const std::size_t row = idx(l, 0);
     for (int e = 0; e < n_experts_; ++e) {
-      const double s = score(l, e);
+      const double s = score_at(row + static_cast<std::size_t>(e));
       if (e == 0) lo = hi = s;
       lo = std::min(lo, s);
       hi = std::max(hi, s);
@@ -195,18 +203,24 @@ std::vector<PlannedSwap> ExpertCache::plan(const Placement& placement,
     // is meaningful whether scores are timestamps (lru) or counts (lfu).
     const double margin = opt_.hysteresis * (hi - lo);
     // Weakest victims first, strongest candidates first; ties break on
-    // lower expert id so plans are deterministic.
-    std::sort(victims.begin(), victims.end(),
-              [](const auto& a, const auto& b) {
-                return a.first != b.first ? a.first < b.first
-                                          : a.second < b.second;
-              });
-    std::sort(candidates.begin(), candidates.end(),
-              [](const auto& a, const auto& b) {
-                return a.first != b.first ? a.first > b.first
-                                          : a.second < b.second;
-              });
-    const std::size_t pairs = std::min(victims.size(), candidates.size());
+    // lower expert id so plans are deterministic. Only the first `pairs`
+    // of each order can be matched under the remaining budget, and the
+    // order is total, so a partial sort yields the same pairs.
+    const std::size_t pairs =
+        std::min({victims.size(), candidates.size(),
+                  static_cast<std::size_t>(budget)});
+    std::partial_sort(victims.begin(),
+                      victims.begin() + static_cast<std::ptrdiff_t>(pairs),
+                      victims.end(), [](const auto& a, const auto& b) {
+                        return a.first != b.first ? a.first < b.first
+                                                  : a.second < b.second;
+                      });
+    std::partial_sort(candidates.begin(),
+                      candidates.begin() + static_cast<std::ptrdiff_t>(pairs),
+                      candidates.end(), [](const auto& a, const auto& b) {
+                        return a.first != b.first ? a.first > b.first
+                                                  : a.second < b.second;
+                      });
     for (std::size_t k = 0; k < pairs && budget > 0; ++k) {
       // Pairs are matched best-candidate-to-weakest-victim, so the first
       // failing pair ends the layer.

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/placement.hpp"
@@ -172,6 +173,8 @@ class ExpertCache {
 
  private:
   std::size_t idx(int layer, int expert) const;
+  /// score() of the flat cell index `i` (already bounds-checked).
+  double score_at(std::size_t i) const;
 
   ExpertCacheOptions opt_;
   int n_layers_ = 0;
@@ -187,6 +190,12 @@ class ExpertCache {
   // the prefill trace and updated by note_use. Ordered map so aggregate
   // scores sum in deterministic session order.
   std::map<long long, std::vector<double>> live_;
+
+  // plan() scratch: one layer's (score, expert) victims and candidates,
+  // reused across layers and scans so a scan that plans no swap allocates
+  // nothing once warm.
+  std::vector<std::pair<double, int>> victims_;
+  std::vector<std::pair<double, int>> candidates_;
 
   std::vector<CacheEvent> ledger_;
   std::vector<CacheRefusal> refusals_;

@@ -16,16 +16,6 @@ Placement::Placement(int n_layers, int n_experts)
   gpu_count_.assign(static_cast<std::size_t>(n_layers), 0);
 }
 
-int Placement::index(int layer, int expert) const {
-  DAOP_CHECK(layer >= 0 && layer < n_layers_);
-  DAOP_CHECK(expert >= 0 && expert < n_experts_);
-  return layer * n_experts_ + expert;
-}
-
-Device Placement::device(int layer, int expert) const {
-  return device_[static_cast<std::size_t>(index(layer, expert))];
-}
-
 int Placement::capacity(int layer) const {
   DAOP_CHECK(layer >= 0 && layer < n_layers_);
   return capacity_[static_cast<std::size_t>(layer)];

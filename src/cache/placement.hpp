@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/check.hpp"
+
 namespace daop::cache {
 
 enum class Device : std::uint8_t { Cpu = 0, Gpu = 1 };
@@ -21,7 +23,10 @@ class Placement {
   int n_layers() const { return n_layers_; }
   int n_experts() const { return n_experts_; }
 
-  Device device(int layer, int expert) const;
+  /// Inline: every scheduling decision of every engine asks this.
+  Device device(int layer, int expert) const {
+    return device_[static_cast<std::size_t>(index(layer, expert))];
+  }
   bool on_gpu(int layer, int expert) const {
     return device(layer, expert) == Device::Gpu;
   }
@@ -50,7 +55,11 @@ class Placement {
   double ecr() const;
 
  private:
-  int index(int layer, int expert) const;
+  int index(int layer, int expert) const {
+    DAOP_CHECK(layer >= 0 && layer < n_layers_);
+    DAOP_CHECK(expert >= 0 && expert < n_experts_);
+    return layer * n_experts_ + expert;
+  }
 
   int n_layers_;
   int n_experts_;

@@ -359,6 +359,19 @@ EngineCounters read_counters(recovery::ByteReader& r) {
   return c;
 }
 
+// Payload bytes of checkpoint() that do not depend on the session's shape:
+// version, name length, request id, four i32 lengths/steps, four f64 times,
+// the counters, the pin count, the two presence flags, two fault-stream
+// cursors (4 u64 words, seed, flag, cached normal), the policy length and
+// the placement image's two dimensions.
+constexpr std::size_t kBaseBytes = 4 + 4 + 8 + 4 * 4 + 4 * 8 +
+                                   sizeof(EngineCounters) + 4 + 1 + 1 +
+                                   2 * (5 * 8 + 1 + 8) + 4 + 8;
+// Bound on the policy state an engine writes per (layer, expert) cell (the
+// fetch engines write 26 bytes, DAOP 16), so the reservation above holds a
+// whole checkpoint. A larger state stays correct; its buffer just regrows.
+constexpr std::size_t kPolicyBytesPerCell = 32;
+
 void write_rng_state(recovery::ByteWriter& w, const Rng::State& s) {
   for (const std::uint64_t v : s.s) w.u64(v);
   w.u64(s.seed);
@@ -381,10 +394,18 @@ std::vector<std::uint8_t> SequenceSession::checkpoint() const {
   DAOP_CHECK_MSG(phase_ == Phase::kDecoding,
                  "checkpoint() is only valid mid-decode");
   DAOP_CHECK_MSG(!parked_, "checkpoint() on a parked session");
-  recovery::ByteWriter policy;
-  if (!save_policy_state(policy)) return {};
-
+  const cache::Placement* placement = effective_placement();
+  const std::size_t cells = static_cast<std::size_t>(trace_.n_layers()) *
+                            static_cast<std::size_t>(trace_.n_experts);
+  // One pass into one buffer: the frame header, then the payload in place.
+  // The reservation is exact for the base fields and bounds the placement
+  // image and the policy state by their per-(layer, expert) sizes.
   recovery::ByteWriter w;
+  w.reserve(recovery::kSealHeaderSize + kBaseBytes + name_.size() +
+            8 * bufs_->step_pins.size() +
+            (kPolicyBytesPerCell + 1) * cells +
+            4 * static_cast<std::size_t>(trace_.n_layers()));
+  recovery::begin_seal(w);
   w.u32(kPayloadVersion);
   w.str(name_);
   w.i64(request_id_);
@@ -405,21 +426,21 @@ std::vector<std::uint8_t> SequenceSession::checkpoint() const {
     w.i32(layer);
     w.i32(expert);
   }
-  const cache::Placement* placement = effective_placement();
   w.u8(placement != nullptr ? 1 : 0);
-  if (placement != nullptr) {
-    recovery::write_placement_image(w,
-                                    recovery::capture_placement(*placement));
-  }
+  if (placement != nullptr) recovery::write_placement(w, *placement);
   w.u8(fault_ != nullptr ? 1 : 0);
   if (fault_ != nullptr) {
     const sim::FaultModel::StreamCursor cursor = fault_->stream_cursor();
     write_rng_state(w, cursor.transfer);
     write_rng_state(w, cursor.load);
   }
-  w.u32(static_cast<std::uint32_t>(policy.data().size()));
-  w.bytes(policy.data().data(), policy.data().size());
-  return recovery::seal(w.data());
+  // The policy state is the payload's tail, behind its byte length.
+  const std::size_t policy_len_at = w.size();
+  w.u32(0);
+  if (!save_policy_state(w)) return {};
+  w.patch_u32(policy_len_at,
+              static_cast<std::uint32_t>(w.size() - policy_len_at - 4));
+  return recovery::end_seal(w);
 }
 
 bool SequenceSession::restore(const std::vector<std::uint8_t>& sealed,

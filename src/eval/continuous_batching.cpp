@@ -113,6 +113,15 @@ ContinuousBatchingScheduler::run() {
     o.retries = p.attempts;
     return o;
   };
+  // pick_candidate(kInf), the earliest deadline among ALL pending requests,
+  // depends only on which requests wait and in what order. The preemption
+  // check asks for it at every decision while the slots are full, so it is
+  // kept until a request leaves the queue (kNone = not computed).
+  std::size_t edf_all = kNone;
+  const auto erase_pending = [&](std::size_t idx) {
+    pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(idx));
+    edf_all = kNone;
+  };
   const auto shed = [&](std::size_t idx, ShedReason reason, double t) {
     Outcome o = unadmitted(pending_[idx]);
     o.shed = true;
@@ -127,7 +136,7 @@ ContinuousBatchingScheduler::run() {
                       t);
     }
     outcomes_.push_back(std::move(o));
-    pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(idx));
+    erase_pending(idx);
   };
 
   // Policy choice among the waiting queue: which pending request the next
@@ -147,12 +156,17 @@ ContinuousBatchingScheduler::run() {
         }
       }
     } else {  // deadline-edf: earliest deadline among arrived.
-      for (std::size_t i = 0; i < pending_.size(); ++i) {
-        if (pending_[i].eff_arrival > t_free) continue;
-        if (best == kNone ||
-            deadline_of(pending_[i]) < deadline_of(pending_[best])) {
-          best = i;
+      double best_deadline = kInf;
+      std::size_t i = 0;
+      for (const Pending& p : pending_) {
+        if (p.eff_arrival <= t_free) {
+          const double d = deadline_of(p);
+          if (best == kNone || d < best_deadline) {
+            best = i;
+            best_deadline = d;
+          }
         }
+        ++i;
       }
     }
     if (best != kNone) return best;
@@ -207,7 +221,8 @@ ContinuousBatchingScheduler::run() {
         t_admit = std::max(pending_[cand].eff_arrival, free_slots_[slot_a]);
       } else if (ov.preempt &&
                  ov.admission == AdmissionPolicy::kDeadlineEdf) {
-        const std::size_t c = pick_candidate(kInf);
+        if (edf_all == kNone) edf_all = pick_candidate(kInf);
+        const std::size_t c = edf_all;
         const std::size_t v = pick_victim(deadline_of(pending_[c]));
         if (v != kNone) {
           cand = c;
@@ -305,7 +320,7 @@ ContinuousBatchingScheduler::run() {
           continue;
         }
         outcomes_.push_back(unadmitted(head));
-        pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(cand));
+        erase_pending(cand);
         ts.dropped();
         continue;
       }
@@ -362,7 +377,7 @@ ContinuousBatchingScheduler::run() {
       free_slots_.erase(free_slots_.begin() +
                         static_cast<std::ptrdiff_t>(slot_a));
       active_.push_back(std::move(a));
-      pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(cand));
+      erase_pending(cand);
       continue;
     }
 

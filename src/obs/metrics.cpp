@@ -12,20 +12,6 @@ namespace {
 
 std::string fmt_value(double v) { return format_metric_value(v); }
 
-std::string escape_label(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 std::string label_key(const Labels& labels) {
   return serialize_label_set(labels);
 }
@@ -40,7 +26,7 @@ std::string label_key_with(const Labels& labels, const std::string& extra_k,
 
 std::string json_escape(const std::string& s) { return json_escape_string(s); }
 
-bool valid_metric_name(const std::string& name) {
+bool valid_metric_name(std::string_view name) {
   if (name.empty()) return false;
   for (char c : name) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
@@ -98,14 +84,29 @@ std::string json_escape_string(const std::string& s) {
 }
 
 std::string serialize_label_set(const Labels& labels) {
-  if (labels.empty()) return "";
-  std::string out = "{";
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (i != 0) out += ",";
-    out += labels[i].first + "=\"" + escape_label(labels[i].second) + "\"";
-  }
-  out += "}";
+  std::string out;
+  append_label_set(out, labels);
   return out;
+}
+
+void append_label_set(std::string& out, const Labels& labels) {
+  if (labels.empty()) return;
+  out += '{';
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    if (i != 0) out += ',';
+    out += labels[i].first;
+    out += "=\"";
+    for (const char c : labels[i].second) {
+      switch (c) {
+        case '\\': out += "\\\\"; break;
+        case '"': out += "\\\""; break;
+        case '\n': out += "\\n"; break;
+        default: out += c;
+      }
+    }
+    out += '"';
+  }
+  out += '}';
 }
 
 // ---------------------------------------------------------------------------
@@ -302,13 +303,14 @@ HistogramData Histogram::snapshot() const {
 // ---------------------------------------------------------------------------
 // MetricsRegistry
 
-MetricsRegistry::Family& MetricsRegistry::family(const std::string& name,
-                                                 const std::string& help,
+MetricsRegistry::Family& MetricsRegistry::family(std::string_view name,
+                                                 std::string_view help,
                                                  Type type) {
-  DAOP_CHECK_MSG(valid_metric_name(name),
-                 "invalid metric name '" << name << "'");
-  auto [it, inserted] = families_.try_emplace(name);
-  if (inserted) {
+  auto it = families_.find(name);
+  if (it == families_.end()) {
+    DAOP_CHECK_MSG(valid_metric_name(name),
+                   "invalid metric name '" << name << "'");
+    it = families_.try_emplace(std::string(name)).first;
     it->second.type = type;
     it->second.help = help;
   } else {
@@ -319,8 +321,7 @@ MetricsRegistry::Family& MetricsRegistry::family(const std::string& name,
   return it->second;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name,
-                                  const std::string& help,
+Counter& MetricsRegistry::counter(std::string_view name, std::string_view help,
                                   const Labels& labels) {
   std::lock_guard<std::mutex> lock(mu_);
   Family& f = family(name, help, Type::Counter);
@@ -333,7 +334,7 @@ Counter& MetricsRegistry::counter(const std::string& name,
   return *it->second;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name, const std::string& help,
+Gauge& MetricsRegistry::gauge(std::string_view name, std::string_view help,
                               const Labels& labels) {
   std::lock_guard<std::mutex> lock(mu_);
   Family& f = family(name, help, Type::Gauge);
@@ -346,8 +347,8 @@ Gauge& MetricsRegistry::gauge(const std::string& name, const std::string& help,
   return *it->second;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      const std::string& help,
+Histogram& MetricsRegistry::histogram(std::string_view name,
+                                      std::string_view help,
                                       const std::vector<double>& bounds,
                                       const Labels& labels) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -13,6 +13,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -67,6 +68,9 @@ std::string json_escape_string(const std::string& s);
 /// Serialized label set, e.g. {engine="DAOP",device="gpu"}; "" when empty.
 /// Labels keep their given order (callers use a fixed order per family).
 std::string serialize_label_set(const Labels& labels);
+/// Appends serialize_label_set(labels) to `out` (lets hot callers build
+/// series keys in reused storage).
+void append_label_set(std::string& out, const Labels& labels);
 
 /// One immutable, copyable view of a registry's entire state, taken by
 /// MetricsRegistry::snapshot(). This is the time-series recorder's
@@ -136,6 +140,10 @@ class Histogram {
 /// Registry of metric families. Thread-safe: instrument lookup and updates
 /// may race freely; integer-valued counter increments stay exact (and thus
 /// export byte-identically) regardless of thread interleaving.
+///
+/// Lookups are allocation-free once a series exists: names and help text
+/// are string_views looked up through transparent maps, and a metric name
+/// is validated only when its family is first registered.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -144,11 +152,11 @@ class MetricsRegistry {
 
   /// Get-or-create. Re-registering a name with a different instrument type
   /// (or a histogram with different buckets) is a hard error.
-  Counter& counter(const std::string& name, const std::string& help,
+  Counter& counter(std::string_view name, std::string_view help,
                    const Labels& labels = {});
-  Gauge& gauge(const std::string& name, const std::string& help,
+  Gauge& gauge(std::string_view name, std::string_view help,
                const Labels& labels = {});
-  Histogram& histogram(const std::string& name, const std::string& help,
+  Histogram& histogram(std::string_view name, std::string_view help,
                        const std::vector<double>& bounds,
                        const Labels& labels = {});
 
@@ -180,10 +188,10 @@ class MetricsRegistry {
     std::map<std::string, Labels> label_sets;
   };
 
-  Family& family(const std::string& name, const std::string& help, Type type);
+  Family& family(std::string_view name, std::string_view help, Type type);
 
   mutable std::mutex mu_;
-  std::map<std::string, Family> families_;
+  std::map<std::string, Family, std::less<>> families_;
 };
 
 }  // namespace daop::obs

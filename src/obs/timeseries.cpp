@@ -39,22 +39,26 @@ TimeSeriesRecorder::Channel& TimeSeriesRecorder::chan(int ch) {
   return *state_[static_cast<std::size_t>(ch)];
 }
 
-void TimeSeriesRecorder::count(int ch, const std::string& name,
-                               const std::string& help, double d,
+void TimeSeriesRecorder::count(int ch, std::string_view name,
+                               std::string_view help, double d,
                                const Labels& labels) {
   if (!enabled()) return;
   DAOP_CHECK_MSG(!finalized_, "recording into a finalized recorder");
   chan(ch).live.counter(name, help, labels).inc(d);
 }
 
-void TimeSeriesRecorder::count_total(int ch, const std::string& name,
-                                     const std::string& help, double total,
+void TimeSeriesRecorder::count_total(int ch, std::string_view name,
+                                     std::string_view help, double total,
                                      const Labels& labels) {
   if (!enabled()) return;
   DAOP_CHECK_MSG(!finalized_, "recording into a finalized recorder");
   Channel& c = chan(ch);
-  const std::string key = name + serialize_label_set(labels);
-  double& last = c.last_totals[key];
+  std::string& key = c.key_scratch;
+  key.assign(name);
+  append_label_set(key, labels);
+  auto it = c.last_totals.find(key);
+  if (it == c.last_totals.end()) it = c.last_totals.emplace(key, 0.0).first;
+  double& last = it->second;
   DAOP_CHECK_MSG(total >= last - 1e-12,
                  "cumulative total '" << key << "' moved backwards");
   if (total > last) {
@@ -63,26 +67,25 @@ void TimeSeriesRecorder::count_total(int ch, const std::string& name,
   }
 }
 
-void TimeSeriesRecorder::gauge_set(int ch, const std::string& name,
-                                   const std::string& help, double v,
+void TimeSeriesRecorder::gauge_set(int ch, std::string_view name,
+                                   std::string_view help, double v,
                                    const Labels& labels) {
   if (!enabled()) return;
   DAOP_CHECK_MSG(!finalized_, "recording into a finalized recorder");
   chan(ch).live.gauge(name, help, labels).set(v);
 }
 
-void TimeSeriesRecorder::observe(int ch, const std::string& name,
-                                 const std::string& help, double v,
+void TimeSeriesRecorder::observe(int ch, std::string_view name,
+                                 std::string_view help, double v,
                                  const Labels& labels) {
   if (!enabled()) return;
   DAOP_CHECK_MSG(!finalized_, "recording into a finalized recorder");
-  chan(ch)
-      .live.histogram(name, help, default_latency_buckets(), labels)
-      .observe(v);
+  static const std::vector<double> kBuckets = default_latency_buckets();
+  chan(ch).live.histogram(name, help, kBuckets, labels).observe(v);
 }
 
-void TimeSeriesRecorder::merge_hist(int ch, const std::string& name,
-                                    const std::string& help,
+void TimeSeriesRecorder::merge_hist(int ch, std::string_view name,
+                                    std::string_view help,
                                     const HistogramData& data,
                                     const Labels& labels) {
   if (!enabled()) return;

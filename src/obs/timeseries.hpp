@@ -23,8 +23,11 @@
 // window — slop is bounded by one scheduling decision, never a full run.
 #pragma once
 
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -74,22 +77,23 @@ class TimeSeriesRecorder {
 
   // ---- Recording (all no-ops when disabled) ----
   // Values land in the currently-open window of the channel; callers
-  // advance() to the decision time first.
+  // advance() to the decision time first. Recording into a series that
+  // already exists allocates nothing (see MetricsRegistry).
 
-  void count(int ch, const std::string& name, const std::string& help,
+  void count(int ch, std::string_view name, std::string_view help,
              double d = 1.0, const Labels& labels = {});
   /// Feeds a cumulative external total (e.g. Timeline::hazard_stall_s());
   /// the recorder increments an internal counter by the delta since the
   /// last call for the same series. Totals must be non-decreasing.
-  void count_total(int ch, const std::string& name, const std::string& help,
+  void count_total(int ch, std::string_view name, std::string_view help,
                    double total, const Labels& labels = {});
-  void gauge_set(int ch, const std::string& name, const std::string& help,
+  void gauge_set(int ch, std::string_view name, std::string_view help,
                  double v, const Labels& labels = {});
   /// Latency observation into a default-bucket histogram.
-  void observe(int ch, const std::string& name, const std::string& help,
-               double v, const Labels& labels = {});
+  void observe(int ch, std::string_view name, std::string_view help, double v,
+               const Labels& labels = {});
   /// Merges a pre-bucketed histogram (its own bounds) into the open window.
-  void merge_hist(int ch, const std::string& name, const std::string& help,
+  void merge_hist(int ch, std::string_view name, std::string_view help,
                   const HistogramData& data, const Labels& labels = {});
 
   /// Seals every grid window of `ch` that ends at or before `now`.
@@ -141,7 +145,9 @@ class TimeSeriesRecorder {
     std::string name;
     MetricsRegistry live;
     MetricsSnapshot prev;
-    std::map<std::string, double> last_totals;  ///< count_total state
+    /// count_total state, keyed by name + serialized labels.
+    std::map<std::string, double, std::less<>> last_totals;
+    std::string key_scratch;  ///< reused count_total key storage
     long long next_index = 0;  ///< next grid window to seal
     double clock = 0.0;
     std::vector<SeriesWindow> windows;

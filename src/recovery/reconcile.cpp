@@ -24,6 +24,15 @@ PlacementImage capture_placement(const cache::Placement& p) {
   return img;
 }
 
+void write_placement(ByteWriter& w, const cache::Placement& p) {
+  w.i32(p.n_layers());
+  w.i32(p.n_experts());
+  for (int l = 0; l < p.n_layers(); ++l) w.i32(p.capacity(l));
+  for (int l = 0; l < p.n_layers(); ++l) {
+    for (int e = 0; e < p.n_experts(); ++e) w.u8(p.on_gpu(l, e) ? 1 : 0);
+  }
+}
+
 bool apply_placement_image(const PlacementImage& img, cache::Placement& p) {
   if (img.n_layers != p.n_layers() || img.n_experts != p.n_experts())
     return false;

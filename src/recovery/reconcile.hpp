@@ -35,6 +35,11 @@ ReconcileResult reconcile_placement(const PlacementImage& want,
 /// Captures the arbiter's current placement as a snapshot image.
 PlacementImage capture_placement(const cache::Placement& p);
 
+/// Writes `p` in the snapshot's placement-image encoding (read back by
+/// read_placement_image): dimensions, per-layer capacities, then one
+/// residency byte per (layer, expert), row-major.
+void write_placement(ByteWriter& w, const cache::Placement& p);
+
 /// Overwrites `p` (a session-private placement) with the image: capacities,
 /// then residency. Returns false on dimension mismatch, leaving `p`
 /// untouched.

@@ -1,11 +1,15 @@
 #include "recovery/snapshot.hpp"
 
+#include "common/check.hpp"
+
 namespace daop::recovery {
 namespace {
 
 // "daopckpt" — 8 ASCII bytes, stable across platforms.
 constexpr std::uint8_t kMagic[8] = {'d', 'a', 'o', 'p', 'c', 'k', 'p', 't'};
-constexpr std::size_t kHeaderSize = 8 + 4 + 8 + 8;  // magic, version, len, fnv
+// Offsets of the header fields end_seal back-patches.
+constexpr std::size_t kLenAt = 8 + 4;
+constexpr std::size_t kFnvAt = kLenAt + 8;
 
 }  // namespace
 
@@ -18,29 +22,14 @@ std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n) {
   return h;
 }
 
-void ByteWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    buf_.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-}
-
-void ByteWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    buf_.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-}
-
-void ByteWriter::f64(double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  u64(bits);
-}
-
-void ByteWriter::str(const std::string& s) {
+void ByteWriter::str(std::string_view s) {
   u32(static_cast<std::uint32_t>(s.size()));
-  bytes(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
+  put(s.data(), s.size());
 }
 
-void ByteWriter::bytes(const std::uint8_t* data, std::size_t n) {
-  buf_.insert(buf_.end(), data, data + n);
+void ByteWriter::patch(std::size_t at, const void* p, std::size_t n) {
+  DAOP_CHECK_LE(at + n, buf_.size());
+  std::memcpy(buf_.data() + at, p, n);
 }
 
 bool ByteReader::take(void* out, std::size_t n) {
@@ -61,26 +50,21 @@ std::uint8_t ByteReader::u8() {
 }
 
 std::uint32_t ByteReader::u32() {
-  std::uint8_t b[4] = {0, 0, 0, 0};
-  take(b, 4);
   std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
+  take(&v, sizeof(v));
   return v;
 }
 
 std::uint64_t ByteReader::u64() {
-  std::uint8_t b[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  take(b, 8);
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
+  take(&v, sizeof(v));
   return v;
 }
 
 double ByteReader::f64() {
-  const std::uint64_t bits = u64();
   double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return ok_ ? v : 0.0;
+  take(&v, sizeof(v));
+  return v;
 }
 
 std::string ByteReader::str() {
@@ -95,41 +79,46 @@ std::string ByteReader::str() {
 }
 
 std::vector<std::uint8_t> seal(const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> blob;
-  blob.reserve(kHeaderSize + payload.size());
-  blob.insert(blob.end(), kMagic, kMagic + 8);
-  ByteWriter hdr;
-  hdr.u32(kSnapshotVersion);
-  hdr.u64(static_cast<std::uint64_t>(payload.size()));
-  hdr.u64(fnv1a64(payload.data(), payload.size()));
-  blob.insert(blob.end(), hdr.data().begin(), hdr.data().end());
-  blob.insert(blob.end(), payload.begin(), payload.end());
-  return blob;
+  ByteWriter w;
+  w.reserve(kSealHeaderSize + payload.size());
+  begin_seal(w);
+  w.bytes(payload.data(), payload.size());
+  return end_seal(w);
+}
+
+void begin_seal(ByteWriter& w) {
+  DAOP_CHECK_EQ(w.size(), 0u);
+  w.bytes(kMagic, sizeof(kMagic));
+  w.u32(kSnapshotVersion);
+  w.u64(0);  // payload length, back-patched by end_seal
+  w.u64(0);  // payload checksum, back-patched by end_seal
+}
+
+std::vector<std::uint8_t> end_seal(ByteWriter& w) {
+  DAOP_CHECK_GE(w.size(), kSealHeaderSize);
+  const std::uint8_t* payload = w.data().data() + kSealHeaderSize;
+  const std::size_t len = w.size() - kSealHeaderSize;
+  w.patch_u64(kLenAt, static_cast<std::uint64_t>(len));
+  w.patch_u64(kFnvAt, fnv1a64(payload, len));
+  return w.take();
 }
 
 std::optional<std::vector<std::uint8_t>> unseal(
     const std::vector<std::uint8_t>& blob) {
-  if (blob.size() < kHeaderSize) return std::nullopt;
+  if (blob.size() < kSealHeaderSize) return std::nullopt;
   if (std::memcmp(blob.data(), kMagic, 8) != 0) return std::nullopt;
-  ByteReader hdr(blob.data() + 8, kHeaderSize - 8);
+  ByteReader hdr(blob.data() + 8, kSealHeaderSize - 8);
   const std::uint32_t version = hdr.u32();
   const std::uint64_t len = hdr.u64();
   const std::uint64_t fnv = hdr.u64();
   if (!hdr.ok() || version != kSnapshotVersion) return std::nullopt;
   // Torn write: the frame claims more payload than the blob carries (or a
   // resize appended garbage — the length must match exactly).
-  if (len != blob.size() - kHeaderSize) return std::nullopt;
-  const std::uint8_t* payload = blob.data() + kHeaderSize;
+  if (len != blob.size() - kSealHeaderSize) return std::nullopt;
+  const std::uint8_t* payload = blob.data() + kSealHeaderSize;
   if (fnv1a64(payload, static_cast<std::size_t>(len)) != fnv)
     return std::nullopt;
   return std::vector<std::uint8_t>(payload, payload + len);
-}
-
-void write_placement_image(ByteWriter& w, const PlacementImage& p) {
-  w.i32(p.n_layers);
-  w.i32(p.n_experts);
-  for (std::int32_t c : p.capacity) w.i32(c);
-  w.bytes(p.on_gpu.data(), p.on_gpu.size());
 }
 
 bool read_placement_image(ByteReader& r, PlacementImage* out) {

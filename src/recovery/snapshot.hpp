@@ -14,36 +14,62 @@
 // blob can fail, but never read out of bounds.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace daop::recovery {
 
+// `daop-ckpt/1` is little-endian on the wire. ByteWriter and ByteReader
+// memcpy fixed-width fields in host byte order, which is that format only
+// on a little-endian host: a big-endian build must not compile rather than
+// silently write (and accept) a different format.
+static_assert(std::endian::native == std::endian::little,
+              "daop-ckpt/1 codec assumes a little-endian host");
+
 /// Format revision sealed into every snapshot header ("daop-ckpt/1").
 inline constexpr std::uint32_t kSnapshotVersion = 1;
+/// Sealed frame header: magic, version, payload length, FNV-1a 64.
+inline constexpr std::size_t kSealHeaderSize = 8 + 4 + 8 + 8;
 
 /// FNV-1a 64-bit over `n` bytes.
 std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n);
 
-/// Append-only little-endian encoder for snapshot payloads.
+/// Append-only little-endian encoder for snapshot payloads. A length that
+/// precedes its section is written as a placeholder and back-patched once
+/// the section is done, so a payload is encoded in one pass.
 class ByteWriter {
  public:
+  void reserve(std::size_t n) { buf_.reserve(n); }
+  std::size_t size() const { return buf_.size(); }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v);
-  void str(const std::string& s);
-  void bytes(const std::uint8_t* data, std::size_t n);
+  void u32(std::uint32_t v) { put(&v, sizeof(v)); }
+  void u64(std::uint64_t v) { put(&v, sizeof(v)); }
+  void i32(std::int32_t v) { put(&v, sizeof(v)); }
+  void i64(std::int64_t v) { put(&v, sizeof(v)); }
+  void f64(double v) { put(&v, sizeof(v)); }
+  void str(std::string_view s);
+  void bytes(const std::uint8_t* data, std::size_t n) { put(data, n); }
+
+  /// Overwrites the fixed-width field written at byte offset `at`.
+  void patch_u32(std::size_t at, std::uint32_t v) { patch(at, &v, sizeof(v)); }
+  void patch_u64(std::size_t at, std::uint64_t v) { patch(at, &v, sizeof(v)); }
 
   const std::vector<std::uint8_t>& data() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
 
  private:
+  void put(const void* p, std::size_t n) {
+    const auto* b = static_cast<const std::uint8_t*>(p);
+    buf_.insert(buf_.end(), b, b + n);
+  }
+  void patch(std::size_t at, const void* p, std::size_t n);
+
   std::vector<std::uint8_t> buf_;
 };
 
@@ -80,6 +106,13 @@ class ByteReader {
 /// length, FNV-1a 64 checksum, payload bytes.
 std::vector<std::uint8_t> seal(const std::vector<std::uint8_t>& payload);
 
+/// Sealing in place, for encoders that write the payload straight into the
+/// frame: begin_seal writes the header (length and checksum zeroed) into an
+/// empty writer, the caller appends the payload, and end_seal back-patches
+/// the length and checksum and hands out the blob without copying it.
+void begin_seal(ByteWriter& w);
+std::vector<std::uint8_t> end_seal(ByteWriter& w);
+
 /// Validates a sealed blob and returns the payload, or nullopt when the
 /// magic/version mismatch, the blob is torn (length inconsistent), or the
 /// checksum rejects. Never throws, never reads out of bounds.
@@ -102,9 +135,8 @@ struct PlacementImage {
   }
 };
 
-void write_placement_image(ByteWriter& w, const PlacementImage& p);
-/// Decodes a placement image; returns false (and sets the reader's fail
-/// flag) on malformed dimensions.
+/// Decodes a placement image (written by recovery::write_placement);
+/// returns false (and sets the reader's fail flag) on malformed dimensions.
 bool read_placement_image(ByteReader& r, PlacementImage* out);
 
 }  // namespace daop::recovery

@@ -6,6 +6,11 @@
 //    prefill (they read the trace's stored activation counts);
 //  - a decode step on a private timeline with no tracer or profiler makes
 //    no heap allocation at all once the session is warm.
+// The shared serving path keeps the same budget once warm: arbiter pins,
+// a cache scan that plans no swap, a decode step of sessions interleaved
+// on one timeline under an arbiter and an lfu cache, and time-series
+// recording into existing series allocate nothing, and a checkpoint is
+// exactly one allocation (the sealed blob).
 // A counting global operator new makes every allocation in this binary
 // visible; a regression that reintroduces a per-session deep copy of the
 // trace or a per-layer vector fails here before it shows up as lost
@@ -18,11 +23,14 @@
 #include <new>
 #include <vector>
 
+#include "cache/arbiter.hpp"
 #include "cache/calibration.hpp"
+#include "cache/expert_cache.hpp"
 #include "core/daop_engine.hpp"
 #include "data/trace_generator.hpp"
 #include "engines/session.hpp"
 #include "eval/speed.hpp"
+#include "obs/timeseries.hpp"
 #include "../testing/helpers.hpp"
 
 namespace {
@@ -231,6 +239,182 @@ TEST(SessionAlloc, CounterObservesTraceCopies) {
   EXPECT_EQ(allocs() - before, 0);
   EXPECT_EQ(short_copy.gen_len, 32);
   EXPECT_EQ(long_copy.gen_len, 512);
+}
+
+TEST(SessionAlloc, ArbiterPinsAreAllocationFreeOnceWarm) {
+  const Rig rig;
+  cache::PlacementArbiter arbiter(rig.placement);
+  const auto churn = [&arbiter](int round) {
+    // Four sessions pin overlapping working sets, nest a pin, query, and
+    // release in an order that differs from the pin order.
+    for (long long s = 0; s < 4; ++s) {
+      for (int l = 0; l < 4; ++l) {
+        arbiter.pin(l, static_cast<int>((s + l + round) % 8), s);
+        arbiter.pin(l, 3, s);
+      }
+    }
+    arbiter.pin(2, 3, 1);
+    int blocked = 0;
+    for (long long s = 0; s < 4; ++s) {
+      for (int e = 0; e < 8; ++e) blocked += arbiter.pinned_by_other(1, e, s);
+    }
+    arbiter.unpin(2, 3, 1);
+    for (long long s = 3; s >= 0; --s) {
+      for (int l = 3; l >= 0; --l) {
+        arbiter.unpin(l, 3, s);
+        arbiter.unpin(l, static_cast<int>((s + l + round) % 8), s);
+      }
+    }
+    return blocked;
+  };
+  for (int round = 0; round < 8; ++round) (void)churn(round);  // warm
+  const long long before = allocs();
+  int blocked = 0;
+  for (int round = 0; round < 8; ++round) blocked += churn(round);
+  EXPECT_EQ(allocs() - before, 0);
+  EXPECT_GT(blocked, 0);
+  EXPECT_EQ(arbiter.total_pin_count(), 0);
+}
+
+TEST(SessionAlloc, CachePlanWithoutSwapIsAllocationFreeOnceWarm) {
+  const Rig rig;
+  cache::ExpertCacheOptions opt;
+  opt.policy = cache::CachePolicy::kLfu;
+  cache::ExpertCache ecache(opt, rig.cfg.n_layers, rig.cfg.n_experts);
+  cache::PlacementArbiter arbiter(rig.placement);
+  // Only GPU residents run, so every CPU candidate is colder than every
+  // victim and no scan plans a swap; one foreign pin makes the arbiter
+  // filter victims too.
+  for (int l = 0; l < rig.cfg.n_layers; ++l) {
+    for (int e = 0; e < rig.cfg.n_experts; ++e) {
+      if (rig.placement.on_gpu(l, e)) ecache.note_use(l, e, 1, 0.5);
+    }
+  }
+  arbiter.pin(0, 0, 2);
+  EXPECT_TRUE(ecache.plan(arbiter.placement(), &arbiter, 1).empty());  // warm
+  const long long before = allocs();
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_TRUE(ecache.plan(arbiter.placement(), &arbiter, 1).empty());
+  }
+  EXPECT_EQ(allocs() - before, 0);
+  arbiter.unpin(0, 0, 2);
+}
+
+// A continuous-batching decode step: four DAOP sessions interleaved on one
+// shared timeline, pinning through one arbiter and re-planned by one lfu
+// cache. A first batch warms the shared state (the cache's plan scratch,
+// the pooled session buffers); the budget is measured on a second batch
+// over the same arbiter and cache. Steps whose cache scan
+// plans a swap allocate (the plan itself, the ledger), so the budget covers
+// every step whose scan planned none — the cache's fill, refusal and abort
+// totals did not move.
+TEST(SessionAlloc, SharedDecodeStepWithArbiterAndLfuCacheIsAllocationFree) {
+  const Rig rig;
+  const std::unique_ptr<Engine> engine =
+      eval::make_engine(eval::EngineKind::Daop, rig.costs);
+  cache::ExpertCacheOptions opt;
+  opt.policy = cache::CachePolicy::kLfu;
+  cache::ExpertCache ecache(opt, rig.cfg.n_layers, rig.cfg.n_experts);
+  cache::PlacementArbiter arbiter(rig.placement);
+  sim::Timeline tl;
+  std::vector<data::SequenceTrace> traces;
+  for (int i = 0; i < 8; ++i) traces.push_back(rig.gen.generate(10 + i, 32, 48));
+  const auto planned = [&ecache] {
+    return ecache.fills() + ecache.aborts() +
+           static_cast<long long>(ecache.refusals().size());
+  };
+  struct Budget {
+    long long quiet_steps = 0;
+    long long quiet_allocs = 0;
+  };
+  const auto run_batch = [&](int first) {
+    std::vector<std::unique_ptr<SequenceSession>> sessions;
+    for (int i = first; i < first + 4; ++i) {
+      SessionEnv env;
+      env.timeline = &tl;
+      env.start_time = tl.span();
+      env.request_id = i;
+      env.arbiter = &arbiter;
+      env.cache = &ecache;
+      env.shared = true;
+      sessions.push_back(engine->open_session(
+          traces[static_cast<std::size_t>(i)], arbiter.placement(), env));
+      sessions.back()->prefill();
+    }
+    Budget b;
+    for (bool any = true; any;) {
+      any = false;
+      for (const auto& s : sessions) {
+        const bool warm = s->tokens_generated() >= kWarmupSteps;
+        const long long planned_before = planned();
+        const long long before = allocs();
+        if (!s->decode_step()) continue;
+        any = true;
+        if (warm && planned() == planned_before) {
+          ++b.quiet_steps;
+          b.quiet_allocs += allocs() - before;
+        }
+      }
+    }
+    for (const auto& s : sessions) (void)s->close();
+    return b;
+  };
+  (void)run_batch(0);  // warm: plan scratch, holder lists, session buffers
+  const long long fills_before = ecache.fills();
+  const Budget b = run_batch(4);
+  EXPECT_GT(b.quiet_steps, 4 * (48 - kWarmupSteps) / 2);
+  EXPECT_GT(ecache.fills(), fills_before)
+      << "the cache must re-plan during the measured batch";
+  EXPECT_EQ(b.quiet_allocs, 0);
+  EXPECT_EQ(arbiter.total_pin_count(), 0);
+}
+
+TEST(SessionAlloc, TimeSeriesRecordingIntoExistingSeriesIsAllocationFree) {
+  obs::TimeSeriesOptions opt;
+  opt.window_s = 1.0;
+  obs::TimeSeriesRecorder rec(opt, {"node0", "cluster"});
+  const auto tick = [&rec](double t) {
+    rec.count_total(0, "daop_hazard_stall_seconds_total",
+                    "Simulated seconds lost to injected hazards.", t * 0.5);
+    rec.gauge_set(0, "daop_queue_depth",
+                  "Request copies waiting in the node's admission queue.", t);
+    rec.count(0, "daop_recovery_checkpoints_total",
+              "Session snapshots durably written on the node.", 1.0);
+  };
+  tick(0.1);  // creates the series
+  const long long before = allocs();
+  for (int i = 2; i < 9; ++i) tick(0.1 * i);  // all inside window 0
+  EXPECT_EQ(allocs() - before, 0);
+  rec.finalize(1.0);
+}
+
+TEST(SessionAlloc, CheckpointIsExactlyOneAllocation) {
+  const Rig rig;
+  for (const eval::EngineKind kind :
+       {eval::EngineKind::Daop, eval::EngineKind::Fiddler,
+        eval::EngineKind::MoEInfinity}) {
+    SCOPED_TRACE(eval::engine_kind_name(kind));
+    const std::unique_ptr<Engine> engine = eval::make_engine(kind, rig.costs);
+    // Private placement, then the same engine under a shared arbiter.
+    cache::PlacementArbiter arbiter(rig.placement);
+    for (cache::PlacementArbiter* arb : {static_cast<cache::PlacementArbiter*>(
+                                              nullptr),
+                                          &arbiter}) {
+      SessionEnv env;
+      env.arbiter = arb;
+      env.request_id = 5;
+      std::unique_ptr<SequenceSession> s =
+          engine->open_session(rig.short_trace, rig.placement, env);
+      s->prefill();
+      for (int i = 0; i < 4; ++i) ASSERT_TRUE(s->decode_step());
+      const long long before = allocs();
+      const std::vector<std::uint8_t> blob = s->checkpoint();
+      EXPECT_EQ(allocs() - before, 1);
+      EXPECT_FALSE(blob.empty());
+      EXPECT_LE(blob.size(), blob.capacity());
+      (void)s->close();
+    }
+  }
 }
 
 }  // namespace

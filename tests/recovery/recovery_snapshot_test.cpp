@@ -120,13 +120,20 @@ TEST(SnapshotFrame, ByteCodecRoundTripsAndReaderIsBoundsSafe) {
 }
 
 TEST(SnapshotFrame, PlacementImageRoundTrips) {
-  PlacementImage img;
-  img.n_layers = 3;
-  img.n_experts = 4;
-  img.capacity = {2, 1, 2};
-  img.on_gpu = {1, 0, 1, 0, 0, 0, 0, 1, 1, 1, 0, 0};
+  cache::Placement p(3, 4);
+  p.set_capacity(0, 2);
+  p.set_capacity(1, 1);
+  p.set_capacity(2, 2);
+  p.move_to_gpu(0, 0);
+  p.move_to_gpu(0, 2);
+  p.move_to_gpu(1, 3);
+  p.move_to_gpu(2, 0);
+  p.move_to_gpu(2, 1);
+  const PlacementImage img = capture_placement(p);
+  EXPECT_EQ(img.on_gpu,
+            (std::vector<std::uint8_t>{1, 0, 1, 0, 0, 0, 0, 1, 1, 1, 0, 0}));
   ByteWriter w;
-  write_placement_image(w, img);
+  write_placement(w, p);
   const auto buf = w.data();
   ByteReader r(buf.data(), buf.size());
   PlacementImage back;
