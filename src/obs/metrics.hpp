@@ -141,9 +141,10 @@ class Histogram {
 /// may race freely; integer-valued counter increments stay exact (and thus
 /// export byte-identically) regardless of thread interleaving.
 ///
-/// Lookups are allocation-free once a series exists: names and help text
-/// are string_views looked up through transparent maps, and a metric name
-/// is validated only when its family is first registered.
+/// Looking up an existing series without labels allocates nothing: names
+/// and help text are string_views looked up through transparent maps, and
+/// a metric name is validated only when its family is first registered. A
+/// non-empty label set still builds its series key.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;

@@ -77,8 +77,8 @@ class TimeSeriesRecorder {
 
   // ---- Recording (all no-ops when disabled) ----
   // Values land in the currently-open window of the channel; callers
-  // advance() to the decision time first. Recording into a series that
-  // already exists allocates nothing (see MetricsRegistry).
+  // advance() to the decision time first. Recording into an existing
+  // series without labels allocates nothing (see MetricsRegistry).
 
   void count(int ch, std::string_view name, std::string_view help,
              double d = 1.0, const Labels& labels = {});
