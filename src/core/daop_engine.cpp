@@ -158,10 +158,10 @@ class DaopSession final : public engines::SequenceSession {
   }
 
   void run_decode_token(int t) override {
-    const int ctx = trace().prompt_len + t;
+    const double nonmoe_cost = costs_.nonmoe_gpu(trace().prompt_len + t);
     for (int l = 0; l < L_; ++l) {
       const double nonmoe_end = tl().schedule(
-          sim::Res::GpuStream, ready_, costs_.nonmoe_gpu(ctx), "non-MoE");
+          sim::Res::GpuStream, ready_, nonmoe_cost, "non-MoE");
 
       const data::TokenRouting tok = trace().at(data::Phase::Decode, l, t);
       if (tracing()) {

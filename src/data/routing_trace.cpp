@@ -149,16 +149,34 @@ SequenceTrace::SequenceTrace(int n_layers, int n_experts_in, int top_k_in,
   decode.reset(n_layers, gen_len, n_experts, top_k, /*with_pred=*/true);
 }
 
-TokenRouting SequenceTrace::at(Phase phase, int layer, int token) const {
-  const PhaseRouting& p = phase_block(phase);
-  DAOP_CHECK(layer >= 0 && layer < static_cast<int>(p.size()));
-  DAOP_CHECK(token >= 0 && token < p.n_tokens());
-  return p.cell(layer, token);
+namespace {
+[[noreturn]] void reject_out_of_range(Phase phase, const PhaseRouting& p,
+                                      const std::string& what) {
+  const char* name = phase == Phase::Prefill ? "prefill" : "decode";
+  ::daop::detail::check_failed(
+      "trace index in range", __FILE__, __LINE__,
+      std::string(name) + " " + what + " is outside the trace's " + name +
+          " shape of " + std::to_string(p.size()) + " layers x " +
+          std::to_string(p.n_tokens()) + " tokens");
+}
+}  // namespace
+
+void SequenceTrace::reject_cell(Phase phase, int layer, int token) const {
+  reject_out_of_range(phase, phase_block(phase),
+                      "cell (layer " + std::to_string(layer) + ", token " +
+                          std::to_string(token) + ")");
+}
+
+void SequenceTrace::reject_layer(Phase phase, int layer) const {
+  reject_out_of_range(phase, phase_block(phase),
+                      "layer " + std::to_string(layer));
 }
 
 std::span<const double> SequenceTrace::counts(Phase phase, int layer) const {
   const PhaseRouting& p = phase_block(phase);
-  DAOP_CHECK(layer >= 0 && layer < static_cast<int>(p.size()));
+  if (layer < 0 || layer >= p.n_layers_) [[unlikely]] {
+    reject_layer(phase, layer);
+  }
   return p.counts(layer);
 }
 

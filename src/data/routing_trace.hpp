@@ -35,6 +35,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.hpp"
+
 namespace daop::data {
 
 /// Inference phase.
@@ -275,8 +277,16 @@ struct SequenceTrace {
 
   int n_layers() const { return static_cast<int>(decode.size()); }
 
-  /// The cell at (phase, layer, token); indices are checked.
-  TokenRouting at(Phase phase, int layer, int token) const;
+  /// The cell at (phase, layer, token); indices are checked, and an
+  /// out-of-range cell fails naming the cell and the phase's shape.
+  TokenRouting at(Phase phase, int layer, int token) const {
+    const PhaseRouting& p = phase_block(phase);
+    if (layer < 0 || layer >= p.n_layers_ || token < 0 ||
+        token >= p.n_tokens_) [[unlikely]] {
+      reject_cell(phase, layer, token);
+    }
+    return p.cell(layer, token);
+  }
 
   /// Top-k expert ids for a token (descending true score).
   std::span<const ExpertId> selected(Phase phase, int layer, int token) const {
@@ -311,6 +321,12 @@ struct SequenceTrace {
   const PhaseRouting& phase_block(Phase phase) const {
     return phase == Phase::Prefill ? prefill : decode;
   }
+
+  /// at()'s and counts()' range failures: throw CheckError naming the
+  /// requested cell or layer and the phase's shape.
+  [[noreturn]] DAOP_COLD_ void reject_cell(Phase phase, int layer,
+                                           int token) const;
+  [[noreturn]] DAOP_COLD_ void reject_layer(Phase phase, int layer) const;
 };
 
 inline std::size_t LayerTokens::Tokens::size() const {

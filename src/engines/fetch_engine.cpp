@@ -195,10 +195,10 @@ class FetchSession final : public SequenceSession {
 
   void run_decode_token(int t) override {
     const model::ModelConfig& cfg = costs_.config();
-    const int ctx = trace().prompt_len + t;
+    const double nonmoe_cost = costs_.nonmoe_gpu(trace().prompt_len + t);
     for (int l = 0; l < cfg.n_layers; ++l) {
       const double nonmoe_end = tl().schedule(
-          sim::Res::GpuStream, ready_, costs_.nonmoe_gpu(ctx), "non-MoE");
+          sim::Res::GpuStream, ready_, nonmoe_cost, "non-MoE");
       const data::TokenRouting tok = trace().at(data::Phase::Decode, l, t);
       selected_.assign(tok.selected.begin(), tok.selected.end());
       const std::span<const int> selected = selected_;

@@ -61,10 +61,10 @@ class FiddlerSession final : public SequenceSession {
 
   void run_decode_token(int t) override {
     const model::ModelConfig& cfg = costs_.config();
-    const int ctx = trace().prompt_len + t;
+    const double nonmoe_cost = costs_.nonmoe_gpu(trace().prompt_len + t);
     for (int l = 0; l < cfg.n_layers; ++l) {
       const double nonmoe_end = tl().schedule(
-          sim::Res::GpuStream, ready_, costs_.nonmoe_gpu(ctx), "non-MoE");
+          sim::Res::GpuStream, ready_, nonmoe_cost, "non-MoE");
       if (tracing()) {
         tinstant(tracks::kGate, "gate L" + std::to_string(l), nonmoe_end);
       }

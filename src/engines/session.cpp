@@ -41,25 +41,6 @@ void SessionBuffers::release(std::unique_ptr<SessionBuffers> b) {
   if (t_buffer_pool.size() < 32) t_buffer_pool.push_back(std::move(b));
 }
 
-CpuExpertTimes cpu_expert_roundtrip(sim::Timeline& tl,
-                                    const model::OpCosts& costs, double start,
-                                    int n_tokens, double exec_cost,
-                                    EngineCounters& counters,
-                                    const CpuExpertTags& tags) {
-  CpuExpertTimes t;
-  const double out = tl.schedule(sim::Res::PcieD2H, start,
-                                 costs.activations_d2h(n_tokens),
-                                 tags.acts_out);
-  t.acts_out_start = tl.last_start();
-  t.cpu_end = tl.schedule(sim::Res::CpuPool, out, exec_cost, tags.exec);
-  t.cpu_start = tl.last_start();
-  ++counters.cpu_expert_execs;
-  t.result_arrival = tl.schedule(sim::Res::PcieH2D, t.cpu_end,
-                                 costs.activations_h2d(n_tokens),
-                                 tags.acts_back);
-  return t;
-}
-
 SequenceSession::SequenceSession(std::string engine_name,
                                  const model::OpCosts& costs,
                                  const data::SequenceTrace& trace,
@@ -614,30 +595,7 @@ SequenceSession::MigrationOutcome SequenceSession::migrate_with_retry(
   return out;
 }
 
-double SequenceSession::cpu_expert(double start, int n_tokens,
-                                   double exec_cost, int layer, int expert) {
-  const CpuExpertTimes t = cpu_expert_roundtrip(tl(), costs_, start, n_tokens,
-                                                exec_cost, counters_);
-  if (tracing()) {
-    tspan(tracks::kExpertCpu, "CPU expert", t.cpu_start, t.cpu_end);
-  }
-  if (layer >= 0) {
-    note_expert_exec(layer, expert, /*on_gpu=*/false, t.cpu_start, t.cpu_end);
-  }
-  return t.result_arrival;
-}
-
-double SequenceSession::gpu_expert(double ready, double exec_cost, int layer,
-                                   int expert, const char* name) {
-  ++counters_.gpu_expert_execs;
-  const double end = tl().schedule(sim::Res::GpuStream, ready, exec_cost, name);
-  if (tracing()) tspan(tracks::kExpertGpu, name, tl().last_start(), end);
-  note_expert_exec(layer, expert, /*on_gpu=*/true, tl().last_start(), end);
-  return end;
-}
-
-void SequenceSession::pin_shared(int layer, int expert) {
-  if (arbiter_ == nullptr) return;
+void SequenceSession::arbiter_pin(int layer, int expert) {
   arbiter_->pin(layer, expert, request_id_);
   bufs_->step_pins.emplace_back(layer, expert);
 }
@@ -651,14 +609,14 @@ void SequenceSession::release_step_pins() {
   bufs_->step_pins.clear();
 }
 
-double SequenceSession::shared_weight_gate(int layer, int expert,
-                                           double t) const {
-  if (arbiter_ == nullptr) return t;
+double SequenceSession::arbiter_weight_gate(int layer, int expert,
+                                            double t) const {
   return std::max(t, arbiter_->weight_ready(layer, expert));
 }
 
-void SequenceSession::publish_weight_ready(int layer, int expert, double t) {
-  if (arbiter_ != nullptr) arbiter_->set_weight_ready(layer, expert, t);
+void SequenceSession::arbiter_publish_weight_ready(int layer, int expert,
+                                                   double t) {
+  arbiter_->set_weight_ready(layer, expert, t);
 }
 
 std::uint64_t SequenceSession::tspan(const char* track, std::string name,

@@ -134,11 +134,25 @@ struct SessionBuffers {
 /// (`exec_cost` seconds), and ships the result back; bumps
 /// `counters.cpu_expert_execs`. Shared by the per-sequence sessions and the
 /// batched engines so every CPU-expert round trip prices identically.
-CpuExpertTimes cpu_expert_roundtrip(sim::Timeline& tl,
-                                    const model::OpCosts& costs, double start,
-                                    int n_tokens, double exec_cost,
-                                    EngineCounters& counters,
-                                    const CpuExpertTags& tags = {});
+inline CpuExpertTimes cpu_expert_roundtrip(sim::Timeline& tl,
+                                           const model::OpCosts& costs,
+                                           double start, int n_tokens,
+                                           double exec_cost,
+                                           EngineCounters& counters,
+                                           const CpuExpertTags& tags = {}) {
+  CpuExpertTimes t;
+  const double out = tl.schedule(sim::Res::PcieD2H, start,
+                                 costs.activations_d2h(n_tokens),
+                                 tags.acts_out);
+  t.acts_out_start = tl.last_start();
+  t.cpu_end = tl.schedule(sim::Res::CpuPool, out, exec_cost, tags.exec);
+  t.cpu_start = tl.last_start();
+  ++counters.cpu_expert_execs;
+  t.result_arrival = tl.schedule(sim::Res::PcieH2D, t.cpu_end,
+                                 costs.activations_h2d(n_tokens),
+                                 tags.acts_back);
+  return t;
+}
 
 /// How a snapshot is applied to a freshly opened session (see
 /// SequenceSession::restore).
@@ -339,24 +353,50 @@ class SequenceSession {
   /// `layer`/`expert` are given (>= 0) the execution also feeds the
   /// profiler's utilization heatmap.
   double cpu_expert(double start, int n_tokens, double exec_cost,
-                    int layer = -1, int expert = -1);
+                    int layer = -1, int expert = -1) {
+    const CpuExpertTimes t = cpu_expert_roundtrip(tl(), costs_, start,
+                                                  n_tokens, exec_cost,
+                                                  counters_);
+    if (tracing()) {
+      tspan(tracks::kExpertCpu, "CPU expert", t.cpu_start, t.cpu_end);
+    }
+    if (layer >= 0) {
+      note_expert_exec(layer, expert, /*on_gpu=*/false, t.cpu_start,
+                       t.cpu_end);
+    }
+    return t.result_arrival;
+  }
   /// Traced GPU execution of expert (layer, expert) from `ready`, scheduled
   /// and traced as `name`; returns its end time.
   double gpu_expert(double ready, double exec_cost, int layer, int expert,
-                    const char* name);
+                    const char* name) {
+    ++counters_.gpu_expert_execs;
+    const double end =
+        tl().schedule(sim::Res::GpuStream, ready, exec_cost, name);
+    if (tracing()) tspan(tracks::kExpertGpu, name, tl().last_start(), end);
+    note_expert_exec(layer, expert, /*on_gpu=*/true, tl().last_start(), end);
+    return end;
+  }
 
   // ---- Shared-placement conveniences: exact no-ops without an arbiter
   // (the single-sequence path), so private-session behavior is untouched.
+  // The no-arbiter exits are inline; the arbiter work is out of line.
   /// Pins (layer, expert) as part of this session's ACTIVE working set: the
   /// experts its current step computes with. Pins are held while other
   /// sessions interleave and released when this session's next step begins
   /// (and unconditionally in close()), so concurrent migrations can never
   /// evict an in-use expert but the shared cache never freezes solid.
-  void pin_shared(int layer, int expert);
+  void pin_shared(int layer, int expert) {
+    if (arbiter_ != nullptr) arbiter_pin(layer, expert);
+  }
   /// Latest of `t` and the cross-session weight-arrival gate.
-  double shared_weight_gate(int layer, int expert, double t) const;
+  double shared_weight_gate(int layer, int expert, double t) const {
+    return arbiter_ == nullptr ? t : arbiter_weight_gate(layer, expert, t);
+  }
   /// Publishes a weight-arrival time for other sessions to gate on.
-  void publish_weight_ready(int layer, int expert, double t);
+  void publish_weight_ready(int layer, int expert, double t) {
+    if (arbiter_ != nullptr) arbiter_publish_weight_ready(layer, expert, t);
+  }
 
   // ---- Tracing: exact no-ops without a tracer; spans carry this
   // session's request id when one was assigned. ----
@@ -390,6 +430,11 @@ class SequenceSession {
  private:
   enum class Phase { kOpened, kDecoding, kClosed };
 
+  /// The arbiter halves of pin_shared, shared_weight_gate and
+  /// publish_weight_ready (arbiter_ is set).
+  void arbiter_pin(int layer, int expert);
+  double arbiter_weight_gate(int layer, int expert, double t) const;
+  void arbiter_publish_weight_ready(int layer, int expert, double t);
   /// Drops the previous step's working-set pins (see pin_shared).
   void release_step_pins();
   /// Runs a dynamic-cache reallocation scan after token `t` when a cache is

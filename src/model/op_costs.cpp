@@ -22,6 +22,10 @@ OpCosts::OpCosts(const ModelConfig& cfg, const sim::CostModel& cm)
   DAOP_CHECK_GT(cfg_.n_layers, 0);
   DAOP_CHECK_GT(cfg_.n_experts, 0);
   DAOP_CHECK_GT(cfg_.top_k, 0);
+  expert_gpu_ = expert_time(cm_.platform().gpu, 1);
+  expert_cpu_ = expert_time(cm_.platform().cpu, 1);
+  acts_h2d_ = acts_h2d_time(1);
+  acts_d2h_ = acts_d2h_time(1);
 }
 
 double OpCosts::nonmoe_time(const sim::DeviceSpec& dev, int n_tokens,
@@ -58,10 +62,6 @@ double OpCosts::nonmoe_gpu(int ctx) const {
 double OpCosts::nonmoe_cpu(int ctx) const {
   return nonmoe_time(cm_.platform().cpu, 1, ctx);
 }
-
-double OpCosts::expert_gpu() const { return expert_time(cm_.platform().gpu, 1); }
-
-double OpCosts::expert_cpu() const { return expert_time(cm_.platform().cpu, 1); }
 
 double OpCosts::expert_cpu_scaled(double weight_bytes_factor) const {
   DAOP_CHECK_GT(weight_bytes_factor, 0.0);
@@ -102,11 +102,11 @@ double OpCosts::expert_migration() const {
   return cm_.h2d_time(cfg_.expert_bytes());
 }
 
-double OpCosts::activations_h2d(int n_tokens) const {
+double OpCosts::acts_h2d_time(int n_tokens) const {
   return cm_.h2d_time(cfg_.hidden_state_bytes() * n_tokens);
 }
 
-double OpCosts::activations_d2h(int n_tokens) const {
+double OpCosts::acts_d2h_time(int n_tokens) const {
   return cm_.d2h_time(cfg_.hidden_state_bytes() * n_tokens);
 }
 

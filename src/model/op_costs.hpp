@@ -27,9 +27,9 @@ class OpCosts {
   /// Same work on the CPU.
   double nonmoe_cpu(int ctx) const;
 
-  /// One expert applied to one token.
-  double expert_gpu() const;
-  double expert_cpu() const;
+  /// One expert applied to one token (constants computed at construction).
+  double expert_gpu() const { return expert_gpu_; }
+  double expert_cpu() const { return expert_cpu_; }
   /// CPU expert with weight bytes scaled by `weight_bytes_factor` (< 1 for
   /// quantized experts — the CPU path is memory-bound, so time scales with
   /// bytes until the compute roofline takes over).
@@ -60,9 +60,14 @@ class OpCosts {
 
   /// Migrating one expert's weights host -> GPU.
   double expert_migration() const;
-  /// Hidden-state transfer for `n_tokens` tokens, each direction.
-  double activations_h2d(int n_tokens = 1) const;
-  double activations_d2h(int n_tokens = 1) const;
+  /// Hidden-state transfer for `n_tokens` tokens, each direction. The
+  /// single-token times are constants computed at construction.
+  double activations_h2d(int n_tokens = 1) const {
+    return n_tokens == 1 ? acts_h2d_ : acts_h2d_time(n_tokens);
+  }
+  double activations_d2h(int n_tokens = 1) const {
+    return n_tokens == 1 ? acts_d2h_ : acts_d2h_time(n_tokens);
+  }
 
   /// Convenience: a full block on a device with all weights resident
   /// (non-MoE + top_k experts), decode phase. Matches the paper's Table I
@@ -73,9 +78,16 @@ class OpCosts {
  private:
   double nonmoe_time(const sim::DeviceSpec& dev, int n_tokens, int ctx) const;
   double expert_time(const sim::DeviceSpec& dev, int n_tokens) const;
+  double acts_h2d_time(int n_tokens) const;
+  double acts_d2h_time(int n_tokens) const;
 
   ModelConfig cfg_;
   sim::CostModel cm_;
+  // Single-token decode constants: every decode (token, layer) reads them.
+  double expert_gpu_ = 0.0;
+  double expert_cpu_ = 0.0;
+  double acts_h2d_ = 0.0;
+  double acts_d2h_ = 0.0;
 };
 
 /// Largest Expert Cache Ratio that fits a platform's GPU after the non-MoE

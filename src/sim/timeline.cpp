@@ -83,51 +83,35 @@ void IntervalSoA::push_back(Res r, double s, double e, TagId t) {
 
 Timeline::Timeline() { reset(); }
 
-double Timeline::schedule(Res r, double ready, double duration,
-                          std::string_view tag) {
-  // Interning is gated on recording: with recording off (the default) the
-  // tag is never even looked at and this is the pure arithmetic hot path.
-  return schedule(r, ready, duration,
-                  (record_ && !tag.empty()) ? tags_.intern(tag) : kNoTag);
-}
-
-double Timeline::schedule(Res r, double ready, double duration, TagId tag) {
-  // Negative, NaN or infinite inputs would silently corrupt a resource's
-  // busy-until state for every later op, so they are hard errors — this is
-  // what lets fault-perturbed ops be trusted downstream.
+void Timeline::reject_input(double ready, double duration) {
   DAOP_CHECK_MSG(std::isfinite(ready) && ready >= 0.0,
                  "schedule ready time must be finite and >= 0, got " << ready);
   DAOP_CHECK_MSG(std::isfinite(duration) && duration >= 0.0,
                  "schedule duration must be finite and >= 0, got "
                      << duration);
-  const int i = static_cast<int>(r);
-  const double start = std::max(ready, busy_until_[i]);
-  last_start_ = start;
-  double hazard_extra = 0.0;
-  if (fault_ != nullptr && fault_->enabled() && duration > 0.0) {
-    const FaultModel::Perturbation p = fault_->perturb(r, start, duration);
-    DAOP_CHECK_MSG(std::isfinite(p.extra_s) && p.extra_s >= 0.0,
-                   "fault perturbation must be finite and >= 0, got "
-                       << p.extra_s);
-    hazard_extra = p.extra_s;
-    duration += p.extra_s;
-    hazard_stall_s_ += p.extra_s;
-    hazard_transfer_retries_ += p.retries;
-  }
-  const double end = start + duration;
-  if (record_ && hazard_extra > 0.0) {
+}
+
+double Timeline::perturb(Res r, double start, double duration) {
+  if (!fault_->enabled()) return duration;
+  const FaultModel::Perturbation p = fault_->perturb(r, start, duration);
+  DAOP_CHECK_MSG(std::isfinite(p.extra_s) && p.extra_s >= 0.0,
+                 "fault perturbation must be finite and >= 0, got "
+                     << p.extra_s);
+  duration += p.extra_s;
+  hazard_stall_s_ += p.extra_s;
+  hazard_transfer_retries_ += p.retries;
+  if (record_ && p.extra_s > 0.0) {
     if (hazard_tag_ == kNoTag) hazard_tag_ = tags_.intern("hazard stall");
-    hazard_soa_.push_back(r, end - hazard_extra, end, hazard_tag_);
+    const double end = start + duration;
+    hazard_soa_.push_back(r, end - p.extra_s, end, hazard_tag_);
     hazard_compat_dirty_ = true;
   }
-  DAOP_CHECK_GE(end, busy_until_[i]);  // time never moves backwards
-  busy_until_[i] = end;
-  busy_time_[i] += duration;
-  if (record_ && duration > 0.0) {
-    soa_.push_back(r, start, end, tag);
-    compat_dirty_ = true;
-  }
-  return end;
+  return duration;
+}
+
+void Timeline::record(Res r, double start, double end, TagId tag) {
+  soa_.push_back(r, start, end, tag);
+  compat_dirty_ = true;
 }
 
 double Timeline::busy_until(Res r) const {

@@ -7,19 +7,26 @@
 // of scheduling ops with explicit ready times (dependencies).
 //
 // Hot-path design (docs/PERFORMANCE.md): schedule() is called millions of
-// times per sweep, so tags are interned TagIds against a per-timeline string
-// pool (zero string work when interval recording is off — the common case)
-// and recorded intervals live in structure-of-arrays columns with chunked
-// reserve growth. The classic std::vector<Interval> view stays available via
+// times per sweep, so it is defined inline here as one code path: the input
+// and monotonicity checks, the max/add arithmetic, and two branches into
+// private out-of-line hooks — fault perturbation (only with a fault model
+// attached) and interval recording (only while recording is on). Tags are
+// interned TagIds against a per-timeline string pool (zero string work when
+// interval recording is off — the common case) and recorded intervals live
+// in structure-of-arrays columns with chunked reserve growth. The classic std::vector<Interval> view stays available via
 // intervals()/hazard_intervals(), materialized on demand for the cold
 // consumers (attribution, trace export, gantt, profiler).
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/check.hpp"
 
 namespace daop::sim {
 
@@ -114,9 +121,14 @@ class Timeline {
   /// is on; with recording off (the default) it is exactly the untagged hot
   /// path — no string is ever constructed, hashed, or copied.
   double schedule(Res r, double ready, double duration,
-                  std::string_view tag = {});
+                  std::string_view tag = {}) {
+    // Interning is gated on recording: with recording off (the default) the
+    // tag is never even looked at and this is the pure arithmetic hot path.
+    return schedule(r, ready, duration,
+                    (record_ && !tag.empty()) ? tags_.intern(tag) : kNoTag);
+  }
   /// Pre-interned tag variant for callers that schedule the same op name in
-  /// a tight loop (see intern_tag()).
+  /// a tight loop (see intern_tag()). Defined below the class.
   double schedule(Res r, double ready, double duration, TagId tag);
 
   /// Interns `tag` into this timeline's pool up front so a loop can call
@@ -192,6 +204,19 @@ class Timeline {
   void reset();
 
  private:
+  /// schedule()'s input-check failure, entered only when an input is bad:
+  /// throws CheckError naming the first bad one.
+  DAOP_COLD_ static void reject_input(double ready, double duration);
+  /// Fault hook (out of line), entered for every op of positive duration
+  /// while a fault model is attached: when the model is enabled, perturbs
+  /// the op that starts at `start`, accounts the hazard telemetry, records
+  /// the hazard tail while recording is on, and returns the perturbed
+  /// duration.
+  double perturb(Res r, double start, double duration);
+  /// Recording hook (out of line), entered only while recording is on:
+  /// appends one busy interval.
+  void record(Res r, double start, double end, TagId tag);
+
   std::array<double, kNumRes> busy_until_{};
   std::array<double, kNumRes> busy_time_{};
   IntervalSoA soa_;
@@ -209,6 +234,29 @@ class Timeline {
   double hazard_stall_s_ = 0.0;
   long long hazard_transfer_retries_ = 0;
 };
+
+inline double Timeline::schedule(Res r, double ready, double duration,
+                                 TagId tag) {
+  // Negative, NaN or infinite inputs would silently corrupt a resource's
+  // busy-until state for every later op, so they are hard errors — this is
+  // what lets fault-perturbed ops be trusted downstream.
+  if (!(std::isfinite(ready) && ready >= 0.0) ||
+      !(std::isfinite(duration) && duration >= 0.0)) [[unlikely]] {
+    reject_input(ready, duration);
+  }
+  const int i = static_cast<int>(r);
+  const double start = std::max(ready, busy_until_[i]);
+  last_start_ = start;
+  if (fault_ != nullptr && duration > 0.0) {
+    duration = perturb(r, start, duration);
+  }
+  const double end = start + duration;
+  DAOP_CHECK_GE(end, busy_until_[i]);  // time never moves backwards
+  busy_until_[i] = end;
+  busy_time_[i] += duration;
+  if (record_ && duration > 0.0) record(r, start, end, tag);
+  return end;
+}
 
 /// Renders the recorded intervals of a timeline as an ASCII gantt chart over
 /// [t0, t1], one lane per resource (the paper's Fig. 8 visualization).

@@ -21,6 +21,7 @@
 #include <numeric>
 #include <span>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -298,6 +299,48 @@ std::vector<float> descending_ids(int n_experts) {
   std::vector<float> s(static_cast<std::size_t>(n_experts));
   std::iota(s.begin(), s.end(), 0.0F);
   return s;
+}
+
+/// The CheckError text `f` throws ("" if it throws none).
+template <class F>
+std::string failure_of(F&& f) {
+  try {
+    f();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TraceLayout, OutOfRangeLookupsNameTheCellAndShape) {
+  const SequenceTrace trace(4, 8, 2, 16, 12);
+  const auto expect_failure = [](const std::string& what,
+                                 const std::string& want) {
+    EXPECT_NE(what.find(want), std::string::npos)
+        << "got: " << what << "\nwant: " << want;
+  };
+  expect_failure(failure_of([&] { trace.at(Phase::Decode, 4, 0); }),
+                 "decode cell (layer 4, token 0) is outside the trace's "
+                 "decode shape of 4 layers x 12 tokens");
+  expect_failure(failure_of([&] { trace.at(Phase::Decode, 1, 12); }),
+                 "decode cell (layer 1, token 12) is outside the trace's "
+                 "decode shape of 4 layers x 12 tokens");
+  expect_failure(failure_of([&] { trace.at(Phase::Prefill, 0, -1); }),
+                 "prefill cell (layer 0, token -1) is outside the trace's "
+                 "prefill shape of 4 layers x 16 tokens");
+  expect_failure(failure_of([&] { trace.predicted(-2, 3); }),
+                 "decode cell (layer -2, token 3) is outside the trace's "
+                 "decode shape of 4 layers x 12 tokens");
+  expect_failure(failure_of([&] { trace.counts(Phase::Prefill, 4); }),
+                 "prefill layer 4 is outside the trace's prefill shape of "
+                 "4 layers x 16 tokens");
+  expect_failure(failure_of([&] { trace.counts(Phase::Decode, -1); }),
+                 "decode layer -1 is outside the trace's decode shape of "
+                 "4 layers x 12 tokens");
+  // In-range corners stay valid.
+  EXPECT_EQ(trace.at(Phase::Decode, 3, 11).scores.size(), 8U);
+  EXPECT_EQ(trace.at(Phase::Prefill, 0, 15).selected.size(), 2U);
+  EXPECT_EQ(trace.counts(Phase::Decode, 3).size(), 8U);
 }
 
 TEST(TraceLayout, CopySharesBlocks) {

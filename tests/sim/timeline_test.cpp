@@ -2,12 +2,62 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <limits>
+#include <memory>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "common/check.hpp"
+#include "sim/fault_model.hpp"
 
 namespace daop::sim {
 namespace {
+
+/// The ways schedule() can run: its plain path, and each of the hooks it
+/// enters (recording, and a fault model attached while disabled or
+/// enabled).
+enum class Path { kBare, kRecording, kFaultOff, kFaultOn };
+constexpr Path kPaths[] = {Path::kBare, Path::kRecording, Path::kFaultOff,
+                           Path::kFaultOn};
+
+/// A timeline wired for one Path; owns the fault model it attaches.
+struct PathTimeline {
+  explicit PathTimeline(Path path) {
+    if (path == Path::kRecording) tl.set_record_intervals(true);
+    if (path == Path::kFaultOff || path == Path::kFaultOn) {
+      fault = std::make_unique<FaultModel>(
+          path == Path::kFaultOn ? make_hazard_scenario("all", 1.0)
+                                 : HazardScenario{},
+          7);
+      tl.set_fault_model(fault.get());
+    }
+  }
+  std::unique_ptr<FaultModel> fault;
+  Timeline tl;
+};
+
+/// Expects schedule(ready, duration) to throw through both the string_view
+/// and the TagId overload on every path, leaving the resource untouched.
+void expect_rejected(double ready, double duration) {
+  for (const Path path : kPaths) {
+    PathTimeline p(path);
+    const TagId tag = p.tl.intern_tag("op");
+    EXPECT_THROW(p.tl.schedule(Res::PcieH2D, ready, duration), CheckError)
+        << "path " << static_cast<int>(path);
+    EXPECT_THROW(p.tl.schedule(Res::PcieH2D, ready, duration, "op"),
+                 CheckError)
+        << "path " << static_cast<int>(path);
+    EXPECT_THROW(p.tl.schedule(Res::PcieH2D, ready, duration, tag),
+                 CheckError)
+        << "path " << static_cast<int>(path);
+    EXPECT_EQ(p.tl.busy_until(Res::PcieH2D), 0.0);
+    EXPECT_EQ(p.tl.busy_time(Res::PcieH2D), 0.0);
+    EXPECT_EQ(p.tl.interval_count(), 0U);
+  }
+}
 
 TEST(Timeline, StartsEmpty) {
   Timeline tl;
@@ -93,19 +143,97 @@ TEST(Timeline, ResetClearsEverything) {
 }
 
 TEST(Timeline, RejectsNegativeInputs) {
-  Timeline tl;
-  EXPECT_THROW(tl.schedule(Res::GpuStream, -1.0, 1.0), CheckError);
-  EXPECT_THROW(tl.schedule(Res::GpuStream, 0.0, -1.0), CheckError);
+  expect_rejected(-1.0, 1.0);
+  expect_rejected(0.0, -1.0);
+  expect_rejected(-std::numeric_limits<double>::denorm_min(), 1.0);
+  expect_rejected(0.0, -std::numeric_limits<double>::denorm_min());
 }
 
 TEST(Timeline, RejectsNonFiniteInputs) {
-  Timeline tl;
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(tl.schedule(Res::GpuStream, nan, 1.0), CheckError);
-  EXPECT_THROW(tl.schedule(Res::GpuStream, 0.0, nan), CheckError);
-  EXPECT_THROW(tl.schedule(Res::GpuStream, inf, 1.0), CheckError);
-  EXPECT_THROW(tl.schedule(Res::GpuStream, 0.0, inf), CheckError);
+  expect_rejected(nan, 1.0);
+  expect_rejected(0.0, nan);
+  expect_rejected(inf, 1.0);
+  expect_rejected(0.0, inf);
+  expect_rejected(-inf, 1.0);
+}
+
+TEST(Timeline, RejectionNamesTheBadInput) {
+  Timeline tl;
+  try {
+    tl.schedule(Res::GpuStream, -2.0, 1.0);
+    FAIL() << "negative ready accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "schedule ready time must be finite and >= 0, got -2"),
+              std::string::npos)
+        << e.what();
+  }
+  try {
+    tl.schedule(Res::GpuStream, 1.0, -3.0);
+    FAIL() << "negative duration accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "schedule duration must be finite and >= 0, got -3"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// One seeded op stream, rich in the edge cases of the max/add arithmetic
+// (zero durations, readies equal to the resource's busy-until, a -0.0
+// ready), scheduled on a bare timeline, a recording one and one with a
+// disabled fault model attached. The hooks must not change one bit of the
+// schedule.
+TEST(Timeline, HooksLeaveTheScheduleBitIdentical) {
+  struct Op {
+    Res res;
+    double ready;
+    double duration;
+  };
+  std::mt19937_64 gen(20240611);
+  std::uniform_int_distribution<int> pick(0, 9);
+  std::uniform_int_distribution<int> res(0, kNumRes - 1);
+  std::uniform_real_distribution<double> u(0.0, 1e-2);
+  Timeline shape;  // tracks busy-until so readies can tie it exactly
+  std::vector<Op> ops;
+  double prev_end = 0.0;
+  for (int i = 0; i < 4000; ++i) {
+    const Res r = static_cast<Res>(res(gen));
+    double ready = 0.0;
+    switch (pick(gen)) {
+      case 0: ready = -0.0; break;
+      case 1:
+      case 2: ready = shape.busy_until(r); break;
+      case 3: ready = prev_end; break;
+      default: ready = prev_end * u(gen) * 100.0; break;
+    }
+    const double duration = pick(gen) < 3 ? 0.0 : u(gen);
+    ops.push_back({r, ready, duration});
+    prev_end = shape.schedule(r, ready, duration);
+  }
+
+  const Path paths[] = {Path::kBare, Path::kRecording, Path::kFaultOff};
+  std::vector<std::vector<std::uint64_t>> runs;
+  for (const Path path : paths) {
+    PathTimeline p(path);
+    std::vector<std::uint64_t> bits;
+    for (const Op& op : ops) {
+      bits.push_back(std::bit_cast<std::uint64_t>(
+          p.tl.schedule(op.res, op.ready, op.duration, "op")));
+      bits.push_back(std::bit_cast<std::uint64_t>(p.tl.last_start()));
+    }
+    for (int r = 0; r < kNumRes; ++r) {
+      bits.push_back(
+          std::bit_cast<std::uint64_t>(p.tl.busy_until(static_cast<Res>(r))));
+      bits.push_back(
+          std::bit_cast<std::uint64_t>(p.tl.busy_time(static_cast<Res>(r))));
+    }
+    runs.push_back(std::move(bits));
+  }
+  EXPECT_EQ(runs[0], runs[1]) << "recording changed the schedule";
+  EXPECT_EQ(runs[0], runs[2]) << "a disabled fault model changed it";
 }
 
 TEST(Timeline, BlockUntilRejectsBadTimes) {
