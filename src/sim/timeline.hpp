@@ -13,7 +13,8 @@
 // attached) and interval recording (only while recording is on). Tags are
 // interned TagIds against a per-timeline string pool (zero string work when
 // interval recording is off — the common case) and recorded intervals live
-// in structure-of-arrays columns with chunked reserve growth. The classic std::vector<Interval> view stays available via
+// in structure-of-arrays columns with chunked reserve growth. The classic
+// std::vector<Interval> view stays available via
 // intervals()/hazard_intervals(), materialized on demand for the cold
 // consumers (attribution, trace export, gantt, profiler).
 #pragma once
@@ -122,8 +123,6 @@ class Timeline {
   /// path — no string is ever constructed, hashed, or copied.
   double schedule(Res r, double ready, double duration,
                   std::string_view tag = {}) {
-    // Interning is gated on recording: with recording off (the default) the
-    // tag is never even looked at and this is the pure arithmetic hot path.
     return schedule(r, ready, duration,
                     (record_ && !tag.empty()) ? tags_.intern(tag) : kNoTag);
   }

@@ -27,33 +27,27 @@ std::string here(int line) {
   return std::string(__FILE__) + ":" + std::to_string(line);
 }
 
+// Each failing check below sits on the same line as the `line = __LINE__`
+// that records where it is, so the expected file:line is exact.
+
 TEST(Check, PlainCheckNamesConditionAndLocation) {
   const int x = 3;
   int line = 0;
-  const std::string what = failure_of([&] {
-    line = __LINE__ + 1;
-    DAOP_CHECK(x > 5);
-  });
+  const std::string what =
+      failure_of([&] { line = __LINE__; DAOP_CHECK(x > 5); });
   EXPECT_EQ(what, "DAOP check failed: x > 5 at " + here(line));
 }
 
 TEST(Check, MsgCheckAppendsTheStreamedMessage) {
   const int x = 3;
   int line = 0;
-  const std::string what = failure_of([&] {
-    line = __LINE__ + 1;
-    DAOP_CHECK_MSG(x > 5, "x was " << x << ", wanted > " << 5.5);
+  std::string what = failure_of([&] {
+    line = __LINE__; DAOP_CHECK_MSG(x > 5, "x is " << x << " < " << 5.5);
   });
   EXPECT_EQ(what, "DAOP check failed: x > 5 at " + here(line) +
-                      " — x was 3, wanted > 5.5");
-}
-
-TEST(Check, EmptyMessageAddsNoSeparator) {
-  int line = 0;
-  const std::string what = failure_of([&] {
-    line = __LINE__ + 1;
-    DAOP_CHECK_MSG(1 + 1 == 3, "");
-  });
+                      " — x is 3 < 5.5");
+  // An empty message adds no separator.
+  what = failure_of([&] { line = __LINE__; DAOP_CHECK_MSG(1 + 1 == 3, ""); });
   EXPECT_EQ(what, "DAOP check failed: 1 + 1 == 3 at " + here(line));
 }
 
@@ -61,53 +55,24 @@ TEST(Check, ComparisonChecksPrintBothOperands) {
   const int a = 2;
   const double b = 7.5;
   const std::string s = "abc";
-  struct Case {
-    std::string what;
-    int line;
-    const char* expr;
-    const char* operands;
+  int line = 0;
+  const auto expect = [&](const std::string& what, const std::string& expr,
+                          const std::string& operands) {
+    EXPECT_EQ(what, "DAOP check failed: " + expr + " at " + here(line) +
+                        " — " + operands);
   };
-  Case cases[6];
-  cases[0].what = failure_of([&] {
-    cases[0].line = __LINE__ + 1;
-    DAOP_CHECK_EQ(a, 3);
-  });
-  cases[0].expr = "a == 3";
-  cases[0].operands = "lhs=2 rhs=3";
-  cases[1].what = failure_of([&] {
-    cases[1].line = __LINE__ + 1;
-    DAOP_CHECK_NE(s, std::string("abc"));
-  });
-  cases[1].expr = "s != std::string(\"abc\")";
-  cases[1].operands = "lhs=abc rhs=abc";
-  cases[2].what = failure_of([&] {
-    cases[2].line = __LINE__ + 1;
-    DAOP_CHECK_LT(b, a);
-  });
-  cases[2].expr = "b < a";
-  cases[2].operands = "lhs=7.5 rhs=2";
-  cases[3].what = failure_of([&] {
-    cases[3].line = __LINE__ + 1;
-    DAOP_CHECK_LE(b, 1);
-  });
-  cases[3].expr = "b <= 1";
-  cases[3].operands = "lhs=7.5 rhs=1";
-  cases[4].what = failure_of([&] {
-    cases[4].line = __LINE__ + 1;
-    DAOP_CHECK_GT(a, a + 1);
-  });
-  cases[4].expr = "a > a + 1";
-  cases[4].operands = "lhs=2 rhs=3";
-  cases[5].what = failure_of([&] {
-    cases[5].line = __LINE__ + 1;
-    DAOP_CHECK_GE(a * 2, b);
-  });
-  cases[5].expr = "a * 2 >= b";
-  cases[5].operands = "lhs=4 rhs=7.5";
-  for (const Case& c : cases) {
-    EXPECT_EQ(c.what, std::string("DAOP check failed: ") + c.expr + " at " +
-                          here(c.line) + " — " + c.operands);
-  }
+  expect(failure_of([&] { line = __LINE__; DAOP_CHECK_EQ(a, 3); }), "a == 3",
+         "lhs=2 rhs=3");
+  expect(failure_of([&] { line = __LINE__; DAOP_CHECK_NE(s, "abc"); }),
+         "s != \"abc\"", "lhs=abc rhs=abc");
+  expect(failure_of([&] { line = __LINE__; DAOP_CHECK_LT(b, a); }), "b < a",
+         "lhs=7.5 rhs=2");
+  expect(failure_of([&] { line = __LINE__; DAOP_CHECK_LE(b, 1); }), "b <= 1",
+         "lhs=7.5 rhs=1");
+  expect(failure_of([&] { line = __LINE__; DAOP_CHECK_GT(a, a + 1); }),
+         "a > a + 1", "lhs=2 rhs=3");
+  expect(failure_of([&] { line = __LINE__; DAOP_CHECK_GE(a * 2, b); }),
+         "a * 2 >= b", "lhs=4 rhs=7.5");
 }
 
 TEST(Check, PassingComparisonsThrowNothing) {

@@ -181,9 +181,24 @@ TEST(Timeline, RejectionNamesTheBadInput) {
   }
 }
 
+// Signed zeros pin the expression order: the start is max(ready,
+// busy_until), which keeps `ready` on a tie, and the end is start +
+// duration with nothing added to an unperturbed duration.
+TEST(Timeline, SignedZerosKeepTheirBits) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const Path path : kPaths) {
+    PathTimeline p(path);
+    EXPECT_EQ(bits(p.tl.schedule(Res::CpuPool, -0.0, 0.0)), bits(0.0));
+    EXPECT_EQ(bits(p.tl.last_start()), bits(-0.0));
+    EXPECT_EQ(bits(p.tl.schedule(Res::CpuPool, -0.0, -0.0)), bits(-0.0));
+    EXPECT_EQ(bits(p.tl.busy_until(Res::CpuPool)), bits(-0.0));
+    EXPECT_EQ(bits(p.tl.busy_time(Res::CpuPool)), bits(0.0));
+  }
+}
+
 // One seeded op stream, rich in the edge cases of the max/add arithmetic
-// (zero durations, readies equal to the resource's busy-until, a -0.0
-// ready), scheduled on a bare timeline, a recording one and one with a
+// (zero and -0.0 durations, readies equal to the resource's busy-until, a
+// -0.0 ready), scheduled on a bare timeline, a recording one and one with a
 // disabled fault model attached. The hooks must not change one bit of the
 // schedule.
 TEST(Timeline, HooksLeaveTheScheduleBitIdentical) {
@@ -209,7 +224,8 @@ TEST(Timeline, HooksLeaveTheScheduleBitIdentical) {
       case 3: ready = prev_end; break;
       default: ready = prev_end * u(gen) * 100.0; break;
     }
-    const double duration = pick(gen) < 3 ? 0.0 : u(gen);
+    const int d = pick(gen);
+    const double duration = d == 0 ? -0.0 : d < 3 ? 0.0 : u(gen);
     ops.push_back({r, ready, duration});
     prev_end = shape.schedule(r, ready, duration);
   }
