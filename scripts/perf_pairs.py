@@ -3,15 +3,16 @@
 
     perf_pairs.py --parent <checkout> --change <checkout> --out ab.json \\
         [--workloads paper-decode,paper-decode:13,serve-overload] \\
-        [--pairs 10] [--seed 1] [--seconds 25] [--claim sim_req_per_ref_s]
+        [--pairs 10] [--seconds 25] [--claim sim_req_per_ref_s]
     perf_pairs.py --self-test
 
 Each checkout runs its own `perfbench/run.py` (which builds it from source)
 with its own CARGO_TARGET_DIR, `<checkout>/.bench_build` unless
 --build-root gives `<build-root>/{parent,change}`. A `--workloads` entry is
-a workload name, run at --seed, or `name:seed`. Per entry, pair i runs both
-sides back to back, the parent first on even i and the change first on odd
-i, so slow drift on a shared machine hits both sides alike.
+a workload name, run at perfbench's default seed 1, or `name:seed`. Per
+entry, pair i runs both sides back to back, the parent first on even i and
+the change first on odd i, so slow drift on a shared machine hits both
+sides alike.
 
 The output (schema daop-perf-pairs/1) holds every run's metrics and, per
 entry and end-to-end metric (directions from the change's
@@ -33,6 +34,7 @@ import tempfile
 from pathlib import Path
 
 SCHEMA = "daop-perf-pairs/1"
+DEFAULT_SEED = 1  # perfbench's default seed
 
 
 def quartiles(values):
@@ -126,7 +128,7 @@ def measure(args, run=run_side):
     ok = True
     for entry in args.workloads.split(","):
         workload, _, seed = entry.partition(":")
-        seed = int(seed) if seed else args.seed
+        seed = int(seed) if seed else DEFAULT_SEED
         runs = []
         for i in range(args.pairs):
             order = ["parent", "change"] if i % 2 == 0 else ["change",
@@ -224,15 +226,15 @@ def self_test():
             parent=str(Path(tmp) / "parent"),
             change=str(Path(tmp) / "change"),
             build_root=str(Path(tmp) / "builds"), workloads="a,b:7", pairs=3,
-            seed=13, seconds=1.0, claim="speed")
+            seconds=1.0, claim="speed")
         out = measure(args, run=fake)
         assert [c[1] for c in calls[:6]] == ["parent", "change", "change",
                                              "parent", "parent", "change"]
         assert all(c[1] == c[3] for c in calls), "each side builds apart"
-        assert [c[2] for c in calls] == [13] * 6 + [7] * 6
+        assert [c[2] for c in calls] == [DEFAULT_SEED] * 6 + [7] * 6
         assert out["ok"]
         assert [(r["workload"], r["seed"]) for r in out["results"]] == [
-            ("a", 13), ("b", 7)]
+            ("a", DEFAULT_SEED), ("b", 7)]
         w = out["results"][0]
         assert len(w["runs"]) == 6 and w["failed_runs"] == 0
         assert w["metrics"]["speed"]["wins"] == 3
@@ -261,7 +263,6 @@ def main():
     ap.add_argument("--workloads",
                     default="paper-decode,serve-overload,cluster-chaos")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=25)
     ap.add_argument("--claim", default="sim_req_per_ref_s")
     args = ap.parse_args()

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 
 #include "common/check.hpp"
 #include "common/strings.hpp"
@@ -84,11 +85,15 @@ void IntervalSoA::push_back(Res r, double s, double e, TagId t) {
 Timeline::Timeline() { reset(); }
 
 void Timeline::reject_input(double ready, double duration) {
-  DAOP_CHECK_MSG(std::isfinite(ready) && ready >= 0.0,
-                 "schedule ready time must be finite and >= 0, got " << ready);
-  DAOP_CHECK_MSG(std::isfinite(duration) && duration >= 0.0,
-                 "schedule duration must be finite and >= 0, got "
-                     << duration);
+  std::ostringstream os;
+  if (!(std::isfinite(ready) && ready >= 0.0)) {
+    os << "schedule ready time must be finite and >= 0, got " << ready;
+    detail::check_failed("std::isfinite(ready) && ready >= 0.0", __FILE__,
+                         __LINE__, os.str());
+  }
+  os << "schedule duration must be finite and >= 0, got " << duration;
+  detail::check_failed("std::isfinite(duration) && duration >= 0.0", __FILE__,
+                       __LINE__, os.str());
 }
 
 double Timeline::perturb(Res r, double start, double duration) {

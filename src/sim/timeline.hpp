@@ -204,8 +204,10 @@ class Timeline {
 
  private:
   /// schedule()'s input-check failure, entered only when an input is bad:
-  /// throws CheckError naming the first bad one.
-  DAOP_COLD_ static void reject_input(double ready, double duration);
+  /// always throws CheckError, naming `ready` when it is the bad input and
+  /// `duration` otherwise.
+  [[noreturn]] DAOP_COLD_ static void reject_input(double ready,
+                                                   double duration);
   /// Fault hook (out of line), entered for every op of positive duration
   /// while a fault model is attached: when the model is enabled, perturbs
   /// the op that starts at `start`, accounts the hazard telemetry, records
