@@ -32,6 +32,9 @@ ContinuousBatchingScheduler::ContinuousBatchingScheduler(
 
 void ContinuousBatchingScheduler::enqueue(Request request) {
   DAOP_CHECK_GE(request.arrival, 0.0);
+  // Negative or NaN budgets would otherwise fall back to the default budget
+  // silently (0 is the documented "use the default").
+  DAOP_CHECK_GE(request.deadline_s, 0.0);
   if (!pending_.empty()) {
     DAOP_CHECK_GE(request.arrival, pending_.back().request.arrival);
   }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 
 #include "../testing/helpers.hpp"
@@ -184,6 +185,35 @@ TEST(ContinuousBatching, RejectsNonMonotonicArrivals) {
   b.arrival = 1.0;  // out of order
   b.trace = gen.generate(1, 8, 4);
   EXPECT_THROW(sched.enqueue(std::move(b)), CheckError);
+}
+
+// Same rule as ClusterRouter::enqueue: a per-request deadline budget is
+// either 0 (use the plane's default) or positive, never negative or NaN.
+TEST(ContinuousBatching, RejectsNegativeOrNanDeadlines) {
+  const auto cfg = daop::testing::small_mixtral();
+  const sim::CostModel cm(sim::a6000_i9_platform());
+  const model::OpCosts costs(cfg, cm);
+  auto engine = make_engine(EngineKind::Fiddler, costs);
+  cache::Placement pl(cfg.n_layers, cfg.n_experts);
+  sim::Timeline tl;
+  ContinuousBatchingScheduler sched(*engine, tl, pl, {});
+  const data::TraceGenerator gen(data::sharegpt_calibration(), cfg.n_layers,
+                                 cfg.n_experts, cfg.top_k, 7);
+  long long id = 0;
+  for (const double bad : {-1.0, std::nan("")}) {
+    ContinuousBatchingScheduler::Request r;
+    r.id = id++;
+    r.deadline_s = bad;
+    r.trace = gen.generate(0, 8, 4);
+    EXPECT_THROW(sched.enqueue(std::move(r)), CheckError) << bad;
+  }
+  for (const double ok : {0.0, 5.0}) {
+    ContinuousBatchingScheduler::Request r;
+    r.id = id++;
+    r.deadline_s = ok;
+    r.trace = gen.generate(1, 8, 4);
+    EXPECT_NO_THROW(sched.enqueue(std::move(r))) << ok;
+  }
 }
 
 }  // namespace
