@@ -10,7 +10,6 @@
 #include "common/table.hpp"
 #include "core/daop_batch.hpp"
 #include "data/trace_generator.hpp"
-#include "engines/batch.hpp"
 #include "model/config.hpp"
 #include "model/op_costs.hpp"
 
@@ -41,7 +40,8 @@ int main() {
   for (int b : {1, 2, 4, 8, 16}) {
     std::vector<data::SequenceTrace> traces;
     for (int i = 0; i < b; ++i) traces.push_back(gen.generate(i, 256, 256));
-    const auto rf = engines::run_fiddler_batch(costs, traces, placement);
+    const auto rf =
+        core::run_daop_batch(costs, core::fiddler_config(), traces, placement);
     const auto rd =
         core::run_daop_batch(costs, core::DaopConfig{}, traces, placement);
     const double edge = rd.tokens_per_s / rf.tokens_per_s - 1.0;

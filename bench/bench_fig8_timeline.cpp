@@ -23,7 +23,6 @@
 #include "core/daop_engine.hpp"
 #include "data/routing_trace.hpp"
 #include "engines/fetch_engine.hpp"
-#include "engines/fiddler.hpp"
 #include "eval/speed.hpp"
 #include "model/config.hpp"
 #include "model/op_costs.hpp"
@@ -91,7 +90,7 @@ int main() {
   std::vector<Case> cases;
   cases.push_back({"MoE-OnDemand", engines::make_moe_ondemand(costs)});
   cases.push_back({"Pre-gated MoE", engines::make_pregated_moe(costs)});
-  cases.push_back({"Fiddler", engines::make_fiddler(costs)});
+  cases.push_back({"Fiddler", core::make_fiddler(costs)});
   core::DaopConfig dc;
   dc.min_predict_layer = 1;  // the figure's two-block excerpt predicts from block 0
   dc.enable_seq_allocation = false;  // isolate the decode-phase mechanism

@@ -599,7 +599,7 @@ bool ClusterRouter::try_warm_restore(Node& n, Track& tr,
   // CPU execution for them exactly as for any refused migration.
   const std::optional<engines::SessionSnapshotInfo> info =
       engines::SequenceSession::peek(best->bytes);
-  if (info.has_value() && info->has_placement) {
+  if (info.has_value()) {
     const recovery::ReconcileResult rr = recovery::reconcile_placement(
         info->placement, *n.arbiter, n.timeline, t_admit,
         n.engine->costs().expert_migration(), tr.request.id);
@@ -889,14 +889,11 @@ std::vector<ClusterRouter::Outcome> ClusterRouter::run() {
         const long long step = a.session->tokens_generated();
         const double now = a.session->ready_time();
         if (n.ckpt->due(rid, step, now)) {
-          std::vector<std::uint8_t> snap = a.session->checkpoint();
-          if (!snap.empty()) {
-            n.ckpt->write(rid, step, now, std::move(snap));
-            if (ts_on()) {
-              options_.tseries->count(
-                  n.id, "daop_recovery_checkpoints_total",
-                  "Session snapshots durably written on the node.", 1.0);
-            }
+          n.ckpt->write(rid, step, now, a.session->checkpoint());
+          if (ts_on()) {
+            options_.tseries->count(
+                n.id, "daop_recovery_checkpoints_total",
+                "Session snapshots durably written on the node.", 1.0);
           }
         }
       }

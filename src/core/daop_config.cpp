@@ -42,4 +42,25 @@ void validate_config(const DaopConfig& config) {
                      << config.stale_precalc_factor);
 }
 
+DaopConfig fiddler_config() {
+  DaopConfig c;
+  c.enable_seq_allocation = false;
+  c.enable_precalc = false;
+  c.enable_degradation = false;
+  return c;
+}
+
+std::string engine_name(const DaopConfig& config) {
+  const bool alloc = config.enable_seq_allocation;
+  const bool precalc = config.enable_precalc;
+  const bool degrade = config.enable_degradation;
+  if (alloc && precalc && degrade) return "DAOP";
+  if (!alloc && !precalc && !degrade) return "Fiddler";
+  std::string n = "DAOP[";
+  n += alloc ? "alloc," : "-alloc,";
+  n += precalc ? "precalc," : "-precalc,";
+  n += degrade ? "degrade]" : "-degrade]";
+  return n;
+}
+
 }  // namespace daop::core

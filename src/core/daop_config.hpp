@@ -1,6 +1,8 @@
 // DAOP engine configuration (§IV) with ablation switches.
 #pragma once
 
+#include <string>
+
 namespace daop::core {
 
 /// What to do when a decode-phase expert turns out to be CPU-resident but
@@ -88,5 +90,17 @@ struct DaopConfig {
 /// bad config fails loudly instead of producing silently nonsensical
 /// results.
 void validate_config(const DaopConfig& config);
+
+/// The Fiddler baseline (Kamahori et al.): DAOP's in-place hybrid execution
+/// with its three mechanisms off — no sequence-specific allocation, no
+/// pre-calculation, no graceful degradation — and every other field at its
+/// default. Missing experts execute on the CPU where they live; the
+/// calibrated placement stays static.
+DaopConfig fiddler_config();
+
+/// The name a configuration runs under: "DAOP" with all three mechanisms
+/// on, "Fiddler" with all three off, "DAOP[...]" naming the switches
+/// otherwise.
+std::string engine_name(const DaopConfig& config);
 
 }  // namespace daop::core

@@ -23,9 +23,8 @@ class DaopSession final : public engines::SequenceSession {
               obs::SpanTracer* tracer, obs::Profiler* profiler,
               const cache::Placement& initial)
       : SequenceSession(std::move(engine_name), costs, trace, env, fault,
-                        tracer, profiler),
+                        tracer, profiler, initial),
         config_(config),
-        placement_(initial),
         L_(costs.config().n_layers),
         E_(costs.config().n_experts),
         mig_cost_(costs.expert_migration()),
@@ -48,11 +47,6 @@ class DaopSession final : public engines::SequenceSession {
         stale_(static_cast<std::size_t>(E_), 0) {}
 
  private:
-  /// The shared placement under an arbiter, a private copy otherwise.
-  cache::Placement& placement() {
-    return arbiter() != nullptr ? arbiter()->placement() : placement_;
-  }
-
   std::size_t sidx(int l, int e) const {
     return static_cast<std::size_t>(l) * static_cast<std::size_t>(E_) +
            static_cast<std::size_t>(e);
@@ -313,14 +307,13 @@ class DaopSession final : public engines::SequenceSession {
   // consult beyond the base class — the swap-arrival gates and the trailing
   // activation window. The policy's pre-calc plan never outlives the token
   // that made it (the last layer plans nothing), so it is not state.
-  bool save_policy_state(recovery::ByteWriter& w) const override {
+  void save_policy_state(recovery::ByteWriter& w) const override {
     w.i32(L_);
     w.i32(E_);
     for (const double v : swap_ready_) w.f64(v);
     for (const auto& row : window_) {
       for (const double v : row) w.f64(v);
     }
-    return true;
   }
 
   bool load_policy_state(recovery::ByteReader& r, double shift) override {
@@ -342,17 +335,10 @@ class DaopSession final : public engines::SequenceSession {
     return true;
   }
 
-  const cache::Placement* effective_placement() const override {
-    return arbiter() != nullptr ? &arbiter()->placement() : &placement_;
-  }
-
-  cache::Placement* private_placement() override { return &placement_; }
-
   /// By value: open_session may hand each session a per-session variant of
   /// the engine config (degradation directives disable pre-calc /
   /// migrations for one session without touching the engine).
   const DaopConfig config_;
-  cache::Placement placement_;
   const int L_;
   const int E_;
   const double mig_cost_;
@@ -384,17 +370,7 @@ DaopEngine::DaopEngine(const model::OpCosts& costs, DaopConfig config)
   validate_config(config_);
 }
 
-std::string DaopEngine::name() const {
-  if (config_.enable_seq_allocation && config_.enable_precalc &&
-      config_.enable_degradation) {
-    return "DAOP";
-  }
-  std::string n = "DAOP[";
-  n += config_.enable_seq_allocation ? "alloc," : "-alloc,";
-  n += config_.enable_precalc ? "precalc," : "-precalc,";
-  n += config_.enable_degradation ? "degrade]" : "-degrade]";
-  return n;
-}
+std::string DaopEngine::name() const { return engine_name(config_); }
 
 std::unique_ptr<engines::SequenceSession> DaopEngine::do_open_session(
     const data::SequenceTrace& trace, const cache::Placement& initial,
@@ -418,6 +394,10 @@ std::unique_ptr<engines::SequenceSession> DaopEngine::do_open_session(
 std::unique_ptr<engines::Engine> make_daop(const model::OpCosts& costs,
                                            DaopConfig config) {
   return std::make_unique<DaopEngine>(costs, config);
+}
+
+std::unique_ptr<engines::Engine> make_fiddler(const model::OpCosts& costs) {
+  return make_daop(costs, fiddler_config());
 }
 
 }  // namespace daop::core

@@ -38,4 +38,9 @@ class DaopEngine : public engines::Engine {
 std::unique_ptr<engines::Engine> make_daop(const model::OpCosts& costs,
                                            DaopConfig config = {});
 
+/// The Fiddler baseline: make_daop(costs, fiddler_config()). With the three
+/// mechanisms off, selected experts execute where they live (CPU-resident
+/// ones on the CPU, concurrently with the GPU's) and nothing migrates.
+std::unique_ptr<engines::Engine> make_fiddler(const model::OpCosts& costs);
+
 }  // namespace daop::core

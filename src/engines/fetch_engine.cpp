@@ -21,9 +21,8 @@ class FetchSession final : public SequenceSession {
                sim::FaultModel* fault, obs::SpanTracer* tracer,
                obs::Profiler* profiler, const cache::Placement& initial)
       : SequenceSession(policy.name, costs, trace, env, fault, tracer,
-                        profiler),
+                        profiler, initial),
         policy_(policy),
-        placement_(initial),
         mig_time_(costs.cost_model().h2d_time(costs.config().expert_bytes() *
                                               policy.weight_bytes_factor)),
         last_use_(static_cast<std::size_t>(initial.n_layers()) *
@@ -64,14 +63,9 @@ class FetchSession final : public SequenceSession {
   }
 
  private:
-  /// The shared placement under an arbiter, a private copy otherwise.
-  cache::Placement& placement() {
-    return arbiter() != nullptr ? arbiter()->placement() : placement_;
-  }
-
   std::size_t idx(int l, int e) const {
     return static_cast<std::size_t>(l) *
-               static_cast<std::size_t>(placement_.n_experts()) +
+               static_cast<std::size_t>(placement().n_experts()) +
            static_cast<std::size_t>(e);
   }
 
@@ -307,9 +301,9 @@ class FetchSession final : public SequenceSession {
   // credit flags, trace span ids (valid when restoring under the same
   // tracer; cosmetic otherwise), and the once-per-expert pattern-prefetch
   // marks.
-  bool save_policy_state(recovery::ByteWriter& w) const override {
-    w.i32(placement_.n_layers());
-    w.i32(placement_.n_experts());
+  void save_policy_state(recovery::ByteWriter& w) const override {
+    w.i32(placement().n_layers());
+    w.i32(placement().n_experts());
     w.i64(use_clock_);
     for (const long long v : last_use_) w.i64(v);
     for (const double v : fetch_ready_) w.f64(v);
@@ -320,14 +314,15 @@ class FetchSession final : public SequenceSession {
     for (std::size_t i = 0; i < pattern_prefetched_.size(); ++i) {
       w.u8(pattern_prefetched_[i] ? 1 : 0);
     }
-    return true;
   }
 
   bool load_policy_state(recovery::ByteReader& r, double shift) override {
     const int L = r.i32();
     const int E = r.i32();
-    if (!r.ok() || L != placement_.n_layers() || E != placement_.n_experts())
+    if (!r.ok() || L != placement().n_layers() ||
+        E != placement().n_experts()) {
       return false;
+    }
     const long long clock = r.i64();
     std::vector<long long> last_use(last_use_.size());
     for (long long& v : last_use) v = r.i64();
@@ -352,17 +347,10 @@ class FetchSession final : public SequenceSession {
     return true;
   }
 
-  const cache::Placement* effective_placement() const override {
-    return arbiter() != nullptr ? &arbiter()->placement() : &placement_;
-  }
-
-  cache::Placement* private_placement() override { return &placement_; }
-
   /// By value: open_session may hand each session a per-session variant of
   /// the policy (degradation directives disable prefetching for one session
   /// without touching the engine).
   const FetchPolicy policy_;
-  cache::Placement placement_;
   const double mig_time_;
   /// MoE-Infinity's per-layer prefetch guess, [layer][top_k]; empty for
   /// every other policy.

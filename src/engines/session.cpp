@@ -46,7 +46,8 @@ SequenceSession::SequenceSession(std::string engine_name,
                                  const data::SequenceTrace& trace,
                                  const SessionEnv& env, sim::FaultModel* fault,
                                  obs::SpanTracer* tracer,
-                                 obs::Profiler* profiler)
+                                 obs::Profiler* profiler,
+                                 const cache::Placement& initial)
     : costs_(costs),
       name_(std::move(engine_name)),
       trace_(trace),
@@ -56,6 +57,9 @@ SequenceSession::SequenceSession(std::string engine_name,
       start_time_(env.start_time),
       request_id_(env.request_id),
       arbiter_(env.arbiter),
+      own_placement_(initial),
+      placement_(arbiter_ != nullptr ? &arbiter_->placement()
+                                     : &own_placement_),
       cache_(env.cache),
       shared_(env.shared),
       fault_(fault),
@@ -342,9 +346,10 @@ EngineCounters read_counters(recovery::ByteReader& r) {
 
 // Payload bytes of checkpoint() that do not depend on the session's shape:
 // version, name length, request id, four i32 lengths/steps, four f64 times,
-// the counters, the pin count, the two presence flags, two fault-stream
-// cursors (4 u64 words, seed, flag, cached normal), the policy length and
-// the placement image's two dimensions.
+// the counters, the pin count, the placement flag (always 1) and the
+// fault-stream flag, two fault-stream cursors (4 u64 words, seed, flag,
+// cached normal), the policy length and the placement image's two
+// dimensions.
 constexpr std::size_t kBaseBytes = 4 + 4 + 8 + 4 * 4 + 4 * 8 +
                                    sizeof(EngineCounters) + 4 + 1 + 1 +
                                    2 * (5 * 8 + 1 + 8) + 4 + 8;
@@ -375,7 +380,6 @@ std::vector<std::uint8_t> SequenceSession::checkpoint() const {
   DAOP_CHECK_MSG(phase_ == Phase::kDecoding,
                  "checkpoint() is only valid mid-decode");
   DAOP_CHECK_MSG(!parked_, "checkpoint() on a parked session");
-  const cache::Placement* placement = effective_placement();
   const std::size_t cells = static_cast<std::size_t>(trace_.n_layers()) *
                             static_cast<std::size_t>(trace_.n_experts);
   // One pass into one buffer: the frame header, then the payload in place.
@@ -407,8 +411,10 @@ std::vector<std::uint8_t> SequenceSession::checkpoint() const {
     w.i32(layer);
     w.i32(expert);
   }
-  w.u8(placement != nullptr ? 1 : 0);
-  if (placement != nullptr) recovery::write_placement(w, *placement);
+  // Placement flag: always 1 (kept so `daop-ckpt/1` bytes stay as they
+  // were); restore() and peek() reject any other value.
+  w.u8(1);
+  recovery::write_placement(w, placement());
   w.u8(fault_ != nullptr ? 1 : 0);
   if (fault_ != nullptr) {
     const sim::FaultModel::StreamCursor cursor = fault_->stream_cursor();
@@ -418,7 +424,7 @@ std::vector<std::uint8_t> SequenceSession::checkpoint() const {
   // The policy state is the payload's tail, behind its byte length.
   const std::size_t policy_len_at = w.size();
   w.u32(0);
-  if (!save_policy_state(w)) return {};
+  save_policy_state(w);
   w.patch_u32(policy_len_at,
               static_cast<std::uint32_t>(w.size() - policy_len_at - 4));
   return recovery::end_seal(w);
@@ -455,11 +461,16 @@ bool SequenceSession::restore(const std::vector<std::uint8_t>& sealed,
   for (std::uint32_t i = 0; i < n_pins; ++i) {
     const int layer = r.i32();
     const int expert = r.i32();
+    // Re-pinning happens past the point of no return, so an out-of-range
+    // cell must be rejected here.
+    if (layer < 0 || layer >= trace_.n_layers() || expert < 0 ||
+        expert >= trace_.n_experts) {
+      return false;
+    }
     pins.emplace_back(layer, expert);
   }
-  const bool has_placement = r.u8() != 0;
   recovery::PlacementImage image;
-  if (has_placement && !recovery::read_placement_image(r, &image)) {
+  if (r.u8() != 1 || !recovery::read_placement_image(r, &image)) {
     return false;
   }
   const bool has_rng = r.u8() != 0;
@@ -480,18 +491,21 @@ bool SequenceSession::restore(const std::vector<std::uint8_t>& sealed,
     return false;
   }
 
+  // A shared placement belongs to the device (the restoring scheduler
+  // reconciles it before restore()); only a private copy takes the image.
+  // Applied to a scratch copy so a later rejection leaves it untouched.
+  cache::Placement restored_placement = own_placement_;
+  if (arbiter_ == nullptr &&
+      !recovery::apply_placement_image(image, restored_placement)) {
+    return false;
+  }
   const double shift = std::max(0.0, opts.resume_floor - ready);
   recovery::ByteReader pr(payload->data() + (payload->size() - policy_len),
                           policy_len);
   if (!load_policy_state(pr, shift) || !pr.ok()) return false;
-  if (has_placement && arbiter_ == nullptr) {
-    cache::Placement* mine = private_placement();
-    if (mine != nullptr && !recovery::apply_placement_image(image, *mine)) {
-      return false;
-    }
-  }
 
   // Point of no return: apply the validated base state.
+  if (arbiter_ == nullptr) own_placement_ = std::move(restored_placement);
   counters_ = counters;
   next_token_ = step;
   replay_tokens_ = replay;
@@ -538,9 +552,9 @@ std::optional<SessionSnapshotInfo> SequenceSession::peek(
     r.i32();
     r.i32();
   }
-  info.has_placement = r.u8() != 0;
-  if (info.has_placement && !recovery::read_placement_image(r, &info.placement))
+  if (r.u8() != 1 || !recovery::read_placement_image(r, &info.placement)) {
     return std::nullopt;
+  }
   if (!r.ok()) return std::nullopt;
   return info;
 }

@@ -9,9 +9,10 @@
 // decode_step() calls across many open sessions on one shared timeline
 // (continuous batching). The base class owns the mechanics every engine
 // shares: timeline/fault wiring, migration-with-retry disciplines, the
-// CPU-expert round trip, token/prefill span bookkeeping, counters, and the
-// RunResult arithmetic. Engine subclasses supply only policy by overriding
-// run_prefill() / run_decode_token().
+// CPU-expert round trip, token/prefill span bookkeeping, counters, the
+// placement the session decodes against, checkpointing, and the RunResult
+// arithmetic. Engine subclasses supply only policy by overriding
+// run_prefill() / run_decode_token() and the policy-state checkpoint hooks.
 //
 // Determinism contract: driving a session to completion through the base
 // lifecycle reproduces the pre-session monolithic run() loops bit-for-bit
@@ -133,7 +134,8 @@ struct SessionBuffers {
 /// Ships `n_tokens` activations to the CPU, executes an expert over them
 /// (`exec_cost` seconds), and ships the result back; bumps
 /// `counters.cpu_expert_execs`. Shared by the per-sequence sessions and the
-/// batched engines so every CPU-expert round trip prices identically.
+/// batch driver (core/daop_batch.hpp) so every CPU-expert round trip prices
+/// identically.
 inline CpuExpertTimes cpu_expert_roundtrip(sim::Timeline& tl,
                                            const model::OpCosts& costs,
                                            double start, int n_tokens,
@@ -179,7 +181,6 @@ struct SessionSnapshotInfo {
   int gen_len = 0;
   int step = 0;        ///< decode tokens completed at snapshot time
   double ready = 0.0;  ///< snapshot-time scheduling frontier
-  bool has_placement = false;
   recovery::PlacementImage placement;
 };
 
@@ -192,10 +193,14 @@ struct SessionSnapshotInfo {
 /// queues) pin the trace behind a unique_ptr for the session's lifetime.
 class SequenceSession {
  public:
+  /// `initial` is copied into the session's private placement; with an
+  /// arbiter attached the session decodes against the arbiter's shared
+  /// placement instead.
   SequenceSession(std::string engine_name, const model::OpCosts& costs,
                   const data::SequenceTrace& trace, const SessionEnv& env,
                   sim::FaultModel* fault, obs::SpanTracer* tracer,
-                  obs::Profiler* profiler = nullptr);
+                  obs::Profiler* profiler,
+                  const cache::Placement& initial);
   virtual ~SequenceSession();
 
   SequenceSession(const SequenceSession&) = delete;
@@ -236,10 +241,8 @@ class SequenceSession {
 
   /// Serializes everything needed to resume this session mid-decode into a
   /// sealed `daop-ckpt/1` blob: lifecycle state, counters, working-set
-  /// pins, effective placement, fault-stream cursor, and the engine's
-  /// policy state. Only valid while decoding and not parked. Returns an
-  /// empty vector when the engine does not support checkpointing (the
-  /// caller falls back to prefill replay).
+  /// pins, the placement it decodes against, fault-stream cursor, and the
+  /// engine's policy state. Only valid while decoding and not parked.
   std::vector<std::uint8_t> checkpoint() const;
 
   /// Applies a sealed snapshot to a freshly opened session (before
@@ -286,37 +289,25 @@ class SequenceSession {
   /// re-allocation, whose migrations happen between tokens).
   virtual void post_token(int t) { (void)t; }
 
-  // ---- Checkpoint hooks. Engines that support warm restart serialize
-  // their policy state (windows, readiness gates, LRU clocks — everything
-  // run_decode_token consults) through these; the default "unsupported"
-  // makes checkpoint() return empty and the caller fall back to replay.
-  /// Appends the engine's policy state to the snapshot payload. Returns
-  /// false when this engine cannot checkpoint.
-  virtual bool save_policy_state(recovery::ByteWriter& w) const {
-    (void)w;
-    return false;
-  }
+  // ---- Checkpoint hooks: each engine serializes its policy state
+  // (windows, readiness gates, LRU clocks — everything run_decode_token
+  // consults beyond the base class) through these.
+  /// Appends the engine's policy state to the snapshot payload.
+  virtual void save_policy_state(recovery::ByteWriter& w) const = 0;
   /// Restores policy state written by save_policy_state. `shift` is the
   /// time-rebase applied to the snapshot (0 in the bit-identity case);
   /// engines must shift their own absolute times by it while preserving
-  /// sentinel values. Runs after the base fields are applied; returning
-  /// false rejects the restore.
-  virtual bool load_policy_state(recovery::ByteReader& r, double shift) {
-    (void)r;
-    (void)shift;
-    return false;
-  }
-  /// The placement this session is decoding against (private copy or the
-  /// arbiter's shared one); null when the engine has no placement state.
-  /// Captured into snapshots so a surviving node can rebuild residency.
-  virtual const cache::Placement* effective_placement() const {
-    return nullptr;
-  }
-  /// The session-private placement copy to overwrite on restore; null when
-  /// the engine has none. Only consulted when no arbiter is attached — a
-  /// shared placement belongs to the device, and the restoring scheduler
-  /// reconciles it (recovery::reconcile_placement) before restore().
-  virtual cache::Placement* private_placement() { return nullptr; }
+  /// sentinel values. Runs before any base state is applied and must leave
+  /// the policy state untouched when it returns false (which rejects the
+  /// restore).
+  virtual bool load_policy_state(recovery::ByteReader& r, double shift) = 0;
+
+  /// The placement this session decodes against: the arbiter's shared one
+  /// when an arbiter is attached, the private copy of the initial placement
+  /// otherwise. Captured into snapshots so a surviving node can rebuild
+  /// residency.
+  cache::Placement& placement() { return *placement_; }
+  const cache::Placement& placement() const { return *placement_; }
 
   sim::Timeline& tl() { return *tl_; }
   sim::FaultModel* fault() const { return fault_; }
@@ -451,6 +442,12 @@ class SequenceSession {
   double start_time_;
   long long request_id_;
   cache::PlacementArbiter* arbiter_;
+  /// The private placement copy; restore() overwrites it when no arbiter
+  /// is attached (a shared placement belongs to the device, and the
+  /// restoring scheduler reconciles it before restore()).
+  cache::Placement own_placement_;
+  /// &own_placement_, or the arbiter's placement when one is attached.
+  cache::Placement* placement_;
   cache::ExpertCache* cache_;
   bool shared_;
   sim::FaultModel* fault_;

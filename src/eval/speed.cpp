@@ -7,7 +7,6 @@
 #include "core/daop_engine.hpp"
 #include "data/trace_generator.hpp"
 #include "engines/fetch_engine.hpp"
-#include "engines/fiddler.hpp"
 #include "engines/run_metrics.hpp"
 #include "engines/session.hpp"
 #include "model/op_costs.hpp"
@@ -54,7 +53,7 @@ std::unique_ptr<engines::Engine> make_engine(
     case EngineKind::PreGatedMoE:
       return engines::make_pregated_moe(costs);
     case EngineKind::Fiddler:
-      return engines::make_fiddler(costs);
+      return core::make_fiddler(costs);
     case EngineKind::Daop:
       return core::make_daop(costs, daop_config);
     case EngineKind::EdgeMoE:

@@ -5,7 +5,6 @@
 #include "../testing/helpers.hpp"
 #include "cache/calibration.hpp"
 #include "data/trace_generator.hpp"
-#include "engines/fiddler.hpp"
 #include "sim/device.hpp"
 
 namespace daop::core {
@@ -77,9 +76,8 @@ TEST_F(DaopEngineTest, PrecalcOverlapBeatsFiddler) {
   const auto tr = fixed_trace(cfg_, 2, 8, {0, 5});
   const auto placement = prefix_placement(cfg_, 2);
   DaopEngine daop(costs_, no_alloc_predict_all());
-  engines::FiddlerEngine fiddler(costs_);
   const auto rd = daop.run(tr, placement);
-  const auto rf = fiddler.run(tr, placement);
+  const auto rf = make_fiddler(costs_)->run(tr, placement);
   EXPECT_LT(rd.decode_s, rf.decode_s);
 }
 
@@ -136,8 +134,7 @@ TEST_F(DaopEngineTest, EarlyLayersUseInPlaceExecution) {
   const auto r = engine.run(tr, placement);
   EXPECT_EQ(r.counters.predictions, 0);
   EXPECT_EQ(r.counters.degradations, 0);
-  engines::FiddlerEngine fiddler(costs_);
-  const auto rf = fiddler.run(tr, placement);
+  const auto rf = make_fiddler(costs_)->run(tr, placement);
   EXPECT_NEAR(r.decode_s, rf.decode_s, rf.decode_s * 0.01);
 }
 

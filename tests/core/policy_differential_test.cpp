@@ -159,7 +159,7 @@ TEST(PolicyDifferential, FunctionalTimingAndBatchPlanesAgree) {
           grid.fallbacks += a.fallbacks;
           grid.recomputes += a.recomputes;
 
-          const engines::BatchResult b = run_daop_batch(
+          const BatchResult b = run_daop_batch(
               costs, v.config, std::span(&trace, 1), placement);
           EXPECT_EQ(b.counters.predictions, c.predictions);
           EXPECT_EQ(b.counters.mispredictions, c.mispredictions);

@@ -199,7 +199,7 @@ std::string batch_snapshot(const char* name, const DaopConfig& config,
   const auto placement = cache::init_placement_calibrated(
       cfg.n_layers, cfg.n_experts, 0.469,
       cache::calibrate_activation_counts(calib, 6));
-  const engines::BatchResult r =
+  const BatchResult r =
       run_daop_batch(costs, config, traces, placement);
   const engines::EngineCounters& c = r.counters;
 

@@ -1,19 +1,18 @@
-#include "engines/batch.hpp"
+#include "core/daop_batch.hpp"
 
 #include <gtest/gtest.h>
 
 #include "../testing/helpers.hpp"
 #include "cache/calibration.hpp"
 #include "common/check.hpp"
-#include "core/daop_batch.hpp"
 #include "core/daop_engine.hpp"
 #include "data/trace_generator.hpp"
-#include "engines/fiddler.hpp"
 #include "sim/device.hpp"
 
 namespace daop::engines {
 namespace {
 
+using core::BatchResult;
 using core::run_daop_batch;
 using daop::testing::prefix_placement;
 using daop::testing::small_mixtral;
@@ -45,6 +44,12 @@ class BatchTest : public ::testing::Test {
         cache::calibrate_activation_counts(calib, 6));
   }
 
+  /// The batched Fiddler baseline.
+  BatchResult fiddler_batch(std::span<const data::SequenceTrace> traces,
+                            const cache::Placement& placement) const {
+    return run_daop_batch(costs_, core::fiddler_config(), traces, placement);
+  }
+
   model::ModelConfig cfg_;
   sim::CostModel cm_;
   model::OpCosts costs_;
@@ -53,13 +58,27 @@ class BatchTest : public ::testing::Test {
 TEST_F(BatchTest, BatchOfOneMatchesSingleSequenceFiddlerClosely) {
   const auto traces = make_batch(1);
   const auto placement = calibrated(0.469);
-  const auto rb = run_fiddler_batch(costs_, traces, placement);
-  FiddlerEngine single(costs_);
-  const auto rs = single.run(traces[0], placement);
-  // The batched path merges per-layer CPU experts into one transfer pair,
-  // so times agree only approximately.
-  EXPECT_NEAR(rb.total_s, rs.total_s, rs.total_s * 0.05);
+  const auto rb = fiddler_batch(traces, placement);
+  const auto rs = core::make_fiddler(costs_)->run(traces[0], placement);
+  // A batch of one schedules exactly the single-sequence ops (one transfer
+  // pair per CPU expert, batched costs at B = 1 equal the per-token ones),
+  // so times, energy and counters agree bit for bit.
+  EXPECT_EQ(rb.engine, "Fiddler (batched)");
   EXPECT_EQ(rb.tokens_generated, rs.generated_tokens);
+  EXPECT_EQ(rb.total_s, rs.total_s);
+  EXPECT_EQ(rb.prefill_s, rs.prefill_s);
+  EXPECT_EQ(rb.energy.total_j, rs.energy.total_j);
+  const EngineCounters& b = rb.counters;
+  const EngineCounters& s = rs.counters;
+  EXPECT_EQ(b.expert_migrations, s.expert_migrations);
+  EXPECT_EQ(b.gpu_expert_execs, s.gpu_expert_execs);
+  EXPECT_EQ(b.cpu_expert_execs, s.cpu_expert_execs);
+  EXPECT_EQ(b.cache_hits, s.cache_hits);
+  EXPECT_EQ(b.cache_misses, s.cache_misses);
+  EXPECT_EQ(b.predictions, s.predictions);
+  EXPECT_EQ(b.degradations, s.degradations);
+  EXPECT_EQ(b.prefill_swaps, s.prefill_swaps);
+  EXPECT_EQ(b.hazard_stall_s, s.hazard_stall_s);
 }
 
 TEST_F(BatchTest, AggregateThroughputGrowsWithBatch) {
@@ -67,7 +86,7 @@ TEST_F(BatchTest, AggregateThroughputGrowsWithBatch) {
   double prev_agg = 0.0;
   for (int b : {1, 2, 4, 8}) {
     const auto traces = make_batch(b);
-    const auto rf = run_fiddler_batch(costs_, traces, placement);
+    const auto rf = fiddler_batch(traces, placement);
     EXPECT_GT(rf.tokens_per_s, prev_agg) << "batch " << b;
     prev_agg = rf.tokens_per_s;
   }
@@ -75,8 +94,8 @@ TEST_F(BatchTest, AggregateThroughputGrowsWithBatch) {
 
 TEST_F(BatchTest, PerSequenceRateDegradesWithBatch) {
   const auto placement = calibrated(0.469);
-  const auto r1 = run_fiddler_batch(costs_, make_batch(1), placement);
-  const auto r8 = run_fiddler_batch(costs_, make_batch(8), placement);
+  const auto r1 = fiddler_batch(make_batch(1), placement);
+  const auto r8 = fiddler_batch(make_batch(8), placement);
   EXPECT_LT(r8.per_seq_tokens_per_s, r1.per_seq_tokens_per_s);
   // But batching is worth it in aggregate.
   EXPECT_GT(r8.tokens_per_s, r1.tokens_per_s);
@@ -92,7 +111,7 @@ TEST_F(BatchTest, DaopBeatsFiddlerAtBatchOne) {
   dc.min_predict_layer = 1;
   const auto placement = calibrated(0.469);
   const auto traces = make_batch(1);
-  const auto rf = run_fiddler_batch(costs_, traces, placement);
+  const auto rf = fiddler_batch(traces, placement);
   const auto rd = run_daop_batch(costs_, dc, traces, placement);
   EXPECT_GT(rd.tokens_per_s, rf.tokens_per_s);
 }
@@ -105,7 +124,7 @@ TEST_F(BatchTest, DaopAdvantageDilutesAsBatchGrows) {
   const auto placement = calibrated(0.469);
   auto edge = [&](int b) {
     const auto traces = make_batch(b);
-    const auto rf = run_fiddler_batch(costs_, traces, placement);
+    const auto rf = fiddler_batch(traces, placement);
     const auto rd = run_daop_batch(costs_, dc, traces, placement);
     return rd.tokens_per_s / rf.tokens_per_s;
   };
@@ -125,7 +144,7 @@ TEST_F(BatchTest, RejectsHeterogeneousBatch) {
   auto traces = make_batch(2);
   traces[1] = make_batch(1, 16, 20)[0];  // different gen_len
   const auto placement = calibrated(0.5);
-  EXPECT_THROW(run_fiddler_batch(costs_, traces, placement), CheckError);
+  EXPECT_THROW(fiddler_batch(traces, placement), CheckError);
   EXPECT_THROW(run_daop_batch(costs_, core::DaopConfig{}, traces, placement),
                CheckError);
 }
@@ -187,7 +206,7 @@ TEST_F(BatchTest, EnergyWithinPhysicalBounds) {
   for (int b : {1, 4}) {
     const auto traces = make_batch(b);
     for (const auto& r :
-         {run_fiddler_batch(costs_, traces, placement),
+         {fiddler_batch(traces, placement),
           run_daop_batch(costs_, core::DaopConfig{}, traces, placement)}) {
       const auto& p = cm_.platform();
       const double min_power =
@@ -215,7 +234,7 @@ TEST_F(BatchTest, TimeAccountingConsistent) {
 TEST_F(BatchTest, CountersConsistent) {
   const auto placement = calibrated(0.469);
   const auto traces = make_batch(4);
-  const auto r = run_fiddler_batch(costs_, traces, placement);
+  const auto r = fiddler_batch(traces, placement);
   // Decode hit/miss counts every (sequence, layer, selection).
   const auto prefill_counts = traces[0].activation_counts(data::Phase::Prefill);
   long long decode_uses =

@@ -1,8 +1,9 @@
-#include "engines/fiddler.hpp"
-
+// The Fiddler baseline: DAOP with its three mechanisms off
+// (core::fiddler_config()).
 #include <gtest/gtest.h>
 
 #include "../testing/helpers.hpp"
+#include "core/daop_engine.hpp"
 #include "engines/fetch_engine.hpp"
 #include "sim/device.hpp"
 
@@ -28,8 +29,8 @@ class FiddlerTest : public ::testing::Test {
 TEST_F(FiddlerTest, NeverMigratesExpertWeights) {
   const auto tr = fixed_trace(cfg_, 4, 6, {4, 5});
   const auto placement = prefix_placement(cfg_, 2);
-  FiddlerEngine engine(costs_);
-  const auto r = engine.run(tr, placement);
+  const auto engine = core::make_fiddler(costs_);
+  const auto r = engine->run(tr, placement);
   EXPECT_EQ(r.counters.expert_migrations, 0);
   EXPECT_EQ(r.counters.prefill_swaps, 0);
 }
@@ -37,8 +38,8 @@ TEST_F(FiddlerTest, NeverMigratesExpertWeights) {
 TEST_F(FiddlerTest, MissingExpertsExecuteOnCpu) {
   const auto tr = fixed_trace(cfg_, 2, 3, {0, 5});  // 0 resident, 5 not
   const auto placement = prefix_placement(cfg_, 2);
-  FiddlerEngine engine(costs_);
-  const auto r = engine.run(tr, placement);
+  const auto engine = core::make_fiddler(costs_);
+  const auto r = engine->run(tr, placement);
   // Expert 5: once per layer in prefill + per decode step per layer.
   EXPECT_EQ(r.counters.cpu_expert_execs, cfg_.n_layers + 3 * cfg_.n_layers);
   EXPECT_EQ(r.counters.gpu_expert_execs, cfg_.n_layers + 3 * cfg_.n_layers);
@@ -47,8 +48,8 @@ TEST_F(FiddlerTest, MissingExpertsExecuteOnCpu) {
 TEST_F(FiddlerTest, AllResidentRunsEntirelyOnGpu) {
   const auto tr = fixed_trace(cfg_, 2, 3, {0, 1});
   const auto placement = prefix_placement(cfg_, 2);
-  FiddlerEngine engine(costs_);
-  const auto r = engine.run(tr, placement);
+  const auto engine = core::make_fiddler(costs_);
+  const auto r = engine->run(tr, placement);
   EXPECT_EQ(r.counters.cpu_expert_execs, 0);
   EXPECT_EQ(r.counters.cache_misses, 0);
 }
@@ -59,9 +60,9 @@ TEST_F(FiddlerTest, CpuExecutionBeatsMigrationBoundFetching) {
   // so the fetch baseline cannot amortize via its LRU cache.
   const auto tr = daop::testing::alternating_trace(cfg_, 2, 6, {4, 5}, {6, 7});
   const auto placement = prefix_placement(cfg_, 2);
-  FiddlerEngine fiddler(costs_);
+  const auto fiddler = core::make_fiddler(costs_);
   auto ondemand = make_moe_ondemand(costs_);
-  const auto rf = fiddler.run(tr, placement);
+  const auto rf = fiddler->run(tr, placement);
   const auto ro = ondemand->run(tr, placement);
   EXPECT_LT(rf.decode_s, ro.decode_s);
 }
@@ -71,8 +72,8 @@ TEST_F(FiddlerTest, GpuAndCpuExpertsOverlapWithinLayer) {
   // the CPU path alone (GPU expert hides under it), far below the sum.
   const auto tr = fixed_trace(cfg_, 1, 4, {0, 5});
   const auto placement = prefix_placement(cfg_, 2);
-  FiddlerEngine engine(costs_);
-  const auto r = engine.run(tr, placement);
+  const auto engine = core::make_fiddler(costs_);
+  const auto r = engine->run(tr, placement);
   const double cpu_path = costs_.activations_d2h(1) + costs_.expert_cpu() +
                           costs_.activations_h2d(1);
   const double per_layer = r.decode_s / (4.0 * cfg_.n_layers);
@@ -82,8 +83,8 @@ TEST_F(FiddlerTest, GpuAndCpuExpertsOverlapWithinLayer) {
 TEST_F(FiddlerTest, StaticPlacementUnchangedByRun) {
   const auto tr = fixed_trace(cfg_, 2, 4, {6, 7});
   const auto placement = prefix_placement(cfg_, 2);
-  FiddlerEngine engine(costs_);
-  engine.run(tr, placement);
+  const auto engine = core::make_fiddler(costs_);
+  engine->run(tr, placement);
   // Fiddler never reallocates: residents still 0..1 in every layer.
   for (int l = 0; l < cfg_.n_layers; ++l) {
     EXPECT_TRUE(placement.on_gpu(l, 0));
@@ -94,9 +95,9 @@ TEST_F(FiddlerTest, StaticPlacementUnchangedByRun) {
 
 TEST_F(FiddlerTest, DecodeSlowerWhenMoreExpertsMiss) {
   const auto placement = prefix_placement(cfg_, 2);
-  FiddlerEngine engine(costs_);
-  const auto one_miss = engine.run(fixed_trace(cfg_, 1, 4, {0, 5}), placement);
-  const auto two_miss = engine.run(fixed_trace(cfg_, 1, 4, {4, 5}), placement);
+  const auto engine = core::make_fiddler(costs_);
+  const auto one_miss = engine->run(fixed_trace(cfg_, 1, 4, {0, 5}), placement);
+  const auto two_miss = engine->run(fixed_trace(cfg_, 1, 4, {4, 5}), placement);
   EXPECT_LT(one_miss.decode_s, two_miss.decode_s);
 }
 

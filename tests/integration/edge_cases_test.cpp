@@ -9,7 +9,6 @@
 #include "data/gate_bias.hpp"
 #include "data/trace_generator.hpp"
 #include "engines/fetch_engine.hpp"
-#include "engines/fiddler.hpp"
 #include "eval/speed.hpp"
 
 namespace daop {
@@ -37,8 +36,7 @@ TEST_F(EdgeCases, ZeroCapacityCacheEverythingOnCpu) {
   const auto tr = fixed_trace(cfg_, 2, 3, {0, 1});
   const cache::Placement placement(cfg_.n_layers, cfg_.n_experts);
 
-  engines::FiddlerEngine fiddler(costs_);
-  const auto rf = fiddler.run(tr, placement);
+  const auto rf = core::make_fiddler(costs_)->run(tr, placement);
   EXPECT_EQ(rf.counters.gpu_expert_execs, 0);
   EXPECT_GT(rf.counters.cpu_expert_execs, 0);
 

@@ -612,6 +612,91 @@ TEST(SessionSnapshot, ResumeFloorShiftsTheRestoredFrontier) {
   EXPECT_EQ(r.generated_tokens, fx.trace.gen_len);
 }
 
+/// Payload offsets of a session snapshot's first pin and of its placement
+/// flag, found by decoding the fixed fields in front of them.
+struct PayloadOffsets {
+  std::size_t first_pin = 0;
+  std::uint32_t n_pins = 0;
+  std::size_t placement_flag = 0;
+};
+
+PayloadOffsets payload_offsets(const std::vector<std::uint8_t>& payload) {
+  ByteReader r(payload.data(), payload.size());
+  r.u32();  // payload version
+  r.str();  // engine
+  r.i64();  // request id
+  for (int i = 0; i < 4; ++i) r.i32();
+  for (int i = 0; i < 4; ++i) r.f64();
+  for (int i = 0; i < 20; ++i) r.u64();  // counters
+  PayloadOffsets o;
+  o.n_pins = r.u32();
+  o.first_pin = payload.size() - r.remaining();
+  o.placement_flag = o.first_pin + 8 * std::size_t{o.n_pins};
+  EXPECT_TRUE(r.ok());
+  return o;
+}
+
+/// Re-seals `payload` with one byte changed: a forged blob that passes the
+/// frame checksum, so only restore()'s own field validation can reject it.
+std::vector<std::uint8_t> reseal_with(std::vector<std::uint8_t> payload,
+                                      std::size_t at, std::uint8_t value) {
+  payload.at(at) = value;
+  return seal(payload);
+}
+
+// Re-pinning the snapshot's working set happens past restore()'s point of
+// no return, so a pin outside the model must be rejected before any state
+// changes: the session stays fresh, prefill-replays to completion and
+// leaves the arbiter with no pins. The same holds for a placement flag
+// other than 1, which peek() rejects too.
+TEST(SessionSnapshot, ForgedPinsAndPlacementFlagAreRejectedUntouched) {
+  const SessionFixture fx(7);
+  cache::PlacementArbiter arbiter(fx.placement);
+  sim::Timeline tl;
+  const auto engine =
+      eval::make_engine(eval::EngineKind::Daop, fx.costs, fx.dcfg);
+  engines::SessionEnv env;
+  env.timeline = &tl;
+  env.request_id = 42;
+  env.arbiter = &arbiter;
+  env.shared = true;
+  std::vector<std::uint8_t> payload;
+  {
+    const auto a = engine->open_session(fx.trace, arbiter.placement(), env);
+    a->prefill();
+    for (int t = 0; t < 3; ++t) ASSERT_TRUE(a->decode_step());
+    payload = *unseal(a->checkpoint());
+    while (a->decode_step()) {
+    }
+    (void)a->close();
+  }
+  ASSERT_EQ(arbiter.total_pin_count(), 0);
+  const PayloadOffsets o = payload_offsets(payload);
+  ASSERT_GT(o.n_pins, 0u) << "the snapshot must carry working-set pins";
+  ASSERT_EQ(payload.at(o.placement_flag), 1);
+
+  const std::vector<std::uint8_t> forged[] = {
+      reseal_with(payload, o.first_pin, 99),  // layer 99 of 4
+      reseal_with(payload, o.first_pin + 4, 99),  // expert 99 of 8
+      reseal_with(payload, o.placement_flag, 0),
+      reseal_with(payload, o.placement_flag, 2)};
+  for (std::size_t i = 0; i < std::size(forged); ++i) {
+    SCOPED_TRACE("forgery " + std::to_string(i));
+    const auto b = engine->open_session(fx.trace, arbiter.placement(), env);
+    EXPECT_FALSE(b->restore(forged[i], {}));
+    EXPECT_EQ(b->tokens_generated(), 0);
+    EXPECT_EQ(arbiter.total_pin_count(), 0);
+    b->prefill();
+    while (b->decode_step()) {
+    }
+    EXPECT_EQ(b->close().generated_tokens, fx.trace.gen_len);
+    EXPECT_EQ(arbiter.total_pin_count(), 0);
+  }
+  EXPECT_FALSE(engines::SequenceSession::peek(forged[2]).has_value());
+  EXPECT_FALSE(engines::SequenceSession::peek(forged[3]).has_value());
+  EXPECT_TRUE(engines::SequenceSession::peek(seal(payload)).has_value());
+}
+
 // ---------------------------------------------------------------------------
 // Golden digests of the `daop-ckpt/1` bytes themselves. The round-trip tests
 // above only prove that an encoder agrees with its own decoder; this pins
