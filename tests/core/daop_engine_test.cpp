@@ -123,8 +123,9 @@ TEST_F(DaopEngineTest, MispredictionDetectedAndHandled) {
 }
 
 TEST_F(DaopEngineTest, EarlyLayersUseInPlaceExecution) {
-  // min_predict_layer = 5 on a 4-layer model: no predictions at all, decode
-  // behaves like Fiddler (synchronous CPU execution).
+  // min_predict_layer = 5 on a 4-layer model: no predictions at all, so
+  // pre-calculation and degradation never act and the run is Fiddler's
+  // (synchronous CPU execution) bit for bit.
   const auto tr = fixed_trace(cfg_, 2, 4, {0, 5});
   const auto placement = prefix_placement(cfg_, 2);
   DaopConfig dc;
@@ -135,7 +136,9 @@ TEST_F(DaopEngineTest, EarlyLayersUseInPlaceExecution) {
   EXPECT_EQ(r.counters.predictions, 0);
   EXPECT_EQ(r.counters.degradations, 0);
   const auto rf = make_fiddler(costs_)->run(tr, placement);
-  EXPECT_NEAR(r.decode_s, rf.decode_s, rf.decode_s * 0.01);
+  EXPECT_EQ(r.decode_s, rf.decode_s);
+  EXPECT_EQ(r.total_s, rf.total_s);
+  EXPECT_EQ(r.counters.cpu_expert_execs, rf.counters.cpu_expert_execs);
 }
 
 TEST_F(DaopEngineTest, DecodeWaitsForPrefillSwapTransfers) {
