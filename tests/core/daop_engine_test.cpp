@@ -184,6 +184,9 @@ TEST_F(DaopEngineTest, NameReflectsAblationState) {
   DaopEngine ablated(costs_, dc);
   EXPECT_NE(ablated.name(), "DAOP");
   EXPECT_NE(ablated.name().find("-precalc"), std::string::npos);
+  // All three mechanisms off is the Fiddler baseline, by name too.
+  EXPECT_EQ(DaopEngine(costs_, fiddler_config()).name(), "Fiddler");
+  EXPECT_EQ(make_fiddler(costs_)->name(), "Fiddler");
 }
 
 TEST_F(DaopEngineTest, HigherEcrNeverSlower) {
