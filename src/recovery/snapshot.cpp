@@ -132,8 +132,14 @@ bool read_placement_image(ByteReader& r, PlacementImage* out) {
   const std::size_t cells = static_cast<std::size_t>(out->n_layers) *
                             static_cast<std::size_t>(out->n_experts);
   out->capacity.resize(static_cast<std::size_t>(out->n_layers));
-  for (auto& c : out->capacity) c = r.i32();
-  if (!r.ok() || cells > r.remaining()) {
+  bool capacities_ok = true;
+  for (auto& c : out->capacity) {
+    c = r.i32();
+    // Placement::set_capacity requires 0 <= cap <= n_experts; a forged
+    // capacity must fail here, not throw from the placement later.
+    capacities_ok = capacities_ok && c >= 0 && c <= out->n_experts;
+  }
+  if (!r.ok() || !capacities_ok || cells > r.remaining()) {
     r.fail();
     return false;
   }

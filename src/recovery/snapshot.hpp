@@ -136,7 +136,8 @@ struct PlacementImage {
 };
 
 /// Decodes a placement image (written by recovery::write_placement);
-/// returns false (and sets the reader's fail flag) on malformed dimensions.
+/// returns false (and sets the reader's fail flag) on malformed dimensions
+/// or a per-layer capacity outside [0, n_experts].
 bool read_placement_image(ByteReader& r, PlacementImage* out);
 
 }  // namespace daop::recovery

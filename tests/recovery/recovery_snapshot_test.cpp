@@ -612,12 +612,14 @@ TEST(SessionSnapshot, ResumeFloorShiftsTheRestoredFrontier) {
   EXPECT_EQ(r.generated_tokens, fx.trace.gen_len);
 }
 
-/// Payload offsets of a session snapshot's first pin and of its placement
-/// flag, found by decoding the fixed fields in front of them.
+/// Payload offsets of a session snapshot's first pin, its placement flag
+/// and its placement image, found by decoding the fixed fields in front of
+/// them.
 struct PayloadOffsets {
   std::size_t first_pin = 0;
   std::uint32_t n_pins = 0;
   std::size_t placement_flag = 0;
+  std::size_t placement_image = 0;
 };
 
 PayloadOffsets payload_offsets(const std::vector<std::uint8_t>& payload) {
@@ -632,6 +634,7 @@ PayloadOffsets payload_offsets(const std::vector<std::uint8_t>& payload) {
   o.n_pins = r.u32();
   o.first_pin = payload.size() - r.remaining();
   o.placement_flag = o.first_pin + 8 * std::size_t{o.n_pins};
+  o.placement_image = o.placement_flag + 1;
   EXPECT_TRUE(r.ok());
   return o;
 }
@@ -695,6 +698,47 @@ TEST(SessionSnapshot, ForgedPinsAndPlacementFlagAreRejectedUntouched) {
   EXPECT_FALSE(engines::SequenceSession::peek(forged[2]).has_value());
   EXPECT_FALSE(engines::SequenceSession::peek(forged[3]).has_value());
   EXPECT_TRUE(engines::SequenceSession::peek(seal(payload)).has_value());
+}
+
+// A per-layer capacity above n_experts passes the "capacity >= residents"
+// check, so it must be caught when the image is decoded: at the parent
+// format it reached Placement::set_capacity and restore() threw CheckError
+// instead of returning false. A rejected restore leaves the private
+// placement untouched, so the replay run equals an uninterrupted one.
+TEST(SessionSnapshot, ForgedCapacityIsRejectedUntouched) {
+  const SessionFixture fx(7);
+  const sim::HazardScenario calm;
+  LiveSession a = open_live(fx, eval::EngineKind::Daop, calm, 7);
+  a.session->prefill();
+  for (int t = 0; t < 3; ++t) ASSERT_TRUE(a.session->decode_step());
+  const std::vector<std::uint8_t> payload = *unseal(a.session->checkpoint());
+  while (a.session->decode_step()) {
+  }
+  const engines::RunResult want = a.session->close();
+
+  // The image's first capacity follows its two i32 dimensions.
+  const std::size_t cap0 = payload_offsets(payload).placement_image + 8;
+  const auto above = static_cast<std::uint8_t>(fx.cfg.n_experts + 1);
+  const std::vector<std::uint8_t> forged[] = {
+      reseal_with(payload, cap0, above),      // n_experts + 1
+      reseal_with(payload, cap0, 0xFF),       // 255 of 8
+      reseal_with(payload, cap0 + 3, 0x80)};  // negative
+  for (std::size_t i = 0; i < std::size(forged); ++i) {
+    SCOPED_TRACE("forgery " + std::to_string(i));
+    EXPECT_FALSE(engines::SequenceSession::peek(forged[i]).has_value());
+    LiveSession b = open_live(fx, eval::EngineKind::Daop, calm, 7);
+    bool restored = true;
+    EXPECT_NO_THROW(restored = b.session->restore(forged[i], {}));
+    EXPECT_FALSE(restored);
+    EXPECT_EQ(b.session->tokens_generated(), 0);
+    b.session->prefill();
+    while (b.session->decode_step()) {
+    }
+    const engines::RunResult got = b.session->close();
+    EXPECT_EQ(got.generated_tokens, want.generated_tokens);
+    EXPECT_EQ(got.total_s, want.total_s);
+    EXPECT_EQ(got.energy.total_j, want.energy.total_j);
+  }
 }
 
 // ---------------------------------------------------------------------------
