@@ -6,26 +6,13 @@
 namespace daop::engines {
 
 void EngineCounters::add(const EngineCounters& o) {
-  expert_migrations += o.expert_migrations;
-  gpu_expert_execs += o.gpu_expert_execs;
-  cpu_expert_execs += o.cpu_expert_execs;
-  cache_hits += o.cache_hits;
-  cache_misses += o.cache_misses;
-  prefetch_hits += o.prefetch_hits;
-  predictions += o.predictions;
-  mispredictions += o.mispredictions;
-  degradations += o.degradations;
-  prefill_swaps += o.prefill_swaps;
-  decode_swaps += o.decode_swaps;
-  skipped_experts += o.skipped_experts;
-  migration_retries += o.migration_retries;
-  migration_aborts += o.migration_aborts;
-  stale_precalcs += o.stale_precalcs;
-  pin_refusals += o.pin_refusals;
-  preemptions += o.preemptions;
-  preempt_resumes += o.preempt_resumes;
-  degraded_sessions += o.degraded_sessions;
-  hazard_stall_s += o.hazard_stall_s;
+  for (const CounterField& f : kCounterFields) {
+    if (f.count != nullptr) {
+      this->*f.count += o.*f.count;
+    } else {
+      this->*f.real += o.*f.real;
+    }
+  }
 }
 
 std::unique_ptr<SequenceSession> Engine::open_session(

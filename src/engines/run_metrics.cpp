@@ -15,91 +15,24 @@ obs::Labels with(const obs::Labels& base, const std::string& key,
 void record_counter_metrics(obs::MetricsRegistry& reg,
                             const EngineCounters& c,
                             const obs::Labels& labels) {
-  reg.counter("daop_expert_execs_total", "Expert executions by device.",
-              with(labels, "device", "gpu"))
-      .inc(static_cast<double>(c.gpu_expert_execs));
-  reg.counter("daop_expert_execs_total", "Expert executions by device.",
-              with(labels, "device", "cpu"))
-      .inc(static_cast<double>(c.cpu_expert_execs));
-  reg.counter("daop_expert_cache_lookups_total",
-              "Selected-expert GPU cache lookups by result.",
-              with(labels, "result", "hit"))
-      .inc(static_cast<double>(c.cache_hits));
-  reg.counter("daop_expert_cache_lookups_total",
-              "Selected-expert GPU cache lookups by result.",
-              with(labels, "result", "miss"))
-      .inc(static_cast<double>(c.cache_misses));
-  reg.counter("daop_expert_migrations_total",
-              "CPU-to-GPU expert weight transfers.", labels)
-      .inc(static_cast<double>(c.expert_migrations));
-  reg.counter("daop_expert_migration_retries_total",
-              "Expert-load attempts retried after transient failures.",
-              labels)
-      .inc(static_cast<double>(c.migration_retries));
-  reg.counter("daop_expert_migration_aborts_total",
-              "Migrations abandoned (deadline exceeded or retries exhausted).",
-              labels)
-      .inc(static_cast<double>(c.migration_aborts));
-  reg.counter("daop_prefetch_hits_total",
-              "Prefetched or pre-fetched experts that were actually used.",
-              labels)
-      .inc(static_cast<double>(c.prefetch_hits));
-  reg.counter("daop_predictions_total", "Gate-ahead predictions issued.",
-              labels)
-      .inc(static_cast<double>(c.predictions));
-  reg.counter("daop_mispredictions_total",
-              "Predictions whose expert set missed a used expert.", labels)
-      .inc(static_cast<double>(c.mispredictions));
-  reg.counter("daop_degradations_total",
-              "Graceful-degradation expert substitutions.", labels)
-      .inc(static_cast<double>(c.degradations));
-  reg.counter("daop_swaps_total", "Expert placement swaps by phase.",
-              with(labels, "phase", "prefill"))
-      .inc(static_cast<double>(c.prefill_swaps));
-  reg.counter("daop_swaps_total", "Expert placement swaps by phase.",
-              with(labels, "phase", "decode"))
-      .inc(static_cast<double>(c.decode_swaps));
-  reg.counter("daop_skipped_experts_total",
-              "Experts skipped by the adaptive top-1 margin.", labels)
-      .inc(static_cast<double>(c.skipped_experts));
-  reg.counter("daop_stale_precalcs_total",
-              "Pre-calculated results discarded for arriving too late.",
-              labels)
-      .inc(static_cast<double>(c.stale_precalcs));
-  reg.counter("daop_pin_refusals_total",
-              "Placement swaps/evictions refused because the victim was "
-              "pinned by a concurrent session.",
-              labels)
-      .inc(static_cast<double>(c.pin_refusals));
-  reg.counter("daop_hazard_stall_seconds_total",
-              "Total hazard delay injected into scheduled ops.", labels)
-      .inc(c.hazard_stall_s);
+  for (const CounterField& f : kCounterFields) {
+    if (f.family == nullptr) continue;
+    reg.counter(f.family, f.help,
+                f.label_key == nullptr
+                    ? labels
+                    : with(labels, f.label_key, f.label_value))
+        .inc(f.value(c));
+  }
 }
 
 std::vector<std::pair<std::string, double>> counter_profile_metrics(
     const EngineCounters& c) {
-  return {
-      {"expert_migrations", static_cast<double>(c.expert_migrations)},
-      {"gpu_expert_execs", static_cast<double>(c.gpu_expert_execs)},
-      {"cpu_expert_execs", static_cast<double>(c.cpu_expert_execs)},
-      {"cache_hits", static_cast<double>(c.cache_hits)},
-      {"cache_misses", static_cast<double>(c.cache_misses)},
-      {"prefetch_hits", static_cast<double>(c.prefetch_hits)},
-      {"predictions", static_cast<double>(c.predictions)},
-      {"mispredictions", static_cast<double>(c.mispredictions)},
-      {"degradations", static_cast<double>(c.degradations)},
-      {"prefill_swaps", static_cast<double>(c.prefill_swaps)},
-      {"decode_swaps", static_cast<double>(c.decode_swaps)},
-      {"skipped_experts", static_cast<double>(c.skipped_experts)},
-      {"migration_retries", static_cast<double>(c.migration_retries)},
-      {"migration_aborts", static_cast<double>(c.migration_aborts)},
-      {"stale_precalcs", static_cast<double>(c.stale_precalcs)},
-      {"pin_refusals", static_cast<double>(c.pin_refusals)},
-      {"preemptions", static_cast<double>(c.preemptions)},
-      {"preempt_resumes", static_cast<double>(c.preempt_resumes)},
-      {"degraded_sessions", static_cast<double>(c.degraded_sessions)},
-      {"hazard_stall_s", c.hazard_stall_s},
-  };
+  std::vector<std::pair<std::string, double>> out;
+  out.reserve(std::size(kCounterFields));
+  for (const CounterField& f : kCounterFields) {
+    out.emplace_back(f.name, f.value(c));
+  }
+  return out;
 }
 
 void record_run_metrics(obs::MetricsRegistry& reg, const RunResult& r,

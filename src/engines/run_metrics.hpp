@@ -23,16 +23,14 @@ void record_run_metrics(obs::MetricsRegistry& reg, const RunResult& r,
 void record_run_metrics(obs::MetricsRegistry& reg, const RunResult& r);
 
 /// Counter-only subset, shared with the batch and serving paths (which
-/// aggregate counters without a per-sequence RunResult).
+/// aggregate counters without a per-sequence RunResult): one series per
+/// kCounterFields row that names a metric family.
 void record_counter_metrics(obs::MetricsRegistry& reg,
                             const EngineCounters& c, const obs::Labels& labels);
 
 /// Flattens EngineCounters into (name, value) pairs for the profiler's
-/// report — one entry per struct field, in declaration order, so a profile's
-/// counters section is complete by construction. Completeness (every field
-/// of the struct appears exactly once, consistent with add()) is enforced by
-/// tests/engines/engine_counters_test.cpp; a new counter that bypasses this
-/// list fails that test.
+/// report: one entry per kCounterFields row, in declaration order, so a
+/// profile's counters section is complete by construction.
 std::vector<std::pair<std::string, double>> counter_profile_metrics(
     const EngineCounters& c);
 

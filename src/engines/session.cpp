@@ -288,59 +288,25 @@ namespace {
 // unseal() already guards the outer frame version.
 constexpr std::uint32_t kPayloadVersion = 1;
 
-// Tripwire: a counter added to EngineCounters must also be added to the
-// fixed serialization order below (and to counter_profile_metrics, which
-// tests/engines/engine_counters_test.cpp enforces). 19 long long + 1 double,
-// no padding.
-static_assert(sizeof(EngineCounters) ==
-                  19 * sizeof(long long) + sizeof(double),
-              "EngineCounters changed: update snapshot (de)serialization");
-
 void write_counters(recovery::ByteWriter& w, const EngineCounters& c) {
-  w.i64(c.expert_migrations);
-  w.i64(c.gpu_expert_execs);
-  w.i64(c.cpu_expert_execs);
-  w.i64(c.cache_hits);
-  w.i64(c.cache_misses);
-  w.i64(c.prefetch_hits);
-  w.i64(c.predictions);
-  w.i64(c.mispredictions);
-  w.i64(c.degradations);
-  w.i64(c.prefill_swaps);
-  w.i64(c.decode_swaps);
-  w.i64(c.skipped_experts);
-  w.i64(c.migration_retries);
-  w.i64(c.migration_aborts);
-  w.i64(c.stale_precalcs);
-  w.i64(c.pin_refusals);
-  w.i64(c.preemptions);
-  w.i64(c.preempt_resumes);
-  w.i64(c.degraded_sessions);
-  w.f64(c.hazard_stall_s);
+  for (const CounterField& f : kCounterFields) {
+    if (f.count != nullptr) {
+      w.i64(c.*f.count);
+    } else {
+      w.f64(c.*f.real);
+    }
+  }
 }
 
 EngineCounters read_counters(recovery::ByteReader& r) {
   EngineCounters c;
-  c.expert_migrations = r.i64();
-  c.gpu_expert_execs = r.i64();
-  c.cpu_expert_execs = r.i64();
-  c.cache_hits = r.i64();
-  c.cache_misses = r.i64();
-  c.prefetch_hits = r.i64();
-  c.predictions = r.i64();
-  c.mispredictions = r.i64();
-  c.degradations = r.i64();
-  c.prefill_swaps = r.i64();
-  c.decode_swaps = r.i64();
-  c.skipped_experts = r.i64();
-  c.migration_retries = r.i64();
-  c.migration_aborts = r.i64();
-  c.stale_precalcs = r.i64();
-  c.pin_refusals = r.i64();
-  c.preemptions = r.i64();
-  c.preempt_resumes = r.i64();
-  c.degraded_sessions = r.i64();
-  c.hazard_stall_s = r.f64();
+  for (const CounterField& f : kCounterFields) {
+    if (f.count != nullptr) {
+      c.*f.count = r.i64();
+    } else {
+      c.*f.real = r.f64();
+    }
+  }
   return c;
 }
 
