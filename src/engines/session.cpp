@@ -340,6 +340,72 @@ Rng::State read_rng_state(recovery::ByteReader& r) {
   return s;
 }
 
+/// Every field of a sealed snapshot, decoded and checked for consistency
+/// with itself. Checks against a live session (identity, pin range) are
+/// restore()'s.
+struct DecodedSnapshot {
+  SessionSnapshotInfo info;
+  int replay = 0;
+  double start_time = 0.0;
+  double prefill_end = 0.0;
+  double stall_so_far = 0.0;
+  EngineCounters counters;
+  std::vector<std::pair<int, int>> pins;
+  bool has_rng = false;
+  sim::FaultModel::StreamCursor cursor;
+  /// The payload, whose tail of `policy_len` bytes is the policy block.
+  std::vector<std::uint8_t> payload;
+  std::size_t policy_len = 0;
+};
+
+/// The one decoder of checkpoint()'s payload, behind both restore() and
+/// peek(). nullopt when the frame or any field fails validation.
+std::optional<DecodedSnapshot> decode_snapshot(
+    const std::vector<std::uint8_t>& sealed) {
+  std::optional<std::vector<std::uint8_t>> payload = recovery::unseal(sealed);
+  if (!payload.has_value()) return std::nullopt;
+  DecodedSnapshot d;
+  d.payload = std::move(*payload);
+  recovery::ByteReader r(d.payload.data(), d.payload.size());
+  if (r.u32() != kPayloadVersion) return std::nullopt;
+  SessionSnapshotInfo& info = d.info;
+  info.engine = r.str();
+  info.request_id = r.i64();
+  info.prompt_len = r.i32();
+  info.gen_len = r.i32();
+  info.step = r.i32();
+  d.replay = r.i32();
+  d.start_time = r.f64();
+  d.prefill_end = r.f64();
+  info.ready = r.f64();
+  d.stall_so_far = r.f64();
+  d.counters = read_counters(r);
+  const std::uint32_t n_pins = r.u32();
+  if (!r.ok() || n_pins > r.remaining() / 8) return std::nullopt;
+  d.pins.reserve(n_pins);
+  for (std::uint32_t i = 0; i < n_pins; ++i) {
+    const int layer = r.i32();
+    const int expert = r.i32();
+    d.pins.emplace_back(layer, expert);
+  }
+  if (r.u8() != 1 || !recovery::read_placement_image(r, &info.placement)) {
+    return std::nullopt;
+  }
+  d.has_rng = r.u8() != 0;
+  if (d.has_rng) {
+    d.cursor.transfer = read_rng_state(r);
+    d.cursor.load = read_rng_state(r);
+  }
+  d.policy_len = r.u32();
+  if (!r.ok() || d.policy_len != r.remaining()) return std::nullopt;
+  if (info.step < 0 || info.step > info.gen_len || d.replay < 0 ||
+      d.start_time < 0.0 || d.prefill_end < d.start_time ||
+      info.ready < d.prefill_end) {
+    return std::nullopt;
+  }
+  return d;
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> SequenceSession::checkpoint() const {
@@ -400,61 +466,24 @@ bool SequenceSession::restore(const std::vector<std::uint8_t>& sealed,
                               const RestoreOptions& opts) {
   DAOP_CHECK_MSG(phase_ == Phase::kOpened,
                  "restore() replaces prefill() on a fresh session");
-  const std::optional<std::vector<std::uint8_t>> payload =
-      recovery::unseal(sealed);
-  if (!payload.has_value()) return false;
-  recovery::ByteReader r(payload->data(), payload->size());
-  if (r.u32() != kPayloadVersion) return false;
-
-  // Decode everything into locals first: state is only mutated once the
+  // Decode and validate everything first: state is only mutated once the
   // whole snapshot validated, so a rejected restore leaves the session
   // usable for the prefill-replay fallback.
-  const std::string engine = r.str();
-  const long long request_id = r.i64();
-  const int prompt_len = r.i32();
-  const int gen_len = r.i32();
-  const int step = r.i32();
-  const int replay = r.i32();
-  const double start_time = r.f64();
-  const double prefill_end = r.f64();
-  const double ready = r.f64();
-  const double stall_so_far = r.f64();
-  const EngineCounters counters = read_counters(r);
-  const std::uint32_t n_pins = r.u32();
-  if (!r.ok() || n_pins > r.remaining() / 8) return false;
-  std::vector<std::pair<int, int>> pins;
-  pins.reserve(n_pins);
-  for (std::uint32_t i = 0; i < n_pins; ++i) {
-    const int layer = r.i32();
-    const int expert = r.i32();
-    // Re-pinning happens past the point of no return, so an out-of-range
-    // cell must be rejected here.
+  const std::optional<DecodedSnapshot> snap = decode_snapshot(sealed);
+  if (!snap.has_value()) return false;
+  const SessionSnapshotInfo& info = snap->info;
+  if (info.engine != name_ || info.request_id != request_id_ ||
+      info.prompt_len != trace_.prompt_len ||
+      info.gen_len != trace_.gen_len) {
+    return false;
+  }
+  // Re-pinning happens past the point of no return, so an out-of-range
+  // cell must be rejected here.
+  for (const auto& [layer, expert] : snap->pins) {
     if (layer < 0 || layer >= trace_.n_layers() || expert < 0 ||
         expert >= trace_.n_experts) {
       return false;
     }
-    pins.emplace_back(layer, expert);
-  }
-  recovery::PlacementImage image;
-  if (r.u8() != 1 || !recovery::read_placement_image(r, &image)) {
-    return false;
-  }
-  const bool has_rng = r.u8() != 0;
-  sim::FaultModel::StreamCursor cursor;
-  if (has_rng) {
-    cursor.transfer = read_rng_state(r);
-    cursor.load = read_rng_state(r);
-  }
-  const std::uint32_t policy_len = r.u32();
-  if (!r.ok() || policy_len != r.remaining()) return false;
-
-  if (engine != name_ || request_id != request_id_ ||
-      prompt_len != trace_.prompt_len || gen_len != trace_.gen_len) {
-    return false;
-  }
-  if (step < 0 || step > gen_len || replay < 0 || start_time < 0.0 ||
-      prefill_end < start_time || ready < prefill_end) {
-    return false;
   }
 
   // A shared placement belongs to the device (the restoring scheduler
@@ -462,32 +491,34 @@ bool SequenceSession::restore(const std::vector<std::uint8_t>& sealed,
   // Applied to a scratch copy so a later rejection leaves it untouched.
   cache::Placement restored_placement = own_placement_;
   if (arbiter_ == nullptr &&
-      !recovery::apply_placement_image(image, restored_placement)) {
+      !recovery::apply_placement_image(info.placement, restored_placement)) {
     return false;
   }
-  const double shift = std::max(0.0, opts.resume_floor - ready);
-  recovery::ByteReader pr(payload->data() + (payload->size() - policy_len),
-                          policy_len);
+  const double shift = std::max(0.0, opts.resume_floor - info.ready);
+  recovery::ByteReader pr(
+      snap->payload.data() + (snap->payload.size() - snap->policy_len),
+      snap->policy_len);
   if (!load_policy_state(pr, shift) || !pr.ok()) return false;
 
   // Point of no return: apply the validated base state.
   if (arbiter_ == nullptr) own_placement_ = std::move(restored_placement);
-  counters_ = counters;
-  next_token_ = step;
-  replay_tokens_ = replay;
-  start_time_ = start_time + shift;
-  prefill_end_ = prefill_end + shift;
-  ready_ = ready + shift;
-  stall0_ = tl_->hazard_stall_s() - stall_so_far;
-  for (const auto& [layer, expert] : pins) pin_shared(layer, expert);
-  if (opts.apply_rng_cursor && fault_ != nullptr && has_rng) {
-    fault_->set_stream_cursor(cursor);
+  counters_ = snap->counters;
+  next_token_ = info.step;
+  replay_tokens_ = snap->replay;
+  start_time_ = snap->start_time + shift;
+  prefill_end_ = snap->prefill_end + shift;
+  ready_ = info.ready + shift;
+  stall0_ = tl_->hazard_stall_s() - snap->stall_so_far;
+  for (const auto& [layer, expert] : snap->pins) pin_shared(layer, expert);
+  if (opts.apply_rng_cursor && fault_ != nullptr && snap->has_rng) {
+    fault_->set_stream_cursor(snap->cursor);
   }
   phase_ = Phase::kDecoding;
   parked_ = false;
   if (tracing()) {
     tinstant(tracks::kToken,
-             "warm restart (resumed at token " + std::to_string(step) + ")",
+             "warm restart (resumed at token " + std::to_string(info.step) +
+                 ")",
              ready_);
   }
   return true;
@@ -495,34 +526,9 @@ bool SequenceSession::restore(const std::vector<std::uint8_t>& sealed,
 
 std::optional<SessionSnapshotInfo> SequenceSession::peek(
     const std::vector<std::uint8_t>& sealed) {
-  const std::optional<std::vector<std::uint8_t>> payload =
-      recovery::unseal(sealed);
-  if (!payload.has_value()) return std::nullopt;
-  recovery::ByteReader r(payload->data(), payload->size());
-  if (r.u32() != kPayloadVersion) return std::nullopt;
-  SessionSnapshotInfo info;
-  info.engine = r.str();
-  info.request_id = r.i64();
-  info.prompt_len = r.i32();
-  info.gen_len = r.i32();
-  info.step = r.i32();
-  r.i32();  // replay tokens
-  r.f64();  // start time
-  r.f64();  // prefill end
-  info.ready = r.f64();
-  r.f64();  // stalls so far
-  read_counters(r);
-  const std::uint32_t n_pins = r.u32();
-  if (!r.ok() || n_pins > r.remaining() / 8) return std::nullopt;
-  for (std::uint32_t i = 0; i < n_pins; ++i) {
-    r.i32();
-    r.i32();
-  }
-  if (r.u8() != 1 || !recovery::read_placement_image(r, &info.placement)) {
-    return std::nullopt;
-  }
-  if (!r.ok()) return std::nullopt;
-  return info;
+  std::optional<DecodedSnapshot> snap = decode_snapshot(sealed);
+  if (!snap.has_value()) return std::nullopt;
+  return std::move(snap->info);
 }
 
 SequenceSession::MigrationOutcome SequenceSession::migrate_with_retry(
