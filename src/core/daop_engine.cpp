@@ -1,7 +1,9 @@
 #include "core/daop_engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <span>
 
 #include "cache/arbiter.hpp"
 #include "common/check.hpp"
@@ -37,9 +39,10 @@ class DaopSession final : public engines::SequenceSession {
                           .bytes_per_weight() /
                       costs.config().bytes_per_param)
                 : costs.expert_cpu()),
-        swap_ready_(static_cast<std::size_t>(L_) * E_, 0.0),
-        window_(static_cast<std::size_t>(L_),
-                std::vector<double>(static_cast<std::size_t>(E_), 0.0)),
+        reallocates_(!shared() && config.decode_realloc_interval > 0),
+        swap_ready_(reallocates_ ? static_cast<std::size_t>(L_) * E_ : 0,
+                    0.0),
+        window_(swap_ready_.size(), 0.0),
         exec_on_gpu_(static_cast<std::size_t>(E_), 0),
         policy_(config, L_, costs.config().top_k),
         precalc_arrival_(static_cast<std::size_t>(E_), 0.0),
@@ -184,7 +187,7 @@ class DaopSession final : public engines::SequenceSession {
       for (const ExpertStep& s : d.steps) {
         const int e = s.expert;
         const auto ei = static_cast<std::size_t>(e);
-        window_[static_cast<std::size_t>(l)][ei] += 1.0;
+        if (reallocates_) window_[sidx(l, e)] += 1.0;
         ++(s.action == DecodeAction::GpuHit ? counters_.cache_hits
                                             : counters_.cache_misses);
         double end = nonmoe_end;
@@ -192,10 +195,12 @@ class DaopSession final : public engines::SequenceSession {
           case DecodeAction::GpuHit:
             pin_shared(l, e);
             // Experts swapped in mid-decode are usable once their weights
-            // arrive (no-op when decode re-allocation is off).
+            // arrive.
             end = gpu_expert(
                 shared_weight_gate(
-                    l, e, std::max(nonmoe_end, swap_ready_[sidx(l, e)])),
+                    l, e,
+                    reallocates_ ? std::max(nonmoe_end, swap_ready_[sidx(l, e)])
+                                 : nonmoe_end),
                 gpu_cost, l, e, "GPU expert");
             break;
           case DecodeAction::PrecalcCommit:
@@ -284,53 +289,57 @@ class DaopSession final : public engines::SequenceSession {
     // per-sequence allocation at prefill only): concurrent sessions have
     // conflicting trailing windows, and letting each re-steer the shared
     // cache every interval thrashes the very experts its peers pinned.
-    if (shared() || config_.decode_realloc_interval <= 0 ||
-        (t + 1) % config_.decode_realloc_interval != 0) {
+    if (!reallocates_ || (t + 1) % config_.decode_realloc_interval != 0) {
       return;
     }
     for (int l = 0; l < L_; ++l) {
-      const auto swaps = sequence_specific_swaps(
-          window_[static_cast<std::size_t>(l)], placement(), l,
-          config_.swap_in_out);
+      const std::span<double> window(window_.data() + sidx(l, 0),
+                                     static_cast<std::size_t>(E_));
+      const auto swaps = sequence_specific_swaps(window, placement(), l,
+                                                 config_.swap_in_out);
       for (const SwapDecision& s : swaps) {
         const double done = swap_in(l, s, ready_, "decode swap-in");
         if (done < 0.0) continue;
         swap_ready_[sidx(l, s.expert_in)] = done;
         ++counters_.decode_swaps;
       }
-      std::fill(window_[static_cast<std::size_t>(l)].begin(),
-                window_[static_cast<std::size_t>(l)].end(), 0.0);
+      std::fill(window.begin(), window.end(), 0.0);
     }
   }
 
   // ---- Warm-restart checkpointing: everything run_decode_token/post_token
-  // consult beyond the base class — the swap-arrival gates and the trailing
-  // activation window. The policy's pre-calc plan never outlives the token
-  // that made it (the last layer plans nothing), so it is not state.
+  // consult beyond the base class. That is the (L, E) header, then, only
+  // when decode re-allocation can run, the swap-arrival gates and the
+  // trailing activation window. The policy's pre-calc plan never outlives
+  // the token that made it (the last layer plans nothing), so it is not
+  // state.
   void save_policy_state(recovery::ByteWriter& w) const override {
     w.i32(L_);
     w.i32(E_);
     for (const double v : swap_ready_) w.f64(v);
-    for (const auto& row : window_) {
-      for (const double v : row) w.f64(v);
-    }
+    for (const double v : window_) w.f64(v);
   }
 
   bool load_policy_state(recovery::ByteReader& r, double shift) override {
     const int L = r.i32();
     const int E = r.i32();
-    if (!r.ok() || L != L_ || E != E_) return false;
-    std::vector<double> swap_ready(swap_ready_.size());
-    for (double& v : swap_ready) {
-      v = r.f64();
+    if (!r.ok() || L != L_ || E != E_ ||
+        r.remaining() != 16 * swap_ready_.size()) {
+      return false;
+    }
+    std::vector<double> gates(swap_ready_.size());
+    std::vector<double> window(window_.size());
+    for (double& v : gates) v = r.f64();
+    for (double& v : window) v = r.f64();
+    const auto bad = [](double v) { return !(v >= 0.0 && std::isfinite(v)); };
+    if (std::any_of(gates.begin(), gates.end(), bad) ||
+        std::any_of(window.begin(), window.end(), bad)) {
+      return false;
+    }
+    for (double& v : gates) {
       if (v != 0.0) v += shift;  // 0.0 is the "never swapped in" sentinel
     }
-    std::vector<std::vector<double>> window = window_;
-    for (auto& row : window) {
-      for (double& v : row) v = r.f64();
-    }
-    if (!r.ok()) return false;
-    swap_ready_ = std::move(swap_ready);
+    swap_ready_ = std::move(gates);
     window_ = std::move(window);
     return true;
   }
@@ -343,11 +352,14 @@ class DaopSession final : public engines::SequenceSession {
   const int E_;
   const double mig_cost_;
   const double cpu_expert_cost_;
-  /// Per-expert weight-arrival gates for experts swapped in mid-decode
-  /// (decode re-allocation extension state).
+  /// Decode re-allocation (the extension) can run: a private session with
+  /// decode_realloc_interval > 0. Otherwise the two vectors below are empty.
+  const bool reallocates_;
+  /// Per-(layer, expert) weight-arrival gates for experts swapped in
+  /// mid-decode.
   std::vector<double> swap_ready_;
-  /// Trailing-window activation counts for decode re-allocation.
-  std::vector<std::vector<double>> window_;
+  /// Per-(layer, expert) trailing-window activation counts.
+  std::vector<double> window_;
 
   /// Per-layer prefill scratch: where each expert lived before the layer's
   /// swaps (it executes there).

@@ -1,6 +1,7 @@
 #include "engines/fetch_engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
 
@@ -327,8 +328,10 @@ class FetchSession final : public SequenceSession {
     std::vector<long long> last_use(last_use_.size());
     for (long long& v : last_use) v = r.i64();
     std::vector<double> fetch_ready(fetch_ready_.size());
+    bool finite = true;
     for (double& v : fetch_ready) {
       v = r.f64();
+      finite = finite && std::isfinite(v);
       if (v >= 0.0) v += shift;  // negative = nothing in flight, keep as-is
     }
     std::vector<char> pending(prefetch_pending_.size());
@@ -337,7 +340,7 @@ class FetchSession final : public SequenceSession {
     for (std::uint64_t& v : spans) v = r.u64();
     std::vector<bool> pattern(pattern_prefetched_.size());
     for (std::size_t i = 0; i < pattern.size(); ++i) pattern[i] = r.u8() != 0;
-    if (!r.ok()) return false;
+    if (!r.ok() || r.remaining() != 0 || !finite) return false;
     use_clock_ = clock;
     last_use_ = std::move(last_use);
     fetch_ready_ = std::move(fetch_ready);

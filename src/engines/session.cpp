@@ -1,6 +1,7 @@
 #include "engines/session.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "cache/arbiter.hpp"
 #include "common/check.hpp"
@@ -284,10 +285,6 @@ RunResult SequenceSession::close() {
 
 namespace {
 
-// `daop-ckpt/1` payload revision. Bump when the field layout below changes;
-// unseal() already guards the outer frame version.
-constexpr std::uint32_t kPayloadVersion = 1;
-
 void write_counters(recovery::ByteWriter& w, const EngineCounters& c) {
   for (const CounterField& f : kCounterFields) {
     if (f.count != nullptr) {
@@ -311,17 +308,18 @@ EngineCounters read_counters(recovery::ByteReader& r) {
 }
 
 // Payload bytes of checkpoint() that do not depend on the session's shape:
-// version, name length, request id, four i32 lengths/steps, four f64 times,
-// the counters, the pin count, the placement flag (always 1) and the
-// fault-stream flag, two fault-stream cursors (4 u64 words, seed, flag,
-// cached normal), the policy length and the placement image's two
-// dimensions.
-constexpr std::size_t kBaseBytes = 4 + 4 + 8 + 4 * 4 + 4 * 8 +
-                                   sizeof(EngineCounters) + 4 + 1 + 1 +
-                                   2 * (5 * 8 + 1 + 8) + 4 + 8;
+// name length, request id, four i32 lengths/steps, four f64 times, the
+// counters, the pin count, the fault-stream flag, two fault-stream cursors
+// (4 u64 words, seed, flag, cached normal), the placement image's two
+// dimensions and the policy length.
+constexpr std::size_t kBaseBytes = 4 + 8 + 4 * 4 + 4 * 8 +
+                                   sizeof(EngineCounters) + 4 + 1 +
+                                   2 * (5 * 8 + 1 + 8) + 8 + 4;
 // Bound on the policy state an engine writes per (layer, expert) cell (the
-// fetch engines write 26 bytes, DAOP 16), so the reservation above holds a
-// whole checkpoint. A larger state stays correct; its buffer just regrows.
+// fetch engines write 26 bytes, DAOP 16 with decode re-allocation on and
+// only its 8-byte (L, E) header otherwise), so the reservation above holds
+// a whole checkpoint. A larger state stays correct; its buffer just
+// regrows.
 constexpr std::size_t kPolicyBytesPerCell = 32;
 
 void write_rng_state(recovery::ByteWriter& w, const Rng::State& s) {
@@ -367,7 +365,6 @@ std::optional<DecodedSnapshot> decode_snapshot(
   DecodedSnapshot d;
   d.payload = std::move(*payload);
   recovery::ByteReader r(d.payload.data(), d.payload.size());
-  if (r.u32() != kPayloadVersion) return std::nullopt;
   SessionSnapshotInfo& info = d.info;
   info.engine = r.str();
   info.request_id = r.i64();
@@ -388,9 +385,7 @@ std::optional<DecodedSnapshot> decode_snapshot(
     const int expert = r.i32();
     d.pins.emplace_back(layer, expert);
   }
-  if (r.u8() != 1 || !recovery::read_placement_image(r, &info.placement)) {
-    return std::nullopt;
-  }
+  if (!recovery::read_placement_image(r, &info.placement)) return std::nullopt;
   d.has_rng = r.u8() != 0;
   if (d.has_rng) {
     d.cursor.transfer = read_rng_state(r);
@@ -398,9 +393,12 @@ std::optional<DecodedSnapshot> decode_snapshot(
   }
   d.policy_len = r.u32();
   if (!r.ok() || d.policy_len != r.remaining()) return std::nullopt;
+  // 0 <= start <= prefill end <= ready, all finite: the negated form
+  // rejects NaN too.
   if (info.step < 0 || info.step > info.gen_len || d.replay < 0 ||
-      d.start_time < 0.0 || d.prefill_end < d.start_time ||
-      info.ready < d.prefill_end) {
+      !(0.0 <= d.start_time && d.start_time <= d.prefill_end &&
+        d.prefill_end <= info.ready && std::isfinite(info.ready) &&
+        std::isfinite(d.stall_so_far))) {
     return std::nullopt;
   }
   return d;
@@ -423,7 +421,6 @@ std::vector<std::uint8_t> SequenceSession::checkpoint() const {
             (kPolicyBytesPerCell + 1) * cells +
             4 * static_cast<std::size_t>(trace_.n_layers()));
   recovery::begin_seal(w);
-  w.u32(kPayloadVersion);
   w.str(name_);
   w.i64(request_id_);
   w.i32(trace_.prompt_len);
@@ -443,9 +440,6 @@ std::vector<std::uint8_t> SequenceSession::checkpoint() const {
     w.i32(layer);
     w.i32(expert);
   }
-  // Placement flag: always 1 (kept so `daop-ckpt/1` bytes stay as they
-  // were); restore() and peek() reject any other value.
-  w.u8(1);
   recovery::write_placement(w, placement());
   w.u8(fault_ != nullptr ? 1 : 0);
   if (fault_ != nullptr) {

@@ -240,7 +240,7 @@ class SequenceSession {
   bool parked() const { return parked_; }
 
   /// Serializes everything needed to resume this session mid-decode into a
-  /// sealed `daop-ckpt/1` blob: lifecycle state, counters, working-set
+  /// sealed `daop-ckpt/2` blob: lifecycle state, counters, working-set
   /// pins, the placement it decodes against, fault-stream cursor, and the
   /// engine's policy state. Only valid while decoding and not parked.
   std::vector<std::uint8_t> checkpoint() const;
@@ -294,12 +294,13 @@ class SequenceSession {
   // consults beyond the base class) through these.
   /// Appends the engine's policy state to the snapshot payload.
   virtual void save_policy_state(recovery::ByteWriter& w) const = 0;
-  /// Restores policy state written by save_policy_state. `shift` is the
-  /// time-rebase applied to the snapshot (0 in the bit-identity case);
-  /// engines must shift their own absolute times by it while preserving
-  /// sentinel values. Runs before any base state is applied and must leave
-  /// the policy state untouched when it returns false (which rejects the
-  /// restore).
+  /// Restores policy state written by save_policy_state. `r` holds exactly
+  /// the policy block: a block that is short, long or malformed returns
+  /// false. `shift` is the time-rebase applied to the snapshot (0 in the
+  /// bit-identity case); engines must shift their own absolute times by it
+  /// while preserving sentinel values. Runs before any base state is
+  /// applied and must leave the policy state untouched when it returns
+  /// false (which rejects the restore).
   virtual bool load_policy_state(recovery::ByteReader& r, double shift) = 0;
 
   /// The placement this session decodes against: the arbiter's shared one

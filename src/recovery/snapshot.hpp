@@ -1,4 +1,4 @@
-// Crash-consistent snapshot framing for warm-restart recovery (`daop-ckpt/1`).
+// Crash-consistent snapshot framing for warm-restart recovery (`daop-ckpt/2`).
 //
 // A checkpoint is a sealed byte blob: a fixed header (magic, version, payload
 // length) followed by the payload and guarded by an FNV-1a 64 checksum over
@@ -24,15 +24,16 @@
 
 namespace daop::recovery {
 
-// `daop-ckpt/1` is little-endian on the wire. ByteWriter and ByteReader
+// `daop-ckpt/2` is little-endian on the wire. ByteWriter and ByteReader
 // memcpy fixed-width fields in host byte order, which is that format only
 // on a little-endian host: a big-endian build must not compile rather than
 // silently write (and accept) a different format.
 static_assert(std::endian::native == std::endian::little,
-              "daop-ckpt/1 codec assumes a little-endian host");
+              "daop-ckpt/2 codec assumes a little-endian host");
 
-/// Format revision sealed into every snapshot header ("daop-ckpt/1").
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+/// Format revision sealed into every snapshot header ("daop-ckpt/2").
+/// unseal() accepts this version only.
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 /// Sealed frame header: magic, version, payload length, FNV-1a 64.
 inline constexpr std::size_t kSealHeaderSize = 8 + 4 + 8 + 8;
 
@@ -102,7 +103,7 @@ class ByteReader {
   bool ok_ = true;
 };
 
-/// Wraps a payload in the `daop-ckpt/1` frame: magic, version, payload
+/// Wraps a payload in the `daop-ckpt/2` frame: magic, version, payload
 /// length, FNV-1a 64 checksum, payload bytes.
 std::vector<std::uint8_t> seal(const std::vector<std::uint8_t>& payload);
 

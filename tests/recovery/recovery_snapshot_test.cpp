@@ -1,4 +1,4 @@
-// Checkpoint round-trip property harness (`daop-ckpt/1`).
+// Checkpoint round-trip property harness (`daop-ckpt/2`).
 //
 // Three layers of guarantees, bottom-up:
 //  - FRAME: seal/unseal round-trips byte-exactly; EVERY single-byte flip,
@@ -612,19 +612,16 @@ TEST(SessionSnapshot, ResumeFloorShiftsTheRestoredFrontier) {
   EXPECT_EQ(r.generated_tokens, fx.trace.gen_len);
 }
 
-/// Payload offsets of a session snapshot's first pin, its placement flag
-/// and its placement image, found by decoding the fixed fields in front of
-/// them.
+/// Payload offsets of a session snapshot's first pin and of its placement
+/// image, found by decoding the fixed fields in front of them.
 struct PayloadOffsets {
   std::size_t first_pin = 0;
   std::uint32_t n_pins = 0;
-  std::size_t placement_flag = 0;
   std::size_t placement_image = 0;
 };
 
 PayloadOffsets payload_offsets(const std::vector<std::uint8_t>& payload) {
   ByteReader r(payload.data(), payload.size());
-  r.u32();  // payload version
   r.str();  // engine
   r.i64();  // request id
   for (int i = 0; i < 4; ++i) r.i32();
@@ -633,8 +630,7 @@ PayloadOffsets payload_offsets(const std::vector<std::uint8_t>& payload) {
   PayloadOffsets o;
   o.n_pins = r.u32();
   o.first_pin = payload.size() - r.remaining();
-  o.placement_flag = o.first_pin + 8 * std::size_t{o.n_pins};
-  o.placement_image = o.placement_flag + 1;
+  o.placement_image = o.first_pin + 8 * std::size_t{o.n_pins};
   EXPECT_TRUE(r.ok());
   return o;
 }
@@ -650,9 +646,8 @@ std::vector<std::uint8_t> reseal_with(std::vector<std::uint8_t> payload,
 // Re-pinning the snapshot's working set happens past restore()'s point of
 // no return, so a pin outside the model must be rejected before any state
 // changes: the session stays fresh, prefill-replays to completion and
-// leaves the arbiter with no pins. The same holds for a placement flag
-// other than 1, which peek() rejects too.
-TEST(SessionSnapshot, ForgedPinsAndPlacementFlagAreRejectedUntouched) {
+// leaves the arbiter with no pins.
+TEST(SessionSnapshot, ForgedPinsAreRejectedUntouched) {
   const SessionFixture fx(7);
   cache::PlacementArbiter arbiter(fx.placement);
   sim::Timeline tl;
@@ -676,13 +671,10 @@ TEST(SessionSnapshot, ForgedPinsAndPlacementFlagAreRejectedUntouched) {
   ASSERT_EQ(arbiter.total_pin_count(), 0);
   const PayloadOffsets o = payload_offsets(payload);
   ASSERT_GT(o.n_pins, 0u) << "the snapshot must carry working-set pins";
-  ASSERT_EQ(payload.at(o.placement_flag), 1);
 
   const std::vector<std::uint8_t> forged[] = {
       reseal_with(payload, o.first_pin, 99),  // layer 99 of 4
-      reseal_with(payload, o.first_pin + 4, 99),  // expert 99 of 8
-      reseal_with(payload, o.placement_flag, 0),
-      reseal_with(payload, o.placement_flag, 2)};
+      reseal_with(payload, o.first_pin + 4, 99)};  // expert 99 of 8
   for (std::size_t i = 0; i < std::size(forged); ++i) {
     SCOPED_TRACE("forgery " + std::to_string(i));
     const auto b = engine->open_session(fx.trace, arbiter.placement(), env);
@@ -695,8 +687,6 @@ TEST(SessionSnapshot, ForgedPinsAndPlacementFlagAreRejectedUntouched) {
     EXPECT_EQ(b->close().generated_tokens, fx.trace.gen_len);
     EXPECT_EQ(arbiter.total_pin_count(), 0);
   }
-  EXPECT_FALSE(engines::SequenceSession::peek(forged[2]).has_value());
-  EXPECT_FALSE(engines::SequenceSession::peek(forged[3]).has_value());
   EXPECT_TRUE(engines::SequenceSession::peek(seal(payload)).has_value());
 }
 
@@ -742,14 +732,14 @@ TEST(SessionSnapshot, ForgedCapacityIsRejectedUntouched) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden digests of the `daop-ckpt/1` bytes themselves. The round-trip tests
+// Golden digests of the `daop-ckpt/2` bytes themselves. The round-trip tests
 // above only prove that an encoder agrees with its own decoder; this pins
 // the wire format: DAOP sessions on a private placement (calm and under
 // hazards, so the fault-stream cursor is written) and three DAOP sessions
 // interleaved on one shared timeline under a PlacementArbiter with an lfu
 // cache (pins and a placement that moves mid-decode), each checkpointed
 // every 4th decode step. Regenerate (only after an INTENTIONAL format
-// change, together with kPayloadVersion) with:
+// change, together with kSnapshotVersion) with:
 //   DAOP_UPDATE_GOLDENS=1 ./recovery_snapshot_test
 
 /// One line per checkpoint: request, step, blob size, FNV-1a of the bytes.
