@@ -87,17 +87,16 @@ struct EngineCounters {
 struct CounterField {
   /// Profile name (engines::counter_profile_metrics): the field's name.
   const char* name;
-  /// The field: exactly one of the two member pointers is set.
+  /// The field, unless it is the one double (`real`).
   long long EngineCounters::*count;
-  double EngineCounters::*real;
-  /// Metric family; nullptr keeps the field out of the metrics export
-  /// (it is still aggregated, checkpointed and profiled).
-  const char* family;
-  const char* help;
-  /// Label the family splits on ("device", "result", "phase"); nullptr for
-  /// a family with one series per label set.
-  const char* label_key;
-  const char* label_value;
+  /// Metric family and help; a null family keeps the field out of the
+  /// metrics export (it is still aggregated, checkpointed and profiled).
+  const char* family = nullptr;
+  const char* help = nullptr;
+  /// The label the family splits on ("device", "result", "phase"), if any.
+  const char* label_key = nullptr;
+  const char* label_value = nullptr;
+  double EngineCounters::*real = nullptr;
 
   double value(const EngineCounters& c) const {
     return count != nullptr ? static_cast<double>(c.*count) : c.*real;
@@ -109,69 +108,55 @@ struct CounterField {
 /// loop over this table, so a field listed here is aggregated,
 /// checkpointed, profiled and exported everywhere at once.
 inline constexpr CounterField kCounterFields[] = {
-    {"expert_migrations", &EngineCounters::expert_migrations, nullptr,
-     "daop_expert_migrations_total", "CPU-to-GPU expert weight transfers.",
-     nullptr, nullptr},
-    {"gpu_expert_execs", &EngineCounters::gpu_expert_execs, nullptr,
+    {"expert_migrations", &EngineCounters::expert_migrations,
+     "daop_expert_migrations_total", "CPU-to-GPU expert weight transfers."},
+    {"gpu_expert_execs", &EngineCounters::gpu_expert_execs,
      "daop_expert_execs_total", "Expert executions by device.", "device",
      "gpu"},
-    {"cpu_expert_execs", &EngineCounters::cpu_expert_execs, nullptr,
+    {"cpu_expert_execs", &EngineCounters::cpu_expert_execs,
      "daop_expert_execs_total", "Expert executions by device.", "device",
      "cpu"},
-    {"cache_hits", &EngineCounters::cache_hits, nullptr,
+    {"cache_hits", &EngineCounters::cache_hits,
      "daop_expert_cache_lookups_total",
      "Selected-expert GPU cache lookups by result.", "result", "hit"},
-    {"cache_misses", &EngineCounters::cache_misses, nullptr,
+    {"cache_misses", &EngineCounters::cache_misses,
      "daop_expert_cache_lookups_total",
      "Selected-expert GPU cache lookups by result.", "result", "miss"},
-    {"prefetch_hits", &EngineCounters::prefetch_hits, nullptr,
+    {"prefetch_hits", &EngineCounters::prefetch_hits,
      "daop_prefetch_hits_total",
-     "Prefetched or pre-fetched experts that were actually used.", nullptr,
-     nullptr},
-    {"predictions", &EngineCounters::predictions, nullptr,
-     "daop_predictions_total", "Gate-ahead predictions issued.", nullptr,
-     nullptr},
-    {"mispredictions", &EngineCounters::mispredictions, nullptr,
+     "Prefetched or pre-fetched experts that were actually used."},
+    {"predictions", &EngineCounters::predictions, "daop_predictions_total",
+     "Gate-ahead predictions issued."},
+    {"mispredictions", &EngineCounters::mispredictions,
      "daop_mispredictions_total",
-     "Predictions whose expert set missed a used expert.", nullptr, nullptr},
-    {"degradations", &EngineCounters::degradations, nullptr,
-     "daop_degradations_total", "Graceful-degradation expert substitutions.",
-     nullptr, nullptr},
-    {"prefill_swaps", &EngineCounters::prefill_swaps, nullptr,
-     "daop_swaps_total", "Expert placement swaps by phase.", "phase",
-     "prefill"},
-    {"decode_swaps", &EngineCounters::decode_swaps, nullptr,
-     "daop_swaps_total", "Expert placement swaps by phase.", "phase",
-     "decode"},
-    {"skipped_experts", &EngineCounters::skipped_experts, nullptr,
+     "Predictions whose expert set missed a used expert."},
+    {"degradations", &EngineCounters::degradations,
+     "daop_degradations_total", "Graceful-degradation expert substitutions."},
+    {"prefill_swaps", &EngineCounters::prefill_swaps, "daop_swaps_total",
+     "Expert placement swaps by phase.", "phase", "prefill"},
+    {"decode_swaps", &EngineCounters::decode_swaps, "daop_swaps_total",
+     "Expert placement swaps by phase.", "phase", "decode"},
+    {"skipped_experts", &EngineCounters::skipped_experts,
      "daop_skipped_experts_total",
-     "Experts skipped by the adaptive top-1 margin.", nullptr, nullptr},
-    {"migration_retries", &EngineCounters::migration_retries, nullptr,
+     "Experts skipped by the adaptive top-1 margin."},
+    {"migration_retries", &EngineCounters::migration_retries,
      "daop_expert_migration_retries_total",
-     "Expert-load attempts retried after transient failures.", nullptr,
-     nullptr},
-    {"migration_aborts", &EngineCounters::migration_aborts, nullptr,
+     "Expert-load attempts retried after transient failures."},
+    {"migration_aborts", &EngineCounters::migration_aborts,
      "daop_expert_migration_aborts_total",
-     "Migrations abandoned (deadline exceeded or retries exhausted).",
-     nullptr, nullptr},
-    {"stale_precalcs", &EngineCounters::stale_precalcs, nullptr,
+     "Migrations abandoned (deadline exceeded or retries exhausted)."},
+    {"stale_precalcs", &EngineCounters::stale_precalcs,
      "daop_stale_precalcs_total",
-     "Pre-calculated results discarded for arriving too late.", nullptr,
-     nullptr},
-    {"pin_refusals", &EngineCounters::pin_refusals, nullptr,
-     "daop_pin_refusals_total",
+     "Pre-calculated results discarded for arriving too late."},
+    {"pin_refusals", &EngineCounters::pin_refusals, "daop_pin_refusals_total",
      "Placement swaps/evictions refused because the victim was pinned by a "
-     "concurrent session.",
-     nullptr, nullptr},
-    {"preemptions", &EngineCounters::preemptions, nullptr, nullptr, nullptr,
-     nullptr, nullptr},
-    {"preempt_resumes", &EngineCounters::preempt_resumes, nullptr, nullptr,
-     nullptr, nullptr, nullptr},
-    {"degraded_sessions", &EngineCounters::degraded_sessions, nullptr,
-     nullptr, nullptr, nullptr, nullptr},
-    {"hazard_stall_s", nullptr, &EngineCounters::hazard_stall_s,
-     "daop_hazard_stall_seconds_total",
-     "Total hazard delay injected into scheduled ops.", nullptr, nullptr},
+     "concurrent session."},
+    {"preemptions", &EngineCounters::preemptions},
+    {"preempt_resumes", &EngineCounters::preempt_resumes},
+    {"degraded_sessions", &EngineCounters::degraded_sessions},
+    {"hazard_stall_s", nullptr, "daop_hazard_stall_seconds_total",
+     "Total hazard delay injected into scheduled ops.", nullptr, nullptr,
+     &EngineCounters::hazard_stall_s},
 };
 
 // Tripwire: every EngineCounters field is 8 bytes wide, so a field added to
