@@ -4,26 +4,6 @@
 
 namespace daop::recovery {
 
-PlacementImage capture_placement(const cache::Placement& p) {
-  PlacementImage img;
-  img.n_layers = p.n_layers();
-  img.n_experts = p.n_experts();
-  img.capacity.resize(static_cast<std::size_t>(img.n_layers));
-  img.on_gpu.assign(static_cast<std::size_t>(img.n_layers) *
-                        static_cast<std::size_t>(img.n_experts),
-                    0);
-  for (int l = 0; l < img.n_layers; ++l) {
-    img.capacity[static_cast<std::size_t>(l)] = p.capacity(l);
-    for (int e = 0; e < img.n_experts; ++e) {
-      if (p.on_gpu(l, e))
-        img.on_gpu[static_cast<std::size_t>(l) *
-                       static_cast<std::size_t>(img.n_experts) +
-                   static_cast<std::size_t>(e)] = 1;
-    }
-  }
-  return img;
-}
-
 void write_placement(ByteWriter& w, const cache::Placement& p) {
   w.i32(p.n_layers());
   w.i32(p.n_experts());

@@ -32,9 +32,6 @@ ReconcileResult reconcile_placement(const PlacementImage& want,
                                     double migration_cost_s,
                                     long long session_id);
 
-/// Captures the arbiter's current placement as a snapshot image.
-PlacementImage capture_placement(const cache::Placement& p);
-
 /// Writes `p` in the snapshot's placement-image encoding (read back by
 /// read_placement_image): dimensions, per-layer capacities, then one
 /// residency byte per (layer, expert), row-major.

@@ -119,6 +119,17 @@ TEST(SnapshotFrame, ByteCodecRoundTripsAndReaderIsBoundsSafe) {
   EXPECT_FALSE(r.ok());
 }
 
+/// The image a snapshot carries of `p`: write_placement, then read back.
+PlacementImage image_of(const cache::Placement& p) {
+  ByteWriter w;
+  write_placement(w, p);
+  ByteReader r(w.data().data(), w.size());
+  PlacementImage img;
+  EXPECT_TRUE(read_placement_image(r, &img));
+  EXPECT_EQ(r.remaining(), 0u);
+  return img;
+}
+
 TEST(SnapshotFrame, PlacementImageRoundTrips) {
   cache::Placement p(3, 4);
   p.set_capacity(0, 2);
@@ -129,22 +140,14 @@ TEST(SnapshotFrame, PlacementImageRoundTrips) {
   p.move_to_gpu(1, 3);
   p.move_to_gpu(2, 0);
   p.move_to_gpu(2, 1);
-  const PlacementImage img = capture_placement(p);
+  const PlacementImage img = image_of(p);
+  EXPECT_EQ(img.n_layers, 3);
+  EXPECT_EQ(img.n_experts, 4);
+  EXPECT_EQ(img.capacity, (std::vector<std::int32_t>{2, 1, 2}));
   EXPECT_EQ(img.on_gpu,
             (std::vector<std::uint8_t>{1, 0, 1, 0, 0, 0, 0, 1, 1, 1, 0, 0}));
-  ByteWriter w;
-  write_placement(w, p);
-  const auto buf = w.data();
-  ByteReader r(buf.data(), buf.size());
-  PlacementImage back;
-  ASSERT_TRUE(read_placement_image(r, &back));
-  EXPECT_TRUE(r.ok());
-  EXPECT_EQ(back.n_layers, img.n_layers);
-  EXPECT_EQ(back.n_experts, img.n_experts);
-  EXPECT_EQ(back.capacity, img.capacity);
-  EXPECT_EQ(back.on_gpu, img.on_gpu);
-  EXPECT_TRUE(back.gpu(0, 0));
-  EXPECT_FALSE(back.gpu(0, 1));
+  EXPECT_TRUE(img.gpu(0, 0));
+  EXPECT_FALSE(img.gpu(0, 1));
 }
 
 // ---------------------------------------------------------------------------
@@ -345,7 +348,7 @@ TEST(Reconcile, CaptureAndApplyRoundTripAPlacement) {
   p.move_to_gpu(0, 1);
   p.move_to_gpu(0, 3);
   p.move_to_gpu(1, 2);
-  const PlacementImage img = capture_placement(p);
+  const PlacementImage img = image_of(p);
   EXPECT_EQ(img.n_layers, 2);
   EXPECT_EQ(img.n_experts, 4);
   EXPECT_TRUE(img.gpu(0, 1));
@@ -366,7 +369,7 @@ TEST(Reconcile, ApplyRejectsMismatchedDimensionsUntouched) {
   cache::Placement p(2, 4);
   p.set_capacity(0, 1);
   p.move_to_gpu(0, 0);
-  const PlacementImage img = capture_placement(p);
+  const PlacementImage img = image_of(p);
   cache::Placement other(3, 4);
   other.set_capacity(0, 2);
   other.move_to_gpu(0, 2);
@@ -390,7 +393,7 @@ TEST(Reconcile, MigratesEvictsAndPublishesWeightGates) {
     want.move_to_gpu(l, 3);
   }
   sim::Timeline tl;
-  const ReconcileResult r = reconcile_placement(capture_placement(want), arb,
+  const ReconcileResult r = reconcile_placement(image_of(want), arb,
                                                 tl, 1.0, 0.002, /*session=*/7);
   EXPECT_EQ(r.migrated, 4);
   EXPECT_EQ(r.evicted, 4);
@@ -417,7 +420,7 @@ TEST(Reconcile, PinnedResidentsAreRefusedNotEvicted) {
   want.move_to_gpu(0, 2);
   want.move_to_gpu(0, 3);
   sim::Timeline tl;
-  const ReconcileResult r = reconcile_placement(capture_placement(want), arb,
+  const ReconcileResult r = reconcile_placement(image_of(want), arb,
                                                 tl, 0.0, 0.002, /*session=*/7);
   // Expert 1 evicts, expert 0 stays pinned; one wanted expert fits in the
   // freed slot, the other is refused (the restored session runs it from the
