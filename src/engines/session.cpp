@@ -341,8 +341,7 @@ Rng::State read_rng_state(recovery::ByteReader& r) {
 /// Every field of a sealed snapshot, decoded and checked for consistency
 /// with itself. Checks against a live session (identity, pin range) are
 /// restore()'s.
-struct DecodedSnapshot {
-  SessionSnapshotInfo info;
+struct DecodedSnapshot : SessionSnapshotInfo {
   int replay = 0;
   double start_time = 0.0;
   double prefill_end = 0.0;
@@ -365,16 +364,15 @@ std::optional<DecodedSnapshot> decode_snapshot(
   DecodedSnapshot d;
   d.payload = std::move(*payload);
   recovery::ByteReader r(d.payload.data(), d.payload.size());
-  SessionSnapshotInfo& info = d.info;
-  info.engine = r.str();
-  info.request_id = r.i64();
-  info.prompt_len = r.i32();
-  info.gen_len = r.i32();
-  info.step = r.i32();
+  d.engine = r.str();
+  d.request_id = r.i64();
+  d.prompt_len = r.i32();
+  d.gen_len = r.i32();
+  d.step = r.i32();
   d.replay = r.i32();
   d.start_time = r.f64();
   d.prefill_end = r.f64();
-  info.ready = r.f64();
+  d.ready = r.f64();
   d.stall_so_far = r.f64();
   d.counters = read_counters(r);
   const std::uint32_t n_pins = r.u32();
@@ -385,7 +383,7 @@ std::optional<DecodedSnapshot> decode_snapshot(
     const int expert = r.i32();
     d.pins.emplace_back(layer, expert);
   }
-  if (!recovery::read_placement_image(r, &info.placement)) return std::nullopt;
+  if (!recovery::read_placement_image(r, &d.placement)) return std::nullopt;
   d.has_rng = r.u8() != 0;
   if (d.has_rng) {
     d.cursor.transfer = read_rng_state(r);
@@ -395,9 +393,9 @@ std::optional<DecodedSnapshot> decode_snapshot(
   if (!r.ok() || d.policy_len != r.remaining()) return std::nullopt;
   // 0 <= start <= prefill end <= ready, all finite: the negated form
   // rejects NaN too.
-  if (info.step < 0 || info.step > info.gen_len || d.replay < 0 ||
+  if (d.step < 0 || d.step > d.gen_len || d.replay < 0 ||
       !(0.0 <= d.start_time && d.start_time <= d.prefill_end &&
-        d.prefill_end <= info.ready && std::isfinite(info.ready) &&
+        d.prefill_end <= d.ready && std::isfinite(d.ready) &&
         std::isfinite(d.stall_so_far))) {
     return std::nullopt;
   }
@@ -464,11 +462,10 @@ bool SequenceSession::restore(const std::vector<std::uint8_t>& sealed,
   // whole snapshot validated, so a rejected restore leaves the session
   // usable for the prefill-replay fallback.
   const std::optional<DecodedSnapshot> snap = decode_snapshot(sealed);
-  if (!snap.has_value()) return false;
-  const SessionSnapshotInfo& info = snap->info;
-  if (info.engine != name_ || info.request_id != request_id_ ||
-      info.prompt_len != trace_.prompt_len ||
-      info.gen_len != trace_.gen_len) {
+  if (!snap.has_value() || snap->engine != name_ ||
+      snap->request_id != request_id_ ||
+      snap->prompt_len != trace_.prompt_len ||
+      snap->gen_len != trace_.gen_len) {
     return false;
   }
   // Re-pinning happens past the point of no return, so an out-of-range
@@ -485,10 +482,10 @@ bool SequenceSession::restore(const std::vector<std::uint8_t>& sealed,
   // Applied to a scratch copy so a later rejection leaves it untouched.
   cache::Placement restored_placement = own_placement_;
   if (arbiter_ == nullptr &&
-      !recovery::apply_placement_image(info.placement, restored_placement)) {
+      !recovery::apply_placement_image(snap->placement, restored_placement)) {
     return false;
   }
-  const double shift = std::max(0.0, opts.resume_floor - info.ready);
+  const double shift = std::max(0.0, opts.resume_floor - snap->ready);
   recovery::ByteReader pr(
       snap->payload.data() + (snap->payload.size() - snap->policy_len),
       snap->policy_len);
@@ -497,11 +494,11 @@ bool SequenceSession::restore(const std::vector<std::uint8_t>& sealed,
   // Point of no return: apply the validated base state.
   if (arbiter_ == nullptr) own_placement_ = std::move(restored_placement);
   counters_ = snap->counters;
-  next_token_ = info.step;
+  next_token_ = snap->step;
   replay_tokens_ = snap->replay;
   start_time_ = snap->start_time + shift;
   prefill_end_ = snap->prefill_end + shift;
-  ready_ = info.ready + shift;
+  ready_ = snap->ready + shift;
   stall0_ = tl_->hazard_stall_s() - snap->stall_so_far;
   for (const auto& [layer, expert] : snap->pins) pin_shared(layer, expert);
   if (opts.apply_rng_cursor && fault_ != nullptr && snap->has_rng) {
@@ -511,7 +508,7 @@ bool SequenceSession::restore(const std::vector<std::uint8_t>& sealed,
   parked_ = false;
   if (tracing()) {
     tinstant(tracks::kToken,
-             "warm restart (resumed at token " + std::to_string(info.step) +
+             "warm restart (resumed at token " + std::to_string(snap->step) +
                  ")",
              ready_);
   }
@@ -522,7 +519,7 @@ std::optional<SessionSnapshotInfo> SequenceSession::peek(
     const std::vector<std::uint8_t>& sealed) {
   std::optional<DecodedSnapshot> snap = decode_snapshot(sealed);
   if (!snap.has_value()) return std::nullopt;
-  return std::move(snap->info);
+  return std::move(*snap);
 }
 
 SequenceSession::MigrationOutcome SequenceSession::migrate_with_retry(
@@ -546,12 +543,8 @@ SequenceSession::MigrationOutcome SequenceSession::migrate_with_retry(
       if (abort_when_exhausted &&
           (attempts >= max_retries ||
            (deadline > 0.0 && out.done > deadline))) {
-        if (tracing()) {
-          out.span = tspan(tracks::kMigration, span_name.str() + " (aborted)",
-                           out.start, out.done);
-        }
         out.aborted = true;
-        return out;
+        break;
       }
       ++attempts;
       ++counters_.migration_retries;
@@ -562,15 +555,13 @@ SequenceSession::MigrationOutcome SequenceSession::migrate_with_retry(
     }
   }
   if (abort_when_exhausted && deadline > 0.0 && out.done > deadline) {
-    if (tracing()) {
-      out.span = tspan(tracks::kMigration, span_name.str() + " (aborted)",
-                       out.start, out.done);
-    }
     out.aborted = true;
-    return out;
   }
   if (tracing()) {
-    out.span = tspan(tracks::kMigration, span_name.str(), out.start, out.done);
+    out.span = tspan(tracks::kMigration,
+                     out.aborted ? span_name.str() + " (aborted)"
+                                 : span_name.str(),
+                     out.start, out.done);
   }
   return out;
 }
@@ -602,20 +593,18 @@ void SequenceSession::arbiter_publish_weight_ready(int layer, int expert,
 std::uint64_t SequenceSession::tspan(const char* track, std::string name,
                                      double start, double end) {
   if (tracer_ == nullptr) return 0;
-  if (request_id_ < 0) {
-    return tracer_->span(tracer_->track(track), std::move(name), start, end);
-  }
-  const obs::RequestScope scope(tracer_, request_id_);
+  // A null tracer makes the scope a no-op: without a request id the
+  // tracer's ambient request is left as it is.
+  const obs::RequestScope scope(request_id_ < 0 ? nullptr : tracer_,
+                                request_id_);
   return tracer_->span(tracer_->track(track), std::move(name), start, end);
 }
 
 std::uint64_t SequenceSession::tinstant(const char* track, std::string name,
                                         double t) {
   if (tracer_ == nullptr) return 0;
-  if (request_id_ < 0) {
-    return tracer_->instant(tracer_->track(track), std::move(name), t);
-  }
-  const obs::RequestScope scope(tracer_, request_id_);
+  const obs::RequestScope scope(request_id_ < 0 ? nullptr : tracer_,
+                                request_id_);
   return tracer_->instant(tracer_->track(track), std::move(name), t);
 }
 
