@@ -13,6 +13,10 @@ namespace daop::cluster {
 void ClusterServingOptions::validate() const {
   DAOP_CHECK_GE(n_nodes, 1);
   cluster.validate();
+  DAOP_CHECK_MSG(cluster.tracer == nullptr && cluster.tseries == nullptr &&
+                     !cluster.record_intervals,
+                 "set the cluster harness's sinks through base.tracer, "
+                 "base.tseries and base.profiler, not cluster.*");
   node_hazards.validate();
   if (!node_placements.empty()) {
     DAOP_CHECK_EQ(node_placements.size(), static_cast<std::size_t>(n_nodes));
@@ -58,14 +62,13 @@ ClusterServingResult run_cluster_serving_eval(
     seats.push_back(std::move(seat));
   }
 
+  // The sinks come from `base` only. Profiler attribution needs each node
+  // timeline's interval record; recording is passive and never changes a
+  // scheduling decision.
   ClusterOptions router_opts = options.cluster;
-  if (router_opts.tracer == nullptr) router_opts.tracer = options.base.tracer;
-  if (router_opts.tseries == nullptr) {
-    router_opts.tseries = options.base.tseries;
-  }
-  // Profiler attribution needs each node timeline's interval record;
-  // recording is passive and never changes a scheduling decision.
-  if (options.base.profiler != nullptr) router_opts.record_intervals = true;
+  router_opts.tracer = options.base.tracer;
+  router_opts.tseries = options.base.tseries;
+  router_opts.record_intervals = options.base.profiler != nullptr;
   ClusterRouter router(std::move(seats), router_opts);
 
   for (const eval::RequestPlan::Request& p : plan.requests()) {
@@ -114,11 +117,9 @@ ClusterServingResult run_cluster_serving_eval(
 
   out.engine = std::string("cluster[") + std::to_string(options.n_nodes) +
                "x " + eval::engine_kind_name(kind) + "]";
-  // Seal the final time-series window at the run makespan (the recorder the
-  // router recorded into — router_opts.tseries — which defaulted from the
-  // base sink above).
+  // Seal the final time-series window at the run makespan.
   const double makespan = ledger.makespan();
-  if (router_opts.tseries != nullptr) router_opts.tseries->finalize(makespan);
+  if (options.base.tseries != nullptr) options.base.tseries->finalize(makespan);
   if (options.base.profiler != nullptr) {
     // One whole-window profile per node timeline, mirroring the
     // continuous-batching harness's shared-timeline record (per-request

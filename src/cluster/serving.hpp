@@ -34,7 +34,9 @@ struct ClusterServingOptions {
   eval::ServingOptions base;
   int n_nodes = 4;
   /// Router configuration (dispatch policy, health checking, failover
-  /// budget, hedging, degradation, explicit crash injection).
+  /// budget, hedging, degradation, explicit crash injection). Its sinks
+  /// (`tracer`, `tseries`, `record_intervals`) must stay unset: the harness
+  /// takes them from `base.tracer`, `base.tseries` and `base.profiler`.
   ClusterOptions cluster;
   /// Hazard scenario drawn independently per node (node-crash /
   /// node-brownout / link-degrade presets live here; see

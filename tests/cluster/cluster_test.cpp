@@ -135,6 +135,28 @@ ClusterServingResult crun(eval::EngineKind kind,
                                   data::sharegpt_calibration(), opt);
 }
 
+// The harness takes its sinks from `base` only; a copy set on the router
+// options is rejected by validate(), whose message names the base fields.
+TEST(ClusterServing, SinksAreSetThroughBaseOnly) {
+  obs::SpanTracer tracer;
+  obs::TimeSeriesRecorder rec(obs::TimeSeriesOptions{}, {"n0", "cluster"});
+  for (int which = 0; which < 3; ++which) {
+    SCOPED_TRACE(which);
+    ClusterServingOptions opt = cl_options(1);
+    if (which == 0) opt.cluster.tracer = &tracer;
+    if (which == 1) opt.cluster.tseries = &rec;
+    if (which == 2) opt.cluster.record_intervals = true;
+    try {
+      opt.validate();
+      ADD_FAILURE() << "validate() accepted a cluster.* sink";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("base.tracer"), std::string::npos)
+          << e.what();
+    }
+  }
+  cl_options(1).validate();
+}
+
 TEST(ClusterServing, CalmRoundRobinServesEverythingOnEveryNode) {
   const auto opt = cl_options(4);
   const auto r = crun(eval::EngineKind::Fiddler, opt);
