@@ -39,42 +39,30 @@ inline constexpr const char* kPrediction = "Prediction";
 inline constexpr const char* kPrecalc = "Pre-calc";
 }  // namespace tracks
 
+/// Per-run engine counters, grouped as the engines, the fault plane and
+/// the overload plane fill them. What each field counts is described once,
+/// in its kCounterFields row below.
 struct EngineCounters {
-  long long expert_migrations = 0;   ///< CPU->GPU weight transfers
+  long long expert_migrations = 0;
   long long gpu_expert_execs = 0;
   long long cpu_expert_execs = 0;
-  long long cache_hits = 0;          ///< selected expert already on GPU
+  long long cache_hits = 0;
   long long cache_misses = 0;
-  long long prefetch_hits = 0;       ///< prefetched expert actually used
-  long long predictions = 0;         ///< gate-ahead predictions issued
-  long long mispredictions = 0;      ///< predicted set missed a used expert
-  long long degradations = 0;        ///< graceful-degradation substitutions
-  long long prefill_swaps = 0;       ///< Algorithm 1 swaps
-  long long decode_swaps = 0;        ///< decode-phase re-allocation swaps
-                                     ///< (DAOP extension, off by default)
-  long long skipped_experts = 0;     ///< experts skipped by the adaptive
-                                     ///< top-1 margin (extension)
-
-  // ---- Hazard / degradation telemetry (fault plane) ----
-  long long migration_retries = 0;   ///< expert-load attempts retried after
-                                     ///< a transient failure
-  long long migration_aborts = 0;    ///< migrations abandoned (deadline
-                                     ///< exceeded or retries exhausted)
-  long long stale_precalcs = 0;      ///< pre-calculated results discarded
-                                     ///< because they arrived too late
-  long long pin_refusals = 0;        ///< placement swaps refused because the
-                                     ///< eviction victim was pinned by a
-                                     ///< concurrent session
-
-  // ---- Overload-control telemetry (eval/overload.hpp) ----
-  long long preemptions = 0;         ///< times this session was parked for a
-                                     ///< deadline-critical request
-  long long preempt_resumes = 0;     ///< times it resumed from a park
-  long long degraded_sessions = 0;   ///< sessions opened under a degradation
-                                     ///< directive (no-speculation and/or
-                                     ///< no-migrations)
-  double hazard_stall_s = 0.0;       ///< total hazard delay injected into
-                                     ///< this run's scheduled ops
+  long long prefetch_hits = 0;
+  long long predictions = 0;
+  long long mispredictions = 0;
+  long long degradations = 0;
+  long long prefill_swaps = 0;
+  long long decode_swaps = 0;
+  long long skipped_experts = 0;
+  long long migration_retries = 0;
+  long long migration_aborts = 0;
+  long long stale_precalcs = 0;
+  long long pin_refusals = 0;
+  long long preemptions = 0;
+  long long preempt_resumes = 0;
+  long long degraded_sessions = 0;
+  double hazard_stall_s = 0.0;
 
   /// Accumulates another run's counters into this one. Every aggregation
   /// path (multi-sequence averaging, serving) goes through this so a newly
@@ -89,9 +77,10 @@ struct CounterField {
   const char* name;
   /// The field, unless it is the one double (`real`).
   long long EngineCounters::*count;
-  /// Metric family and help; a null family keeps the field out of the
-  /// metrics export (it is still aggregated, checkpointed and profiled).
+  /// Metric family; null keeps the field out of the metrics export (it is
+  /// still aggregated, checkpointed and profiled).
   const char* family = nullptr;
+  /// What the field counts: the family's help text when exported.
   const char* help = nullptr;
   /// The label the family splits on ("device", "result", "phase"), if any.
   const char* label_key = nullptr;
@@ -134,6 +123,8 @@ inline constexpr CounterField kCounterFields[] = {
      "daop_degradations_total", "Graceful-degradation expert substitutions."},
     {"prefill_swaps", &EngineCounters::prefill_swaps, "daop_swaps_total",
      "Expert placement swaps by phase.", "phase", "prefill"},
+    // Decode re-allocation and the adaptive top-1 margin are DAOP
+    // extensions, off by default.
     {"decode_swaps", &EngineCounters::decode_swaps, "daop_swaps_total",
      "Expert placement swaps by phase.", "phase", "decode"},
     {"skipped_experts", &EngineCounters::skipped_experts,
@@ -151,9 +142,14 @@ inline constexpr CounterField kCounterFields[] = {
     {"pin_refusals", &EngineCounters::pin_refusals, "daop_pin_refusals_total",
      "Placement swaps/evictions refused because the victim was pinned by a "
      "concurrent session."},
-    {"preemptions", &EngineCounters::preemptions},
-    {"preempt_resumes", &EngineCounters::preempt_resumes},
-    {"degraded_sessions", &EngineCounters::degraded_sessions},
+    // The overload plane exports these three itself (eval/serving.cpp).
+    {"preemptions", &EngineCounters::preemptions, nullptr,
+     "Times the session was parked for a deadline-critical request."},
+    {"preempt_resumes", &EngineCounters::preempt_resumes, nullptr,
+     "Times the session resumed from a park."},
+    {"degraded_sessions", &EngineCounters::degraded_sessions, nullptr,
+     "Sessions opened under a degradation directive (no-speculation "
+     "and/or no-migrations)."},
     {"hazard_stall_s", nullptr, "daop_hazard_stall_seconds_total",
      "Total hazard delay injected into scheduled ops.", nullptr, nullptr,
      &EngineCounters::hazard_stall_s},
