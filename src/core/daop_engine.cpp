@@ -320,19 +320,20 @@ class DaopSession final : public engines::SequenceSession {
     for (const double v : window_) w.f64(v);
   }
 
+  std::size_t policy_state_bytes() const override {
+    return 8 + 8 * (swap_ready_.size() + window_.size());
+  }
+
   bool load_policy_state(recovery::ByteReader& r, double shift) override {
     const int L = r.i32();
     const int E = r.i32();
-    if (!r.ok() || L != L_ || E != E_ ||
-        r.remaining() != 16 * swap_ready_.size()) {
-      return false;
-    }
     std::vector<double> gates(swap_ready_.size());
     std::vector<double> window(window_.size());
     for (double& v : gates) v = r.f64();
     for (double& v : window) v = r.f64();
     const auto bad = [](double v) { return !(v >= 0.0 && std::isfinite(v)); };
-    if (std::any_of(gates.begin(), gates.end(), bad) ||
+    if (!r.ok() || r.remaining() != 0 || L != L_ || E != E_ ||
+        std::any_of(gates.begin(), gates.end(), bad) ||
         std::any_of(window.begin(), window.end(), bad)) {
       return false;
     }

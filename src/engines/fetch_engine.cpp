@@ -317,6 +317,12 @@ class FetchSession final : public SequenceSession {
     }
   }
 
+  std::size_t policy_state_bytes() const override {
+    // Header and clock, then per cell: last use, fetch gate, prefetch flag,
+    // span id and pattern mark.
+    return 16 + last_use_.size() * (8 + 8 + 1 + 8 + 1);
+  }
+
   bool load_policy_state(recovery::ByteReader& r, double shift) override {
     const int L = r.i32();
     const int E = r.i32();

@@ -315,12 +315,6 @@ EngineCounters read_counters(recovery::ByteReader& r) {
 constexpr std::size_t kBaseBytes = 4 + 8 + 4 * 4 + 4 * 8 +
                                    sizeof(EngineCounters) + 4 + 1 +
                                    2 * (5 * 8 + 1 + 8) + 8 + 4;
-// Bound on the policy state an engine writes per (layer, expert) cell (the
-// fetch engines write 26 bytes, DAOP 16 with decode re-allocation on and
-// only its 8-byte (L, E) header otherwise), so the reservation above holds
-// a whole checkpoint. A larger state stays correct; its buffer just
-// regrows.
-constexpr std::size_t kPolicyBytesPerCell = 32;
 
 void write_rng_state(recovery::ByteWriter& w, const Rng::State& s) {
   for (const std::uint64_t v : s.s) w.u64(v);
@@ -410,14 +404,13 @@ std::vector<std::uint8_t> SequenceSession::checkpoint() const {
   DAOP_CHECK_MSG(!parked_, "checkpoint() on a parked session");
   const std::size_t cells = static_cast<std::size_t>(trace_.n_layers()) *
                             static_cast<std::size_t>(trace_.n_experts);
-  // One pass into one buffer: the frame header, then the payload in place.
-  // The reservation is exact for the base fields and bounds the placement
-  // image and the policy state by their per-(layer, expert) sizes.
+  // One pass into one buffer: the frame header, then the payload in place,
+  // reserved for the base fields, the placement image and the policy state.
   recovery::ByteWriter w;
   w.reserve(recovery::kSealHeaderSize + kBaseBytes + name_.size() +
-            8 * bufs_->step_pins.size() +
-            (kPolicyBytesPerCell + 1) * cells +
-            4 * static_cast<std::size_t>(trace_.n_layers()));
+            8 * bufs_->step_pins.size() + cells +
+            4 * static_cast<std::size_t>(trace_.n_layers()) +
+            policy_state_bytes());
   recovery::begin_seal(w);
   w.str(name_);
   w.i64(request_id_);

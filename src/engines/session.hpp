@@ -294,6 +294,8 @@ class SequenceSession {
   // consults beyond the base class) through these.
   /// Appends the engine's policy state to the snapshot payload.
   virtual void save_policy_state(recovery::ByteWriter& w) const = 0;
+  /// Bytes save_policy_state writes, so checkpoint() allocates once.
+  virtual std::size_t policy_state_bytes() const = 0;
   /// Restores policy state written by save_policy_state. `r` holds exactly
   /// the policy block: a block that is short, long or malformed returns
   /// false. `shift` is the time-rebase applied to the snapshot (0 in the
