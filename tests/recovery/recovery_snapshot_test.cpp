@@ -737,8 +737,9 @@ TEST(SessionSnapshot, ForgedCapacityIsRejectedUntouched) {
 // ---------------------------------------------------------------------------
 // Golden digests of the `daop-ckpt/2` bytes themselves. The round-trip tests
 // above only prove that an encoder agrees with its own decoder; this pins
-// the wire format: DAOP sessions on a private placement (calm and under
-// hazards, so the fault-stream cursor is written) and three DAOP sessions
+// the wire format: DAOP sessions on a private placement (calm; under
+// hazards, so the fault-stream cursor is written; with decode re-allocation
+// on, so the window and swap gates are written) and three DAOP sessions
 // interleaved on one shared timeline under a PlacementArbiter with an lfu
 // cache (pins and a placement that moves mid-decode), each checkpointed
 // every 4th decode step. Regenerate (only after an INTENTIONAL format
@@ -754,15 +755,19 @@ void append_digest(std::ostringstream& os, const engines::SequenceSession& s) {
      << "\n";
 }
 
-std::string private_digests(std::uint64_t seed, const char* hazard) {
-  const SessionFixture fx(seed);
+std::string private_digests(std::uint64_t seed, const char* hazard,
+                            int realloc_interval = 0) {
+  SessionFixture fx(seed);
+  fx.dcfg.decode_realloc_interval = realloc_interval;
   const sim::HazardScenario hz =
       hazard[0] == '\0' ? sim::HazardScenario{}
                         : sim::make_hazard_scenario(hazard, 0.8);
   LiveSession ls = open_live(fx, eval::EngineKind::Daop, hz, seed);
   std::ostringstream os;
   os << "[private | seed " << seed << " | hazard "
-     << (hazard[0] == '\0' ? "none" : hazard) << "]\n";
+     << (hazard[0] == '\0' ? "none" : hazard);
+  if (realloc_interval > 0) os << " | decode realloc " << realloc_interval;
+  os << "]\n";
   ls.session->prefill();
   while (ls.session->decode_step()) {
     if (ls.session->tokens_generated() % 4 == 0 &&
@@ -825,6 +830,7 @@ TEST(SessionSnapshot, CheckpointBytesMatchGoldenDigests) {
   for (const std::uint64_t seed : {7, 23}) {
     actual += private_digests(seed, "");
     actual += private_digests(seed, "all");
+    actual += private_digests(seed, "", /*realloc_interval=*/2);
     actual += shared_digests(seed);
   }
   daop::testing::expect_matches_golden(DAOP_GOLDEN_DIR "/checkpoint_blobs.golden",
