@@ -27,6 +27,7 @@
 #include "cache/calibration.hpp"
 #include "cache/expert_cache.hpp"
 #include "data/trace_generator.hpp"
+#include "engines/run_metrics.hpp"
 #include "engines/session.hpp"
 #include "eval/speed.hpp"
 #include "recovery/checkpoint_store.hpp"
@@ -34,6 +35,7 @@
 #include "recovery/snapshot.hpp"
 #include "sim/fault_model.hpp"
 #include "sim/timeline.hpp"
+#include "sim/trace_export.hpp"
 
 #ifndef DAOP_GOLDEN_DIR
 #error "DAOP_GOLDEN_DIR must be defined by the build"
@@ -732,6 +734,167 @@ TEST(SessionSnapshot, ForgedCapacityIsRejectedUntouched) {
     EXPECT_EQ(got.total_s, want.total_s);
     EXPECT_EQ(got.energy.total_j, want.energy.total_j);
   }
+}
+
+/// Byte length of a snapshot payload's policy block, read from its length
+/// field by walking the fields in front of it.
+std::uint32_t policy_block_bytes(const std::vector<std::uint8_t>& sealed) {
+  const std::vector<std::uint8_t> payload = *unseal(sealed);
+  const PayloadOffsets o = payload_offsets(payload);
+  ByteReader r(payload.data() + o.placement_image,
+               payload.size() - o.placement_image);
+  PlacementImage img;
+  EXPECT_TRUE(read_placement_image(r, &img));
+  if (r.u8() != 0) {
+    for (int i = 0; i < 2 * (5 * 8 + 1 + 8); ++i) r.u8();  // cursors
+  }
+  const std::uint32_t len = r.u32();
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(len, r.remaining());
+  return len;
+}
+
+/// What one private run leaves behind: its result, its timeline's Chrome
+/// trace and its span records.
+struct TracedRun {
+  engines::RunResult result;
+  std::string chrome;
+  std::vector<std::string> spans;
+  std::vector<std::string> flows;
+};
+
+/// Renders each span and flow as text, leaving out the "warm restart"
+/// instant a restore records (the only span an uninterrupted run lacks).
+/// Flows name their endpoints by position among the kept spans.
+void record_spans(const obs::SpanTracer& tr, TracedRun& out) {
+  std::vector<long long> kept_index(tr.spans().size() + 1, -1);
+  for (const obs::TraceSpan& sp : tr.spans()) {
+    if (sp.name.rfind("warm restart", 0) == 0) continue;
+    kept_index[sp.id] = static_cast<long long>(out.spans.size());
+    std::ostringstream os;
+    os.precision(17);
+    os << tr.tracks()[sp.track] << "|" << sp.name << "|" << sp.start << "|"
+       << sp.end << "|" << sp.request;
+    out.spans.push_back(os.str());
+  }
+  for (const obs::TraceFlow& f : tr.flows()) {
+    out.flows.push_back(std::to_string(kept_index[f.from]) + "->" +
+                        std::to_string(kept_index[f.to]) + " " + f.name);
+  }
+}
+
+/// Runs a private session to completion; when `crash_step` > 0 the first
+/// session dies there without close() and a fresh one on the same
+/// environment restores its snapshot and finishes the run.
+TracedRun realloc_run(const SessionFixture& fx, int crash_step,
+                      std::uint32_t* crash_policy_bytes = nullptr) {
+  const auto engine =
+      eval::make_engine(eval::EngineKind::Daop, fx.costs, fx.dcfg);
+  obs::SpanTracer tracer;
+  engine->set_tracer(&tracer);
+  sim::Timeline tl;
+  tl.set_record_intervals(true);
+  engines::SessionEnv env;
+  env.timeline = &tl;
+  env.request_id = 42;
+  auto s = engine->open_session(fx.trace, fx.placement, env);
+  s->prefill();
+  if (crash_step > 0) {
+    for (int t = 0; t < crash_step; ++t) EXPECT_TRUE(s->decode_step());
+    const std::vector<std::uint8_t> snap = s->checkpoint();
+    if (crash_policy_bytes != nullptr) {
+      *crash_policy_bytes = policy_block_bytes(snap);
+    }
+    s = engine->open_session(fx.trace, fx.placement, env);
+    EXPECT_TRUE(s->restore(snap, {}));
+  }
+  while (s->decode_step()) {
+  }
+  TracedRun out;
+  out.result = s->close();
+  out.chrome = sim::to_chrome_trace_json(tl);
+  record_spans(tracer, out);
+  return out;
+}
+
+// With decode re-allocation on, the window and the swap-arrival gates are
+// policy state: a snapshot taken after a decode swap has set a gate must
+// carry them, and the restored run must finish exactly as the
+// uninterrupted one.
+TEST(SessionSnapshot, DecodeReallocStateRestoresBitIdentically) {
+  SessionFixture fx(7);
+  fx.dcfg.decode_realloc_interval = 2;
+  const TracedRun golden = realloc_run(fx, 0);
+  ASSERT_GT(golden.result.counters.decode_swaps, 0)
+      << "the fixture must swap during decode";
+
+  // Snapshot at every step from the first decode swap on: right after a
+  // swap its gate may still hold the next token back, and between swaps the
+  // window (which each re-allocation clears) holds activations.
+  int swap_step = 0;
+  {
+    LiveSession ls = open_live(fx, eval::EngineKind::Daop, {}, 7);
+    ls.session->prefill();
+    while (ls.session->counters().decode_swaps == 0) {
+      ASSERT_TRUE(ls.session->decode_step());
+      ++swap_step;
+    }
+    ASSERT_LT(swap_step + 1, fx.trace.gen_len);
+  }
+  const std::size_t cells =
+      static_cast<std::size_t>(fx.cfg.n_layers) * fx.cfg.n_experts;
+  for (int crash_step = swap_step; crash_step < fx.trace.gen_len;
+       ++crash_step) {
+    SCOPED_TRACE("snapshot at decode step " + std::to_string(crash_step));
+    std::uint32_t block = 0;
+    const TracedRun restored = realloc_run(fx, crash_step, &block);
+    EXPECT_EQ(block, 8 + 16 * cells) << "header, gates and window";
+    const engines::RunResult& g = golden.result;
+    const engines::RunResult& r = restored.result;
+    EXPECT_EQ(r.generated_tokens, g.generated_tokens);
+    EXPECT_EQ(r.prefill_s, g.prefill_s);
+    EXPECT_EQ(r.decode_s, g.decode_s);
+    EXPECT_EQ(r.total_s, g.total_s);
+    EXPECT_EQ(r.energy.total_j, g.energy.total_j);
+    EXPECT_EQ(r.tokens_per_kj, g.tokens_per_kj);
+    EXPECT_EQ(engines::counter_profile_metrics(r.counters),
+              engines::counter_profile_metrics(g.counters));
+    EXPECT_EQ(restored.chrome, golden.chrome);
+    EXPECT_EQ(restored.spans, golden.spans);
+    EXPECT_EQ(restored.flows, golden.flows);
+  }
+}
+
+// Without decode re-allocation the block is the 8-byte (L, E) header:
+// default DAOP, Fiddler, and a shared DAOP session (which never
+// re-allocates, whatever its config says).
+TEST(SessionSnapshot, PolicyBlockIsTheHeaderWhenReallocationCannotRun) {
+  SessionFixture fx(7);
+  for (const eval::EngineKind kind :
+       {eval::EngineKind::Daop, eval::EngineKind::Fiddler}) {
+    SCOPED_TRACE(eval::engine_kind_name(kind));
+    LiveSession ls = open_live(fx, kind, {}, 7);
+    ls.session->prefill();
+    for (int t = 0; t < 4; ++t) ASSERT_TRUE(ls.session->decode_step());
+    EXPECT_EQ(policy_block_bytes(ls.session->checkpoint()), 8u);
+  }
+  fx.dcfg.decode_realloc_interval = 2;
+  cache::PlacementArbiter arbiter(fx.placement);
+  sim::Timeline tl;
+  const auto engine =
+      eval::make_engine(eval::EngineKind::Daop, fx.costs, fx.dcfg);
+  engines::SessionEnv env;
+  env.timeline = &tl;
+  env.request_id = 42;
+  env.arbiter = &arbiter;
+  env.shared = true;
+  const auto s = engine->open_session(fx.trace, arbiter.placement(), env);
+  s->prefill();
+  for (int t = 0; t < 4; ++t) ASSERT_TRUE(s->decode_step());
+  EXPECT_EQ(policy_block_bytes(s->checkpoint()), 8u);
+  while (s->decode_step()) {
+  }
+  EXPECT_EQ(s->close().counters.decode_swaps, 0);
 }
 
 // ---------------------------------------------------------------------------
