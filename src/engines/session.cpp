@@ -377,7 +377,9 @@ std::optional<DecodedSnapshot> decode_snapshot(
     const int expert = r.i32();
     d.pins.emplace_back(layer, expert);
   }
-  if (!recovery::read_placement_image(r, &d.placement)) return std::nullopt;
+  std::optional<cache::Placement> placement = recovery::read_placement(r);
+  if (!placement.has_value()) return std::nullopt;
+  d.placement = std::move(*placement);
   d.has_rng = r.u8() != 0;
   if (d.has_rng) {
     d.cursor.transfer = read_rng_state(r);
@@ -454,7 +456,7 @@ bool SequenceSession::restore(const std::vector<std::uint8_t>& sealed,
   // Decode and validate everything first: state is only mutated once the
   // whole snapshot validated, so a rejected restore leaves the session
   // usable for the prefill-replay fallback.
-  const std::optional<DecodedSnapshot> snap = decode_snapshot(sealed);
+  std::optional<DecodedSnapshot> snap = decode_snapshot(sealed);
   if (!snap.has_value() || snap->engine != name_ ||
       snap->request_id != request_id_ ||
       snap->prompt_len != trace_.prompt_len ||
@@ -471,11 +473,11 @@ bool SequenceSession::restore(const std::vector<std::uint8_t>& sealed,
   }
 
   // A shared placement belongs to the device (the restoring scheduler
-  // reconciles it before restore()); only a private copy takes the image.
-  // Applied to a scratch copy so a later rejection leaves it untouched.
-  cache::Placement restored_placement = own_placement_;
+  // reconciles it before restore()); only a private copy takes the
+  // snapshot's, at the point of no return.
   if (arbiter_ == nullptr &&
-      !recovery::apply_placement_image(snap->placement, restored_placement)) {
+      (snap->placement.n_layers() != own_placement_.n_layers() ||
+       snap->placement.n_experts() != own_placement_.n_experts())) {
     return false;
   }
   const double shift = std::max(0.0, opts.resume_floor - snap->ready);
@@ -485,7 +487,7 @@ bool SequenceSession::restore(const std::vector<std::uint8_t>& sealed,
   if (!load_policy_state(pr, shift) || !pr.ok()) return false;
 
   // Point of no return: apply the validated base state.
-  if (arbiter_ == nullptr) own_placement_ = std::move(restored_placement);
+  if (arbiter_ == nullptr) own_placement_ = std::move(snap->placement);
   counters_ = snap->counters;
   next_token_ = snap->step;
   replay_tokens_ = snap->replay;

@@ -181,7 +181,8 @@ struct SessionSnapshotInfo {
   int gen_len = 0;
   int step = 0;        ///< decode tokens completed at snapshot time
   double ready = 0.0;  ///< snapshot-time scheduling frontier
-  recovery::PlacementImage placement;
+  /// The placement the session decoded against (replaced when decoded).
+  cache::Placement placement{1, 1};
 };
 
 /// Trace ownership: a session borrows its routing trace. It stores a

@@ -13,29 +13,43 @@ void write_placement(ByteWriter& w, const cache::Placement& p) {
   }
 }
 
-bool apply_placement_image(const PlacementImage& img, cache::Placement& p) {
-  if (img.n_layers != p.n_layers() || img.n_experts != p.n_experts())
-    return false;
-  for (int l = 0; l < img.n_layers; ++l) {
-    int wanted = 0;
-    for (int e = 0; e < img.n_experts; ++e) wanted += img.gpu(l, e) ? 1 : 0;
-    if (img.capacity[static_cast<std::size_t>(l)] < wanted) return false;
+std::optional<cache::Placement> read_placement(ByteReader& r) {
+  const int n_layers = r.i32();
+  const int n_experts = r.i32();
+  // The dimensions must fit the bytes that follow (capacities, then one
+  // residency byte per cell) before anything is sized from them.
+  if (!r.ok() || n_layers <= 0 || n_experts <= 0 ||
+      static_cast<std::size_t>(n_layers) *
+              (4 + static_cast<std::size_t>(n_experts)) >
+          r.remaining()) {
+    r.fail();
+    return std::nullopt;
   }
-  for (int l = 0; l < img.n_layers; ++l) {
-    // Evictions first so the wanted set always fits under the restored
-    // capacity.
-    for (int e = 0; e < img.n_experts; ++e) {
-      if (p.on_gpu(l, e) && !img.gpu(l, e)) p.move_to_cpu(l, e);
+  cache::Placement p(n_layers, n_experts);
+  for (int l = 0; l < n_layers; ++l) {
+    // Placement::set_capacity requires 0 <= cap <= n_experts; a forged
+    // capacity must fail here, not throw from the placement.
+    const int cap = r.i32();
+    if (!r.ok() || cap < 0 || cap > n_experts) {
+      r.fail();
+      return std::nullopt;
     }
-    p.set_capacity(l, img.capacity[static_cast<std::size_t>(l)]);
-    for (int e = 0; e < img.n_experts; ++e) {
-      if (!p.on_gpu(l, e) && img.gpu(l, e)) p.move_to_gpu(l, e);
+    p.set_capacity(l, cap);
+  }
+  for (int l = 0; l < n_layers; ++l) {
+    for (int e = 0; e < n_experts; ++e) {
+      if (r.u8() == 0) continue;
+      if (p.gpu_count(l) >= p.capacity(l)) {
+        r.fail();
+        return std::nullopt;
+      }
+      p.move_to_gpu(l, e);
     }
   }
-  return true;
+  return p;
 }
 
-ReconcileResult reconcile_placement(const PlacementImage& want,
+ReconcileResult reconcile_placement(const cache::Placement& want,
                                     cache::PlacementArbiter& arbiter,
                                     sim::Timeline& tl, double now,
                                     double migration_cost_s,
@@ -43,19 +57,19 @@ ReconcileResult reconcile_placement(const PlacementImage& want,
   ReconcileResult res;
   res.ready = now;
   cache::Placement& have = arbiter.placement();
-  const int L = std::min(want.n_layers, have.n_layers());
-  const int E = std::min(want.n_experts, have.n_experts());
+  const int L = std::min(want.n_layers(), have.n_layers());
+  const int E = std::min(want.n_experts(), have.n_experts());
   for (int l = 0; l < L; ++l) {
     // Surplus first: freeing capacity lets every wanted expert move in
     // without pairing swaps. Pinned surplus stays (another session computes
     // with it).
     for (int e = 0; e < E; ++e) {
-      if (have.on_gpu(l, e) && !want.gpu(l, e)) {
+      if (have.on_gpu(l, e) && !want.on_gpu(l, e)) {
         if (arbiter.try_evict(l, e, session_id)) ++res.evicted;
       }
     }
     for (int e = 0; e < E; ++e) {
-      if (!want.gpu(l, e) || have.on_gpu(l, e)) continue;
+      if (!want.on_gpu(l, e) || have.on_gpu(l, e)) continue;
       if (have.gpu_count(l) >= have.capacity(l)) {
         // Capacity still saturated by pinned residents: the restored
         // session runs this expert from the CPU like any refused migration.

@@ -121,31 +121,4 @@ std::optional<std::vector<std::uint8_t>> unseal(
   return std::vector<std::uint8_t>(payload, payload + len);
 }
 
-bool read_placement_image(ByteReader& r, PlacementImage* out) {
-  out->n_layers = r.i32();
-  out->n_experts = r.i32();
-  if (!r.ok() || out->n_layers <= 0 || out->n_experts <= 0 ||
-      out->n_layers > (1 << 16) || out->n_experts > (1 << 16)) {
-    r.fail();
-    return false;
-  }
-  const std::size_t cells = static_cast<std::size_t>(out->n_layers) *
-                            static_cast<std::size_t>(out->n_experts);
-  out->capacity.resize(static_cast<std::size_t>(out->n_layers));
-  bool capacities_ok = true;
-  for (auto& c : out->capacity) {
-    c = r.i32();
-    // Placement::set_capacity requires 0 <= cap <= n_experts; a forged
-    // capacity must fail here, not throw from the placement later.
-    capacities_ok = capacities_ok && c >= 0 && c <= out->n_experts;
-  }
-  if (!r.ok() || !capacities_ok || cells > r.remaining()) {
-    r.fail();
-    return false;
-  }
-  out->on_gpu.resize(cells);
-  for (auto& g : out->on_gpu) g = r.u8();
-  return r.ok();
-}
-
 }  // namespace daop::recovery

@@ -120,25 +120,4 @@ std::vector<std::uint8_t> end_seal(ByteWriter& w);
 std::optional<std::vector<std::uint8_t>> unseal(
     const std::vector<std::uint8_t>& blob);
 
-/// Device-placement image carried inside a snapshot: enough to rebuild the
-/// session's effective expert residency on a surviving node without any
-/// dependency on live cache objects.
-struct PlacementImage {
-  int n_layers = 0;
-  int n_experts = 0;
-  std::vector<std::int32_t> capacity;  // per layer
-  std::vector<std::uint8_t> on_gpu;    // row-major n_layers x n_experts
-
-  bool gpu(int layer, int expert) const {
-    return on_gpu[static_cast<std::size_t>(layer) *
-                      static_cast<std::size_t>(n_experts) +
-                  static_cast<std::size_t>(expert)] != 0;
-  }
-};
-
-/// Decodes a placement image (written by recovery::write_placement);
-/// returns false (and sets the reader's fail flag) on malformed dimensions
-/// or a per-layer capacity outside [0, n_experts].
-bool read_placement_image(ByteReader& r, PlacementImage* out);
-
 }  // namespace daop::recovery

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -121,15 +122,15 @@ TEST(SnapshotFrame, ByteCodecRoundTripsAndReaderIsBoundsSafe) {
   EXPECT_FALSE(r.ok());
 }
 
-/// The image a snapshot carries of `p`: write_placement, then read back.
-PlacementImage image_of(const cache::Placement& p) {
+/// `p` as a snapshot carries it: write_placement, then read_placement.
+cache::Placement round_trip(const cache::Placement& p) {
   ByteWriter w;
   write_placement(w, p);
   ByteReader r(w.data().data(), w.size());
-  PlacementImage img;
-  EXPECT_TRUE(read_placement_image(r, &img));
+  std::optional<cache::Placement> back = read_placement(r);
+  EXPECT_TRUE(back.has_value());
   EXPECT_EQ(r.remaining(), 0u);
-  return img;
+  return back.value_or(cache::Placement(1, 1));
 }
 
 TEST(SnapshotFrame, PlacementImageRoundTrips) {
@@ -142,14 +143,26 @@ TEST(SnapshotFrame, PlacementImageRoundTrips) {
   p.move_to_gpu(1, 3);
   p.move_to_gpu(2, 0);
   p.move_to_gpu(2, 1);
-  const PlacementImage img = image_of(p);
-  EXPECT_EQ(img.n_layers, 3);
-  EXPECT_EQ(img.n_experts, 4);
-  EXPECT_EQ(img.capacity, (std::vector<std::int32_t>{2, 1, 2}));
-  EXPECT_EQ(img.on_gpu,
-            (std::vector<std::uint8_t>{1, 0, 1, 0, 0, 0, 0, 1, 1, 1, 0, 0}));
-  EXPECT_TRUE(img.gpu(0, 0));
-  EXPECT_FALSE(img.gpu(0, 1));
+  const cache::Placement back = round_trip(p);
+  EXPECT_EQ(back.n_layers(), 3);
+  EXPECT_EQ(back.n_experts(), 4);
+  std::vector<int> capacity;
+  std::vector<int> on_gpu;
+  for (int l = 0; l < 3; ++l) {
+    capacity.push_back(back.capacity(l));
+    for (int e = 0; e < 4; ++e) on_gpu.push_back(back.on_gpu(l, e) ? 1 : 0);
+  }
+  EXPECT_EQ(capacity, (std::vector<int>{2, 1, 2}));
+  EXPECT_EQ(on_gpu, (std::vector<int>{1, 0, 1, 0, 0, 0, 0, 1, 1, 1, 0, 0}));
+
+  // A layer claiming more residents than its capacity does not decode.
+  ByteWriter w;
+  write_placement(w, p);
+  std::vector<std::uint8_t> bytes = w.data();
+  bytes[8] = 1;  // layer 0 capacity 2 -> 1, with two residents
+  ByteReader r(bytes.data(), bytes.size());
+  EXPECT_FALSE(read_placement(r).has_value());
+  EXPECT_FALSE(r.ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -350,34 +363,14 @@ TEST(Reconcile, CaptureAndApplyRoundTripAPlacement) {
   p.move_to_gpu(0, 1);
   p.move_to_gpu(0, 3);
   p.move_to_gpu(1, 2);
-  const PlacementImage img = image_of(p);
-  EXPECT_EQ(img.n_layers, 2);
-  EXPECT_EQ(img.n_experts, 4);
-  EXPECT_TRUE(img.gpu(0, 1));
-  EXPECT_TRUE(img.gpu(0, 3));
-  EXPECT_FALSE(img.gpu(0, 0));
-  cache::Placement q(2, 4);
-  q.set_capacity(0, 4);
-  q.set_capacity(1, 4);
-  q.move_to_gpu(0, 0);
-  ASSERT_TRUE(apply_placement_image(img, q));
+  const cache::Placement q = round_trip(p);
+  ASSERT_EQ(q.n_layers(), 2);
+  ASSERT_EQ(q.n_experts(), 4);
   for (int l = 0; l < 2; ++l) {
     EXPECT_EQ(q.capacity(l), p.capacity(l));
+    EXPECT_EQ(q.gpu_count(l), p.gpu_count(l));
     for (int e = 0; e < 4; ++e) EXPECT_EQ(q.on_gpu(l, e), p.on_gpu(l, e));
   }
-}
-
-TEST(Reconcile, ApplyRejectsMismatchedDimensionsUntouched) {
-  cache::Placement p(2, 4);
-  p.set_capacity(0, 1);
-  p.move_to_gpu(0, 0);
-  const PlacementImage img = image_of(p);
-  cache::Placement other(3, 4);
-  other.set_capacity(0, 2);
-  other.move_to_gpu(0, 2);
-  EXPECT_FALSE(apply_placement_image(img, other));
-  EXPECT_TRUE(other.on_gpu(0, 2)) << "rejected apply must not mutate";
-  EXPECT_EQ(other.capacity(0), 2);
 }
 
 TEST(Reconcile, MigratesEvictsAndPublishesWeightGates) {
@@ -395,8 +388,8 @@ TEST(Reconcile, MigratesEvictsAndPublishesWeightGates) {
     want.move_to_gpu(l, 3);
   }
   sim::Timeline tl;
-  const ReconcileResult r = reconcile_placement(image_of(want), arb,
-                                                tl, 1.0, 0.002, /*session=*/7);
+  const ReconcileResult r =
+      reconcile_placement(want, arb, tl, 1.0, 0.002, /*session=*/7);
   EXPECT_EQ(r.migrated, 4);
   EXPECT_EQ(r.evicted, 4);
   EXPECT_EQ(r.refused, 0);
@@ -422,8 +415,8 @@ TEST(Reconcile, PinnedResidentsAreRefusedNotEvicted) {
   want.move_to_gpu(0, 2);
   want.move_to_gpu(0, 3);
   sim::Timeline tl;
-  const ReconcileResult r = reconcile_placement(image_of(want), arb,
-                                                tl, 0.0, 0.002, /*session=*/7);
+  const ReconcileResult r =
+      reconcile_placement(want, arb, tl, 0.0, 0.002, /*session=*/7);
   // Expert 1 evicts, expert 0 stays pinned; one wanted expert fits in the
   // freed slot, the other is refused (the restored session runs it from the
   // CPU like any refused migration).
@@ -438,14 +431,15 @@ TEST(Reconcile, PinnedResidentsAreRefusedNotEvicted) {
 // Session snapshot round trip: engines x seeds x hazards
 
 struct SessionFixture {
-  model::ModelConfig cfg = daop::testing::small_mixtral();
+  model::ModelConfig cfg;
   sim::CostModel cm{sim::a6000_i9_platform()};
   model::OpCosts costs{cfg, cm};
   data::SequenceTrace trace;
   cache::Placement placement{1, 1};
   core::DaopConfig dcfg;
 
-  explicit SessionFixture(std::uint64_t seed) {
+  explicit SessionFixture(std::uint64_t seed, int n_layers = 4)
+      : cfg(daop::testing::small_mixtral(n_layers)) {
     const data::TraceGenerator gen(data::c4(), cfg.n_layers, cfg.n_experts,
                                    cfg.top_k, seed);
     trace = gen.generate(0, 20, 10);
@@ -648,6 +642,39 @@ std::vector<std::uint8_t> reseal_with(std::vector<std::uint8_t> payload,
   return seal(payload);
 }
 
+// A private session takes the snapshot's placement only when its
+// dimensions match the session's own. A snapshot of the same engine,
+// request and sequence shape from a model with one layer more is rejected,
+// and the session's placement is untouched: its replay run equals a fresh
+// one.
+TEST(Reconcile, ApplyRejectsMismatchedDimensionsUntouched) {
+  const SessionFixture four(7);
+  const SessionFixture three(7, 3);
+  ASSERT_EQ(three.trace.prompt_len, four.trace.prompt_len);
+  ASSERT_EQ(three.trace.gen_len, four.trace.gen_len);
+  LiveSession a = open_live(four, eval::EngineKind::Fiddler, {}, 7);
+  a.session->prefill();
+  ASSERT_TRUE(a.session->decode_step());
+  const std::vector<std::uint8_t> snap = a.session->checkpoint();
+
+  LiveSession fresh = open_live(three, eval::EngineKind::Fiddler, {}, 7);
+  fresh.session->prefill();
+  while (fresh.session->decode_step()) {
+  }
+  const engines::RunResult want = fresh.session->close();
+
+  LiveSession b = open_live(three, eval::EngineKind::Fiddler, {}, 7);
+  EXPECT_FALSE(b.session->restore(snap, {}));
+  b.session->prefill();
+  while (b.session->decode_step()) {
+  }
+  const engines::RunResult got = b.session->close();
+  EXPECT_EQ(got.total_s, want.total_s);
+  EXPECT_EQ(got.energy.total_j, want.energy.total_j);
+  EXPECT_EQ(engines::counter_profile_metrics(got.counters),
+            engines::counter_profile_metrics(want.counters));
+}
+
 // Re-pinning the snapshot's working set happens past restore()'s point of
 // no return, so a pin outside the model must be rejected before any state
 // changes: the session stays fresh, prefill-replays to completion and
@@ -695,11 +722,12 @@ TEST(SessionSnapshot, ForgedPinsAreRejectedUntouched) {
   EXPECT_TRUE(engines::SequenceSession::peek(seal(payload)).has_value());
 }
 
-// A per-layer capacity above n_experts passes the "capacity >= residents"
-// check, so it must be caught when the image is decoded: at the parent
-// format it reached Placement::set_capacity and restore() threw CheckError
-// instead of returning false. A rejected restore leaves the private
-// placement untouched, so the replay run equals an uninterrupted one.
+// A per-layer capacity above n_experts passed the "capacity >= residents"
+// check, so it must be caught when the placement is decoded: it used to
+// reach Placement::set_capacity and restore() threw CheckError instead of
+// returning false. A capacity below the layer's residents is rejected too.
+// A rejected restore leaves the private placement untouched, so the replay
+// run equals an uninterrupted one.
 TEST(SessionSnapshot, ForgedCapacityIsRejectedUntouched) {
   const SessionFixture fx(7);
   const sim::HazardScenario calm;
@@ -717,7 +745,8 @@ TEST(SessionSnapshot, ForgedCapacityIsRejectedUntouched) {
   const std::vector<std::uint8_t> forged[] = {
       reseal_with(payload, cap0, above),      // n_experts + 1
       reseal_with(payload, cap0, 0xFF),       // 255 of 8
-      reseal_with(payload, cap0 + 3, 0x80)};  // negative
+      reseal_with(payload, cap0 + 3, 0x80),   // negative
+      reseal_with(payload, cap0, 0)};         // below its residents
   for (std::size_t i = 0; i < std::size(forged); ++i) {
     SCOPED_TRACE("forgery " + std::to_string(i));
     EXPECT_FALSE(engines::SequenceSession::peek(forged[i]).has_value());
@@ -743,8 +772,7 @@ std::uint32_t policy_block_bytes(const std::vector<std::uint8_t>& sealed) {
   const PayloadOffsets o = payload_offsets(payload);
   ByteReader r(payload.data() + o.placement_image,
                payload.size() - o.placement_image);
-  PlacementImage img;
-  EXPECT_TRUE(read_placement_image(r, &img));
+  EXPECT_TRUE(read_placement(r).has_value());
   if (r.u8() != 0) {
     for (int i = 0; i < 2 * (5 * 8 + 1 + 8); ++i) r.u8();  // cursors
   }
