@@ -308,31 +308,26 @@ class DaopSession final : public engines::SequenceSession {
   }
 
   // ---- Warm-restart checkpointing: everything run_decode_token/post_token
-  // consult beyond the base class. That is the (L, E) header, then, only
-  // when decode re-allocation can run, the swap-arrival gates and the
-  // trailing activation window. The policy's pre-calc plan never outlives
-  // the token that made it (the last layer plans nothing), so it is not
-  // state.
+  // consult beyond the base class. That is nothing unless decode
+  // re-allocation can run, and then the swap-arrival gates and the trailing
+  // activation window. The policy's pre-calc plan never outlives the token
+  // that made it (the last layer plans nothing), so it is not state.
   void save_policy_state(recovery::ByteWriter& w) const override {
-    w.i32(L_);
-    w.i32(E_);
     for (const double v : swap_ready_) w.f64(v);
     for (const double v : window_) w.f64(v);
   }
 
   std::size_t policy_state_bytes() const override {
-    return 8 + 8 * (swap_ready_.size() + window_.size());
+    return 8 * (swap_ready_.size() + window_.size());
   }
 
   bool load_policy_state(recovery::ByteReader& r, double shift) override {
-    const int L = r.i32();
-    const int E = r.i32();
     std::vector<double> gates(swap_ready_.size());
     std::vector<double> window(window_.size());
     for (double& v : gates) v = r.f64();
     for (double& v : window) v = r.f64();
     const auto bad = [](double v) { return !(v >= 0.0 && std::isfinite(v)); };
-    if (!r.ok() || r.remaining() != 0 || L != L_ || E != E_ ||
+    if (!r.ok() || r.remaining() != 0 ||
         std::any_of(gates.begin(), gates.end(), bad) ||
         std::any_of(window.begin(), window.end(), bad)) {
       return false;

@@ -39,9 +39,8 @@ inline constexpr const char* kPrediction = "Prediction";
 inline constexpr const char* kPrecalc = "Pre-calc";
 }  // namespace tracks
 
-/// Per-run engine counters, grouped as the engines, the fault plane and
-/// the overload plane fill them. What each field counts is described once,
-/// in its kCounterFields row below.
+/// Per-run engine counters. What each field counts is described once, in
+/// its kCounterFields row below.
 struct EngineCounters {
   long long expert_migrations = 0;
   long long gpu_expert_execs = 0;

@@ -303,8 +303,6 @@ class FetchSession final : public SequenceSession {
   // tracer; cosmetic otherwise), and the once-per-expert pattern-prefetch
   // marks.
   void save_policy_state(recovery::ByteWriter& w) const override {
-    w.i32(placement().n_layers());
-    w.i32(placement().n_experts());
     w.i64(use_clock_);
     for (const long long v : last_use_) w.i64(v);
     for (const double v : fetch_ready_) w.f64(v);
@@ -318,18 +316,12 @@ class FetchSession final : public SequenceSession {
   }
 
   std::size_t policy_state_bytes() const override {
-    // Header and clock, then per cell: last use, fetch gate, prefetch flag,
-    // span id and pattern mark.
-    return 16 + last_use_.size() * (8 + 8 + 1 + 8 + 1);
+    // The clock, then per cell: last use, fetch gate, prefetch flag, span id
+    // and pattern mark.
+    return 8 + last_use_.size() * (8 + 8 + 1 + 8 + 1);
   }
 
   bool load_policy_state(recovery::ByteReader& r, double shift) override {
-    const int L = r.i32();
-    const int E = r.i32();
-    if (!r.ok() || L != placement().n_layers() ||
-        E != placement().n_experts()) {
-      return false;
-    }
     const long long clock = r.i64();
     std::vector<long long> last_use(last_use_.size());
     for (long long& v : last_use) v = r.i64();

@@ -310,11 +310,11 @@ EngineCounters read_counters(recovery::ByteReader& r) {
 // Payload bytes of checkpoint() that do not depend on the session's shape:
 // name length, request id, four i32 lengths/steps, four f64 times, the
 // counters, the pin count, the fault-stream flag, two fault-stream cursors
-// (4 u64 words, seed, flag, cached normal), the placement image's two
-// dimensions and the policy length.
+// (4 u64 words, seed, flag, cached normal), the placement's two dimensions,
+// the policy length and the policy block's (L, E) header.
 constexpr std::size_t kBaseBytes = 4 + 8 + 4 * 4 + 4 * 8 +
                                    sizeof(EngineCounters) + 4 + 1 +
-                                   2 * (5 * 8 + 1 + 8) + 8 + 4;
+                                   2 * (5 * 8 + 1 + 8) + 8 + 4 + 8;
 
 void write_rng_state(recovery::ByteWriter& w, const Rng::State& s) {
   for (const std::uint64_t v : s.s) w.u64(v);
@@ -342,8 +342,7 @@ struct DecodedSnapshot : SessionSnapshotInfo {
   double stall_so_far = 0.0;
   EngineCounters counters;
   std::vector<std::pair<int, int>> pins;
-  bool has_rng = false;
-  sim::FaultModel::StreamCursor cursor;
+  std::optional<sim::FaultModel::StreamCursor> cursor;
   /// The payload, whose tail of `policy_len` bytes is the policy block.
   std::vector<std::uint8_t> payload;
   std::size_t policy_len = 0;
@@ -374,16 +373,15 @@ std::optional<DecodedSnapshot> decode_snapshot(
   d.pins.reserve(n_pins);
   for (std::uint32_t i = 0; i < n_pins; ++i) {
     const int layer = r.i32();
-    const int expert = r.i32();
-    d.pins.emplace_back(layer, expert);
+    d.pins.emplace_back(layer, r.i32());
   }
   std::optional<cache::Placement> placement = recovery::read_placement(r);
   if (!placement.has_value()) return std::nullopt;
   d.placement = std::move(*placement);
-  d.has_rng = r.u8() != 0;
-  if (d.has_rng) {
-    d.cursor.transfer = read_rng_state(r);
-    d.cursor.load = read_rng_state(r);
+  if (r.u8() != 0) {
+    // Braced initialisation reads its elements in order: transfer, load.
+    d.cursor = sim::FaultModel::StreamCursor{read_rng_state(r),
+                                             read_rng_state(r)};
   }
   d.policy_len = r.u32();
   if (!r.ok() || d.policy_len != r.remaining()) return std::nullopt;
@@ -440,9 +438,12 @@ std::vector<std::uint8_t> SequenceSession::checkpoint() const {
     write_rng_state(w, cursor.transfer);
     write_rng_state(w, cursor.load);
   }
-  // The policy state is the payload's tail, behind its byte length.
+  // The policy block is the payload's tail, behind its byte length: the
+  // (L, E) the session decodes with, then the engine's state.
   const std::size_t policy_len_at = w.size();
   w.u32(0);
+  w.i32(placement().n_layers());
+  w.i32(placement().n_experts());
   save_policy_state(w);
   w.patch_u32(policy_len_at,
               static_cast<std::uint32_t>(w.size() - policy_len_at - 4));
@@ -472,18 +473,22 @@ bool SequenceSession::restore(const std::vector<std::uint8_t>& sealed,
     }
   }
 
-  // A shared placement belongs to the device (the restoring scheduler
-  // reconciles it before restore()); only a private copy takes the
-  // snapshot's, at the point of no return.
-  if (arbiter_ == nullptr &&
-      (snap->placement.n_layers() != own_placement_.n_layers() ||
-       snap->placement.n_experts() != own_placement_.n_experts())) {
-    return false;
-  }
-  const double shift = std::max(0.0, opts.resume_floor - snap->ready);
+  // The policy block's (L, E) must be this session's. A shared placement
+  // belongs to the device (the restoring scheduler reconciles it before
+  // restore()); only a private copy takes the snapshot's, at the point of
+  // no return, so its dimensions must match too.
   recovery::ByteReader pr(
       snap->payload.data() + (snap->payload.size() - snap->policy_len),
       snap->policy_len);
+  const int n_layers = pr.i32();
+  const int n_experts = pr.i32();
+  if (n_layers != placement().n_layers() ||
+      n_experts != placement().n_experts() ||
+      (arbiter_ == nullptr && (snap->placement.n_layers() != n_layers ||
+                               snap->placement.n_experts() != n_experts))) {
+    return false;
+  }
+  const double shift = std::max(0.0, opts.resume_floor - snap->ready);
   if (!load_policy_state(pr, shift) || !pr.ok()) return false;
 
   // Point of no return: apply the validated base state.
@@ -496,14 +501,14 @@ bool SequenceSession::restore(const std::vector<std::uint8_t>& sealed,
   ready_ = snap->ready + shift;
   stall0_ = tl_->hazard_stall_s() - snap->stall_so_far;
   for (const auto& [layer, expert] : snap->pins) pin_shared(layer, expert);
-  if (opts.apply_rng_cursor && fault_ != nullptr && snap->has_rng) {
-    fault_->set_stream_cursor(snap->cursor);
+  if (opts.apply_rng_cursor && fault_ != nullptr && snap->cursor) {
+    fault_->set_stream_cursor(*snap->cursor);
   }
   phase_ = Phase::kDecoding;
   parked_ = false;
   if (tracing()) {
     tinstant(tracks::kToken,
-             "warm restart (resumed at token " + std::to_string(snap->step) +
+             "warm restart (resumed at token " + std::to_string(next_token_) +
                  ")",
              ready_);
   }

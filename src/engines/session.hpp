@@ -293,13 +293,13 @@ class SequenceSession {
   // ---- Checkpoint hooks: each engine serializes its policy state
   // (windows, readiness gates, LRU clocks — everything run_decode_token
   // consults beyond the base class) through these.
-  /// Appends the engine's policy state to the snapshot payload.
+  /// Appends the engine's policy state to the snapshot payload, behind the
+  /// (L, E) header the base writes and checks.
   virtual void save_policy_state(recovery::ByteWriter& w) const = 0;
   /// Bytes save_policy_state writes, so checkpoint() allocates once.
   virtual std::size_t policy_state_bytes() const = 0;
   /// Restores policy state written by save_policy_state. `r` holds exactly
-  /// the policy block: a block that is short, long or malformed returns
-  /// false. `shift` is the time-rebase applied to the snapshot (0 in the
+  /// those bytes: a state that is short, long or malformed returns false. `shift` is the time-rebase applied to the snapshot (0 in the
   /// bit-identity case); engines must shift their own absolute times by it
   /// while preserving sentinel values. Runs before any base state is
   /// applied and must leave the policy state untouched when it returns
