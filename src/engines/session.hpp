@@ -299,7 +299,8 @@ class SequenceSession {
   /// Bytes save_policy_state writes, so checkpoint() allocates once.
   virtual std::size_t policy_state_bytes() const = 0;
   /// Restores policy state written by save_policy_state. `r` holds exactly
-  /// those bytes: a state that is short, long or malformed returns false. `shift` is the time-rebase applied to the snapshot (0 in the
+  /// those bytes: a state that is short, long or malformed returns false.
+  /// `shift` is the time-rebase applied to the snapshot (0 in the
   /// bit-identity case); engines must shift their own absolute times by it
   /// while preserving sentinel values. Runs before any base state is
   /// applied and must leave the policy state untouched when it returns

@@ -1,12 +1,13 @@
 // Snapshot placements and their reconciliation for warm restart.
 //
 // A snapshot carries the placement the session was decoding against on the
-// node that crashed (write_placement / read_placement encode it). Before the session resumes on a
-// surviving node, that node's shared placement must converge to the image:
-// missing experts are migrated in (priced on the node timeline, gated by the
-// arbiter's weight-ready publication), surplus unpinned experts are evicted,
-// and experts pinned by concurrent sessions are left alone (the restored
-// session then degrades exactly as it would for any refused migration).
+// node that crashed (write_placement / read_placement encode it). Before
+// the session resumes on a surviving node, that node's shared placement
+// must converge to it: missing experts are migrated in (priced on the node
+// timeline, gated by the arbiter's weight-ready publication), surplus
+// unpinned experts are evicted, and experts pinned by concurrent sessions
+// are left alone (the restored session then degrades exactly as it would
+// for any refused migration).
 #pragma once
 
 #include <optional>

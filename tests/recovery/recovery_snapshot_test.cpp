@@ -722,12 +722,11 @@ TEST(SessionSnapshot, ForgedPinsAreRejectedUntouched) {
   EXPECT_TRUE(engines::SequenceSession::peek(seal(payload)).has_value());
 }
 
-// A per-layer capacity above n_experts passed the "capacity >= residents"
-// check, so it must be caught when the placement is decoded: it used to
-// reach Placement::set_capacity and restore() threw CheckError instead of
-// returning false. A capacity below the layer's residents is rejected too.
-// A rejected restore leaves the private placement untouched, so the replay
-// run equals an uninterrupted one.
+// Placement::set_capacity throws on a capacity outside [0, n_experts] and
+// move_to_gpu on a layer over capacity, so the decoder must reject both:
+// restore() returns false instead of throwing. A rejected restore leaves
+// the private placement untouched, so the replay run equals an
+// uninterrupted one.
 TEST(SessionSnapshot, ForgedCapacityIsRejectedUntouched) {
   const SessionFixture fx(7);
   const sim::HazardScenario calm;
