@@ -22,7 +22,6 @@ std::optional<cache::Placement> read_placement(ByteReader& r) {
       static_cast<std::size_t>(n_layers) *
               (4 + static_cast<std::size_t>(n_experts)) >
           r.remaining()) {
-    r.fail();
     return std::nullopt;
   }
   cache::Placement p(n_layers, n_experts);
@@ -30,19 +29,13 @@ std::optional<cache::Placement> read_placement(ByteReader& r) {
     // Placement::set_capacity requires 0 <= cap <= n_experts; a forged
     // capacity must fail here, not throw from the placement.
     const int cap = r.i32();
-    if (!r.ok() || cap < 0 || cap > n_experts) {
-      r.fail();
-      return std::nullopt;
-    }
+    if (cap < 0 || cap > n_experts) return std::nullopt;
     p.set_capacity(l, cap);
   }
   for (int l = 0; l < n_layers; ++l) {
     for (int e = 0; e < n_experts; ++e) {
       if (r.u8() == 0) continue;
-      if (p.gpu_count(l) >= p.capacity(l)) {
-        r.fail();
-        return std::nullopt;
-      }
+      if (p.gpu_count(l) >= p.capacity(l)) return std::nullopt;
       p.move_to_gpu(l, e);
     }
   }

@@ -40,9 +40,9 @@ ReconcileResult reconcile_placement(const cache::Placement& want,
 /// byte per (layer, expert), row-major.
 void write_placement(ByteWriter& w, const cache::Placement& p);
 
-/// Decodes a placement written by write_placement. nullopt (with the
-/// reader's fail flag set) on malformed dimensions, a capacity outside
-/// [0, n_experts], or a layer with more residents than its capacity.
+/// Decodes a placement written by write_placement. nullopt on malformed
+/// dimensions, a capacity outside [0, n_experts], or a layer with more
+/// residents than its capacity.
 std::optional<cache::Placement> read_placement(ByteReader& r);
 
 }  // namespace daop::recovery

@@ -90,9 +90,6 @@ class ByteReader {
 
   bool ok() const { return ok_; }
   std::size_t remaining() const { return n_ - pos_; }
-  /// Marks the stream failed (decode-level validation hooks into the same
-  /// flag as bounds checks).
-  void fail() { ok_ = false; }
 
  private:
   bool take(void* out, std::size_t n);
