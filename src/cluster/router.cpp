@@ -117,6 +117,24 @@ ClusterRouter::ClusterRouter(std::vector<NodeSeat> seats,
     // Channel convention: one channel per node plus the trailing router
     // "cluster" channel (see ClusterOptions::tseries).
     DAOP_CHECK_GE(options_.tseries->n_channels(), n_nodes() + 1);
+    obs::TimeSeriesRecorder& r = *options_.tseries;
+    for (const Node& n : nodes_) {
+      NodeSeries s;
+      s.stall = r.counter(n.id, "daop_hazard_stall_seconds_total",
+                          "Simulated seconds lost to injected hazards.");
+      s.queue_depth =
+          r.gauge(n.id, "daop_queue_depth",
+                  "Request copies waiting in the node's admission queue.");
+      s.active = r.gauge(n.id, "daop_active_sessions",
+                         "Sessions in flight on the node.");
+      s.in_service =
+          r.gauge(n.id, "daop_node_in_service",
+                  "1 while the health checker routes to the node, else 0.");
+      s.checkpoints =
+          r.counter(n.id, "daop_recovery_checkpoints_total",
+                    "Session snapshots durably written on the node.");
+      ts_nodes_.push_back(s);
+    }
   }
   if (options_.tracer != nullptr) {
     tracer_track_ = options_.tracer->track("Cluster");
@@ -263,19 +281,12 @@ void ClusterRouter::tinstant(long long request_id, const std::string& name,
 void ClusterRouter::ts_tick(double t) {
   obs::TimeSeriesRecorder& r = *options_.tseries;
   for (const Node& n : nodes_) {
+    const NodeSeries& s = ts_nodes_[static_cast<std::size_t>(n.id)];
     r.advance(n.id, t);
-    r.count_total(n.id, "daop_hazard_stall_seconds_total",
-                  "Simulated seconds lost to injected hazards.",
-                  n.timeline.hazard_stall_s());
-    r.gauge_set(n.id, "daop_queue_depth",
-                "Request copies waiting in the node's admission queue.",
-                static_cast<double>(n.pending.size()));
-    r.gauge_set(n.id, "daop_active_sessions",
-                "Sessions in flight on the node.",
-                static_cast<double>(n.active.size()));
-    r.gauge_set(n.id, "daop_node_in_service",
-                "1 while the health checker routes to the node, else 0.",
-                health_.in_service(n.id) ? 1.0 : 0.0);
+    r.add_total(s.stall, n.timeline.hazard_stall_s());
+    r.set(s.queue_depth, static_cast<double>(n.pending.size()));
+    r.set(s.active, static_cast<double>(n.active.size()));
+    r.set(s.in_service, health_.in_service(n.id) ? 1.0 : 0.0);
   }
   r.advance(ts_cluster_channel(), t);
 }
@@ -891,9 +902,8 @@ std::vector<ClusterRouter::Outcome> ClusterRouter::run() {
         if (n.ckpt->due(rid, step, now)) {
           n.ckpt->write(rid, step, now, a.session->checkpoint());
           if (ts_on()) {
-            options_.tseries->count(
-                n.id, "daop_recovery_checkpoints_total",
-                "Session snapshots durably written on the node.", 1.0);
+            options_.tseries->add(
+                ts_nodes_[static_cast<std::size_t>(n.id)].checkpoints);
           }
         }
       }

@@ -401,6 +401,15 @@ class ClusterRouter {
                  const engines::RunResult& result);
   void ts_shed(const Track& tr, eval::ShedReason reason, double t);
 
+  /// The node-channel series sampled per router event, declared once.
+  struct NodeSeries {
+    obs::SeriesHandle stall;
+    obs::SeriesHandle queue_depth;
+    obs::SeriesHandle active;
+    obs::SeriesHandle in_service;
+    obs::SeriesHandle checkpoints;
+  };
+
   std::vector<Node> nodes_;
   ClusterOptions options_;
   HealthChecker health_;
@@ -412,6 +421,7 @@ class ClusterRouter {
   bool ran_ = false;
   ClusterStats stats_;
   RecoveryStats recovery_;
+  std::vector<NodeSeries> ts_nodes_;  ///< indexed by node id; empty: off
   std::uint32_t tracer_track_ = 0;
 };
 

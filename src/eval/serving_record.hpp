@@ -40,7 +40,17 @@ inline ServedTimes served_times(double arrival, double start, double end,
 /// recorder stays strictly passive.
 class TsHook {
  public:
-  explicit TsHook(obs::TimeSeriesRecorder* rec) : rec_(rec) {}
+  explicit TsHook(obs::TimeSeriesRecorder* rec) : rec_(rec) {
+    if (rec_ == nullptr) return;
+    stall_ = rec_->counter(kChannel, "daop_hazard_stall_seconds_total",
+                           kHazardHelp);
+    queue_depth_ = rec_->gauge(kChannel, "daop_queue_depth",
+                               "Arrived requests waiting for admission.");
+    active_ = rec_->gauge(kChannel, "daop_active_sessions",
+                          "In-flight decode sessions.");
+    parked_ = rec_->gauge(kChannel, "daop_parked_sessions",
+                          "Preempted sessions awaiting resume.");
+  }
   bool on() const { return rec_ != nullptr; }
 
   /// Recordings that follow land in the grid window containing `t`.
@@ -54,24 +64,16 @@ class TsHook {
                 std::size_t active, std::size_t parked) {
     if (rec_ == nullptr) return;
     rec_->advance(kChannel, t);
-    rec_->count_total(kChannel, "daop_hazard_stall_seconds_total",
-                      kHazardHelp, hazard_stall_s);
-    rec_->gauge_set(kChannel, "daop_queue_depth",
-                    "Arrived requests waiting for admission.",
-                    static_cast<double>(waiting));
-    rec_->gauge_set(kChannel, "daop_active_sessions",
-                    "In-flight decode sessions.",
-                    static_cast<double>(active));
-    rec_->gauge_set(kChannel, "daop_parked_sessions",
-                    "Preempted sessions awaiting resume.",
-                    static_cast<double>(parked));
+    rec_->add_total(stall_, hazard_stall_s);
+    rec_->set(queue_depth_, static_cast<double>(waiting));
+    rec_->set(active_, static_cast<double>(active));
+    rec_->set(parked_, static_cast<double>(parked));
   }
   /// Hazard stall seconds added since the last recording (the sequential
   /// server's per-request private timelines have no cumulative total).
   void hazard_stall(double delta_s) {
     if (rec_ == nullptr) return;
-    rec_->count(kChannel, "daop_hazard_stall_seconds_total", kHazardHelp,
-                delta_s);
+    rec_->add(stall_, delta_s);
   }
   void admitted(double wait_s, double ttft_s) {
     if (rec_ == nullptr) return;
@@ -139,6 +141,11 @@ class TsHook {
       "Simulated seconds lost to injected hazard stalls.";
   static constexpr const char* kRequestsHelp = "Request resolutions.";
   obs::TimeSeriesRecorder* rec_;
+  /// The per-decision samples, declared once (see obs::SeriesHandle).
+  obs::SeriesHandle stall_;
+  obs::SeriesHandle queue_depth_;
+  obs::SeriesHandle active_;
+  obs::SeriesHandle parked_;
 };
 
 }  // namespace daop::eval

@@ -363,7 +363,7 @@ AlertReport evaluate_slo_rules(const std::vector<SloRule>& rules,
   if (!rec.enabled()) return report;
   DAOP_CHECK_MSG(rec.finalized(),
                  "evaluate_slo_rules needs a finalized recorder");
-  const std::vector<SeriesWindow> agg = rec.aggregate();
+  const std::vector<SeriesWindow>& agg = rec.aggregate();
   if (agg.empty()) return report;
   for (const SloRule& rule : rules) {
     rule.validate();

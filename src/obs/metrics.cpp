@@ -26,16 +26,6 @@ std::string label_key_with(const Labels& labels, const std::string& extra_k,
 
 std::string json_escape(const std::string& s) { return json_escape_string(s); }
 
-bool valid_metric_name(std::string_view name) {
-  if (name.empty()) return false;
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    if (!ok) return false;
-  }
-  return !(name[0] >= '0' && name[0] <= '9');
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -109,73 +99,14 @@ void append_label_set(std::string& out, const Labels& labels) {
   out += '}';
 }
 
-// ---------------------------------------------------------------------------
-// MetricsSnapshot
-
-bool MetricsSnapshot::zero() const {
-  for (const auto& [name, f] : families) {
-    for (const auto& [key, v] : f.values) {
-      if (v != 0.0) return false;
-    }
-    for (const auto& [key, h] : f.histograms) {
-      if (h.total != 0) return false;
-    }
+bool valid_metric_name(std::string_view name) {
+  if (name.empty()) return false;
+  for (char c : name) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '_' || c == ':';
+    if (!ok) return false;
   }
-  return true;
-}
-
-MetricsSnapshot MetricsSnapshot::delta(const MetricsSnapshot& prev) const {
-  MetricsSnapshot out;
-  for (const auto& [name, f] : families) {
-    Family d;
-    d.kind = f.kind;
-    d.help = f.help;
-    d.label_sets = f.label_sets;
-    const auto pit = prev.families.find(name);
-    const Family* pf = pit == prev.families.end() ? nullptr : &pit->second;
-    if (pf != nullptr) {
-      DAOP_CHECK_MSG(pf->kind == f.kind,
-                     "snapshot family '" << name << "' changed kind");
-    }
-    for (const auto& [key, v] : f.values) {
-      if (f.kind == Kind::kGauge) {
-        d.values[key] = v;  // gauges report their last value, not a delta
-        continue;
-      }
-      double base = 0.0;
-      if (pf != nullptr) {
-        const auto vit = pf->values.find(key);
-        if (vit != pf->values.end()) base = vit->second;
-      }
-      DAOP_CHECK_MSG(v >= base,
-                     "counter '" << name << key << "' moved backwards");
-      d.values[key] = v - base;
-    }
-    for (const auto& [key, h] : f.histograms) {
-      const HistogramData* ph = nullptr;
-      if (pf != nullptr) {
-        const auto hit = pf->histograms.find(key);
-        if (hit != pf->histograms.end()) ph = &hit->second;
-      }
-      if (ph == nullptr || ph->counts.empty()) {
-        d.histograms[key] = h;
-        continue;
-      }
-      DAOP_CHECK_MSG(ph->upper_bounds == h.upper_bounds,
-                     "histogram '" << name << key << "' changed buckets");
-      HistogramData w(h.upper_bounds);
-      for (std::size_t i = 0; i < h.counts.size(); ++i) {
-        DAOP_CHECK_MSG(h.counts[i] >= ph->counts[i],
-                       "histogram '" << name << key << "' moved backwards");
-        w.counts[i] = h.counts[i] - ph->counts[i];
-      }
-      w.total = h.total - ph->total;
-      w.sum = h.sum - ph->sum;
-      d.histograms[key] = w;
-    }
-    out.families[name] = std::move(d);
-  }
-  return out;
+  return !(name[0] >= '0' && name[0] <= '9');
 }
 
 // ---------------------------------------------------------------------------

@@ -71,12 +71,13 @@ std::string serialize_label_set(const Labels& labels);
 /// Appends serialize_label_set(labels) to `out` (lets hot callers build
 /// series keys in reused storage).
 void append_label_set(std::string& out, const Labels& labels);
+/// Prometheus metric-name rule: [a-zA-Z_:][a-zA-Z0-9_:]*.
+bool valid_metric_name(std::string_view name);
 
 /// One immutable, copyable view of a registry's entire state, taken by
-/// MetricsRegistry::snapshot(). This is the time-series recorder's
-/// primitive: two snapshots subtract into a windowed delta, but it is
-/// independently useful anywhere a results struct wants to carry registry
-/// state without owning the registry.
+/// MetricsRegistry::snapshot(). Results structs carry registry state in it
+/// without owning the registry, and each time-series window
+/// (obs/timeseries.hpp) holds its delta in one.
 struct MetricsSnapshot {
   enum class Kind { kCounter, kGauge, kHistogram };
   struct Family {
@@ -91,16 +92,6 @@ struct MetricsSnapshot {
     std::map<std::string, Labels> label_sets;
   };
   std::map<std::string, Family> families;
-
-  /// True when nothing non-zero is recorded: every counter/gauge value is 0
-  /// and every histogram holds zero observations.
-  bool zero() const;
-
-  /// Windowed view of what happened since `prev`: counters subtract
-  /// (monotonicity is CHECKed), gauges keep THIS snapshot's last value,
-  /// histograms subtract bucket-wise. Series absent from `prev` (created
-  /// inside the window) subtract against zero.
-  MetricsSnapshot delta(const MetricsSnapshot& prev) const;
 };
 
 class Counter {

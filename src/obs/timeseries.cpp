@@ -4,8 +4,6 @@
 #include <cmath>
 #include <set>
 
-#include "common/check.hpp"
-
 namespace daop::obs {
 
 void TimeSeriesOptions::validate() const {
@@ -22,10 +20,7 @@ TimeSeriesRecorder::TimeSeriesRecorder(const TimeSeriesOptions& options,
   if (!options_.enabled()) return;  // disabled: allocate nothing
   DAOP_CHECK_MSG(!channels.empty(), "recorder needs at least one channel");
   channels_ = std::move(channels);
-  for (const std::string& name : channels_) {
-    state_.push_back(std::make_unique<Channel>());
-    state_.back()->name = name;
-  }
+  state_.resize(channels_.size());
 }
 
 const std::string& TimeSeriesRecorder::channel_name(int ch) const {
@@ -33,55 +28,115 @@ const std::string& TimeSeriesRecorder::channel_name(int ch) const {
   return channels_[static_cast<std::size_t>(ch)];
 }
 
-TimeSeriesRecorder::Channel& TimeSeriesRecorder::chan(int ch) {
-  DAOP_CHECK_MSG(ch >= 0 && ch < n_channels(),
-                 "tseries channel " << ch << " out of range");
-  return *state_[static_cast<std::size_t>(ch)];
+// ---------------------------------------------------------------------------
+// Slot table
+
+SeriesHandle TimeSeriesRecorder::declare(int ch, std::string_view name,
+                                         std::string_view help, Kind kind,
+                                         const std::vector<double>* bounds,
+                                         const Labels& labels) {
+  if (!enabled()) return {};
+  Channel& c = chan(ch);
+  std::string& key = c.key_scratch;
+  key.assign(name);
+  append_label_set(key, labels);
+  if (const auto it = c.series.find(key); it != c.series.end()) {
+    const Slot& s = c.slots[static_cast<std::size_t>(it->second)];
+    DAOP_CHECK_MSG(s.kind == kind, "metric '"
+                                       << name
+                                       << "' re-registered with a different "
+                                          "type");
+    if (kind == Kind::kHistogram) {
+      DAOP_CHECK_MSG(
+          c.hists[static_cast<std::size_t>(s.hist)].upper_bounds == *bounds,
+          "histogram '" << name << "' re-registered with different buckets");
+    }
+    return SeriesHandle{ch, it->second};
+  }
+  const int idx = static_cast<int>(c.slots.size());
+  const auto fit = c.families.find(name);
+  Slot s;
+  if (fit == c.families.end()) {
+    DAOP_CHECK_MSG(valid_metric_name(name),
+                   "invalid metric name '" << name << "'");
+    s.family_slot = idx;
+    s.help = help;
+  } else {
+    const Slot& f = c.slots[static_cast<std::size_t>(fit->second)];
+    DAOP_CHECK_MSG(f.kind == kind, "metric '"
+                                       << name
+                                       << "' re-registered with a different "
+                                          "type");
+    if (kind == Kind::kHistogram) {
+      DAOP_CHECK_MSG(
+          c.hists[static_cast<std::size_t>(f.hist)].upper_bounds == *bounds,
+          "histogram '" << name << "' re-registered with different buckets");
+    }
+    s.family_slot = fit->second;
+  }
+  s.family = name;
+  s.kind = kind;
+  s.key = key.substr(name.size());
+  s.labels = labels;
+  if (kind == Kind::kHistogram) {
+    s.hist = static_cast<int>(c.hists.size());
+    c.hists.emplace_back(*bounds);
+  }
+  c.slots.push_back(std::move(s));
+  c.values.push_back(0.0);
+  c.series.emplace(key, idx);
+  if (fit == c.families.end()) c.families.emplace(std::string(name), idx);
+  return SeriesHandle{ch, idx};
 }
+
+SeriesHandle TimeSeriesRecorder::counter(int ch, std::string_view name,
+                                         std::string_view help,
+                                         const Labels& labels) {
+  return declare(ch, name, help, Kind::kCounter, nullptr, labels);
+}
+
+SeriesHandle TimeSeriesRecorder::gauge(int ch, std::string_view name,
+                                       std::string_view help,
+                                       const Labels& labels) {
+  return declare(ch, name, help, Kind::kGauge, nullptr, labels);
+}
+
+SeriesHandle TimeSeriesRecorder::histogram(int ch, std::string_view name,
+                                           std::string_view help,
+                                           const Labels& labels) {
+  static const std::vector<double> kBuckets = default_latency_buckets();
+  return declare(ch, name, help, Kind::kHistogram, &kBuckets, labels);
+}
+
+// ---------------------------------------------------------------------------
+// String-keyed recording
 
 void TimeSeriesRecorder::count(int ch, std::string_view name,
                                std::string_view help, double d,
                                const Labels& labels) {
   if (!enabled()) return;
-  DAOP_CHECK_MSG(!finalized_, "recording into a finalized recorder");
-  chan(ch).live.counter(name, help, labels).inc(d);
+  add(counter(ch, name, help, labels), d);
 }
 
 void TimeSeriesRecorder::count_total(int ch, std::string_view name,
                                      std::string_view help, double total,
                                      const Labels& labels) {
   if (!enabled()) return;
-  DAOP_CHECK_MSG(!finalized_, "recording into a finalized recorder");
-  Channel& c = chan(ch);
-  std::string& key = c.key_scratch;
-  key.assign(name);
-  append_label_set(key, labels);
-  auto it = c.last_totals.find(key);
-  if (it == c.last_totals.end()) it = c.last_totals.emplace(key, 0.0).first;
-  double& last = it->second;
-  DAOP_CHECK_MSG(total >= last - 1e-12,
-                 "cumulative total '" << key << "' moved backwards");
-  if (total > last) {
-    c.live.counter(name, help, labels).inc(total - last);
-    last = total;
-  }
+  add_total(counter(ch, name, help, labels), total);
 }
 
 void TimeSeriesRecorder::gauge_set(int ch, std::string_view name,
                                    std::string_view help, double v,
                                    const Labels& labels) {
   if (!enabled()) return;
-  DAOP_CHECK_MSG(!finalized_, "recording into a finalized recorder");
-  chan(ch).live.gauge(name, help, labels).set(v);
+  set(gauge(ch, name, help, labels), v);
 }
 
 void TimeSeriesRecorder::observe(int ch, std::string_view name,
                                  std::string_view help, double v,
                                  const Labels& labels) {
   if (!enabled()) return;
-  DAOP_CHECK_MSG(!finalized_, "recording into a finalized recorder");
-  static const std::vector<double> kBuckets = default_latency_buckets();
-  chan(ch).live.histogram(name, help, kBuckets, labels).observe(v);
+  observe(histogram(ch, name, help, labels), v);
 }
 
 void TimeSeriesRecorder::merge_hist(int ch, std::string_view name,
@@ -91,7 +146,11 @@ void TimeSeriesRecorder::merge_hist(int ch, std::string_view name,
   if (!enabled()) return;
   DAOP_CHECK_MSG(!finalized_, "recording into a finalized recorder");
   if (data.empty()) return;
-  chan(ch).live.histogram(name, help, data.upper_bounds, labels).merge(data);
+  const SeriesHandle h = declare(ch, name, help, Kind::kHistogram,
+                                 &data.upper_bounds, labels);
+  Channel& c = chan(ch);
+  const Slot& s = write(c, h.slot, Kind::kHistogram);
+  c.hists[static_cast<std::size_t>(s.hist)].merge(data);
 }
 
 void TimeSeriesRecorder::record_registry_totals(int ch,
@@ -115,26 +174,75 @@ void TimeSeriesRecorder::record_registry_totals(int ch,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Sealing
+
 void TimeSeriesRecorder::seal(Channel& c, double end) {
-  MetricsSnapshot snap = c.live.snapshot();
-  SeriesWindow w;
-  w.index = c.next_index;
-  w.start = static_cast<double>(c.next_index) * options_.window_s;
-  w.end = end;
-  w.delta = snap.delta(c.prev);
-  c.windows.push_back(std::move(w));
-  c.prev = std::move(snap);
+  c.seals.push_back(Seal{end, c.values.size(), c.hists.size()});
+  c.sealed_values.insert(c.sealed_values.end(), c.values.begin(),
+                         c.values.end());
+  for (const HistogramData& h : c.hists) {
+    c.sealed_counts.insert(c.sealed_counts.end(), h.counts.begin(),
+                           h.counts.end());
+    c.sealed_totals.push_back(h.total);
+    c.sealed_sums.push_back(h.sum);
+  }
   ++c.next_index;
 }
 
-void TimeSeriesRecorder::advance(int ch, double now) {
-  if (!enabled() || finalized_) return;
-  Channel& c = chan(ch);
-  c.clock = std::max(c.clock, now);
+void TimeSeriesRecorder::seal_through_clock(Channel& c) {
   const double w = options_.window_s;
   while (static_cast<double>(c.next_index + 1) * w <= c.clock) {
     seal(c, static_cast<double>(c.next_index + 1) * w);
   }
+}
+
+bool TimeSeriesRecorder::open_window_empty(const Channel& c) const {
+  // The open window's delta against the last sealed row is empty when no
+  // counter moved, every gauge reads 0 and no histogram gained
+  // observations. A series born before the open window is in that row.
+  const std::size_t v0 =
+      c.seals.empty() ? 0 : c.sealed_values.size() - c.seals.back().n_values;
+  const std::size_t t0 =
+      c.seals.empty() ? 0 : c.sealed_totals.size() - c.seals.back().n_hists;
+  for (std::size_t i = 0; i < c.slots.size(); ++i) {
+    const Slot& s = c.slots[i];
+    if (s.born < 0) continue;
+    const bool carried = s.born < c.next_index;
+    switch (s.kind) {
+      case Kind::kCounter: {
+        const double base = carried ? c.sealed_values[v0 + i] : 0.0;
+        if (c.values[i] - base != 0.0) return false;
+        break;
+      }
+      case Kind::kGauge:
+        if (c.values[i] != 0.0) return false;
+        break;
+      case Kind::kHistogram: {
+        const auto h = static_cast<std::size_t>(s.hist);
+        const long long base = carried ? c.sealed_totals[t0 + h] : 0;
+        if (c.hists[h].total - base != 0) return false;
+        break;
+      }
+    }
+  }
+  return true;
+}
+
+void TimeSeriesRecorder::finalize(double end) {
+  if (!enabled() || finalized_) return;
+  const double w = options_.window_s;
+  for (Channel& c : state_) {
+    c.clock = std::max(c.clock, end);
+    seal_through_clock(c);
+    const double open_start = static_cast<double>(c.next_index) * w;
+    // A final partial window; or, for content recorded exactly at the
+    // final grid boundary, a zero-width one when it is non-empty.
+    if (c.clock > open_start || !open_window_empty(c)) seal(c, c.clock);
+  }
+  finalized_ = true;
+  for (Channel& c : state_) c.windows = build_windows(c);
+  aggregate_ = build_aggregate();
 }
 
 void TimeSeriesRecorder::record_event(double time, int ch, std::string kind,
@@ -145,42 +253,81 @@ void TimeSeriesRecorder::record_event(double time, int ch, std::string kind,
       TimeSeriesEvent{time, ch, std::move(kind), std::move(detail)});
 }
 
-void TimeSeriesRecorder::finalize(double end) {
-  if (!enabled() || finalized_) return;
-  const double w = options_.window_s;
-  for (auto& cp : state_) {
-    Channel& c = *cp;
-    c.clock = std::max(c.clock, end);
-    while (static_cast<double>(c.next_index + 1) * w <= c.clock) {
-      seal(c, static_cast<double>(c.next_index + 1) * w);
-    }
-    const double open_start = static_cast<double>(c.next_index) * w;
-    if (c.clock > open_start) {
-      seal(c, c.clock);  // final partial window
-    } else {
-      // Content recorded exactly at the final grid boundary still needs a
-      // home: seal a zero-width window only when it is non-empty.
-      MetricsSnapshot snap = c.live.snapshot();
-      if (!snap.delta(c.prev).zero()) seal(c, c.clock);
-    }
+// ---------------------------------------------------------------------------
+// Read side
+
+std::vector<SeriesWindow> TimeSeriesRecorder::build_windows(
+    const Channel& c) const {
+  // Offset of each histogram's bucket counts within one sealed row.
+  std::vector<std::size_t> count_off(c.hists.size() + 1, 0);
+  for (std::size_t h = 0; h < c.hists.size(); ++h) {
+    count_off[h + 1] = count_off[h] + c.hists[h].counts.size();
   }
-  finalized_ = true;
-}
-
-const std::vector<SeriesWindow>& TimeSeriesRecorder::windows(int ch) const {
-  DAOP_CHECK(ch >= 0 && ch < n_channels());
-  return state_[static_cast<std::size_t>(ch)]->windows;
-}
-
-long long TimeSeriesRecorder::n_windows() const {
-  long long n = 0;
-  for (const auto& c : state_) {
-    n = std::max(n, static_cast<long long>(c->windows.size()));
+  std::vector<SeriesWindow> out;
+  out.reserve(c.seals.size());
+  // Starts of row k and row k - 1 in the flat value / count / total arrays.
+  std::size_t v0 = 0, n0 = 0, t0 = 0;
+  std::size_t pv = 0, pn = 0, pt = 0;
+  for (std::size_t k = 0; k < c.seals.size(); ++k) {
+    const Seal& row = c.seals[k];
+    const auto index = static_cast<long long>(k);
+    SeriesWindow w;
+    w.index = index;
+    w.start = static_cast<double>(index) * options_.window_s;
+    w.end = row.end;
+    for (std::size_t i = 0; i < row.n_values; ++i) {
+      const Slot& s = c.slots[i];
+      if (s.born < 0 || s.born > index) continue;
+      // Born in an earlier window: subtract the previous row. Born in this
+      // one: subtract nothing (the series was absent before).
+      const bool carried = s.born < index;
+      MetricsSnapshot::Family& f = w.delta.families[s.family];
+      f.kind = s.kind;
+      f.help = c.slots[static_cast<std::size_t>(s.family_slot)].help;
+      f.label_sets[s.key] = s.labels;
+      if (s.kind == Kind::kGauge) {
+        f.values[s.key] = c.sealed_values[v0 + i];
+      } else if (s.kind == Kind::kCounter) {
+        const double v = c.sealed_values[v0 + i];
+        const double base = carried ? c.sealed_values[pv + i] : 0.0;
+        DAOP_CHECK_MSG(v >= base, "counter '" << s.family << s.key
+                                              << "' moved backwards");
+        f.values[s.key] = v - base;
+      } else {
+        const auto h = static_cast<std::size_t>(s.hist);
+        HistogramData d(c.hists[h].upper_bounds);
+        const long long* cur = c.sealed_counts.data() + n0 + count_off[h];
+        const long long* prev = c.sealed_counts.data() + pn + count_off[h];
+        for (std::size_t b = 0; b < d.counts.size(); ++b) {
+          d.counts[b] = cur[b];
+          if (carried) {
+            DAOP_CHECK_MSG(cur[b] >= prev[b], "histogram '"
+                                                  << s.family << s.key
+                                                  << "' moved backwards");
+            d.counts[b] -= prev[b];
+          }
+        }
+        d.total = c.sealed_totals[t0 + h];
+        d.sum = c.sealed_sums[t0 + h];
+        if (carried) {
+          d.total -= c.sealed_totals[pt + h];
+          d.sum -= c.sealed_sums[pt + h];
+        }
+        f.histograms[s.key] = std::move(d);
+      }
+    }
+    out.push_back(std::move(w));
+    pv = v0;
+    pn = n0;
+    pt = t0;
+    v0 += row.n_values;
+    n0 += count_off[row.n_hists];
+    t0 += row.n_hists;
   }
-  return n;
+  return out;
 }
 
-std::vector<SeriesWindow> TimeSeriesRecorder::aggregate() const {
+std::vector<SeriesWindow> TimeSeriesRecorder::build_aggregate() const {
   std::vector<SeriesWindow> out;
   const long long n = n_windows();
   out.reserve(static_cast<std::size_t>(n));
@@ -189,9 +336,9 @@ std::vector<SeriesWindow> TimeSeriesRecorder::aggregate() const {
     w.index = idx;
     w.start = static_cast<double>(idx) * options_.window_s;
     w.end = w.start;
-    for (const auto& c : state_) {
-      if (idx >= static_cast<long long>(c->windows.size())) continue;
-      const SeriesWindow& cw = c->windows[static_cast<std::size_t>(idx)];
+    for (const Channel& c : state_) {
+      if (idx >= static_cast<long long>(c.windows.size())) continue;
+      const SeriesWindow& cw = c.windows[static_cast<std::size_t>(idx)];
       w.end = std::max(w.end, cw.end);
       for (const auto& [name, f] : cw.delta.families) {
         auto& mf = w.delta.families[name];
@@ -211,6 +358,26 @@ std::vector<SeriesWindow> TimeSeriesRecorder::aggregate() const {
     out.push_back(std::move(w));
   }
   return out;
+}
+
+const std::vector<SeriesWindow>& TimeSeriesRecorder::windows(int ch) const {
+  DAOP_CHECK(ch >= 0 && ch < n_channels());
+  DAOP_CHECK_MSG(finalized_, "tseries windows are read after finalize()");
+  return state_[static_cast<std::size_t>(ch)].windows;
+}
+
+const std::vector<SeriesWindow>& TimeSeriesRecorder::aggregate() const {
+  DAOP_CHECK_MSG(finalized_ || !enabled(),
+                 "tseries aggregate is read after finalize()");
+  return aggregate_;
+}
+
+long long TimeSeriesRecorder::n_windows() const {
+  long long n = 0;
+  for (const Channel& c : state_) {
+    n = std::max(n, static_cast<long long>(c.seals.size()));
+  }
+  return n;
 }
 
 std::vector<TimeSeriesRecorder::SeriesIndex> TimeSeriesRecorder::series_index(

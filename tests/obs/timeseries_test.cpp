@@ -1,13 +1,20 @@
-// Time-series recorder: snapshot/delta windowing semantics, grid sealing,
-// cumulative-total feeds, cross-channel aggregation, the passivity contract
-// (attaching a recorder never changes simulated results or the metrics
-// export), and a windowed-quantile audit against exact percentiles.
+// Time-series recorder: window delta semantics, grid sealing,
+// cumulative-total feeds, handles vs string-keyed recording, the series
+// birth rule, allocation-free handle recording, cross-channel aggregation,
+// the passivity contract (attaching a recorder never changes simulated
+// results or the metrics export), and a windowed-quantile audit against
+// exact percentiles.
 #include "obs/timeseries.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "../testing/helpers.hpp"
@@ -17,37 +24,65 @@
 #include "obs/metrics.hpp"
 #include "sim/fault_model.hpp"
 
+namespace {
+std::atomic<long long> g_allocs{0};
+}  // namespace
+
+// Counts heap allocations, for the allocation-free handle recording test.
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
 namespace daop::obs {
 namespace {
 
+TimeSeriesOptions window(double w) {
+  TimeSeriesOptions o;
+  o.window_s = w;
+  return o;
+}
+
 // ---------------------------------------------------------------------------
-// MetricsSnapshot delta semantics (the windowing primitive)
+// Window delta semantics: each SeriesWindow's MetricsSnapshot is the
+// difference of two consecutive sealed rows.
 
 TEST(MetricsSnapshot, DeltaSubtractsCountersAndKeepsGaugeLastValue) {
-  MetricsRegistry reg;
-  reg.counter("c_total", "help").inc(3.0);
-  reg.gauge("g", "help").set(7.0);
-  const MetricsSnapshot a = reg.snapshot();
+  TimeSeriesRecorder rec(window(1.0), {"n0"});
+  rec.count(0, "c_total", "help", 3.0);
+  rec.gauge_set(0, "g", "help", 7.0);
+  rec.advance(0, 1.5);  // seals [0,1)
 
-  reg.counter("c_total", "help").inc(2.0);
-  reg.gauge("g", "help").set(1.5);
-  const MetricsSnapshot b = reg.snapshot();
+  rec.count(0, "c_total", "help", 2.0);
+  rec.gauge_set(0, "g", "help", 1.5);
+  rec.finalize(1.5);
 
-  const MetricsSnapshot d = b.delta(a);
+  const MetricsSnapshot& d = rec.windows(0).at(1).delta;
   EXPECT_DOUBLE_EQ(d.families.at("c_total").values.at(""), 2.0);
   // Gauges report the window's last value, not a difference.
   EXPECT_DOUBLE_EQ(d.families.at("g").values.at(""), 1.5);
 }
 
 TEST(MetricsSnapshot, DeltaSubtractsHistogramBucketwise) {
-  MetricsRegistry reg;
-  reg.histogram("h_seconds", "help", {1.0, 2.0}).observe(0.5);
-  const MetricsSnapshot a = reg.snapshot();
-  reg.histogram("h_seconds", "help", {1.0, 2.0}).observe(1.5);
-  reg.histogram("h_seconds", "help", {1.0, 2.0}).observe(9.0);
-  const MetricsSnapshot d = reg.snapshot().delta(a);
+  TimeSeriesRecorder rec(window(1.0), {"n0"});
+  auto observed = [](std::initializer_list<double> vs) {
+    HistogramData h({1.0, 2.0});
+    for (const double v : vs) h.observe(v);
+    return h;
+  };
+  rec.merge_hist(0, "h_seconds", "help", observed({0.5}));
+  rec.advance(0, 1.5);
+  rec.merge_hist(0, "h_seconds", "help", observed({1.5, 9.0}));
+  rec.finalize(1.5);
 
-  const HistogramData& h = d.families.at("h_seconds").histograms.at("");
+  const HistogramData& h =
+      rec.windows(0).at(1).delta.families.at("h_seconds").histograms.at("");
   EXPECT_EQ(h.total, 2);  // only the in-window observations remain
   ASSERT_EQ(h.counts.size(), 3u);
   EXPECT_EQ(h.counts[0], 0);  // the 0.5 from before the window is gone
@@ -56,23 +91,18 @@ TEST(MetricsSnapshot, DeltaSubtractsHistogramBucketwise) {
 }
 
 TEST(MetricsSnapshot, SeriesBornInsideWindowDeltaAgainstZero) {
-  MetricsRegistry reg;
-  const MetricsSnapshot empty = reg.snapshot();
-  reg.counter("fresh_total", "help", {{"k", "v"}}).inc(4.0);
-  const MetricsSnapshot d = reg.snapshot().delta(empty);
+  TimeSeriesRecorder rec(window(1.0), {"n0"});
+  rec.advance(0, 1.5);  // window 0 holds nothing
+  rec.count(0, "fresh_total", "help", 4.0, {{"k", "v"}});
+  rec.finalize(1.5);
+  const MetricsSnapshot& d = rec.windows(0).at(1).delta;
   EXPECT_DOUBLE_EQ(d.families.at("fresh_total").values.begin()->second, 4.0);
-  EXPECT_FALSE(d.zero());
-  EXPECT_TRUE(empty.delta(empty).zero());
+  EXPECT_FALSE(d.families.empty());
+  EXPECT_TRUE(rec.windows(0).at(0).delta.families.empty());
 }
 
 // ---------------------------------------------------------------------------
 // Recorder windowing
-
-TimeSeriesOptions window(double w) {
-  TimeSeriesOptions o;
-  o.window_s = w;
-  return o;
-}
 
 TEST(TimeSeries, DisabledRecorderIsInertAndAllocationFree) {
   TimeSeriesRecorder rec(TimeSeriesOptions{}, {});
@@ -205,6 +235,166 @@ TEST(TimeSeries, RecordRegistryTotalsReplaysAnEndOfRunRegistry) {
   EXPECT_DOUBLE_EQ(d.families.at("c_total").values.begin()->second, 6.0);
   EXPECT_DOUBLE_EQ(d.families.at("g").values.at(""), 2.5);
   EXPECT_EQ(d.families.at("h_seconds").histograms.at("").total, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Handles, the birth rule and allocation-free recording
+
+/// Bit-level equality of two window lists (values, histogram counts and
+/// sums, label sets and help texts), so -0.0 vs 0.0 or a last-ulp drift
+/// fails too.
+void expect_bit_identical(const std::vector<SeriesWindow>& a,
+                          const std::vector<SeriesWindow>& b) {
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE("window " + std::to_string(i));
+    EXPECT_EQ(bits(a[i].start), bits(b[i].start));
+    EXPECT_EQ(bits(a[i].end), bits(b[i].end));
+    ASSERT_EQ(a[i].delta.families.size(), b[i].delta.families.size());
+    for (const auto& [name, f] : a[i].delta.families) {
+      const auto& g = b[i].delta.families.at(name);
+      EXPECT_EQ(f.kind, g.kind) << name;
+      EXPECT_EQ(f.help, g.help) << name;
+      EXPECT_EQ(f.label_sets, g.label_sets) << name;
+      ASSERT_EQ(f.values.size(), g.values.size()) << name;
+      for (const auto& [key, v] : f.values) {
+        EXPECT_EQ(bits(v), bits(g.values.at(key))) << name << key;
+      }
+      ASSERT_EQ(f.histograms.size(), g.histograms.size()) << name;
+      for (const auto& [key, h] : f.histograms) {
+        const HistogramData& k = g.histograms.at(key);
+        EXPECT_EQ(h.counts, k.counts) << name << key;
+        EXPECT_EQ(h.total, k.total) << name << key;
+        EXPECT_EQ(bits(h.sum), bits(k.sum)) << name << key;
+      }
+    }
+  }
+}
+
+TEST(TimeSeries, HandleAndStringKeyedTwinProduceBitIdenticalWindows) {
+  // Non-integer cumulative totals whose deltas do not round-trip exactly
+  // (0.1 + 0.2 != 0.3), a labelled counter, a gauge that returns to 0 and
+  // latency observations, across several windows and two channels.
+  const std::vector<double> totals = {0.1, 0.30000000000000004, 0.3 + 1e-9,
+                                      1.7, 1.7, 2.0 / 3.0 + 1.7, 9.125};
+  const std::vector<std::string> channels = {"node0", "cluster"};
+  TimeSeriesRecorder by_handle(window(0.5), channels);
+  TimeSeriesRecorder by_name(window(0.5), channels);
+  const SeriesHandle stall = by_handle.counter(0, "stall_seconds_total", "s");
+  const SeriesHandle depth = by_handle.gauge(0, "depth", "d");
+  const SeriesHandle served =
+      by_handle.counter(1, "req_total", "r", {{"outcome", "served"}});
+  const SeriesHandle lat = by_handle.histogram(1, "lat_seconds", "l");
+  for (std::size_t i = 0; i < totals.size(); ++i) {
+    const double t = 0.3 * static_cast<double>(i);
+    const double v = 0.01 * static_cast<double>(i * i) + 0.003;
+    for (int ch = 0; ch < 2; ++ch) {
+      by_handle.advance(ch, t);
+      by_name.advance(ch, t);
+    }
+    by_handle.add_total(stall, totals[i]);
+    by_name.count_total(0, "stall_seconds_total", "s", totals[i]);
+    by_handle.set(depth, static_cast<double>(i % 3));
+    by_name.gauge_set(0, "depth", "d", static_cast<double>(i % 3));
+    by_handle.add(served, 0.5 * static_cast<double>(i));
+    by_name.count(1, "req_total", "r", 0.5 * static_cast<double>(i),
+                  {{"outcome", "served"}});
+    by_handle.observe(lat, v);
+    by_name.observe(1, "lat_seconds", "l", v);
+  }
+  by_handle.finalize(2.2);
+  by_name.finalize(2.2);
+  for (int ch = 0; ch < 2; ++ch) {
+    SCOPED_TRACE(channels[static_cast<std::size_t>(ch)]);
+    expect_bit_identical(by_handle.windows(ch), by_name.windows(ch));
+  }
+  expect_bit_identical(by_handle.aggregate(), by_name.aggregate());
+  // The stall windows carry the non-integer deltas of the totals.
+  const auto& ws = by_handle.windows(0);
+  double sum = 0.0;
+  for (const SeriesWindow& w : ws) {
+    sum += w.delta.families.at("stall_seconds_total").values.at("");
+  }
+  EXPECT_NEAR(sum, totals.back(), 1e-12);
+  EXPECT_NE(sum, std::floor(sum));
+}
+
+TEST(TimeSeries, DeclaredButUnwrittenSeriesAppearsInNoWindow) {
+  TimeSeriesRecorder rec(window(1.0), {"n0"});
+  const SeriesHandle never = rec.counter(0, "never_total", "h");
+  const SeriesHandle gauge = rec.gauge(0, "idle", "h");
+  const SeriesHandle hist = rec.histogram(0, "lat_seconds", "h");
+  const SeriesHandle late = rec.counter(0, "late_total", "h");
+  const SeriesHandle flat = rec.counter(0, "flat_seconds_total", "h");
+  rec.add_total(flat, 0.0);  // no positive delta: not born
+  rec.advance(0, 2.5);       // seals windows 0 and 1
+  rec.add(late, 2.0);        // born in window 2
+  rec.advance(0, 3.5);       // seals window 2
+  rec.finalize(3.5);
+  (void)never;
+  (void)gauge;
+  (void)hist;
+
+  const auto& ws = rec.windows(0);
+  ASSERT_EQ(ws.size(), 4u);
+  for (std::size_t i = 0; i < ws.size(); ++i) {
+    SCOPED_TRACE("window " + std::to_string(i));
+    const auto& fams = ws[i].delta.families;
+    EXPECT_EQ(fams.count("never_total"), 0u);
+    EXPECT_EQ(fams.count("idle"), 0u);
+    EXPECT_EQ(fams.count("lat_seconds"), 0u);
+    EXPECT_EQ(fams.count("flat_seconds_total"), 0u);
+    // Once born, a series stays in every later window.
+    EXPECT_EQ(fams.count("late_total"), i >= 2 ? 1u : 0u);
+  }
+  EXPECT_DOUBLE_EQ(ws[2].delta.families.at("late_total").values.at(""), 2.0);
+  EXPECT_DOUBLE_EQ(ws[3].delta.families.at("late_total").values.at(""), 0.0);
+}
+
+TEST(TimeSeries, HandleRecordingAllocatesNothingOnceWarm) {
+  TimeSeriesRecorder rec(window(100.0), {"node0", "cluster"});
+  const SeriesHandle stall = rec.counter(0, "stall_seconds_total", "h");
+  const SeriesHandle depth = rec.gauge(0, "depth", "h");
+  const SeriesHandle ckpt = rec.counter(0, "ckpt_total", "h");
+  const SeriesHandle lat = rec.histogram(1, "lat_seconds", "h");
+  // Warm: the first writes are births; nothing is sealed inside [0, 100).
+  rec.advance(0, 0.0);
+  rec.add_total(stall, 0.5);
+  rec.set(depth, 1.0);
+  rec.add(ckpt);
+  rec.observe(lat, 0.2);
+
+  const long long before = g_allocs.load();
+  for (int i = 1; i < 1000; ++i) {
+    const double t = 0.05 * static_cast<double>(i);
+    rec.advance(0, t);
+    rec.advance(1, t);
+    rec.add_total(stall, 0.5 + 0.001 * static_cast<double>(i));
+    rec.set(depth, static_cast<double>(i % 5));
+    rec.add(ckpt);
+    rec.observe(lat, 0.001 * static_cast<double>(i));
+  }
+  EXPECT_EQ(g_allocs.load() - before, 0);
+  rec.finalize(60.0);
+  ASSERT_EQ(rec.windows(0).size(), 1u);
+  EXPECT_DOUBLE_EQ(rec.windows(0)[0].delta.families.at("ckpt_total")
+                       .values.at(""),
+                   1000.0);
+}
+
+TEST(TimeSeries, HandlesKeepTheRegistryChecks) {
+  TimeSeriesRecorder rec(window(1.0), {"n0"});
+  const SeriesHandle c = rec.counter(0, "c_total", "h");
+  EXPECT_THROW(rec.gauge(0, "c_total", "h"), CheckError);
+  EXPECT_THROW(rec.counter(0, "9bad", "h"), CheckError);
+  EXPECT_THROW(rec.set(c, 1.0), CheckError);  // a counter is not a gauge
+  HistogramData other({1.0});
+  other.observe(0.5);
+  rec.observe(0, "lat_seconds", "h", 0.1);
+  EXPECT_THROW(rec.merge_hist(0, "lat_seconds", "h", other), CheckError);
+  // The same series declared twice is the same slot.
+  EXPECT_EQ(rec.counter(0, "c_total", "h").slot, c.slot);
 }
 
 // ---------------------------------------------------------------------------
