@@ -592,27 +592,32 @@ bool ClusterRouter::try_warm_restore(Node& n, Track& tr,
   // including the crashed node's (its completed generations survived; its
   // in-flight writes died with it). Newest step wins; the scan order makes
   // ties deterministic (lowest node id).
+  // The winner's payload is unsealed once, by its store's validity scan,
+  // and decoded once, here.
   const recovery::CheckpointRecord* best = nullptr;
+  std::vector<std::uint8_t> best_payload;
+  std::vector<std::uint8_t> payload;
   for (Node& m : nodes_) {
     const recovery::CheckpointRecord* rec =
-        m.ckpt->latest_valid(tr.request.id, t_admit);
+        m.ckpt->latest_valid(tr.request.id, t_admit, &payload);
     if (rec != nullptr && (best == nullptr || rec->step > best->step)) {
       best = rec;
+      best_payload.swap(payload);
     }
   }
   if (best == nullptr) {
     ++recovery_.fallbacks_no_checkpoint;
     return false;
   }
+  std::optional<engines::SessionSnapshot> snap =
+      engines::SequenceSession::decode(std::move(best_payload));
   // Rebuild the snapshot's expert residency on the surviving node BEFORE
   // the session re-pins its working set. Experts pinned by concurrent
   // sessions stay put (refusals); the restored session then degrades to
   // CPU execution for them exactly as for any refused migration.
-  const std::optional<engines::SessionSnapshotInfo> info =
-      engines::SequenceSession::peek(best->bytes);
-  if (info.has_value()) {
+  if (snap.has_value()) {
     const recovery::ReconcileResult rr = recovery::reconcile_placement(
-        info->placement, *n.arbiter, n.timeline, t_admit,
+        snap->placement, *n.arbiter, n.timeline, t_admit,
         n.engine->costs().expert_migration(), tr.request.id);
     recovery_ready = std::max(recovery_ready, rr.ready);
     recovery_.reconcile_migrations += rr.migrated;
@@ -621,7 +626,7 @@ bool ClusterRouter::try_warm_restore(Node& n, Track& tr,
   }
   engines::RestoreOptions ropts;
   ropts.resume_floor = t_admit;
-  if (!session.restore(best->bytes, ropts)) {
+  if (!snap.has_value() || !session.restore(std::move(*snap), ropts)) {
     ++recovery_.fallbacks_invalid;
     return false;
   }

@@ -332,30 +332,13 @@ Rng::State read_rng_state(recovery::ByteReader& r) {
   return s;
 }
 
-/// Every field of a sealed snapshot, decoded and checked for consistency
-/// with itself. Checks against a live session (identity, pin range) are
-/// restore()'s.
-struct DecodedSnapshot : SessionSnapshotInfo {
-  int replay = 0;
-  double start_time = 0.0;
-  double prefill_end = 0.0;
-  double stall_so_far = 0.0;
-  EngineCounters counters;
-  std::vector<std::pair<int, int>> pins;
-  std::optional<sim::FaultModel::StreamCursor> cursor;
-  /// The payload, whose tail of `policy_len` bytes is the policy block.
-  std::vector<std::uint8_t> payload;
-  std::size_t policy_len = 0;
-};
+}  // namespace
 
-/// The one decoder of checkpoint()'s payload, behind both restore() and
-/// peek(). nullopt when the frame or any field fails validation.
-std::optional<DecodedSnapshot> decode_snapshot(
-    const std::vector<std::uint8_t>& sealed) {
-  std::optional<std::vector<std::uint8_t>> payload = recovery::unseal(sealed);
-  if (!payload.has_value()) return std::nullopt;
-  DecodedSnapshot d;
-  d.payload = std::move(*payload);
+// The one decoder of checkpoint()'s payload, behind restore() and peek().
+std::optional<SessionSnapshot> SequenceSession::decode(
+    std::vector<std::uint8_t> payload) {
+  SessionSnapshot d;
+  d.payload = std::move(payload);
   recovery::ByteReader r(d.payload.data(), d.payload.size());
   d.engine = r.str();
   d.request_id = r.i64();
@@ -395,8 +378,6 @@ std::optional<DecodedSnapshot> decode_snapshot(
   }
   return d;
 }
-
-}  // namespace
 
 std::vector<std::uint8_t> SequenceSession::checkpoint() const {
   DAOP_CHECK_MSG(phase_ == Phase::kDecoding,
@@ -454,19 +435,27 @@ bool SequenceSession::restore(const std::vector<std::uint8_t>& sealed,
                               const RestoreOptions& opts) {
   DAOP_CHECK_MSG(phase_ == Phase::kOpened,
                  "restore() replaces prefill() on a fresh session");
-  // Decode and validate everything first: state is only mutated once the
-  // whole snapshot validated, so a rejected restore leaves the session
-  // usable for the prefill-replay fallback.
-  std::optional<DecodedSnapshot> snap = decode_snapshot(sealed);
-  if (!snap.has_value() || snap->engine != name_ ||
-      snap->request_id != request_id_ ||
-      snap->prompt_len != trace_.prompt_len ||
-      snap->gen_len != trace_.gen_len) {
+  std::optional<std::vector<std::uint8_t>> payload = recovery::unseal(sealed);
+  if (!payload.has_value()) return false;
+  std::optional<SessionSnapshot> snap = decode(std::move(*payload));
+  return snap.has_value() && restore(std::move(*snap), opts);
+}
+
+bool SequenceSession::restore(SessionSnapshot snap,
+                              const RestoreOptions& opts) {
+  DAOP_CHECK_MSG(phase_ == Phase::kOpened,
+                 "restore() replaces prefill() on a fresh session");
+  // Validate everything first: state is only mutated once the whole
+  // snapshot validated, so a rejected restore leaves the session usable for
+  // the prefill-replay fallback.
+  if (snap.engine != name_ || snap.request_id != request_id_ ||
+      snap.prompt_len != trace_.prompt_len ||
+      snap.gen_len != trace_.gen_len) {
     return false;
   }
   // Re-pinning happens past the point of no return, so an out-of-range
   // cell must be rejected here.
-  for (const auto& [layer, expert] : snap->pins) {
+  for (const auto& [layer, expert] : snap.pins) {
     if (layer < 0 || layer >= trace_.n_layers() || expert < 0 ||
         expert >= trace_.n_experts) {
       return false;
@@ -478,31 +467,31 @@ bool SequenceSession::restore(const std::vector<std::uint8_t>& sealed,
   // restore()); only a private copy takes the snapshot's, at the point of
   // no return, so its dimensions must match too.
   recovery::ByteReader pr(
-      snap->payload.data() + (snap->payload.size() - snap->policy_len),
-      snap->policy_len);
+      snap.payload.data() + (snap.payload.size() - snap.policy_len),
+      snap.policy_len);
   const int n_layers = pr.i32();
   const int n_experts = pr.i32();
   if (n_layers != placement().n_layers() ||
       n_experts != placement().n_experts() ||
-      (arbiter_ == nullptr && (snap->placement.n_layers() != n_layers ||
-                               snap->placement.n_experts() != n_experts))) {
+      (arbiter_ == nullptr && (snap.placement.n_layers() != n_layers ||
+                               snap.placement.n_experts() != n_experts))) {
     return false;
   }
-  const double shift = std::max(0.0, opts.resume_floor - snap->ready);
+  const double shift = std::max(0.0, opts.resume_floor - snap.ready);
   if (!load_policy_state(pr, shift) || !pr.ok()) return false;
 
   // Point of no return: apply the validated base state.
-  if (arbiter_ == nullptr) own_placement_ = std::move(snap->placement);
-  counters_ = snap->counters;
-  next_token_ = snap->step;
-  replay_tokens_ = snap->replay;
-  start_time_ = snap->start_time + shift;
-  prefill_end_ = snap->prefill_end + shift;
-  ready_ = snap->ready + shift;
-  stall0_ = tl_->hazard_stall_s() - snap->stall_so_far;
-  for (const auto& [layer, expert] : snap->pins) pin_shared(layer, expert);
-  if (opts.apply_rng_cursor && fault_ != nullptr && snap->cursor) {
-    fault_->set_stream_cursor(*snap->cursor);
+  if (arbiter_ == nullptr) own_placement_ = std::move(snap.placement);
+  counters_ = snap.counters;
+  next_token_ = snap.step;
+  replay_tokens_ = snap.replay;
+  start_time_ = snap.start_time + shift;
+  prefill_end_ = snap.prefill_end + shift;
+  ready_ = snap.ready + shift;
+  stall0_ = tl_->hazard_stall_s() - snap.stall_so_far;
+  for (const auto& [layer, expert] : snap.pins) pin_shared(layer, expert);
+  if (opts.apply_rng_cursor && fault_ != nullptr && snap.cursor) {
+    fault_->set_stream_cursor(*snap.cursor);
   }
   phase_ = Phase::kDecoding;
   parked_ = false;
@@ -517,7 +506,9 @@ bool SequenceSession::restore(const std::vector<std::uint8_t>& sealed,
 
 std::optional<SessionSnapshotInfo> SequenceSession::peek(
     const std::vector<std::uint8_t>& sealed) {
-  std::optional<DecodedSnapshot> snap = decode_snapshot(sealed);
+  std::optional<std::vector<std::uint8_t>> payload = recovery::unseal(sealed);
+  if (!payload.has_value()) return std::nullopt;
+  std::optional<SessionSnapshot> snap = decode(std::move(*payload));
   if (!snap.has_value()) return std::nullopt;
   return std::move(*snap);
 }

@@ -185,6 +185,22 @@ struct SessionSnapshotInfo {
   cache::Placement placement{1, 1};
 };
 
+/// Every field of a snapshot, decoded and checked for consistency with
+/// itself (SequenceSession::decode). Checks against a live session
+/// (identity, pin range, policy state) are restore()'s.
+struct SessionSnapshot : SessionSnapshotInfo {
+  int replay = 0;
+  double start_time = 0.0;
+  double prefill_end = 0.0;
+  double stall_so_far = 0.0;
+  EngineCounters counters;
+  std::vector<std::pair<int, int>> pins;
+  std::optional<sim::FaultModel::StreamCursor> cursor;
+  /// The payload, whose tail of `policy_len` bytes is the policy block.
+  std::vector<std::uint8_t> payload;
+  std::size_t policy_len = 0;
+};
+
 /// Trace ownership: a session borrows its routing trace. It stores a
 /// reference to the SequenceTrace it was opened with, so opening a session
 /// costs no per-token copy, and the caller must keep that trace alive and at
@@ -256,6 +272,14 @@ class SequenceSession {
   /// on this session's arbiter.
   bool restore(const std::vector<std::uint8_t>& sealed,
                const RestoreOptions& opts);
+  /// restore() of an already decoded snapshot (see decode()).
+  bool restore(SessionSnapshot snap, const RestoreOptions& opts);
+
+  /// Decodes an unsealed payload (recovery::unseal, or what
+  /// CheckpointStore::latest_valid hands out) without a session. nullopt
+  /// when a field fails validation.
+  static std::optional<SessionSnapshot> decode(
+      std::vector<std::uint8_t> payload);
 
   /// Decodes a snapshot's header without a session. nullopt when the blob
   /// fails validation.

@@ -79,14 +79,18 @@ double CheckpointStore::write(long long request_id, long long step, double now,
   return pr.gens.back().durable_at;
 }
 
-const CheckpointRecord* CheckpointStore::latest_valid(long long request_id,
-                                                      double now) {
+const CheckpointRecord* CheckpointStore::latest_valid(
+    long long request_id, double now, std::vector<std::uint8_t>* payload) {
   auto it = req_.find(request_id);
   if (it == req_.end()) return nullptr;
   for (auto gen = it->second.gens.rbegin(); gen != it->second.gens.rend();
        ++gen) {
     if (gen->durable_at > now) continue;  // write was in flight at the crash
-    if (unseal(gen->bytes).has_value()) return &*gen;
+    std::optional<std::vector<std::uint8_t>> unsealed = unseal(gen->bytes);
+    if (unsealed.has_value()) {
+      if (payload != nullptr) *payload = std::move(*unsealed);
+      return &*gen;
+    }
     ++stats_.torn_rejected;
   }
   return nullptr;

@@ -82,8 +82,11 @@ class CheckpointStore {
   /// Newest record for `request_id` that is durable by `now` AND whose bytes
   /// unseal cleanly. Rejected generations are counted in stats().torn_rejected
   /// and skipped (fall back to the previous generation). Null when nothing
-  /// valid exists.
-  const CheckpointRecord* latest_valid(long long request_id, double now);
+  /// valid exists. A non-null `payload` receives the returned record's
+  /// unsealed payload, so a restorer need not unseal it again.
+  const CheckpointRecord* latest_valid(
+      long long request_id, double now,
+      std::vector<std::uint8_t>* payload = nullptr);
 
   /// All retained generations for a request, oldest first (test accessor).
   const std::deque<CheckpointRecord>* generations(long long request_id) const;
