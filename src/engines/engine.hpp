@@ -85,6 +85,9 @@ struct CounterField {
   const char* label_key = nullptr;
   const char* label_value = nullptr;
   double EngineCounters::*real = nullptr;
+  /// An overload-plane family: exported only by serving runs with the
+  /// overload plane on (record_counter_metrics' `overload_plane`).
+  bool overload_plane = false;
 
   double value(const EngineCounters& c) const {
     return count != nullptr ? static_cast<double>(c.*count) : c.*real;
@@ -141,14 +144,17 @@ inline constexpr CounterField kCounterFields[] = {
     {"pin_refusals", &EngineCounters::pin_refusals, "daop_pin_refusals_total",
      "Placement swaps/evictions refused because the victim was pinned by a "
      "concurrent session."},
-    // The overload plane exports these three itself (eval/serving.cpp).
-    {"preemptions", &EngineCounters::preemptions, nullptr,
-     "Times the session was parked for a deadline-critical request."},
-    {"preempt_resumes", &EngineCounters::preempt_resumes, nullptr,
-     "Times the session resumed from a park."},
-    {"degraded_sessions", &EngineCounters::degraded_sessions, nullptr,
-     "Sessions opened under a degradation directive (no-speculation "
-     "and/or no-migrations)."},
+    {"preemptions", &EngineCounters::preemptions,
+     "daop_session_preemptions_total",
+     "Sessions parked for deadline-critical requests.", nullptr, nullptr,
+     nullptr, true},
+    {"preempt_resumes", &EngineCounters::preempt_resumes,
+     "daop_session_preempt_resumes_total", "Parked sessions resumed.",
+     nullptr, nullptr, nullptr, true},
+    {"degraded_sessions", &EngineCounters::degraded_sessions,
+     "daop_degraded_sessions_total",
+     "Sessions opened under a degradation directive.", nullptr, nullptr,
+     nullptr, true},
     {"hazard_stall_s", nullptr, "daop_hazard_stall_seconds_total",
      "Total hazard delay injected into scheduled ops.", nullptr, nullptr,
      &EngineCounters::hazard_stall_s},

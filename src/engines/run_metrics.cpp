@@ -13,10 +13,10 @@ obs::Labels with(const obs::Labels& base, const std::string& key,
 }  // namespace
 
 void record_counter_metrics(obs::MetricsRegistry& reg,
-                            const EngineCounters& c,
-                            const obs::Labels& labels) {
+                            const EngineCounters& c, const obs::Labels& labels,
+                            bool overload_plane) {
   for (const CounterField& f : kCounterFields) {
-    if (f.family == nullptr) continue;
+    if (f.family == nullptr || f.overload_plane != overload_plane) continue;
     reg.counter(f.family, f.help,
                 f.label_key == nullptr
                     ? labels

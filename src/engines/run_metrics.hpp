@@ -24,9 +24,11 @@ void record_run_metrics(obs::MetricsRegistry& reg, const RunResult& r);
 
 /// Counter-only subset, shared with the batch and serving paths (which
 /// aggregate counters without a per-sequence RunResult): one series per
-/// kCounterFields row that names a metric family.
+/// kCounterFields row that names a metric family. `overload_plane` picks
+/// the overload-plane rows instead of the others.
 void record_counter_metrics(obs::MetricsRegistry& reg,
-                            const EngineCounters& c, const obs::Labels& labels);
+                            const EngineCounters& c, const obs::Labels& labels,
+                            bool overload_plane = false);
 
 /// Flattens EngineCounters into (name, value) pairs for the profiler's
 /// report: one entry per kCounterFields row, in declaration order, so a

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "engines/run_metrics.hpp"
 #include "eval/continuous_batching.hpp"
 #include "eval/serving_core.hpp"
 #include "model/op_costs.hpp"
@@ -206,15 +207,8 @@ ServingResult run_serving_eval(EngineKind kind,
       shed_counter("queue_full", out.shed_queue_full);
       shed_counter("deadline", out.shed_deadline);
       shed_counter("degraded", out.shed_degraded);
-      reg.counter("daop_session_preemptions_total",
-                  "Sessions parked for deadline-critical requests.", labels)
-          .inc(static_cast<double>(out.counters.preemptions));
-      reg.counter("daop_session_preempt_resumes_total",
-                  "Parked sessions resumed.", labels)
-          .inc(static_cast<double>(out.counters.preempt_resumes));
-      reg.counter("daop_degraded_sessions_total",
-                  "Sessions opened under a degradation directive.", labels)
-          .inc(static_cast<double>(out.counters.degraded_sessions));
+      engines::record_counter_metrics(reg, out.counters, labels,
+                                      /*overload_plane=*/true);
       reg.counter("daop_degrade_steps_total",
                   "Degradation-ladder transitions by direction.",
                   obs::Labels{{"engine", out.engine}, {"direction", "down"}})
