@@ -81,6 +81,8 @@ SeriesHandle TimeSeriesRecorder::declare(int ch, std::string_view name,
   if (kind == Kind::kHistogram) {
     s.hist = static_cast<int>(c.hists.size());
     c.hists.emplace_back(*bounds);
+    c.count_off.push_back(c.row_counts);
+    c.row_counts += c.hists.back().counts.size();
   }
   c.slots.push_back(std::move(s));
   c.values.push_back(0.0);
@@ -178,7 +180,8 @@ void TimeSeriesRecorder::record_registry_totals(int ch,
 // Sealing
 
 void TimeSeriesRecorder::seal(Channel& c, double end) {
-  c.seals.push_back(Seal{end, c.values.size(), c.hists.size()});
+  c.seals.push_back(Seal{end, c.values.size(), c.sealed_values.size(),
+                         c.sealed_counts.size(), c.sealed_totals.size()});
   c.sealed_values.insert(c.sealed_values.end(), c.values.begin(),
                          c.values.end());
   for (const HistogramData& h : c.hists) {
@@ -201,10 +204,8 @@ bool TimeSeriesRecorder::open_window_empty(const Channel& c) const {
   // The open window's delta against the last sealed row is empty when no
   // counter moved, every gauge reads 0 and no histogram gained
   // observations. A series born before the open window is in that row.
-  const std::size_t v0 =
-      c.seals.empty() ? 0 : c.sealed_values.size() - c.seals.back().n_values;
-  const std::size_t t0 =
-      c.seals.empty() ? 0 : c.sealed_totals.size() - c.seals.back().n_hists;
+  const std::size_t v0 = c.seals.empty() ? 0 : c.seals.back().values_at;
+  const std::size_t t0 = c.seals.empty() ? 0 : c.seals.back().hists_at;
   for (std::size_t i = 0; i < c.slots.size(); ++i) {
     const Slot& s = c.slots[i];
     if (s.born < 0) continue;
@@ -241,7 +242,6 @@ void TimeSeriesRecorder::finalize(double end) {
     if (c.clock > open_start || !open_window_empty(c)) seal(c, c.clock);
   }
   finalized_ = true;
-  for (Channel& c : state_) c.windows = build_windows(c);
   aggregate_ = build_aggregate();
 }
 
@@ -256,75 +256,61 @@ void TimeSeriesRecorder::record_event(double time, int ch, std::string kind,
 // ---------------------------------------------------------------------------
 // Read side
 
-std::vector<SeriesWindow> TimeSeriesRecorder::build_windows(
-    const Channel& c) const {
-  // Offset of each histogram's bucket counts within one sealed row.
-  std::vector<std::size_t> count_off(c.hists.size() + 1, 0);
-  for (std::size_t h = 0; h < c.hists.size(); ++h) {
-    count_off[h + 1] = count_off[h] + c.hists[h].counts.size();
-  }
-  std::vector<SeriesWindow> out;
-  out.reserve(c.seals.size());
-  // Starts of row k and row k - 1 in the flat value / count / total arrays.
-  std::size_t v0 = 0, n0 = 0, t0 = 0;
-  std::size_t pv = 0, pn = 0, pt = 0;
-  for (std::size_t k = 0; k < c.seals.size(); ++k) {
-    const Seal& row = c.seals[k];
-    const auto index = static_cast<long long>(k);
-    SeriesWindow w;
-    w.index = index;
-    w.start = static_cast<double>(index) * options_.window_s;
-    w.end = row.end;
-    for (std::size_t i = 0; i < row.n_values; ++i) {
-      const Slot& s = c.slots[i];
-      if (s.born < 0 || s.born > index) continue;
-      // Born in an earlier window: subtract the previous row. Born in this
-      // one: subtract nothing (the series was absent before).
-      const bool carried = s.born < index;
-      MetricsSnapshot::Family& f = w.delta.families[s.family];
-      f.kind = s.kind;
-      f.help = c.slots[static_cast<std::size_t>(s.family_slot)].help;
-      f.label_sets[s.key] = s.labels;
-      if (s.kind == Kind::kGauge) {
-        f.values[s.key] = c.sealed_values[v0 + i];
-      } else if (s.kind == Kind::kCounter) {
-        const double v = c.sealed_values[v0 + i];
-        const double base = carried ? c.sealed_values[pv + i] : 0.0;
-        DAOP_CHECK_MSG(v >= base, "counter '" << s.family << s.key
+void TimeSeriesRecorder::add_delta(const Channel& c, std::size_t k,
+                                   bool merge, MetricsSnapshot& into) const {
+  const Seal& row = c.seals[k];
+  const Seal* prev = k > 0 ? &c.seals[k - 1] : nullptr;
+  const auto index = static_cast<long long>(k);
+  for (std::size_t i = 0; i < row.n_values; ++i) {
+    const Slot& s = c.slots[i];
+    if (s.born < 0 || s.born > index) continue;
+    // Born in an earlier window: subtract the previous row. Born in this
+    // one: subtract nothing (the series was absent before).
+    const bool carried = s.born < index;
+    MetricsSnapshot::Family& f = into.families[s.family];
+    f.kind = s.kind;
+    f.help = c.slots[static_cast<std::size_t>(s.family_slot)].help;
+    f.label_sets[s.key] = s.labels;
+    if (s.kind != Kind::kHistogram) {
+      double d = c.sealed_values[row.values_at + i];
+      if (s.kind == Kind::kCounter) {
+        const double base =
+            carried ? c.sealed_values[prev->values_at + i] : 0.0;
+        DAOP_CHECK_MSG(d >= base, "counter '" << s.family << s.key
                                               << "' moved backwards");
-        f.values[s.key] = v - base;
-      } else {
-        const auto h = static_cast<std::size_t>(s.hist);
-        HistogramData d(c.hists[h].upper_bounds);
-        const long long* cur = c.sealed_counts.data() + n0 + count_off[h];
-        const long long* prev = c.sealed_counts.data() + pn + count_off[h];
-        for (std::size_t b = 0; b < d.counts.size(); ++b) {
-          d.counts[b] = cur[b];
-          if (carried) {
-            DAOP_CHECK_MSG(cur[b] >= prev[b], "histogram '"
-                                                  << s.family << s.key
-                                                  << "' moved backwards");
-            d.counts[b] -= prev[b];
-          }
-        }
-        d.total = c.sealed_totals[t0 + h];
-        d.sum = c.sealed_sums[t0 + h];
-        if (carried) {
-          d.total -= c.sealed_totals[pt + h];
-          d.sum -= c.sealed_sums[pt + h];
-        }
-        f.histograms[s.key] = std::move(d);
+        d -= base;
       }
+      if (merge) {
+        f.values[s.key] += d;
+      } else {
+        f.values[s.key] = d;
+      }
+      continue;
     }
-    out.push_back(std::move(w));
-    pv = v0;
-    pn = n0;
-    pt = t0;
-    v0 += row.n_values;
-    n0 += count_off[row.n_hists];
-    t0 += row.n_hists;
+    const auto h = static_cast<std::size_t>(s.hist);
+    HistogramData d(c.hists[h].upper_bounds);
+    const long long* cur = &c.sealed_counts[row.counts_at + c.count_off[h]];
+    d.total = c.sealed_totals[row.hists_at + h];
+    d.sum = c.sealed_sums[row.hists_at + h];
+    std::copy(cur, cur + d.counts.size(), d.counts.begin());
+    if (carried) {
+      const long long* before =
+          &c.sealed_counts[prev->counts_at + c.count_off[h]];
+      for (std::size_t b = 0; b < d.counts.size(); ++b) {
+        DAOP_CHECK_MSG(d.counts[b] >= before[b], "histogram '"
+                                                     << s.family << s.key
+                                                     << "' moved backwards");
+        d.counts[b] -= before[b];
+      }
+      d.total -= c.sealed_totals[prev->hists_at + h];
+      d.sum -= c.sealed_sums[prev->hists_at + h];
+    }
+    if (merge) {
+      f.histograms[s.key].merge(d);
+    } else {
+      f.histograms[s.key] = std::move(d);
+    }
   }
-  return out;
 }
 
 std::vector<SeriesWindow> TimeSeriesRecorder::build_aggregate() const {
@@ -336,24 +322,13 @@ std::vector<SeriesWindow> TimeSeriesRecorder::build_aggregate() const {
     w.index = idx;
     w.start = static_cast<double>(idx) * options_.window_s;
     w.end = w.start;
+    // Counters and gauges both sum across channels (in channel order):
+    // summed depth / occupancy / level gauges are the fleet-level reading.
     for (const Channel& c : state_) {
-      if (idx >= static_cast<long long>(c.windows.size())) continue;
-      const SeriesWindow& cw = c.windows[static_cast<std::size_t>(idx)];
-      w.end = std::max(w.end, cw.end);
-      for (const auto& [name, f] : cw.delta.families) {
-        auto& mf = w.delta.families[name];
-        mf.kind = f.kind;
-        mf.help = f.help;
-        for (const auto& [key, labels] : f.label_sets) {
-          mf.label_sets[key] = labels;
-        }
-        // Counters and gauges both sum across channels: summed depth /
-        // occupancy / level gauges are the fleet-level reading.
-        for (const auto& [key, v] : f.values) mf.values[key] += v;
-        for (const auto& [key, h] : f.histograms) {
-          mf.histograms[key].merge(h);
-        }
-      }
+      const auto k = static_cast<std::size_t>(idx);
+      if (k >= c.seals.size()) continue;
+      w.end = std::max(w.end, c.seals[k].end);
+      add_delta(c, k, /*merge=*/true, w.delta);
     }
     out.push_back(std::move(w));
   }
@@ -363,7 +338,20 @@ std::vector<SeriesWindow> TimeSeriesRecorder::build_aggregate() const {
 const std::vector<SeriesWindow>& TimeSeriesRecorder::windows(int ch) const {
   DAOP_CHECK(ch >= 0 && ch < n_channels());
   DAOP_CHECK_MSG(finalized_, "tseries windows are read after finalize()");
-  return state_[static_cast<std::size_t>(ch)].windows;
+  const Channel& c = state_[static_cast<std::size_t>(ch)];
+  if (!c.windows_built) {
+    c.windows.reserve(c.seals.size());
+    for (std::size_t k = 0; k < c.seals.size(); ++k) {
+      SeriesWindow w;
+      w.index = static_cast<long long>(k);
+      w.start = static_cast<double>(k) * options_.window_s;
+      w.end = c.seals[k].end;
+      add_delta(c, k, /*merge=*/false, w.delta);
+      c.windows.push_back(std::move(w));
+    }
+    c.windows_built = true;
+  }
+  return c.windows;
 }
 
 const std::vector<SeriesWindow>& TimeSeriesRecorder::aggregate() const {

@@ -5,8 +5,8 @@
 // scheduler, cluster router, recovery plane) record counters/gauges/latency
 // observations per channel as decisions resolve, and the recorder seals
 // fixed-width windows on a global grid [k*w, (k+1)*w). Channels map to nodes
-// (plus a "cluster" channel for router-level client-observed series); an
-// aggregate across channels is built once at finalize().
+// (plus a "cluster" channel for router-level client-observed series), and
+// an aggregate sums them.
 //
 // Write side. Each channel interns every (family, label set) into a dense
 // slot the first time it is declared, with the same name, kind and bucket
@@ -18,9 +18,11 @@
 // rule: a count_total series is born by its first positive delta).
 //
 // Seal. Sealing a window appends the row of cumulative values to flat
-// per-channel arrays. finalize() turns consecutive rows into window deltas
-// exactly as a registry snapshot diff would: counters subtract (CHECKed
-// monotone), gauges keep their last value, histograms subtract bucket-wise.
+// per-channel arrays. The read side turns consecutive rows into window
+// deltas exactly as a registry snapshot diff would: counters subtract
+// (CHECKed monotone), gauges keep their last value, histograms subtract
+// bucket-wise. finalize() builds the cross-channel aggregate (what SLO
+// alerting reads); a channel's own windows are built on their first read.
 //
 // The recorder is single-threaded (every harness that feeds one runs its
 // event loop on one thread) and strictly passive: it is consulted only
@@ -78,7 +80,7 @@ struct TimeSeriesEvent {
 };
 
 /// A series resolved once to its (channel, slot). Recording through a
-/// handle is a bounds check and one store. A default handle, or one
+/// handle is a few checks and one store. A default handle, or one
 /// declared on a disabled recorder, records nothing.
 struct SeriesHandle {
   int ch = -1;
@@ -194,7 +196,9 @@ class TimeSeriesRecorder {
   void finalize(double end);
   bool finalized() const { return finalized_; }
 
-  // ---- Read side (valid after finalize; built once, then cached) ----
+  // ---- Read side (valid after finalize) ----
+  // aggregate() is built by finalize(); a channel's windows on their first
+  // read. Both are cached.
 
   const std::vector<SeriesWindow>& windows(int ch) const;
   const std::vector<TimeSeriesEvent>& events() const { return events_; }
@@ -236,11 +240,14 @@ class TimeSeriesRecorder {
     long long born = -1;  ///< window of the first write; -1 = never written
     double last_total = 0.0;  ///< add_total state
   };
-  /// Row extents of one sealed window in the channel's flat arrays.
+  /// One sealed window: its end and where its row starts in the channel's
+  /// flat arrays.
   struct Seal {
     double end = 0.0;
-    std::size_t n_values = 0;  ///< slots at seal time
-    std::size_t n_hists = 0;
+    std::size_t n_values = 0;   ///< slots at seal time
+    std::size_t values_at = 0;  ///< in sealed_values
+    std::size_t counts_at = 0;  ///< in sealed_counts
+    std::size_t hists_at = 0;   ///< in sealed_totals / sealed_sums
   };
   struct Channel {
     std::vector<Slot> slots;
@@ -251,8 +258,11 @@ class TimeSeriesRecorder {
     /// Live cumulative values, one per slot (unused for histogram slots).
     std::vector<double> values;
     std::vector<HistogramData> hists;
-    /// Sealed rows: values[0..n_values) of each seal, then per histogram
-    /// its bucket counts, total and sum, all flat and in seal order.
+    /// Per histogram: where its bucket counts start within a sealed row.
+    std::vector<std::size_t> count_off;
+    std::size_t row_counts = 0;  ///< bucket counts per row, all histograms
+    /// Sealed rows: the values of each seal's slots, then per histogram its
+    /// bucket counts, total and sum, all flat and in seal order.
     std::vector<Seal> seals;
     std::vector<double> sealed_values;
     std::vector<long long> sealed_counts;
@@ -260,7 +270,9 @@ class TimeSeriesRecorder {
     std::vector<double> sealed_sums;
     long long next_index = 0;  ///< next grid window to seal
     double clock = 0.0;
-    std::vector<SeriesWindow> windows;  ///< built by finalize()
+    /// Built from the rows on the first windows() read after finalize().
+    mutable std::vector<SeriesWindow> windows;
+    mutable bool windows_built = false;
   };
 
   Channel& chan(int ch) {
@@ -292,7 +304,11 @@ class TimeSeriesRecorder {
   void seal_through_clock(Channel& c);
   void seal(Channel& c, double end);
   bool open_window_empty(const Channel& c) const;
-  std::vector<SeriesWindow> build_windows(const Channel& c) const;
+  /// Writes window `k`'s delta of `c` into `into`: assigned when `merge`
+  /// is false, otherwise summed (counters, gauges) or merged (histograms)
+  /// onto what `into` holds, as the cross-channel aggregate does.
+  void add_delta(const Channel& c, std::size_t k, bool merge,
+                 MetricsSnapshot& into) const;
   std::vector<SeriesWindow> build_aggregate() const;
 
   TimeSeriesOptions options_;
