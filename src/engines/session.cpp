@@ -379,6 +379,18 @@ std::optional<SessionSnapshot> SequenceSession::decode(
   return d;
 }
 
+namespace {
+
+/// unseal() then decode(): restore(blob) and peek(blob).
+std::optional<SessionSnapshot> decode_sealed(
+    const std::vector<std::uint8_t>& sealed) {
+  std::optional<std::vector<std::uint8_t>> payload = recovery::unseal(sealed);
+  if (!payload.has_value()) return std::nullopt;
+  return SequenceSession::decode(std::move(*payload));
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> SequenceSession::checkpoint() const {
   DAOP_CHECK_MSG(phase_ == Phase::kDecoding,
                  "checkpoint() is only valid mid-decode");
@@ -435,9 +447,7 @@ bool SequenceSession::restore(const std::vector<std::uint8_t>& sealed,
                               const RestoreOptions& opts) {
   DAOP_CHECK_MSG(phase_ == Phase::kOpened,
                  "restore() replaces prefill() on a fresh session");
-  std::optional<std::vector<std::uint8_t>> payload = recovery::unseal(sealed);
-  if (!payload.has_value()) return false;
-  std::optional<SessionSnapshot> snap = decode(std::move(*payload));
+  std::optional<SessionSnapshot> snap = decode_sealed(sealed);
   return snap.has_value() && restore(std::move(*snap), opts);
 }
 
@@ -506,9 +516,7 @@ bool SequenceSession::restore(SessionSnapshot snap,
 
 std::optional<SessionSnapshotInfo> SequenceSession::peek(
     const std::vector<std::uint8_t>& sealed) {
-  std::optional<std::vector<std::uint8_t>> payload = recovery::unseal(sealed);
-  if (!payload.has_value()) return std::nullopt;
-  std::optional<SessionSnapshot> snap = decode(std::move(*payload));
+  std::optional<SessionSnapshot> snap = decode_sealed(sealed);
   if (!snap.has_value()) return std::nullopt;
   return std::move(*snap);
 }
