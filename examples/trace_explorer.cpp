@@ -86,6 +86,7 @@ int main(int argc, char** argv) {
   double static_hit = 0.0;
   double daop_hit = 0.0;
   double swaps_per_layer = 0.0;
+  core::SwapScratch swap_scratch(cfg.n_experts);
   for (int s = 0; s < n_seqs; ++s) {
     const auto tr = gen.generate(s);
     static_hit += decode_hit_rate(tr, static_placement);
@@ -95,7 +96,8 @@ int main(int argc, char** argv) {
     int swaps = 0;
     for (int l = 0; l < cfg.n_layers; ++l) {
       const auto decisions = core::sequence_specific_swaps(
-          counts[static_cast<std::size_t>(l)], adjusted, l, 1.05);
+          counts[static_cast<std::size_t>(l)], adjusted, l, 1.05,
+          swap_scratch);
       core::apply_swaps(adjusted, l, decisions);
       swaps += static_cast<int>(decisions.size());
     }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/check.hpp"
@@ -29,6 +30,17 @@ class Placement {
   }
   bool on_gpu(int layer, int expert) const {
     return device(layer, expert) == Device::Gpu;
+  }
+
+  /// Residency row of layer `l`, indexed by expert id: one layer check and
+  /// no per-expert check. For the per-layer planners, whose ids come from a
+  /// routing trace: `SequenceTrace::set_cell` ranks ids inside the trace's
+  /// `n_experts`, and sessions check that it equals the model's.
+  std::span<const Device> layer(int l) const {
+    DAOP_CHECK(l >= 0 && l < n_layers_);
+    return {device_.data() + static_cast<std::size_t>(l) *
+                                 static_cast<std::size_t>(n_experts_),
+            static_cast<std::size_t>(n_experts_)};
   }
 
   /// GPU slots allowed for `layer`. Moving an expert to the GPU beyond

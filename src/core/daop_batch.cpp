@@ -171,10 +171,11 @@ BatchResult run_daop_batch(const model::OpCosts& costs,
   const double prefill_end = ready;
   if (config.enable_seq_allocation) {
     double last_swap_end = 0.0;
+    SwapScratch swap_scratch(E);
     for (int l = 0; l < L; ++l) {
       const auto swaps = sequence_specific_swaps(
           prefill_counts[static_cast<std::size_t>(l)], placement, l,
-          config.swap_in_out);
+          config.swap_in_out, swap_scratch);
       apply_swaps(placement, l, swaps);
       for (std::size_t s = 0; s < swaps.size(); ++s) {
         last_swap_end = std::max(

@@ -44,6 +44,7 @@ class DaopSession final : public engines::SequenceSession {
                     0.0),
         window_(swap_ready_.size(), 0.0),
         exec_on_gpu_(static_cast<std::size_t>(E_), 0),
+        swap_scratch_(config.enable_seq_allocation || reallocates_ ? E_ : 0),
         policy_(config, L_, costs.config().top_k),
         precalc_arrival_(static_cast<std::size_t>(E_), 0.0),
         precalc_span_(static_cast<std::size_t>(E_), 0),
@@ -94,7 +95,7 @@ class DaopSession final : public engines::SequenceSession {
       }
       publish_weight_ready(l, s.expert_in, done);
     } else {
-      apply_swaps(placement(), l, {s});
+      placement().swap(l, s.expert_in, s.expert_out);
     }
     return done;
   }
@@ -118,9 +119,9 @@ class DaopSession final : public engines::SequenceSession {
       }
 
       if (config_.enable_seq_allocation) {
-        const auto swaps = sequence_specific_swaps(counts, placement(), l,
-                                                   config_.swap_in_out);
-        for (const SwapDecision& s : swaps) {
+        for (const SwapDecision& s :
+             sequence_specific_swaps(counts, placement(), l,
+                                     config_.swap_in_out, swap_scratch_)) {
           const double done = swap_in(l, s, nonmoe_end, "swap-in expert");
           if (done < 0.0) continue;
           last_swap_end = std::max(last_swap_end, done);
@@ -295,9 +296,9 @@ class DaopSession final : public engines::SequenceSession {
     for (int l = 0; l < L_; ++l) {
       const std::span<double> window(window_.data() + sidx(l, 0),
                                      static_cast<std::size_t>(E_));
-      const auto swaps = sequence_specific_swaps(window, placement(), l,
-                                                 config_.swap_in_out);
-      for (const SwapDecision& s : swaps) {
+      for (const SwapDecision& s :
+           sequence_specific_swaps(window, placement(), l, config_.swap_in_out,
+                                   swap_scratch_)) {
         const double done = swap_in(l, s, ready_, "decode swap-in");
         if (done < 0.0) continue;
         swap_ready_[sidx(l, s.expert_in)] = done;
@@ -360,6 +361,9 @@ class DaopSession final : public engines::SequenceSession {
   /// Per-layer prefill scratch: where each expert lived before the layer's
   /// swaps (it executes there).
   std::vector<char> exec_on_gpu_;
+  /// Algorithm 1 scratch (prefill and decode re-allocation); empty when
+  /// neither runs.
+  SwapScratch swap_scratch_;
 
   // ---- Per-layer scratch for run_decode_token (not policy state).
   DecodePolicy policy_;

@@ -109,11 +109,12 @@ std::vector<int> DaopFunctionalExecutor::generate(
   next_token = argmax(vocab_logits);  // first output token (prefill-exact)
 
   // Algorithm 1: adjust placement for the decode phase.
+  SwapScratch swap_scratch(E);
   if (config_.enable_seq_allocation) {
     for (int l = 0; l < L; ++l) {
       const auto swaps = sequence_specific_swaps(
           counts[static_cast<std::size_t>(l)], placement, l,
-          config_.swap_in_out);
+          config_.swap_in_out, swap_scratch);
       apply_swaps(placement, l, swaps);
       st.prefill_swaps += static_cast<long long>(swaps.size());
     }
@@ -217,7 +218,7 @@ std::vector<int> DaopFunctionalExecutor::generate(
       for (int l = 0; l < L; ++l) {
         const auto swaps = sequence_specific_swaps(
             window[static_cast<std::size_t>(l)], placement, l,
-            config_.swap_in_out);
+            config_.swap_in_out, swap_scratch);
         apply_swaps(placement, l, swaps);
         st.decode_swaps += static_cast<long long>(swaps.size());
         std::fill(window[static_cast<std::size_t>(l)].begin(),

@@ -15,7 +15,9 @@
 // with no plan_next before it runs in place (GpuHit / InPlaceCpu only), so a
 // token's first layer never inherits the previous token's plan.
 //
-// All scratch is sized at construction; neither call allocates.
+// Both calls read the layer's residency row once (Placement::layer) and the
+// gate's id spans in place; steps and stand-ins go by index into scratch
+// sized at construction, so neither call allocates.
 #pragma once
 
 #include <algorithm>
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "cache/placement.hpp"
+#include "common/check.hpp"
 #include "core/daop_config.hpp"
 #include "tensor/ops.hpp"
 
@@ -84,15 +87,15 @@ struct NextLayerPlan {
 class DecodePolicy {
  public:
   DecodePolicy(const DaopConfig& config, int n_layers, int top_k)
-      : config_(config), n_layers_(n_layers), top_k_(top_k) {
-    const auto k = static_cast<std::size_t>(top_k);
-    selected_.reserve(k);
-    // The selected experts plus at most one stand-in per selected expert.
-    exclude_.reserve(2 * k);
-    predicted_.reserve(k);
-    weights_.reserve(k);
-    steps_.reserve(k);
-    plan_.precalc.reserve(k);
+      : config_(config),
+        n_layers_(n_layers),
+        top_k_(top_k),
+        ids_(static_cast<std::size_t>(top_k)),
+        weights_(static_cast<std::size_t>(top_k)),
+        steps_(static_cast<std::size_t>(top_k)),
+        // At most one stand-in per kept expert.
+        stand_ins_(static_cast<std::size_t>(top_k)) {
+    plan_.precalc.reserve(static_cast<std::size_t>(top_k));
   }
 
   /// Whether layer `next` is planned from a gate-ahead prediction.
@@ -105,29 +108,41 @@ class DecodePolicy {
   const NextLayerPlan& plan() const { return plan_; }
 
   /// Decides every kept expert of decode layer `layer` and consumes the
-  /// pending plan. `selected` is the gate's top-k (score-descending) and
-  /// `scores` its logits. `stale[e]`, read only for experts in
-  /// plan().precalc, marks a pre-calculated result that lands too late;
-  /// pass an empty mask when stale discard is off.
+  /// pending plan. `selected` is the gate's top-k (score-descending, at most
+  /// top_k ids, each below the placement's n_experts) and `scores` its
+  /// logits. `stale[e]`, read only for experts in plan().precalc, marks a
+  /// pre-calculated result that lands too late; pass an empty mask when
+  /// stale discard is off.
   template <class Id>
   LayerDecision plan_layer(const cache::Placement& placement, int layer,
                            std::span<const Id> selected,
                            std::span<const float> scores,
                            std::span<const char> stale = {}) {
+    DAOP_CHECK_LE(selected.size(), steps_.size());
+    const std::span<const cache::Device> row = placement.layer(layer);
     LayerDecision d;
-    selected_.assign(selected.begin(), selected.end());
     // Adaptive expert skipping (extension): confident tokens keep only
     // their top-1 expert.
-    if (confident(selected_, scores)) {
-      d.skipped = static_cast<int>(selected_.size()) - 1;
-      selected_.resize(1);
+    if (confident(selected, scores)) {
+      d.skipped = static_cast<int>(selected.size()) - 1;
+      selected = selected.first(1);
     }
-    // Stand-ins must be fresh experts.
-    exclude_.assign(selected_.begin(), selected_.end());
-    steps_.clear();
-    for (const int e : selected_) {
-      ExpertStep s{e, e, DecodeAction::GpuHit};
-      if (placement.on_gpu(layer, e)) {
+    // Stand-ins must be fresh experts: neither kept nor standing in already.
+    std::size_t n_stand_ins = 0;
+    const auto stand_in = [&](int e) {
+      stand_ins_[n_stand_ins++] = e;
+      return e;
+    };
+    const auto best_fresh_gpu_expert = [&] {
+      return best_gpu_expert(
+          row, scores, selected,
+          std::span<const int>(stand_ins_.data(), n_stand_ins));
+    };
+    for (std::size_t i = 0; i < selected.size(); ++i) {
+      const int e = selected[i];
+      ExpertStep& s = steps_[i];
+      s = ExpertStep{e, e, DecodeAction::GpuHit};
+      if (row[static_cast<std::size_t>(e)] == cache::Device::Gpu) {
         // GpuHit.
       } else if (!plan_.active) {
         s.action = DecodeAction::InPlaceCpu;
@@ -135,7 +150,7 @@ class DecodePolicy {
                  plan_.precalc.end()) {
         const int fb = stale.empty() || stale[static_cast<std::size_t>(e)] == 0
                            ? -1
-                           : best_gpu_expert(placement, layer, scores);
+                           : best_fresh_gpu_expert();
         s.action = fb >= 0 ? DecodeAction::StaleDiscard
                            : DecodeAction::PrecalcCommit;
         if (fb >= 0) s.exec = stand_in(fb);
@@ -146,40 +161,43 @@ class DecodePolicy {
         d.mispredicted = true;
         const int fb =
             config_.mispredict_policy == MispredictPolicy::GracefulFallback
-                ? best_gpu_expert(placement, layer, scores)
+                ? best_fresh_gpu_expert()
                 : -1;
         s.action = fb >= 0 ? DecodeAction::Fallback : DecodeAction::Recompute;
         if (fb >= 0) s.exec = stand_in(fb);
       }
-      steps_.push_back(s);
     }
     reset_plan();
-    d.steps = steps_;
+    d.steps = std::span<const ExpertStep>(steps_.data(), selected.size());
     return d;
   }
 
   /// Plans pre-calculation for layer `next` (requires predicts(next)) from
-  /// its gate-ahead prediction: top-k ids (score-descending) and logits.
-  /// Returns the plan; the caller pre-calculates plan.precalc in order.
+  /// its gate-ahead prediction: top-k ids (score-descending, at most top_k)
+  /// and logits. Returns the plan; the caller pre-calculates plan.precalc in
+  /// order.
   template <class Id>
   const NextLayerPlan& plan_next(const cache::Placement& placement, int next,
                                  std::span<const Id> predicted,
                                  std::span<const float> pred_scores) {
+    DAOP_CHECK_LE(predicted.size(), steps_.size());
+    const std::span<const cache::Device> row = placement.layer(next);
     reset_plan();
     plan_.active = true;
-    predicted_.assign(predicted.begin(), predicted.end());
     // Under adaptive skipping, confident predictions only need their top-1
     // expert pre-calculated.
-    if (confident(predicted_, pred_scores)) predicted_.resize(1);
-    for (const int e : predicted_) {
-      if (!placement.on_gpu(next, e)) plan_.precalc.push_back(e);
+    if (confident(predicted, pred_scores)) predicted = predicted.first(1);
+    for (const Id e : predicted) {
+      if (row[static_cast<std::size_t>(e)] != cache::Device::Gpu) {
+        plan_.precalc.push_back(e);
+      }
     }
     // Graceful degradation: when every predicted expert sits on the CPU,
     // the lowest-scored one is replaced by the best GPU-resident expert.
     if (config_.enable_degradation &&
         static_cast<int>(plan_.precalc.size()) == top_k_ && top_k_ >= 2) {
-      exclude_.assign(predicted_.begin(), predicted_.end());
-      const int sub = best_gpu_expert(placement, next, pred_scores);
+      const int sub =
+          best_gpu_expert(row, pred_scores, predicted, std::span<const int>());
       if (sub >= 0) {
         plan_.dropped = plan_.precalc.back();
         plan_.substitute = sub;
@@ -190,37 +208,42 @@ class DecodePolicy {
   }
 
  private:
-  /// Top-1 weight, renormalized over `ids`, reaches skip_top1_margin.
-  bool confident(std::span<const int> ids, std::span<const float> scores) {
+  /// Top-1 weight, renormalized over `ids`, reaches skip_top1_margin. The
+  /// only place the ids are copied (to the int ids softmax_subset takes).
+  template <class Id>
+  bool confident(std::span<const Id> ids, std::span<const float> scores) {
     if (config_.skip_top1_margin <= 0.0 || ids.size() < 2) return false;
-    weights_.resize(ids.size());
-    softmax_subset(scores, ids, weights_);
-    return weights_[0] >= config_.skip_top1_margin;
+    const std::span<int> as_int(ids_.data(), ids.size());
+    std::copy(ids.begin(), ids.end(), as_int.begin());
+    const std::span<float> weights(weights_.data(), ids.size());
+    softmax_subset(scores, as_int, weights);
+    return weights[0] >= config_.skip_top1_margin;
   }
 
-  /// Best GPU-resident expert of `layer` by `scores`, not in exclude_;
-  /// -1 if none.
-  int best_gpu_expert(const cache::Placement& placement, int layer,
-                      std::span<const float> scores) const {
+  /// Best GPU-resident expert of residency row `row` by `scores`, in
+  /// neither `kept` nor `stand_ins`; -1 if none. Ties go to the lower id;
+  /// only an expert that would win pays the exclusion scan.
+  template <class Id>
+  static int best_gpu_expert(std::span<const cache::Device> row,
+                             std::span<const float> scores,
+                             std::span<const Id> kept,
+                             std::span<const int> stand_ins) {
     int best = -1;
     float best_score = 0.0F;
-    for (int e = 0; e < placement.n_experts(); ++e) {
-      if (!placement.on_gpu(layer, e)) continue;
-      if (std::find(exclude_.begin(), exclude_.end(), e) != exclude_.end()) {
+    for (std::size_t e = 0; e < row.size(); ++e) {
+      if (row[e] != cache::Device::Gpu) continue;
+      const float s = scores[e];
+      if (best >= 0 && !(s > best_score)) continue;
+      const int id = static_cast<int>(e);
+      if (std::find(kept.begin(), kept.end(), id) != kept.end() ||
+          std::find(stand_ins.begin(), stand_ins.end(), id) !=
+              stand_ins.end()) {
         continue;
       }
-      const float s = scores[static_cast<std::size_t>(e)];
-      if (best < 0 || s > best_score) {
-        best = e;
-        best_score = s;
-      }
+      best = id;
+      best_score = s;
     }
     return best;
-  }
-
-  int stand_in(int e) {
-    exclude_.push_back(e);
-    return e;
   }
 
   void reset_plan() {
@@ -234,11 +257,11 @@ class DecodePolicy {
   int n_layers_;
   int top_k_;
   NextLayerPlan plan_;
-  std::vector<int> selected_;
-  std::vector<int> exclude_;
-  std::vector<int> predicted_;
+  // Scratch, each sized top_k at construction and written by index.
+  std::vector<int> ids_;
   std::vector<float> weights_;
   std::vector<ExpertStep> steps_;
+  std::vector<int> stand_ins_;
 };
 
 }  // namespace daop::core

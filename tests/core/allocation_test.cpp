@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "common/check.hpp"
 
 namespace daop::core {
@@ -16,11 +19,21 @@ cache::Placement placement_with_gpu(int n_experts,
   return p;
 }
 
+/// Algorithm 1 on layer 0 with a fresh scratch, as an owning list.
+std::vector<SwapDecision> swaps_of(const std::vector<double>& counts,
+                                   const cache::Placement& p,
+                                   double swap_in_out) {
+  SwapScratch scratch(p.n_experts());
+  const std::span<const SwapDecision> swaps =
+      sequence_specific_swaps(counts, p, 0, swap_in_out, scratch);
+  return {swaps.begin(), swaps.end()};
+}
+
 TEST(Allocation, SwapsHotCpuForColdGpu) {
   // GPU: {0,1}; CPU: {2,3}. Expert 2 very hot, expert 1 cold.
   const auto p = placement_with_gpu(4, {0, 1});
   const std::vector<double> counts = {10.0, 1.0, 20.0, 0.0};
-  const auto swaps = sequence_specific_swaps(counts, p, 0, 1.05);
+  const auto swaps = swaps_of(counts, p, 1.05);
   ASSERT_EQ(swaps.size(), 1U);
   EXPECT_EQ(swaps[0].expert_in, 2);
   EXPECT_EQ(swaps[0].expert_out, 1);
@@ -31,15 +44,15 @@ TEST(Allocation, ThresholdSuppressesMarginalSwaps) {
   // Hot CPU expert barely above the cold GPU expert: 10 vs 10 -> no swap at
   // threshold 1.05; swap at threshold 1.0.
   const std::vector<double> counts = {20.0, 10.0, 10.0, 0.0};
-  EXPECT_TRUE(sequence_specific_swaps(counts, p, 0, 1.05).empty());
-  ASSERT_EQ(sequence_specific_swaps(counts, p, 0, 1.0).size(), 1U);
+  EXPECT_TRUE(swaps_of(counts, p, 1.05).empty());
+  ASSERT_EQ(swaps_of(counts, p, 1.0).size(), 1U);
 }
 
 TEST(Allocation, ExactThresholdBoundaryCounts) {
   const auto p = placement_with_gpu(4, {0, 1});
   // 10.5 >= 1.05 * 10 exactly -> swap fires (Algorithm 1 line 11 uses >=).
   const std::vector<double> counts = {20.0, 10.0, 10.5, 0.0};
-  EXPECT_EQ(sequence_specific_swaps(counts, p, 0, 1.05).size(), 1U);
+  EXPECT_EQ(swaps_of(counts, p, 1.05).size(), 1U);
 }
 
 TEST(Allocation, PairsHottestWithColdest) {
@@ -50,7 +63,7 @@ TEST(Allocation, PairsHottestWithColdest) {
   // -> no; (6,0): 0 -> no.
   const auto p = placement_with_gpu(8, {0, 1, 2, 3});
   const std::vector<double> counts = {9, 1, 8, 2, 7, 30, 0, 6};
-  const auto swaps = sequence_specific_swaps(counts, p, 0, 1.05);
+  const auto swaps = swaps_of(counts, p, 1.05);
   ASSERT_EQ(swaps.size(), 2U);
   EXPECT_EQ(swaps[0].expert_in, 5);
   EXPECT_EQ(swaps[0].expert_out, 1);
@@ -62,7 +75,7 @@ TEST(Allocation, SwapNumLimitsPairs) {
   // 8 experts -> SwapNum = 4 even if more CPU experts are hot.
   const auto p = placement_with_gpu(8, {0, 1, 2});
   const std::vector<double> counts = {0, 0, 0, 50, 50, 50, 50, 50};
-  const auto swaps = sequence_specific_swaps(counts, p, 0, 1.05);
+  const auto swaps = swaps_of(counts, p, 1.05);
   // Limited by |GPU| = 3 pairs here.
   EXPECT_EQ(swaps.size(), 3U);
 }
@@ -70,23 +83,23 @@ TEST(Allocation, SwapNumLimitsPairs) {
 TEST(Allocation, ZeroCountHotExpertNeverSwapsIn) {
   const auto p = placement_with_gpu(4, {0, 1});
   const std::vector<double> counts = {0.0, 0.0, 0.0, 0.0};
-  EXPECT_TRUE(sequence_specific_swaps(counts, p, 0, 1.05).empty());
+  EXPECT_TRUE(swaps_of(counts, p, 1.05).empty());
 }
 
 TEST(Allocation, EmptyGpuOrCpuSideNoSwaps) {
   const auto all_gpu = placement_with_gpu(4, {0, 1, 2, 3});
   const std::vector<double> counts = {1, 2, 3, 4};
-  EXPECT_TRUE(sequence_specific_swaps(counts, all_gpu, 0, 1.05).empty());
+  EXPECT_TRUE(swaps_of(counts, all_gpu, 1.05).empty());
 
   cache::Placement none(1, 4);
-  EXPECT_TRUE(sequence_specific_swaps(counts, none, 0, 1.05).empty());
+  EXPECT_TRUE(swaps_of(counts, none, 1.05).empty());
 }
 
 TEST(Allocation, ApplySwapsUpdatesPlacement) {
   auto p = placement_with_gpu(4, {0, 1});
   // Pairs: (2,1): 20 >= 1.05*1 -> swap; (3,0): 15 >= 1.05*10 -> swap.
   const std::vector<double> counts = {10.0, 1.0, 20.0, 15.0};
-  const auto swaps = sequence_specific_swaps(counts, p, 0, 1.05);
+  const auto swaps = swaps_of(counts, p, 1.05);
   ASSERT_EQ(swaps.size(), 2U);
   apply_swaps(p, 0, swaps);
   EXPECT_TRUE(p.on_gpu(0, 2));
@@ -99,7 +112,7 @@ TEST(Allocation, ApplySwapsUpdatesPlacement) {
 TEST(Allocation, SwapsPreserveGpuCount) {
   auto p = placement_with_gpu(8, {0, 1, 2, 3});
   const std::vector<double> counts = {0, 0, 0, 0, 9, 9, 9, 9};
-  const auto swaps = sequence_specific_swaps(counts, p, 0, 1.05);
+  const auto swaps = swaps_of(counts, p, 1.05);
   apply_swaps(p, 0, swaps);
   EXPECT_EQ(p.gpu_count(0), 4);
 }
@@ -107,9 +120,12 @@ TEST(Allocation, SwapsPreserveGpuCount) {
 TEST(Allocation, RejectsBadInputs) {
   const auto p = placement_with_gpu(4, {0});
   const std::vector<double> wrong_size = {1.0, 2.0};
-  EXPECT_THROW(sequence_specific_swaps(wrong_size, p, 0, 1.05), CheckError);
+  EXPECT_THROW(swaps_of(wrong_size, p, 1.05), CheckError);
   const std::vector<double> counts = {1, 2, 3, 4};
-  EXPECT_THROW(sequence_specific_swaps(counts, p, 0, 0.9), CheckError);
+  EXPECT_THROW(swaps_of(counts, p, 0.9), CheckError);
+  SwapScratch other_model(8);
+  EXPECT_THROW(sequence_specific_swaps(counts, p, 0, 1.05, other_model),
+               CheckError);
 }
 
 }  // namespace

@@ -414,6 +414,8 @@ TEST(DecodePolicyOracle, EverySwapListMatchesTheReferenceAlgorithm1) {
   for (const int n_experts : {2, 4, 8, 16, 64}) {
     SCOPED_TRACE("E=" + std::to_string(n_experts));
     Rng rng(seed++);
+    // One scratch for every layer and trial, as a session reuses its own.
+    SwapScratch scratch(n_experts);
     for (int trial = 0; trial < 4 * kTrials; ++trial) {
       SCOPED_TRACE("trial " + std::to_string(trial));
       const cache::Placement placement = random_placement(rng, n_experts);
@@ -425,7 +427,8 @@ TEST(DecodePolicyOracle, EverySwapListMatchesTheReferenceAlgorithm1) {
         for (const double r : {1.0, 1.05, 1.5, 3.0}) {
           const std::vector<SwapDecision> want =
               reference::sequence_specific_swaps(counts, placement, l, r);
-          expect_same(sequence_specific_swaps(counts, placement, l, r), want);
+          expect_same(
+              sequence_specific_swaps(counts, placement, l, r, scratch), want);
           swaps += static_cast<long long>(want.size());
         }
       }

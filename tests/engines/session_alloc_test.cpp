@@ -2,8 +2,9 @@
 // routing trace instead of copying it, and engines keep their per-layer
 // selection buffers as session scratch, so:
 //  - opening a session costs a fixed number of allocations, independent of
-//    how many tokens the trace holds, and so does DAOP's and Fiddler's
-//    prefill (they read the trace's stored activation counts);
+//    how many tokens the trace holds, and DAOP's and Fiddler's prefill
+//    allocates nothing (stored activation counts, Algorithm 1 in session
+//    scratch);
 //  - a decode step on a private timeline with no tracer or profiler makes
 //    no heap allocation at all once the session is warm.
 // The shared serving path keeps the same budget once warm: arbiter pins,
@@ -165,6 +166,7 @@ TEST(SessionAlloc, DaopDecodeStepIsAllocationFreeOnEveryPolicyBranch) {
 struct PrefillAllocs {
   long long open = 0;
   long long prefill = 0;
+  long long prefill_swaps = 0;
 };
 
 PrefillAllocs open_and_prefill(Engine& engine,
@@ -177,12 +179,13 @@ PrefillAllocs open_and_prefill(Engine& engine,
   const long long before_prefill = allocs();
   s->prefill();
   a.prefill = allocs() - before_prefill;
-  (void)s->close();
+  a.prefill_swaps = s->close().counters.prefill_swaps;
   return a;
 }
 
-// Prefill reads the trace's stored activation counts, so neither opening a
-// session nor its prefill does work that grows with the prompt. The two
+// Prefill reads the trace's stored activation counts and plans Algorithm 1
+// in session scratch, so opening a session costs the same at any prompt
+// length and its prefill allocates nothing. The two
 // traces route every token alike (experts 3 and 6; about half of those
 // (layer, expert) pairs are off-GPU under the calibrated placement), so
 // Algorithm 1 sees proportional counts and makes the same swaps at both
@@ -205,9 +208,13 @@ TEST(SessionAlloc, OpenAndPrefillArePromptLengthIndependent) {
         open_and_prefill(*engine, long_prompt, rig.placement);
     EXPECT_EQ(s.open, l.open);
     EXPECT_EQ(s.prefill, l.prefill) << "16 vs 512 prompt tokens";
-    if (kind == eval::EngineKind::Fiddler) {
-      // Static placement, stored counts: nothing to allocate.
-      EXPECT_EQ(s.prefill, 0);
+    // Stored counts, and Algorithm 1 writes into session scratch (DAOP
+    // swaps here; Fiddler's placement is static): nothing to allocate.
+    EXPECT_EQ(s.prefill, 0);
+    EXPECT_EQ(l.prefill, 0);
+    if (kind == eval::EngineKind::Daop) {
+      EXPECT_GT(s.prefill_swaps, 0);
+      EXPECT_EQ(s.prefill_swaps, l.prefill_swaps);
     }
   }
 }
