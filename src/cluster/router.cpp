@@ -121,7 +121,7 @@ ClusterRouter::ClusterRouter(std::vector<NodeSeat> seats,
     for (const Node& n : nodes_) {
       NodeSeries s;
       s.stall = r.counter(n.id, "daop_hazard_stall_seconds_total",
-                          "Simulated seconds lost to injected hazards.");
+                          eval::family_help::kHazardStall);
       s.queue_depth =
           r.gauge(n.id, "daop_queue_depth",
                   "Request copies waiting in the node's admission queue.");
@@ -132,7 +132,7 @@ ClusterRouter::ClusterRouter(std::vector<NodeSeat> seats,
                   "1 while the health checker routes to the node, else 0.");
       s.checkpoints =
           r.counter(n.id, "daop_recovery_checkpoints_total",
-                    "Session snapshots durably written on the node.");
+                    eval::family_help::kCheckpoints);
       ts_nodes_.push_back(s);
     }
   }
@@ -296,24 +296,25 @@ void ClusterRouter::ts_served(const Track& tr, double start, double end,
   obs::TimeSeriesRecorder& r = *options_.tseries;
   const int ch = ts_cluster_channel();
   r.advance(ch, end);
-  r.count(ch, "daop_serving_requests_total", "Request resolutions.", 1.0,
+  r.count(ch, "daop_serving_requests_total", eval::family_help::kRequests,
+          1.0,
           {{"outcome", "served"}});
   r.count(ch, "daop_serving_generated_tokens_total",
-          "Tokens generated across served requests.",
+          eval::family_help::kGeneratedTokens,
           static_cast<double>(result.generated_tokens));
   // The serving ledger's formulas: everything counts from the ORIGINAL
   // arrival so failover backoffs show in the windows.
   const eval::ServedTimes t =
       eval::served_times(tr.request.arrival, start, end, result);
   r.observe(ch, "daop_serving_queue_wait_seconds",
-            "Arrival to admission on the serving node.", t.queue_wait_s);
-  r.observe(ch, "daop_serving_ttft_seconds",
-            "Arrival to first output token.", t.ttft_s);
-  r.observe(ch, "daop_serving_latency_seconds",
-            "Arrival to request completion.", t.latency_s);
+            eval::family_help::kClusterQueueWait, t.queue_wait_s);
+  r.observe(ch, "daop_serving_ttft_seconds", eval::family_help::kTtft,
+            t.ttft_s);
+  r.observe(ch, "daop_serving_latency_seconds", eval::family_help::kLatency,
+            t.latency_s);
   if (result.generated_tokens > 0) {
-    r.observe(ch, "daop_serving_tpot_seconds",
-              "Mean time per output token per request.", t.tpot_s);
+    r.observe(ch, "daop_serving_tpot_seconds", eval::family_help::kTpot,
+              t.tpot_s);
   }
 }
 
@@ -323,10 +324,11 @@ void ClusterRouter::ts_shed(const Track& tr, eval::ShedReason reason,
   const int ch = ts_cluster_channel();
   const char* why = eval::shed_reason_name(reason);
   r.advance(ch, t);
-  r.count(ch, "daop_serving_requests_total", "Request resolutions.", 1.0,
+  r.count(ch, "daop_serving_requests_total", eval::family_help::kRequests,
+          1.0,
           {{"outcome", "shed"}});
-  r.count(ch, "daop_requests_shed_total",
-          "Requests rejected or lost, by reason.", 1.0, {{"reason", why}});
+  r.count(ch, "daop_requests_shed_total", eval::family_help::kClusterShed,
+          1.0, {{"reason", why}});
   r.record_event(t, ch, "shed",
                  "req " + std::to_string(tr.request.id) + " (" + why + ")");
 }
@@ -340,7 +342,7 @@ void ClusterRouter::dispatch_copy(std::size_t track, int node_id, double t,
   ++tr.live_copies;
   if (ts_on()) {
     options_.tseries->count(node_id, "daop_cluster_dispatches_total",
-                            "Request copies handed to the node.", 1.0);
+                            eval::family_help::kDispatches, 1.0);
   }
   if (!n.alive) {
     // Dispatched into the void: the router only discovers the loss after
@@ -872,8 +874,7 @@ std::vector<ClusterRouter::Outcome> ClusterRouter::run() {
               1.0, {{"path", path}});
           options_.tseries->observe(ts_cluster_channel(),
                                     "daop_recovery_latency_seconds",
-                                    "Last-copy loss to recovered-session "
-                                    "readiness.",
+                                    eval::family_help::kRecoveryLatency,
                                     ev.latency_s);
           options_.tseries->record_event(
               t_admit, n.id, restored ? "restore" : "replay",

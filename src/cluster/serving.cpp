@@ -139,11 +139,11 @@ ClusterServingResult run_cluster_serving_eval(
     const std::vector<double> buckets = obs::default_latency_buckets();
     ledger.record_metrics(
         reg, "Served requests breaching an SLO, plus shed requests.",
-        "Arrival to admission on the serving node.");
+        eval::family_help::kClusterQueueWait);
 
     const auto shed_counter = [&](const char* reason, long long n) {
       reg.counter("daop_requests_shed_total",
-                  "Requests rejected or lost, by reason.",
+                  eval::family_help::kClusterShed,
                   obs::Labels{{"engine", out.engine}, {"reason", reason}})
           .inc(static_cast<double>(n));
     };
@@ -155,7 +155,7 @@ ClusterServingResult run_cluster_serving_eval(
     reg.gauge("daop_cluster_nodes", "Configured node replicas.", labels)
         .set(static_cast<double>(router.n_nodes()));
     reg.counter("daop_cluster_dispatches_total",
-                "Request copies handed to a node.", labels)
+                eval::family_help::kDispatches, labels)
         .inc(static_cast<double>(cs.dispatches));
     reg.counter(
            "daop_cluster_failovers_total",
@@ -213,8 +213,7 @@ ClusterServingResult run_cluster_serving_eval(
     if (options.cluster.checkpoint.enabled()) {
       const RecoveryStats& rs = out.recovery;
       reg.counter("daop_recovery_checkpoints_total",
-                  "Session snapshots durably written across node stores.",
-                  labels)
+                  eval::family_help::kCheckpoints, labels)
           .inc(static_cast<double>(rs.checkpoints_written));
       reg.counter("daop_recovery_checkpoint_bytes_total",
                   "Sealed snapshot bytes written across node stores.", labels)
@@ -267,9 +266,7 @@ ClusterServingResult run_cluster_serving_eval(
       obs::HistogramData rec_hist(buckets);
       for (const double v : rs.recovery_latency_s) rec_hist.observe(v);
       reg.histogram("daop_recovery_latency_seconds",
-                    "Last-copy loss to recovered-session readiness "
-                    "(restored and replayed episodes).",
-                    buckets, labels)
+                    eval::family_help::kRecoveryLatency, buckets, labels)
           .merge(rec_hist);
     }
 

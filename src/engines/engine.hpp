@@ -11,6 +11,7 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cache/placement.hpp"
@@ -164,6 +165,18 @@ inline constexpr CounterField kCounterFields[] = {
 // the struct but not to kCounterFields changes this size.
 static_assert(sizeof(EngineCounters) == std::size(kCounterFields) * 8,
               "EngineCounters changed: add the field to kCounterFields");
+
+/// The help text kCounterFields gives metric family `family`, for other
+/// exporters of the same family. Evaluated at compile time: a family the
+/// table does not export does not compile.
+consteval const char* counter_help(std::string_view family) {
+  for (const CounterField& f : kCounterFields) {
+    if (f.family != nullptr && std::string_view(f.family) == family) {
+      return f.help;
+    }
+  }
+  throw "not a kCounterFields family";
+}
 
 struct RunResult {
   std::string engine;

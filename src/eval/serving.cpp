@@ -185,8 +185,8 @@ ServingResult run_serving_eval(EngineKind kind,
     const obs::Labels labels{{"engine", out.engine}};
     ledger.record_metrics(
         reg, "Served requests breaching an SLO, plus dropped requests.",
-        "Arrival to service start.");
-    reg.counter("daop_serving_requests_total", "Requests by final outcome.",
+        family_help::kServerQueueWait);
+    reg.counter("daop_serving_requests_total", family_help::kRequests,
                 obs::Labels{{"engine", out.engine}, {"outcome", "dropped"}})
         .inc(static_cast<double>(out.dropped));
     reg.counter("daop_serving_request_retries_total",
@@ -199,8 +199,7 @@ ServingResult run_serving_eval(EngineKind kind,
     // (tests/golden/serving_runs.golden hashes the metrics text).
     if (options.overload.enabled()) {
       const auto shed_counter = [&](const char* reason, long long n) {
-        reg.counter("daop_requests_shed_total",
-                    "Requests rejected by admission control, by reason.",
+        reg.counter("daop_requests_shed_total", family_help::kServerShed,
                     obs::Labels{{"engine", out.engine}, {"reason", reason}})
             .inc(static_cast<double>(n));
       };
@@ -209,16 +208,13 @@ ServingResult run_serving_eval(EngineKind kind,
       shed_counter("degraded", out.shed_degraded);
       engines::record_counter_metrics(reg, out.counters, labels,
                                       /*overload_plane=*/true);
-      reg.counter("daop_degrade_steps_total",
-                  "Degradation-ladder transitions by direction.",
+      reg.counter("daop_degrade_steps_total", family_help::kDegradeSteps,
                   obs::Labels{{"engine", out.engine}, {"direction", "down"}})
           .inc(static_cast<double>(out.degrade_steps_down));
-      reg.counter("daop_degrade_steps_total",
-                  "Degradation-ladder transitions by direction.",
+      reg.counter("daop_degrade_steps_total", family_help::kDegradeSteps,
                   obs::Labels{{"engine", out.engine}, {"direction", "up"}})
           .inc(static_cast<double>(out.degrade_steps_up));
-      reg.gauge("daop_degrade_level",
-                "Degradation-ladder level at end of run.", labels)
+      reg.gauge("daop_degrade_level", family_help::kDegradeLevel, labels)
           .set(static_cast<double>(out.degrade_final_level));
       reg.gauge("daop_degrade_peak_level",
                 "Deepest degradation-ladder level reached.", labels)

@@ -131,22 +131,22 @@ void ServingLedger::record_metrics(obs::MetricsRegistry& reg,
                                    const char* queue_wait_help) const {
   const obs::Labels labels{{"engine", out_.engine}};
   const std::vector<double> buckets = obs::default_latency_buckets();
-  reg.counter("daop_serving_requests_total", "Requests by final outcome.",
+  reg.counter("daop_serving_requests_total", family_help::kRequests,
               obs::Labels{{"engine", out_.engine}, {"outcome", "served"}})
       .inc(static_cast<double>(out_.served));
   reg.counter("daop_serving_slo_violations_total", slo_help, labels)
       .inc(static_cast<double>(out_.slo_violations));
   reg.counter("daop_serving_generated_tokens_total",
-              "Tokens generated across served requests.", labels)
+              family_help::kGeneratedTokens, labels)
       .inc(static_cast<double>(tokens_));
-  reg.histogram("daop_serving_ttft_seconds", "Arrival to first output token.",
-                buckets, labels)
+  reg.histogram("daop_serving_ttft_seconds", family_help::kTtft, buckets,
+                labels)
       .merge(out_.ttft_hist);
-  reg.histogram("daop_serving_tpot_seconds",
-                "Mean time per output token per request.", buckets, labels)
+  reg.histogram("daop_serving_tpot_seconds", family_help::kTpot, buckets,
+                labels)
       .merge(out_.tpot_hist);
-  reg.histogram("daop_serving_latency_seconds",
-                "Arrival to request completion.", buckets, labels)
+  reg.histogram("daop_serving_latency_seconds", family_help::kLatency,
+                buckets, labels)
       .merge(out_.latency_hist);
   reg.histogram("daop_serving_queue_wait_seconds", queue_wait_help, buckets,
                 labels)

@@ -13,6 +13,43 @@
 
 namespace daop::eval {
 
+/// Help texts of the serving metric families. The end-of-run metrics
+/// export (ServingLedger::record_metrics and the two harnesses) and the
+/// time-series recorders (TsHook, the cluster router) take them from here,
+/// so a family reads the same in every export. Where the sequential/CB
+/// server and the cluster count a family differently, each has its own.
+namespace family_help {
+inline constexpr const char* kRequests = "Requests by final outcome.";
+inline constexpr const char* kGeneratedTokens =
+    "Tokens generated across served requests.";
+inline constexpr const char* kTtft = "Arrival to first output token.";
+inline constexpr const char* kTpot = "Mean time per output token per request.";
+inline constexpr const char* kLatency = "Arrival to request completion.";
+inline constexpr const char* kHazardStall =
+    engines::counter_help("daop_hazard_stall_seconds_total");
+inline constexpr const char* kPreemptions =
+    engines::counter_help("daop_session_preemptions_total");
+// The sequential/CB server.
+inline constexpr const char* kServerQueueWait = "Arrival to service start.";
+inline constexpr const char* kServerShed =
+    "Requests rejected by admission control, by reason.";
+inline constexpr const char* kDegradeSteps =
+    "Degradation-ladder transitions by direction.";
+inline constexpr const char* kDegradeLevel =
+    "Degradation-ladder level at end of run.";
+// The cluster.
+inline constexpr const char* kClusterQueueWait =
+    "Arrival to admission on the serving node.";
+inline constexpr const char* kClusterShed =
+    "Requests rejected or lost, by reason.";
+inline constexpr const char* kDispatches = "Request copies handed to a node.";
+inline constexpr const char* kCheckpoints =
+    "Session snapshots durably written across node stores.";
+inline constexpr const char* kRecoveryLatency =
+    "Last-copy loss to recovered-session readiness (restored and replayed "
+    "episodes).";
+}  // namespace family_help
+
 /// Client-observed times of one served request. All count from the
 /// ORIGINAL `arrival`, so retry waits, failover backoffs and re-run
 /// prefills show up in them.
@@ -43,7 +80,7 @@ class TsHook {
   explicit TsHook(obs::TimeSeriesRecorder* rec) : rec_(rec) {
     if (rec_ == nullptr) return;
     stall_ = rec_->counter(kChannel, "daop_hazard_stall_seconds_total",
-                           kHazardHelp);
+                           family_help::kHazardStall);
     queue_depth_ = rec_->gauge(kChannel, "daop_queue_depth",
                                "Arrived requests waiting for admission.");
     active_ = rec_->gauge(kChannel, "daop_active_sessions",
@@ -78,43 +115,41 @@ class TsHook {
   void admitted(double wait_s, double ttft_s) {
     if (rec_ == nullptr) return;
     rec_->observe(kChannel, "daop_serving_queue_wait_seconds",
-                  "Admission queue wait per served request.", wait_s);
-    rec_->observe(kChannel, "daop_serving_ttft_seconds",
-                  "Time to first token (arrival to end of prefill).",
+                  family_help::kServerQueueWait, wait_s);
+    rec_->observe(kChannel, "daop_serving_ttft_seconds", family_help::kTtft,
                   ttft_s);
   }
   /// A request that generated no tokens records no TPOT.
   void served(const ServedTimes& t, long long tokens) {
     if (rec_ == nullptr) return;
-    rec_->count(kChannel, "daop_serving_requests_total", kRequestsHelp, 1.0,
+    rec_->count(kChannel, "daop_serving_requests_total", family_help::kRequests, 1.0,
                 {{"outcome", "served"}});
     rec_->count(kChannel, "daop_serving_generated_tokens_total",
-                "Decode tokens generated by served requests.",
-                static_cast<double>(tokens));
+                family_help::kGeneratedTokens, static_cast<double>(tokens));
     rec_->observe(kChannel, "daop_serving_latency_seconds",
-                  "End-to-end latency (arrival to completion).", t.latency_s);
+                  family_help::kLatency, t.latency_s);
     if (tokens > 0) {
       rec_->observe(kChannel, "daop_serving_tpot_seconds",
-                    "Mean time per generated token.", t.tpot_s);
+                    family_help::kTpot, t.tpot_s);
     }
   }
   void dropped() {
     if (rec_ == nullptr) return;
-    rec_->count(kChannel, "daop_serving_requests_total", kRequestsHelp, 1.0,
+    rec_->count(kChannel, "daop_serving_requests_total", family_help::kRequests, 1.0,
                 {{"outcome", "dropped"}});
   }
   void shed(ShedReason reason) {
     if (rec_ == nullptr) return;
-    rec_->count(kChannel, "daop_serving_requests_total", kRequestsHelp, 1.0,
+    rec_->count(kChannel, "daop_serving_requests_total", family_help::kRequests, 1.0,
                 {{"outcome", "shed"}});
     rec_->count(kChannel, "daop_requests_shed_total",
-                "Requests rejected by admission control.", 1.0,
+                family_help::kServerShed, 1.0,
                 {{"reason", shed_reason_name(reason)}});
   }
   void preempted() {
     if (rec_ == nullptr) return;
     rec_->count(kChannel, "daop_session_preemptions_total",
-                "Sessions parked by preemptive admission.");
+                family_help::kPreemptions);
   }
   void resumed() {
     if (rec_ == nullptr) return;
@@ -124,11 +159,10 @@ class TsHook {
   void degrade_event(const DegradationEvent& e) {
     if (rec_ == nullptr) return;
     rec_->count(kChannel, "daop_degrade_steps_total",
-                "Degradation ladder steps.", 1.0,
+                family_help::kDegradeSteps, 1.0,
                 {{"direction", e.down ? "down" : "up"}});
     rec_->gauge_set(kChannel, "daop_degrade_level",
-                    "Current degradation ladder level.",
-                    static_cast<double>(e.level));
+                    family_help::kDegradeLevel, static_cast<double>(e.level));
     rec_->record_event(
         e.time, kChannel, e.down ? "degrade" : "recover",
         std::string("level ") +
@@ -137,9 +171,6 @@ class TsHook {
 
  private:
   static constexpr int kChannel = 0;
-  static constexpr const char* kHazardHelp =
-      "Simulated seconds lost to injected hazard stalls.";
-  static constexpr const char* kRequestsHelp = "Request resolutions.";
   obs::TimeSeriesRecorder* rec_;
   /// The per-decision samples, declared once (see obs::SeriesHandle).
   obs::SeriesHandle stall_;

@@ -11,6 +11,7 @@
 //   DAOP_UPDATE_GOLDENS=1 ./tseries_exports_golden_test
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "cluster/serving.hpp"
 #include "eval/serving.hpp"
 #include "obs/alerting.hpp"
+#include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 
 #ifndef DAOP_GOLDEN_DIR
@@ -57,7 +59,7 @@ std::string exports_block(const std::string& header,
   return os.str();
 }
 
-std::string cluster_chaos_block() {
+cluster::ClusterServingOptions cluster_chaos_options() {
   cluster::ClusterServingOptions opt;
   opt.n_nodes = 4;
   opt.base.arrival_rate_rps = 3.0;
@@ -84,12 +86,26 @@ std::string cluster_chaos_block() {
   opt.node_hazards.node_brownout_duration_s = 3.0;
   opt.node_hazards.node_brownout_slowdown = 2.5;
   opt.node_hazards.ckpt_torn_write_prob = 0.25;
-  TimeSeriesRecorder rec(half_second_windows(),
-                         {"node0", "node1", "node2", "node3", "cluster"});
-  opt.base.tseries = &rec;
-  const cluster::ClusterServingResult r = cluster::run_cluster_serving_eval(
+  return opt;
+}
+
+TimeSeriesRecorder cluster_recorder() {
+  return TimeSeriesRecorder(half_second_windows(),
+                            {"node0", "node1", "node2", "node3", "cluster"});
+}
+
+cluster::ClusterServingResult run_cluster(
+    const cluster::ClusterServingOptions& opt) {
+  return cluster::run_cluster_serving_eval(
       eval::EngineKind::Daop, daop::testing::small_mixtral(),
       sim::a6000_i9_platform(), data::sharegpt_calibration(), opt);
+}
+
+std::string cluster_chaos_block() {
+  cluster::ClusterServingOptions opt = cluster_chaos_options();
+  TimeSeriesRecorder rec = cluster_recorder();
+  opt.base.tseries = &rec;
+  const cluster::ClusterServingResult r = run_cluster(opt);
   EXPECT_EQ(r.cluster.crashes, 1);
   EXPECT_GT(r.recovery.checkpoints_written, 0);
   EXPECT_GT(r.counters.hazard_stall_s, 0.0);
@@ -98,7 +114,7 @@ std::string cluster_chaos_block() {
       rec);
 }
 
-std::string cb_overload_block() {
+eval::ServingOptions cb_overload_options() {
   eval::ServingOptions opt;
   opt.arrival_rate_rps = 6.0;
   opt.n_requests = 24;
@@ -121,11 +137,20 @@ std::string cb_overload_block() {
   opt.overload.degrade.min_dwell_s = 0.2;
   opt.overload.degrade.calm_window_s = 0.5;
   opt.hazards = sim::make_hazard_scenario("all", 0.8);
-  TimeSeriesRecorder rec(half_second_windows(), {"serving"});
-  opt.tseries = &rec;
-  const eval::ServingResult r = eval::run_serving_eval(
+  return opt;
+}
+
+eval::ServingResult run_cb(const eval::ServingOptions& opt) {
+  return eval::run_serving_eval(
       eval::EngineKind::Daop, daop::testing::small_mixtral(),
       sim::a6000_i9_platform(), data::sharegpt_calibration(), opt);
+}
+
+std::string cb_overload_block() {
+  eval::ServingOptions opt = cb_overload_options();
+  TimeSeriesRecorder rec(half_second_windows(), {"serving"});
+  opt.tseries = &rec;
+  const eval::ServingResult r = run_cb(opt);
   EXPECT_GT(r.preemptions, 0);
   EXPECT_GT(r.degrade_steps_down, 0);
   EXPECT_GT(r.shed, 0);
@@ -137,6 +162,55 @@ TEST(TseriesExportsGolden, AlertedExportsMatchGolden) {
   const std::string actual = cluster_chaos_block() + "\n" + cb_overload_block();
   daop::testing::expect_matches_golden(
       DAOP_GOLDEN_DIR "/tseries_exports.golden", actual);
+}
+
+/// Checks that every family the recorder's windows carry and the run's
+/// metrics registry also exports has the registry's help text; returns the
+/// families it compared. (The tseries exports carry no help, so a drift
+/// shows nowhere else.)
+std::set<std::string> expect_registry_help(const TimeSeriesRecorder& rec,
+                                           const MetricsRegistry& reg) {
+  const MetricsSnapshot snap = reg.snapshot();
+  std::set<std::string> compared;
+  for (int ch = 0; ch < rec.n_channels(); ++ch) {
+    for (const SeriesWindow& w : rec.windows(ch)) {
+      for (const auto& [name, family] : w.delta.families) {
+        const auto it = snap.families.find(name);
+        if (it == snap.families.end() || compared.count(name) != 0) continue;
+        EXPECT_EQ(family.help, it->second.help)
+            << name << " on channel " << rec.channel_name(ch);
+        compared.insert(name);
+      }
+    }
+  }
+  return compared;
+}
+
+TEST(TseriesExportsGolden, RecordedFamiliesCarryTheRegistryHelp) {
+  {
+    SCOPED_TRACE("cluster chaos");
+    cluster::ClusterServingOptions opt = cluster_chaos_options();
+    TimeSeriesRecorder rec = cluster_recorder();
+    MetricsRegistry reg;
+    opt.base.tseries = &rec;
+    opt.base.metrics = &reg;
+    (void)run_cluster(opt);
+    EXPECT_EQ(expect_registry_help(rec, reg).count(
+                  "daop_hazard_stall_seconds_total"),
+              1U);
+  }
+  {
+    SCOPED_TRACE("CB overload");
+    eval::ServingOptions opt = cb_overload_options();
+    TimeSeriesRecorder rec(half_second_windows(), {"serving"});
+    MetricsRegistry reg;
+    opt.tseries = &rec;
+    opt.metrics = &reg;
+    (void)run_cb(opt);
+    const std::set<std::string> compared = expect_registry_help(rec, reg);
+    EXPECT_EQ(compared.count("daop_hazard_stall_seconds_total"), 1U);
+    EXPECT_EQ(compared.count("daop_session_preemptions_total"), 1U);
+  }
 }
 
 }  // namespace
