@@ -297,8 +297,7 @@ void ClusterRouter::ts_served(const Track& tr, double start, double end,
   const int ch = ts_cluster_channel();
   r.advance(ch, end);
   r.count(ch, "daop_serving_requests_total", eval::family_help::kRequests,
-          1.0,
-          {{"outcome", "served"}});
+          1.0, {{"outcome", "served"}});
   r.count(ch, "daop_serving_generated_tokens_total",
           eval::family_help::kGeneratedTokens,
           static_cast<double>(result.generated_tokens));
@@ -325,8 +324,7 @@ void ClusterRouter::ts_shed(const Track& tr, eval::ShedReason reason,
   const char* why = eval::shed_reason_name(reason);
   r.advance(ch, t);
   r.count(ch, "daop_serving_requests_total", eval::family_help::kRequests,
-          1.0,
-          {{"outcome", "shed"}});
+          1.0, {{"outcome", "shed"}});
   r.count(ch, "daop_requests_shed_total", eval::family_help::kClusterShed,
           1.0, {{"reason", why}});
   r.record_event(t, ch, "shed",
