@@ -9,27 +9,31 @@ namespace daop::cache {
 
 PlacementArbiter::PlacementArbiter(Placement initial)
     : placement_(std::move(initial)),
-      pins_(static_cast<std::size_t>(placement_.n_layers()) *
-            static_cast<std::size_t>(placement_.n_experts())),
-      weight_ready_(pins_.size(), 0.0) {
-  // Room up front for the holders of a 4-slot batch, so pin() allocates
-  // only when more sessions than that compute with one expert at once.
-  for (Holders& holders : pins_) holders.reserve(4);
+      total_(static_cast<std::size_t>(placement_.n_layers()) *
+                 static_cast<std::size_t>(placement_.n_experts()),
+             0),
+      weight_ready_(total_.size(), 0.0) {}
+
+std::size_t PlacementArbiter::acquire_row(long long session) {
+  auto it = std::find_if(rows_.begin(), rows_.end(),
+                         [](const Row& row) { return !row.session; });
+  if (it == rows_.end()) {
+    it = rows_.insert(it, Row{{}, std::vector<int>(total_.size(), 0)});
+  }
+  it->session = session;
+  last_row_ = static_cast<std::size_t>(it - rows_.begin());
+  return last_row_;
 }
 
 void PlacementArbiter::unpin_session(long long session) {
-  for (Holders& holders : pins_) {
-    const auto it = holder_of(holders, session);
-    if (it == holders.end()) continue;
-    *it = holders.back();
-    holders.pop_back();
+  const std::size_t r = find_row(session);
+  if (r == kNoRow) return;
+  Row& row = rows_[r];
+  for (std::size_t i = 0; i < total_.size(); ++i) {
+    total_[i] -= row.counts[i];
+    row.counts[i] = 0;
   }
-}
-
-int PlacementArbiter::pin_count(int layer, int expert) const {
-  int n = 0;
-  for (const auto& [session, count] : pins_[idx(layer, expert)]) n += count;
-  return n;
+  row.session.reset();
 }
 
 int PlacementArbiter::pin_count(int expert) const {
@@ -44,9 +48,10 @@ int PlacementArbiter::pin_count(int expert) const {
 
 std::vector<long long> PlacementArbiter::pinning_sessions(int layer,
                                                           int expert) const {
+  const std::size_t i = idx(layer, expert);
   std::vector<long long> out;
-  for (const auto& [holder, count] : pins_[idx(layer, expert)]) {
-    out.push_back(holder);
+  for (const Row& row : rows_) {
+    if (row.session && row.counts[i] > 0) out.push_back(*row.session);
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -54,9 +59,7 @@ std::vector<long long> PlacementArbiter::pinning_sessions(int layer,
 
 int PlacementArbiter::total_pin_count() const {
   int n = 0;
-  for (const Holders& holders : pins_) {
-    for (const auto& [session, count] : holders) n += count;
-  }
+  for (const int count : total_) n += count;
   return n;
 }
 
@@ -71,15 +74,6 @@ bool PlacementArbiter::try_evict(int layer, int expert, long long session) {
   if (pinned_by_other(layer, expert, session)) return false;
   placement_.move_to_cpu(layer, expert);
   return true;
-}
-
-double PlacementArbiter::weight_ready(int layer, int expert) const {
-  return weight_ready_[idx(layer, expert)];
-}
-
-void PlacementArbiter::set_weight_ready(int layer, int expert, double t) {
-  double& slot = weight_ready_[idx(layer, expert)];
-  slot = std::max(slot, t);
 }
 
 }  // namespace daop::cache

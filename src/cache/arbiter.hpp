@@ -22,7 +22,8 @@
 #pragma once
 
 #include <algorithm>
-#include <utility>
+#include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "cache/placement.hpp"
@@ -42,31 +43,30 @@ class PlacementArbiter {
   /// like pinned_by_other: every decode step of every shared session pins
   /// and releases its working set.
   void pin(int layer, int expert, long long session) {
-    Holders& holders = pins_[idx(layer, expert)];
-    const auto it = holder_of(holders, session);
-    if (it != holders.end()) {
-      ++it->second;
-    } else {
-      holders.emplace_back(session, 1);
-    }
+    const std::size_t i = idx(layer, expert);
+    std::size_t r = find_row(session);
+    if (r == kNoRow) r = acquire_row(session);
+    ++rows_[r].counts[i];
+    ++total_[i];
   }
   void unpin(int layer, int expert, long long session) {
-    Holders& holders = pins_[idx(layer, expert)];
-    const auto it = holder_of(holders, session);
-    DAOP_CHECK_MSG(it != holders.end(),
+    const std::size_t i = idx(layer, expert);
+    const std::size_t r = find_row(session);
+    DAOP_CHECK_MSG(r != kNoRow && rows_[r].counts[i] > 0,
                    "unpin without matching pin: layer "
                        << layer << " expert " << expert << " session "
                        << session);
-    if (--it->second == 0) {
-      *it = holders.back();
-      holders.pop_back();
-    }
+    --rows_[r].counts[i];
+    --total_[i];
   }
-  /// Drops every pin `session` holds (called when a session closes).
+  /// Drops every pin `session` holds (called when a session closes) and
+  /// returns its count row to the pool.
   void unpin_session(long long session);
 
   /// Total pin count on (layer, expert) across all sessions.
-  int pin_count(int layer, int expert) const;
+  int pin_count(int layer, int expert) const {
+    return total_[idx(layer, expert)];
+  }
   /// Per-expert introspection: total pin count on `expert` summed across
   /// every layer and session (an expert id names one weight set per layer).
   int pin_count(int expert) const;
@@ -77,12 +77,16 @@ class PlacementArbiter {
   /// scheduler DAOP_CHECKs this returns to zero at shutdown (no session may
   /// leak pins through preemption or close).
   int total_pin_count() const;
+  /// Pins on (layer, expert) held by sessions other than `session`.
+  int other_pins(int layer, int expert, long long session) const {
+    const std::size_t i = idx(layer, expert);
+    if (total_[i] == 0) return 0;
+    const std::size_t r = find_row(session);
+    return total_[i] - (r == kNoRow ? 0 : rows_[r].counts[i]);
+  }
   /// True when any session other than `session` pins (layer, expert).
   bool pinned_by_other(int layer, int expert, long long session) const {
-    for (const auto& [holder, count] : pins_[idx(layer, expert)]) {
-      if (holder != session) return true;
-    }
-    return false;
+    return other_pins(layer, expert, session) > 0;
   }
 
   /// Swap arbitration: performs `expert_out` -> `expert_in` on `layer` and
@@ -99,8 +103,13 @@ class PlacementArbiter {
   /// lands, and that holds across sessions. set_weight_ready publishes (and
   /// only ever advances) the arrival time; weight_ready reads it (0 when
   /// the weights were never in flight).
-  double weight_ready(int layer, int expert) const;
-  void set_weight_ready(int layer, int expert, double t);
+  double weight_ready(int layer, int expert) const {
+    return weight_ready_[idx(layer, expert)];
+  }
+  void set_weight_ready(int layer, int expert, double t) {
+    double& slot = weight_ready_[idx(layer, expert)];
+    slot = std::max(slot, t);
+  }
 
  private:
   std::size_t idx(int layer, int expert) const {
@@ -113,24 +122,36 @@ class PlacementArbiter {
            static_cast<std::size_t>(expert);
   }
 
-  /// The (session, nested count) holders of one (layer, expert) cell. A
-  /// cell rarely has more than a few holders (one per in-flight session
-  /// computing with the expert), so a flat list scanned linearly beats a
-  /// hash map, and once warm it never allocates: a released holder is
-  /// removed by swap-with-last and the cell keeps its capacity. Holder
-  /// order is arbitrary; every query is order-independent or sorts.
-  using Holders = std::vector<std::pair<long long, int>>;
+  /// One session's nested pin counts, one per (layer, expert) cell. A row
+  /// belongs to its session from the first pin until unpin_session(), then
+  /// returns to the pool zeroed (`session` empty) for the next session, so
+  /// rows are allocated only when more sessions than ever before hold pins
+  /// at once.
+  struct Row {
+    std::optional<long long> session;
+    std::vector<int> counts;
+  };
+  static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
 
-  /// The holder entry of `session` in a cell, or end() when it pins nothing.
-  static Holders::iterator holder_of(Holders& holders, long long session) {
-    return std::find_if(
-        holders.begin(), holders.end(),
-        [session](const auto& h) { return h.first == session; });
+  /// The row of `session`, or kNoRow when it pins nothing. The last hit is
+  /// cached: a session pins, queries and releases in runs.
+  std::size_t find_row(long long session) const {
+    if (last_row_ < rows_.size() && rows_[last_row_].session == session) {
+      return last_row_;
+    }
+    for (std::size_t r = 0; r < rows_.size(); ++r) {
+      if (rows_[r].session == session) return last_row_ = r;
+    }
+    return kNoRow;
   }
+  /// Claims a pooled row (or a new one) for `session`, which has none.
+  std::size_t acquire_row(long long session);
 
   Placement placement_;
-  /// Per-(layer, expert) holders; every listed count is positive.
-  std::vector<Holders> pins_;
+  /// Per-(layer, expert) pin count summed over every session.
+  std::vector<int> total_;
+  std::vector<Row> rows_;
+  mutable std::size_t last_row_ = kNoRow;
   std::vector<double> weight_ready_;
 };
 

@@ -1,6 +1,7 @@
 #include "cache/expert_cache.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <utility>
@@ -91,15 +92,9 @@ ExpertCache::ExpertCache(const ExpertCacheOptions& options, int n_layers,
   freq_.assign(n, 0.0);
   ewma_.assign(n, 0.0);
   prev_freq_.assign(n, 0.0);
-}
-
-std::size_t ExpertCache::idx(int layer, int expert) const {
-  DAOP_CHECK_GE(layer, 0);
-  DAOP_CHECK_LT(layer, n_layers_);
-  DAOP_CHECK_GE(expert, 0);
-  DAOP_CHECK_LT(expert, n_experts_);
-  return static_cast<std::size_t>(layer) * static_cast<std::size_t>(n_experts_) +
-         static_cast<std::size_t>(expert);
+  if (opt_.policy == CachePolicy::kReusePredictor) {
+    layer_scores_.resize(static_cast<std::size_t>(n_experts));
+  }
 }
 
 void ExpertCache::note_session_open(long long session,
@@ -123,46 +118,39 @@ void ExpertCache::note_session_close(long long session) {
   live_.erase(session);
 }
 
-void ExpertCache::note_use(int layer, int expert, long long session,
-                           double t) {
-  const std::size_t i = idx(layer, expert);
-  last_use_[i] = std::max(last_use_[i], t);
-  freq_[i] += 1.0;
-  // Only kReusePredictor ever reads the per-session signatures.
-  if (opt_.policy != CachePolicy::kReusePredictor) return;
-  auto it = live_.find(session);
-  if (it != live_.end()) it->second[i] += 1.0;
-}
-
 double ExpertCache::score(int layer, int expert) const {
-  return score_at(idx(layer, expert));
+  const std::size_t i = idx(layer, expert);
+  const double* scores = score_array();
+  return scores != nullptr ? scores[i] : reuse_score(i);
 }
 
-double ExpertCache::score_at(std::size_t i) const {
+const double* ExpertCache::score_array() const {
   switch (opt_.policy) {
-    case CachePolicy::kFrozen:
-      return 0.0;
     case CachePolicy::kLru:
-      return last_use_[i];
+      return last_use_.data();
     case CachePolicy::kLfu:
-      return freq_[i];
+      return freq_.data();
     case CachePolicy::kActivationWeighted:
-      return ewma_[i];
-    case CachePolicy::kReusePredictor: {
-      // Aggregate demand across all live sessions, summed in ascending
-      // session-id order (ordered map) for bit-stable float accumulation.
-      double s = 0.0;
-      for (const auto& [id, sig] : live_) s += sig[i];
-      return s;
-    }
+      return ewma_.data();
+    case CachePolicy::kFrozen:  // never constructed (see the constructor)
+    case CachePolicy::kReusePredictor:
+      return nullptr;
   }
   DAOP_CHECK_MSG(false, "unreachable cache policy");
-  return 0.0;
+  return nullptr;
 }
 
-std::vector<PlannedSwap> ExpertCache::plan(const Placement& placement,
-                                           const PlacementArbiter* arbiter,
-                                           long long session) {
+double ExpertCache::reuse_score(std::size_t i) const {
+  // Aggregate demand across all live sessions, summed in ascending
+  // session-id order (ordered map) for bit-stable float accumulation.
+  double s = 0.0;
+  for (const auto& [id, sig] : live_) s += sig[i];
+  return s;
+}
+
+std::span<const PlannedSwap> ExpertCache::plan(const Placement& placement,
+                                               const PlacementArbiter* arbiter,
+                                               long long session) {
   DAOP_CHECK_EQ(placement.n_layers(), n_layers_);
   DAOP_CHECK_EQ(placement.n_experts(), n_experts_);
   ++plans_;
@@ -173,35 +161,60 @@ std::vector<PlannedSwap> ExpertCache::plan(const Placement& placement,
       prev_freq_[i] = freq_[i];
     }
   }
-  std::vector<PlannedSwap> out;
+  plan_.clear();
+  const double* const scores = score_array();
+  // Potential victims: GPU residents not pinned by another session (pinned
+  // working sets are inviolable — their demand is live by definition).
+  // Candidates: every CPU resident.
+  const auto is_victim = [&](int l, int e) {
+    return arbiter == nullptr || !arbiter->pinned_by_other(l, e, session);
+  };
   int budget = opt_.max_swaps_per_step;
   for (int l = 0; l < n_layers_ && budget > 0; ++l) {
-    // Potential victims: GPU residents not pinned by another session
-    // (pinned working sets are inviolable — their demand is live by
-    // definition). Candidates: every CPU resident.
-    std::vector<std::pair<double, int>>& victims = victims_;
-    std::vector<std::pair<double, int>>& candidates = candidates_;
-    victims.clear();
-    candidates.clear();
-    double lo = 0.0, hi = 0.0;
-    const std::size_t row = idx(l, 0);
+    const std::size_t base = idx(l, 0);
+    const double* row = scores + base;
+    if (scores == nullptr) {
+      for (std::size_t e = 0; e < layer_scores_.size(); ++e) {
+        layer_scores_[e] = reuse_score(base + e);
+      }
+      row = layer_scores_.data();
+    }
+    const std::span<const Device> residency = placement.layer(l);
+    // First pass: the layer's score spread, its strongest candidate and its
+    // weakest victim.
+    double lo = row[0];
+    double hi = row[0];
+    double strongest = -std::numeric_limits<double>::infinity();
+    double weakest = std::numeric_limits<double>::infinity();
     for (int e = 0; e < n_experts_; ++e) {
-      const double s = score_at(row + static_cast<std::size_t>(e));
-      if (e == 0) lo = hi = s;
+      const double s = row[e];
       lo = std::min(lo, s);
       hi = std::max(hi, s);
-      if (placement.on_gpu(l, e)) {
-        if (arbiter != nullptr && arbiter->pinned_by_other(l, e, session)) {
-          continue;
-        }
-        victims.emplace_back(s, e);
-      } else {
-        candidates.emplace_back(s, e);
+      if (residency[static_cast<std::size_t>(e)] == Device::Cpu) {
+        strongest = std::max(strongest, s);
+      } else if (is_victim(l, e)) {
+        weakest = std::min(weakest, s);
       }
     }
     // Hysteresis is a fraction of this layer's score spread, so the margin
     // is meaningful whether scores are timestamps (lru) or counts (lfu).
     const double margin = opt_.hysteresis * (hi - lo);
+    // Pairs are matched best-candidate-to-weakest-victim and the first
+    // failing pair ends the layer, so a layer whose strongest candidate
+    // does not beat its weakest victim (or that lacks either) plans
+    // nothing, and most scans stop here.
+    if (!(strongest > weakest + margin)) continue;
+    std::vector<std::pair<double, int>>& victims = victims_;
+    std::vector<std::pair<double, int>>& candidates = candidates_;
+    victims.clear();
+    candidates.clear();
+    for (int e = 0; e < n_experts_; ++e) {
+      if (residency[static_cast<std::size_t>(e)] == Device::Cpu) {
+        candidates.emplace_back(row[e], e);
+      } else if (is_victim(l, e)) {
+        victims.emplace_back(row[e], e);
+      }
+    }
     // Weakest victims first, strongest candidates first; ties break on
     // lower expert id so plans are deterministic. Only the first `pairs`
     // of each order can be matched under the remaining budget, and the
@@ -222,39 +235,28 @@ std::vector<PlannedSwap> ExpertCache::plan(const Placement& placement,
                                                   : a.second < b.second;
                       });
     for (std::size_t k = 0; k < pairs && budget > 0; ++k) {
-      // Pairs are matched best-candidate-to-weakest-victim, so the first
-      // failing pair ends the layer.
       if (candidates[k].first <= victims[k].first + margin) break;
-      out.push_back({l, candidates[k].second, victims[k].second});
+      plan_.push_back({l, candidates[k].second, victims[k].second});
       --budget;
     }
   }
-  return out;
+  return plan_;
 }
 
 void ExpertCache::commit(const PlannedSwap& swap, long long session,
                          double time, int victim_other_pins,
                          const Placement& placement) {
-  const int gpu_after = placement.gpu_count(swap.layer);
-  const int cap = placement.capacity(swap.layer);
-  CacheEvent evict;
-  evict.kind = CacheEvent::Kind::kEvict;
-  evict.layer = swap.layer;
-  evict.expert = swap.expert_out;
-  evict.peer = swap.expert_in;
-  evict.session = session;
-  evict.time = time;
-  evict.victim_other_pins = victim_other_pins;
-  evict.gpu_count_after = gpu_after;
-  evict.capacity = cap;
-  ledger_.push_back(evict);
-  ++evictions_;
-
+  const CacheEvent evict{CacheEvent::Kind::kEvict, swap.layer, swap.expert_out,
+                         swap.expert_in, session, time, victim_other_pins,
+                         placement.gpu_count(swap.layer),
+                         placement.capacity(swap.layer)};
   CacheEvent fill = evict;
   fill.kind = CacheEvent::Kind::kFill;
   fill.expert = swap.expert_in;
   fill.peer = swap.expert_out;
+  ledger_.push_back(evict);
   ledger_.push_back(fill);
+  ++evictions_;
   ++fills_;
 }
 
@@ -270,14 +272,6 @@ void ExpertCache::record_refusal(const PlannedSwap& swap, long long session,
   r.holders = std::move(holders);
   std::sort(r.holders.begin(), r.holders.end());
   refusals_.push_back(std::move(r));
-}
-
-void ExpertCache::record_abort(const PlannedSwap& swap, long long session,
-                               double time) {
-  (void)swap;
-  (void)session;
-  (void)time;
-  ++aborts_;
 }
 
 std::string ExpertCache::report() const {

@@ -18,13 +18,16 @@
 // a nullptr, so frozen runs are byte-identical to the pre-cache goldens.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "cache/placement.hpp"
+#include "common/check.hpp"
 #include "data/routing_trace.hpp"
 
 namespace daop::cache {
@@ -135,15 +138,25 @@ class ExpertCache {
   /// destruction may each call it.
   void note_session_close(long long session);
   /// Observes one expert execution (GPU or CPU) at simulated time `t`.
-  void note_use(int layer, int expert, long long session, double t);
+  /// Inline: every expert execution of every cached session lands here.
+  void note_use(int layer, int expert, long long session, double t) {
+    const std::size_t i = idx(layer, expert);
+    last_use_[i] = std::max(last_use_[i], t);
+    freq_[i] += 1.0;
+    // Only kReusePredictor ever reads the per-session signatures.
+    if (opt_.policy != CachePolicy::kReusePredictor) return;
+    const auto it = live_.find(session);
+    if (it != live_.end()) it->second[i] += 1.0;
+  }
 
   /// Plans up to max_swaps_per_step promotions for `session` given the
   /// current shared placement. Victims pinned by *other* sessions are
   /// skipped (their demand is live by definition); remaining GPU slots are
   /// scored by aggregate demand. Pure planning — no placement mutation.
-  std::vector<PlannedSwap> plan(const Placement& placement,
-                                const PlacementArbiter* arbiter,
-                                long long session);
+  /// The plan lives in cache scratch, valid until the next plan() call.
+  std::span<const PlannedSwap> plan(const Placement& placement,
+                                    const PlacementArbiter* arbiter,
+                                    long long session);
 
   /// Records a committed swap. `victim_other_pins` is the arbiter's pin
   /// count for other sessions on expert_out at commit time (invariantly 0);
@@ -154,7 +167,9 @@ class ExpertCache {
   void record_refusal(const PlannedSwap& swap, long long session, double time,
                       std::vector<long long> holders);
   /// Records a migration abandoned by the retry/deadline discipline.
-  void record_abort(const PlannedSwap& swap, long long session, double time);
+  void record_abort(const PlannedSwap&, long long /*session*/, double /*time*/) {
+    ++aborts_;
+  }
 
   const std::vector<CacheEvent>& ledger() const { return ledger_; }
   const std::vector<CacheRefusal>& refusals() const { return refusals_; }
@@ -172,9 +187,21 @@ class ExpertCache {
   std::string report() const;
 
  private:
-  std::size_t idx(int layer, int expert) const;
-  /// score() of the flat cell index `i` (already bounds-checked).
-  double score_at(std::size_t i) const;
+  std::size_t idx(int layer, int expert) const {
+    DAOP_CHECK_GE(layer, 0);
+    DAOP_CHECK_LT(layer, n_layers_);
+    DAOP_CHECK_GE(expert, 0);
+    DAOP_CHECK_LT(expert, n_experts_);
+    return static_cast<std::size_t>(layer) *
+               static_cast<std::size_t>(n_experts_) +
+           static_cast<std::size_t>(expert);
+  }
+  /// The active policy's flat score array, or nullptr for kReusePredictor,
+  /// whose score is summed over the live signatures on every read.
+  const double* score_array() const;
+  /// kReusePredictor's score of the flat cell index `i`: the live sessions'
+  /// signatures summed in ascending session-id order (bit-stable).
+  double reuse_score(std::size_t i) const;
 
   ExpertCacheOptions opt_;
   int n_layers_ = 0;
@@ -191,11 +218,13 @@ class ExpertCache {
   // scores sum in deterministic session order.
   std::map<long long, std::vector<double>> live_;
 
-  // plan() scratch: one layer's (score, expert) victims and candidates,
-  // reused across layers and scans so a scan that plans no swap allocates
-  // nothing once warm.
+  // plan() scratch, reused across layers and scans so a scan allocates
+  // nothing once warm: one layer's kReusePredictor scores, its (score,
+  // expert) victims and candidates, and the plan itself.
+  std::vector<double> layer_scores_;
   std::vector<std::pair<double, int>> victims_;
   std::vector<std::pair<double, int>> candidates_;
+  std::vector<PlannedSwap> plan_;
 
   std::vector<CacheEvent> ledger_;
   std::vector<CacheRefusal> refusals_;

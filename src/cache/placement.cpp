@@ -66,22 +66,6 @@ void Placement::swap(int layer, int expert_in, int expert_out) {
   move_to_gpu(layer, expert_in);
 }
 
-std::vector<int> Placement::gpu_experts(int layer) const {
-  std::vector<int> out;
-  for (int e = 0; e < n_experts_; ++e) {
-    if (on_gpu(layer, e)) out.push_back(e);
-  }
-  return out;
-}
-
-std::vector<int> Placement::cpu_experts(int layer) const {
-  std::vector<int> out;
-  for (int e = 0; e < n_experts_; ++e) {
-    if (!on_gpu(layer, e)) out.push_back(e);
-  }
-  return out;
-}
-
 double Placement::ecr() const {
   return static_cast<double>(total_gpu_count()) /
          (static_cast<double>(n_layers_) * n_experts_);

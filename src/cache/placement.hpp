@@ -60,9 +60,6 @@ class Placement {
   /// Atomic swap: `expert_out` leaves the GPU, `expert_in` enters.
   void swap(int layer, int expert_in, int expert_out);
 
-  std::vector<int> gpu_experts(int layer) const;
-  std::vector<int> cpu_experts(int layer) const;
-
   /// Fraction of all experts resident on GPU.
   double ecr() const;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "cache/arbiter.hpp"
 #include "common/check.hpp"
 #include "engines/run_metrics.hpp"
 #include "recovery/reconcile.hpp"
@@ -150,9 +149,8 @@ void SequenceSession::maybe_cache_realloc(int t) {
   if (cache_ == nullptr || arbiter_ == nullptr) return;
   const cache::ExpertCacheOptions& opt = cache_->options();
   if ((t + 1) % opt.realloc_interval != 0) return;
-  const std::vector<cache::PlannedSwap> plan =
-      cache_->plan(arbiter_->placement(), arbiter_, request_id_);
-  for (const cache::PlannedSwap& s : plan) {
+  for (const cache::PlannedSwap& s :
+       cache_->plan(arbiter_->placement(), arbiter_, request_id_)) {
     // Re-check at execution time: another session may have pinned the
     // victim since planning. Pinned working sets are inviolable — record a
     // refusal naming the contending sessions instead of evicting.
@@ -177,13 +175,6 @@ void SequenceSession::maybe_cache_realloc(int t) {
       cache_->record_abort(s, request_id_, m.done);
       continue;
     }
-    // Audit the victim's foreign pin count into the ledger (invariantly 0 —
-    // the pre-check above and try_swap both refuse pinned victims).
-    int victim_other_pins = 0;
-    for (const long long holder :
-         arbiter_->pinning_sessions(s.layer, s.expert_out)) {
-      if (holder != request_id_) ++victim_other_pins;
-    }
     if (!arbiter_->try_swap(s.layer, s.expert_in, s.expert_out,
                             request_id_)) {
       ++counters_.pin_refusals;
@@ -193,7 +184,10 @@ void SequenceSession::maybe_cache_realloc(int t) {
       continue;
     }
     publish_weight_ready(s.layer, s.expert_in, m.done);
-    cache_->commit(s, request_id_, m.done, victim_other_pins,
+    // Audit the victim's foreign pins into the ledger (invariantly 0 —
+    // the pre-check above and try_swap both refuse pinned victims).
+    cache_->commit(s, request_id_, m.done,
+                   arbiter_->other_pins(s.layer, s.expert_out, request_id_),
                    arbiter_->placement());
     ++counters_.decode_swaps;
   }
@@ -565,11 +559,6 @@ SequenceSession::MigrationOutcome SequenceSession::migrate_with_retry(
   return out;
 }
 
-void SequenceSession::arbiter_pin(int layer, int expert) {
-  arbiter_->pin(layer, expert, request_id_);
-  bufs_->step_pins.emplace_back(layer, expert);
-}
-
 void SequenceSession::release_step_pins() {
   if (arbiter_ != nullptr) {
     for (const auto& [layer, expert] : bufs_->step_pins) {
@@ -577,16 +566,6 @@ void SequenceSession::release_step_pins() {
     }
   }
   bufs_->step_pins.clear();
-}
-
-double SequenceSession::arbiter_weight_gate(int layer, int expert,
-                                            double t) const {
-  return std::max(t, arbiter_->weight_ready(layer, expert));
-}
-
-void SequenceSession::arbiter_publish_weight_ready(int layer, int expert,
-                                                   double t) {
-  arbiter_->set_weight_ready(layer, expert, t);
 }
 
 std::uint64_t SequenceSession::tspan(const char* track, std::string name,

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "common/check.hpp"
 
 namespace daop::cache {
@@ -68,8 +72,11 @@ TEST(Placement, ExpertListsPartition) {
   p.set_capacity(0, 3);
   p.move_to_gpu(0, 0);
   p.move_to_gpu(0, 4);
-  EXPECT_EQ(p.gpu_experts(0), (std::vector<int>{0, 4}));
-  EXPECT_EQ(p.cpu_experts(0), (std::vector<int>{1, 2, 3, 5}));
+  // The residency row names every expert's device exactly once.
+  const std::span<const Device> row = p.layer(0);
+  const std::vector<Device> want{Device::Gpu, Device::Cpu, Device::Cpu,
+                                 Device::Cpu, Device::Gpu, Device::Cpu};
+  EXPECT_TRUE(std::equal(row.begin(), row.end(), want.begin(), want.end()));
 }
 
 TEST(Placement, EcrCountsAllLayers) {

@@ -179,12 +179,23 @@ class DecodePolicy {
   std::vector<ExpertStep> steps_;
 };
 
+/// The experts of `layer` on `device`, ascending.
+std::vector<int> experts_on(const cache::Placement& placement, int layer,
+                            cache::Device device) {
+  std::vector<int> out;
+  const std::span<const cache::Device> row = placement.layer(layer);
+  for (std::size_t e = 0; e < row.size(); ++e) {
+    if (row[e] == device) out.push_back(static_cast<int>(e));
+  }
+  return out;
+}
+
 std::vector<SwapDecision> sequence_specific_swaps(
     std::span<const double> token_counts, const cache::Placement& placement,
     int layer, double swap_in_out) {
   const int swap_num = placement.n_experts() / 2;
-  std::vector<int> cpu = placement.cpu_experts(layer);
-  std::vector<int> gpu = placement.gpu_experts(layer);
+  std::vector<int> cpu = experts_on(placement, layer, cache::Device::Cpu);
+  std::vector<int> gpu = experts_on(placement, layer, cache::Device::Gpu);
   auto by_count_desc = [&](int a, int b) {
     return token_counts[static_cast<std::size_t>(a)] >
            token_counts[static_cast<std::size_t>(b)];

@@ -7,8 +7,9 @@
 //    scratch);
 //  - a decode step on a private timeline with no tracer or profiler makes
 //    no heap allocation at all once the session is warm.
-// The shared serving path keeps the same budget once warm: arbiter pins,
-// a cache scan that plans no swap, a decode step of sessions interleaved
+// The shared serving path keeps the same budget once warm: arbiter pins
+// (session count rows are pooled across session ids), a cache scan with or
+// without a planned swap, a decode step of sessions interleaved
 // on one timeline under an arbiter and an lfu cache, and time-series
 // recording into existing series allocate nothing, and a checkpoint is
 // exactly one allocation (the sealed blob).
@@ -304,7 +305,64 @@ TEST(SessionAlloc, CachePlanWithoutSwapIsAllocationFreeOnceWarm) {
     EXPECT_TRUE(ecache.plan(arbiter.placement(), &arbiter, 1).empty());
   }
   EXPECT_EQ(allocs() - before, 0);
+  // A scan that does plan a swap writes it to cache scratch: make one CPU
+  // expert per layer the hottest, and every scan plans the same swaps.
+  for (int l = 0; l < rig.cfg.n_layers; ++l) {
+    for (int e = 0; e < rig.cfg.n_experts; ++e) {
+      if (rig.placement.on_gpu(l, e)) continue;
+      for (int k = 0; k < 4; ++k) ecache.note_use(l, e, 1, 1.0);
+      break;
+    }
+  }
+  EXPECT_FALSE(ecache.plan(arbiter.placement(), &arbiter, 1).empty());  // warm
+  const long long before_swaps = allocs();
+  std::size_t planned = 0;
+  for (int i = 0; i < 16; ++i) {
+    planned += ecache.plan(arbiter.placement(), &arbiter, 1).size();
+  }
+  EXPECT_EQ(allocs() - before_swaps, 0);
+  EXPECT_EQ(planned, 16u * static_cast<std::size_t>(opt.max_swaps_per_step));
   arbiter.unpin(0, 0, 2);
+}
+
+// Sessions come and go: a closed session's arbiter count row returns to the
+// pool and the next new session id claims it. After one warm-up batch,
+// batches of fresh ids pin their working sets, plan, release and close
+// without a single allocation.
+TEST(SessionAlloc, ArbiterRowsAreReusedAcrossSessions) {
+  const Rig rig;
+  cache::ExpertCacheOptions opt;
+  opt.policy = cache::CachePolicy::kLfu;
+  cache::ExpertCache ecache(opt, rig.cfg.n_layers, rig.cfg.n_experts);
+  cache::PlacementArbiter arbiter(rig.placement);
+  const int n_layers = rig.cfg.n_layers;
+  const int n_experts = rig.cfg.n_experts;
+  const auto expert = [n_experts](long long s, int l) {
+    return static_cast<int>((s + l) % n_experts);
+  };
+  std::size_t planned = 0;
+  const auto batch = [&](long long first) {
+    for (long long s = first; s < first + 4; ++s) {
+      for (int l = 0; l < n_layers; ++l) {
+        arbiter.pin(l, expert(s, l), s);
+        ecache.note_use(l, expert(s, l), s, static_cast<double>(s));
+      }
+    }
+    for (long long s = first; s < first + 4; ++s) {
+      planned += ecache.plan(arbiter.placement(), &arbiter, s).size();
+    }
+    // Release one step's pins, then close with the rest still held.
+    for (long long s = first; s < first + 4; ++s) {
+      for (int l = 0; l < n_layers; l += 2) arbiter.unpin(l, expert(s, l), s);
+    }
+    for (long long s = first; s < first + 4; ++s) arbiter.unpin_session(s);
+  };
+  batch(0);  // warm: four count rows, the plan scratch
+  const long long before = allocs();
+  for (long long first = 4; first < 64; first += 4) batch(first);
+  EXPECT_EQ(allocs() - before, 0);
+  EXPECT_GT(planned, 0u) << "the scans must plan swaps too";
+  EXPECT_EQ(arbiter.total_pin_count(), 0);
 }
 
 // A continuous-batching decode step: four DAOP sessions interleaved on one
