@@ -1,6 +1,7 @@
 #include "cache/arbiter.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "common/check.hpp"
@@ -37,8 +38,6 @@ void PlacementArbiter::unpin_session(long long session) {
 }
 
 int PlacementArbiter::pin_count(int expert) const {
-  DAOP_CHECK_GE(expert, 0);
-  DAOP_CHECK_LT(expert, placement_.n_experts());
   int n = 0;
   for (int layer = 0; layer < placement_.n_layers(); ++layer) {
     n += pin_count(layer, expert);
@@ -58,9 +57,7 @@ std::vector<long long> PlacementArbiter::pinning_sessions(int layer,
 }
 
 int PlacementArbiter::total_pin_count() const {
-  int n = 0;
-  for (const int count : total_) n += count;
-  return n;
+  return std::accumulate(total_.begin(), total_.end(), 0);
 }
 
 bool PlacementArbiter::try_swap(int layer, int expert_in, int expert_out,

@@ -113,10 +113,8 @@ class PlacementArbiter {
 
  private:
   std::size_t idx(int layer, int expert) const {
-    DAOP_CHECK_GE(layer, 0);
-    DAOP_CHECK_LT(layer, placement_.n_layers());
-    DAOP_CHECK_GE(expert, 0);
-    DAOP_CHECK_LT(expert, placement_.n_experts());
+    DAOP_CHECK(layer >= 0 && layer < placement_.n_layers());
+    DAOP_CHECK(expert >= 0 && expert < placement_.n_experts());
     return static_cast<std::size_t>(layer) *
                static_cast<std::size_t>(placement_.n_experts()) +
            static_cast<std::size_t>(expert);

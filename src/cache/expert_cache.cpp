@@ -92,9 +92,7 @@ ExpertCache::ExpertCache(const ExpertCacheOptions& options, int n_layers,
   freq_.assign(n, 0.0);
   ewma_.assign(n, 0.0);
   prev_freq_.assign(n, 0.0);
-  if (opt_.policy == CachePolicy::kReusePredictor) {
-    layer_scores_.resize(static_cast<std::size_t>(n_experts));
-  }
+  layer_scores_.resize(static_cast<std::size_t>(n_experts));
 }
 
 void ExpertCache::note_session_open(long long session,
@@ -118,6 +116,11 @@ void ExpertCache::note_session_close(long long session) {
   live_.erase(session);
 }
 
+void ExpertCache::note_signature_use(std::size_t i, long long session) {
+  const auto it = live_.find(session);
+  if (it != live_.end()) it->second[i] += 1.0;
+}
+
 double ExpertCache::score(int layer, int expert) const {
   const std::size_t i = idx(layer, expert);
   const double* scores = score_array();
@@ -125,19 +128,11 @@ double ExpertCache::score(int layer, int expert) const {
 }
 
 const double* ExpertCache::score_array() const {
-  switch (opt_.policy) {
-    case CachePolicy::kLru:
-      return last_use_.data();
-    case CachePolicy::kLfu:
-      return freq_.data();
-    case CachePolicy::kActivationWeighted:
-      return ewma_.data();
-    case CachePolicy::kFrozen:  // never constructed (see the constructor)
-    case CachePolicy::kReusePredictor:
-      return nullptr;
-  }
-  DAOP_CHECK_MSG(false, "unreachable cache policy");
-  return nullptr;
+  // kFrozen never constructs a cache (see the constructor).
+  return opt_.policy == CachePolicy::kLru   ? last_use_.data()
+         : opt_.policy == CachePolicy::kLfu ? freq_.data()
+         : opt_.policy == CachePolicy::kActivationWeighted ? ewma_.data()
+                                                           : nullptr;
 }
 
 double ExpertCache::reuse_score(std::size_t i) const {

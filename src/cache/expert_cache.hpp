@@ -144,9 +144,9 @@ class ExpertCache {
     last_use_[i] = std::max(last_use_[i], t);
     freq_[i] += 1.0;
     // Only kReusePredictor ever reads the per-session signatures.
-    if (opt_.policy != CachePolicy::kReusePredictor) return;
-    const auto it = live_.find(session);
-    if (it != live_.end()) it->second[i] += 1.0;
+    if (opt_.policy == CachePolicy::kReusePredictor) {
+      note_signature_use(i, session);
+    }
   }
 
   /// Plans up to max_swaps_per_step promotions for `session` given the
@@ -177,7 +177,6 @@ class ExpertCache {
   long long evictions() const { return evictions_; }
   long long aborts() const { return aborts_; }
   long long plans() const { return plans_; }
-  int live_sessions() const { return static_cast<int>(live_.size()); }
 
   /// Current demand score of (layer, expert) under the active policy.
   double score(int layer, int expert) const;
@@ -187,11 +186,11 @@ class ExpertCache {
   std::string report() const;
 
  private:
+  /// kReusePredictor's half of note_use, out of line: a map lookup.
+  void note_signature_use(std::size_t i, long long session);
   std::size_t idx(int layer, int expert) const {
-    DAOP_CHECK_GE(layer, 0);
-    DAOP_CHECK_LT(layer, n_layers_);
-    DAOP_CHECK_GE(expert, 0);
-    DAOP_CHECK_LT(expert, n_experts_);
+    DAOP_CHECK(layer >= 0 && layer < n_layers_);
+    DAOP_CHECK(expert >= 0 && expert < n_experts_);
     return static_cast<std::size_t>(layer) *
                static_cast<std::size_t>(n_experts_) +
            static_cast<std::size_t>(expert);

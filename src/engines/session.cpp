@@ -559,6 +559,16 @@ SequenceSession::MigrationOutcome SequenceSession::migrate_with_retry(
   return out;
 }
 
+void SequenceSession::arbiter_pin(int layer, int expert) {
+  arbiter_->pin(layer, expert, request_id_);
+  bufs_->step_pins.emplace_back(layer, expert);
+}
+
+double SequenceSession::arbiter_weight_gate(int layer, int expert,
+                                            double t) const {
+  return std::max(t, arbiter_->weight_ready(layer, expert));
+}
+
 void SequenceSession::release_step_pins() {
   if (arbiter_ != nullptr) {
     for (const auto& [layer, expert] : bufs_->step_pins) {

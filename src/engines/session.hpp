@@ -20,7 +20,6 @@
 // tests/engines/session_determinism_test.cpp against committed goldens.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -402,21 +401,20 @@ class SequenceSession {
 
   // ---- Shared-placement conveniences: exact no-ops without an arbiter
   // (the single-sequence path), so private-session behavior is untouched.
+  // The no-arbiter exits are inline. Pinning and the weight gate, which
+  // run per expert, are out of line, so the private decode loop carries
+  // none of their code.
   /// Pins (layer, expert) as part of this session's ACTIVE working set: the
   /// experts its current step computes with. Pins are held while other
   /// sessions interleave and released when this session's next step begins
   /// (and unconditionally in close()), so concurrent migrations can never
   /// evict an in-use expert but the shared cache never freezes solid.
   void pin_shared(int layer, int expert) {
-    if (arbiter_ == nullptr) return;
-    arbiter_->pin(layer, expert, request_id_);
-    bufs_->step_pins.emplace_back(layer, expert);
+    if (arbiter_ != nullptr) arbiter_pin(layer, expert);
   }
   /// Latest of `t` and the cross-session weight-arrival gate.
   double shared_weight_gate(int layer, int expert, double t) const {
-    return arbiter_ == nullptr
-               ? t
-               : std::max(t, arbiter_->weight_ready(layer, expert));
+    return arbiter_ == nullptr ? t : arbiter_weight_gate(layer, expert, t);
   }
   /// Publishes a weight-arrival time for other sessions to gate on.
   void publish_weight_ready(int layer, int expert, double t) {
@@ -455,6 +453,10 @@ class SequenceSession {
  private:
   enum class Phase { kOpened, kDecoding, kClosed };
 
+  /// The arbiter halves of pin_shared and shared_weight_gate (arbiter_ is
+  /// set).
+  void arbiter_pin(int layer, int expert);
+  double arbiter_weight_gate(int layer, int expert, double t) const;
   /// Drops the previous step's working-set pins (see pin_shared).
   void release_step_pins();
   /// Runs a dynamic-cache reallocation scan after token `t` when a cache is
