@@ -92,7 +92,9 @@ ExpertCache::ExpertCache(const ExpertCacheOptions& options, int n_layers,
   freq_.assign(n, 0.0);
   ewma_.assign(n, 0.0);
   prev_freq_.assign(n, 0.0);
-  layer_scores_.resize(static_cast<std::size_t>(n_experts));
+  if (opt_.policy == CachePolicy::kReusePredictor) {
+    layer_scores_.resize(static_cast<std::size_t>(n_experts));
+  }
 }
 
 void ExpertCache::note_session_open(long long session,
@@ -199,15 +201,13 @@ std::span<const PlannedSwap> ExpertCache::plan(const Placement& placement,
     // does not beat its weakest victim (or that lacks either) plans
     // nothing, and most scans stop here.
     if (!(strongest > weakest + margin)) continue;
-    std::vector<std::pair<double, int>>& victims = victims_;
-    std::vector<std::pair<double, int>>& candidates = candidates_;
-    victims.clear();
-    candidates.clear();
+    victims_.clear();
+    candidates_.clear();
     for (int e = 0; e < n_experts_; ++e) {
       if (residency[static_cast<std::size_t>(e)] == Device::Cpu) {
-        candidates.emplace_back(row[e], e);
+        candidates_.emplace_back(row[e], e);
       } else if (is_victim(l, e)) {
-        victims.emplace_back(row[e], e);
+        victims_.emplace_back(row[e], e);
       }
     }
     // Weakest victims first, strongest candidates first; ties break on
@@ -215,23 +215,23 @@ std::span<const PlannedSwap> ExpertCache::plan(const Placement& placement,
     // of each order can be matched under the remaining budget, and the
     // order is total, so a partial sort yields the same pairs.
     const std::size_t pairs =
-        std::min({victims.size(), candidates.size(),
+        std::min({victims_.size(), candidates_.size(),
                   static_cast<std::size_t>(budget)});
-    std::partial_sort(victims.begin(),
-                      victims.begin() + static_cast<std::ptrdiff_t>(pairs),
-                      victims.end(), [](const auto& a, const auto& b) {
+    std::partial_sort(victims_.begin(),
+                      victims_.begin() + static_cast<std::ptrdiff_t>(pairs),
+                      victims_.end(), [](const auto& a, const auto& b) {
                         return a.first != b.first ? a.first < b.first
                                                   : a.second < b.second;
                       });
-    std::partial_sort(candidates.begin(),
-                      candidates.begin() + static_cast<std::ptrdiff_t>(pairs),
-                      candidates.end(), [](const auto& a, const auto& b) {
+    std::partial_sort(candidates_.begin(),
+                      candidates_.begin() + static_cast<std::ptrdiff_t>(pairs),
+                      candidates_.end(), [](const auto& a, const auto& b) {
                         return a.first != b.first ? a.first > b.first
                                                   : a.second < b.second;
                       });
     for (std::size_t k = 0; k < pairs && budget > 0; ++k) {
-      if (candidates[k].first <= victims[k].first + margin) break;
-      plan_.push_back({l, candidates[k].second, victims[k].second});
+      if (candidates_[k].first <= victims_[k].first + margin) break;
+      plan_.push_back({l, candidates_[k].second, victims_[k].second});
       --budget;
     }
   }
