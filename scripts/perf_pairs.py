@@ -22,11 +22,16 @@ whether every run on both sides printed the same value, and the gain rule:
 the change wins at least 9 in 10 pairs and its median beats the parent's by
 more than the parent's interquartile range. `claim` names the metric the
 rule is asked of; the exit code is 1 when it fails there on any workload,
-or when any run failed.
+or when any run failed. Each run also keeps `raw`, the median and fastest
+execution time and the reference-kernel median parsed from perfbench's
+stderr summary line, and each entry's `raw` summarises them the same way
+(lower is better): a gain in sim_req_per_ref_s that the raw execution
+times do not show is a shift in the kernel, not in the simulator.
 """
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -72,6 +77,19 @@ def summarise(parent, change, better):
     }
 
 
+def summarise_pairs(pairs, key, directions):
+    """summarise() of each value named in `directions` that every run of
+    `pairs` (each {"parent": run, "change": run}) holds under `key`."""
+    out = {}
+    for name, better in directions.items():
+        if pairs and all(name in p[side].get(key, {}) for p in pairs
+                         for side in ("parent", "change")):
+            out[name] = summarise([p["parent"][key][name] for p in pairs],
+                                  [p["change"][key][name] for p in pairs],
+                                  better)
+    return out
+
+
 def parse_run(stdout):
     """The environment stamp and result that perfbench/run.py prints last."""
     lines = [l for l in stdout.strip().splitlines() if l.strip()]
@@ -82,6 +100,26 @@ def parse_run(stdout):
     if len(lines) >= 2 and lines[-2].startswith("env: "):
         env = json.loads(lines[-2][len("env: "):])
     return env, result
+
+
+# perfbench's stderr summary of the measured phase, e.g. "cluster-chaos seed
+# 1: 10 executions, median 0.2001 s (min 0.1423, max 0.2425), reference
+# kernel median 10.68 ms, ...". The raw execution times and the reference
+# kernel tell a real speed-up from a shift in the normalising kernel.
+SUMMARY = re.compile(
+    r"^\S+ seed \d+: \d+ executions, median (?P<exec_median_s>[0-9.eE+-]+) s "
+    r"\(min (?P<exec_min_s>[0-9.eE+-]+), max [0-9.eE+-]+\), reference kernel "
+    r"median (?P<ref_kernel_ms>[0-9.eE+-]+) ms", re.MULTILINE)
+# Per-run raw timings summarised beside the end-to-end metrics; all "lower".
+RAW = ("exec_median_s", "exec_min_s", "ref_kernel_ms")
+
+
+def parse_summary(stderr):
+    """The raw timings of perfbench's last stderr summary line ({} if none)."""
+    found = list(SUMMARY.finditer(stderr))
+    if not found:
+        return {}
+    return {k: float(v) for k, v in found[-1].groupdict().items()}
 
 
 def run_side(checkout, build_dir, workload, seed, seconds):
@@ -101,6 +139,7 @@ def run_side(checkout, build_dir, workload, seed, seconds):
         "git_sha": stamp.get("git_sha"),
         "loadavg_1m": stamp.get("loadavg_1m"),
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+        "raw": parse_summary(proc.stderr),
     }
 
 
@@ -145,15 +184,10 @@ def measure(args, run=run_side):
         ok = ok and len(good) == len(runs)
         by_pair = {}
         for r in good:
-            by_pair.setdefault(r["pair"], {})[r["side"]] = r["metrics"]
+            by_pair.setdefault(r["pair"], {})[r["side"]] = r
         pairs = [p for _, p in sorted(by_pair.items()) if len(p) == 2]
-        metrics = {}
-        for name, direction in better.items():
-            if pairs and all(name in p["parent"] and name in p["change"]
-                             for p in pairs):
-                metrics[name] = summarise(
-                    [p["parent"][name] for p in pairs],
-                    [p["change"][name] for p in pairs], direction)
+        metrics = summarise_pairs(pairs, "metrics", better)
+        raw = summarise_pairs(pairs, "raw", {name: "lower" for name in RAW})
         claim = metrics.get(args.claim)
         ok = ok and claim is not None and claim["gain_rule_holds"]
         out["results"].append({
@@ -162,6 +196,7 @@ def measure(args, run=run_side):
             "runs": runs,
             "failed_runs": len(runs) - len(good),
             "metrics": metrics,
+            "raw": raw,
         })
     out["ok"] = ok
     return out
@@ -205,6 +240,17 @@ def self_test():
                             '{"correct": true, "metrics": {}}\n')
     assert env == {"git_sha": "abc"} and result["correct"]
 
+    # The summary line perfbench prints; the last one wins, none gives {}.
+    line = ("cluster-chaos seed 13: 10 executions, median 0.2001 s (min "
+            "0.1423, max 0.2425), reference kernel median 10.68 ms, 1660.36 "
+            "req/ref-s, cpu 0.0008 s/req, setup median 0.8275 s")
+    assert parse_summary("perfbench: building\n" + line + "\nchecks: 98 "
+                         "run, 0 failed\n") == {
+        "exec_median_s": 0.2001, "exec_min_s": 0.1423, "ref_kernel_ms": 10.68}
+    assert parse_summary(line.replace("0.2001", "9e-05") + "\n" + line)[
+        "exec_median_s"] == 0.2001
+    assert parse_summary("checks: 0 run, 0 failed\n") == {}
+
     # Orchestration over a fake runner: alternation, separate build dirs,
     # and the claim deciding the verdict.
     with tempfile.TemporaryDirectory() as tmp:
@@ -220,7 +266,10 @@ def self_test():
             calls.append((workload, side, seed, Path(build_dir).name))
             speed = 150.0 if side == "change" else 100.0 + len(calls) % 3
             return {"exit": 0, "correct": True, "git_sha": side,
-                    "metrics": {"speed": speed, "sim": 4.25}}
+                    "metrics": {"speed": speed, "sim": 4.25},
+                    "raw": {"exec_median_s": 100.0 / speed,
+                            "exec_min_s": 90.0 / speed,
+                            "ref_kernel_ms": 10.0}}
 
         args = argparse.Namespace(
             parent=str(Path(tmp) / "parent"),
@@ -239,6 +288,10 @@ def self_test():
         assert len(w["runs"]) == 6 and w["failed_runs"] == 0
         assert w["metrics"]["speed"]["wins"] == 3
         assert w["metrics"]["sim"]["identical"]
+        # Raw timings are summarised per pair, lower being better.
+        assert w["raw"]["exec_median_s"]["wins"] == 3
+        assert w["raw"]["exec_min_s"]["parent"]["values"][0] == 90.0 / 101.0
+        assert w["raw"]["ref_kernel_ms"]["identical"]
         # A failed run fails the verdict and is kept in the record.
         def failing(checkout, build_dir, workload, seed, seconds):
             r = fake(checkout, build_dir, workload, seed, seconds)
@@ -249,6 +302,7 @@ def self_test():
         assert not out["ok"]
         assert out["results"][1]["failed_runs"] == 3
         assert out["results"][1]["metrics"] == {}
+        assert out["results"][1]["raw"] == {}
     print("perf_pairs self-test: ok")
     return 0
 

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -97,11 +98,12 @@ struct CpuExpertTimes {
 
 /// Timeline interval tags for a CPU-expert round trip. The defaults are the
 /// synchronous-execution tags; DAOP's speculative pre-calculation uses its
-/// own so exported traces distinguish the two kinds of CPU work.
+/// own so exported traces distinguish the two kinds of CPU work. Views of
+/// literals, so their lengths are compile-time constants.
 struct CpuExpertTags {
-  const char* acts_out = "acts to CPU";
-  const char* exec = "CPU expert";
-  const char* acts_back = "acts to GPU";
+  std::string_view acts_out = "acts to CPU";
+  std::string_view exec = "CPU expert";
+  std::string_view acts_back = "acts to GPU";
 };
 
 /// Lazily formatted span name of the shape "<prefix><a><mid><b>" (numeric
@@ -390,11 +392,13 @@ class SequenceSession {
   /// Traced GPU execution of expert (layer, expert) from `ready`, scheduled
   /// and traced as `name`; returns its end time.
   double gpu_expert(double ready, double exec_cost, int layer, int expert,
-                    const char* name) {
+                    std::string_view name) {
     ++counters_.gpu_expert_execs;
     const double end =
         tl().schedule(sim::Res::GpuStream, ready, exec_cost, name);
-    if (tracing()) tspan(tracks::kExpertGpu, name, tl().last_start(), end);
+    if (tracing()) {
+      tspan(tracks::kExpertGpu, std::string(name), tl().last_start(), end);
+    }
     note_expert_exec(layer, expert, /*on_gpu=*/true, tl().last_start(), end);
     return end;
   }

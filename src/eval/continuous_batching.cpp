@@ -146,37 +146,46 @@ ContinuousBatchingScheduler::run() {
   // free slot (available at `t_free`) should go to. "Arrived" means
   // eff_arrival <= t_free; when nothing has arrived yet every policy waits
   // for the earliest next arrival.
+  //
+  // pending_ is in non-decreasing request.arrival order (enqueue checks it,
+  // erase keeps it) and eff_arrival >= request.arrival, so no entry past
+  // the first with request.arrival > t has arrived by t: every "arrived by
+  // t" scan stops there.
   const auto pick_candidate = [&](double t_free) {
     if (ov.admission == AdmissionPolicy::kFifo) return std::size_t{0};
     std::size_t best = kNone;
-    if (ov.admission == AdmissionPolicy::kLifoShed) {
-      // Newest arrived first (ties -> highest index: latest enqueued).
-      for (std::size_t i = 0; i < pending_.size(); ++i) {
-        if (pending_[i].eff_arrival > t_free) continue;
-        if (best == kNone ||
-            pending_[i].eff_arrival >= pending_[best].eff_arrival) {
+    double best_key = 0.0;
+    std::size_t i = 0;
+    for (auto it = pending_.cbegin();
+         it != pending_.cend() && it->request.arrival <= t_free; ++it, ++i) {
+      if (it->eff_arrival > t_free) continue;
+      if (ov.admission == AdmissionPolicy::kLifoShed) {
+        // Newest arrived first (ties -> highest index: latest enqueued).
+        if (best == kNone || it->eff_arrival >= best_key) {
           best = i;
+          best_key = it->eff_arrival;
         }
-      }
-    } else {  // deadline-edf: earliest deadline among arrived.
-      double best_deadline = kInf;
-      std::size_t i = 0;
-      for (const Pending& p : pending_) {
-        if (p.eff_arrival <= t_free) {
-          const double d = deadline_of(p);
-          if (best == kNone || d < best_deadline) {
-            best = i;
-            best_deadline = d;
-          }
+      } else {  // deadline-edf: earliest deadline among arrived.
+        const double d = deadline_of(*it);
+        if (best == kNone || d < best_key) {
+          best = i;
+          best_key = d;
         }
-        ++i;
       }
     }
     if (best != kNone) return best;
-    // Nothing has arrived by t_free: take the next to arrive.
+    // Nothing has arrived by t_free: take the next to arrive (ties -> lowest
+    // index). An entry whose request.arrival is not below the best
+    // eff_arrival so far cannot beat it, nor can any entry after it.
     best = 0;
-    for (std::size_t i = 1; i < pending_.size(); ++i) {
-      if (pending_[i].eff_arrival < pending_[best].eff_arrival) best = i;
+    best_key = pending_.front().eff_arrival;
+    i = 1;
+    for (auto it = pending_.cbegin() + 1;
+         it != pending_.cend() && it->request.arrival < best_key; ++it, ++i) {
+      if (it->eff_arrival < best_key) {
+        best = i;
+        best_key = it->eff_arrival;
+      }
     }
     return best;
   };
@@ -243,8 +252,9 @@ ContinuousBatchingScheduler::run() {
     DAOP_CHECK_LT(t_dec, kInf);
     if (ts.on()) {
       long long waiting = 0;
-      for (const Pending& p : pending_) {
-        if (p.eff_arrival <= t_dec) ++waiting;
+      for (auto it = pending_.cbegin();
+           it != pending_.cend() && it->request.arrival <= t_dec; ++it) {
+        if (it->eff_arrival <= t_dec) ++waiting;
       }
       ts.decision(t_dec, tl_.hazard_stall_s(), waiting, active_.size(),
                   parked_.size());
@@ -273,8 +283,11 @@ ContinuousBatchingScheduler::run() {
         std::size_t oldest = kNone;
         std::size_t newest = kNone;
         long long waiting = 0;
-        for (std::size_t i = 0; i < pending_.size(); ++i) {
-          if (pending_[i].eff_arrival > t_dec) continue;
+        std::size_t i = 0;
+        for (auto it = pending_.cbegin();
+             it != pending_.cend() && it->request.arrival <= t_dec;
+             ++it, ++i) {
+          if (it->eff_arrival > t_dec) continue;
           ++waiting;
           if (oldest == kNone) oldest = i;
           newest = i;

@@ -1,15 +1,25 @@
 #include "recovery/reconcile.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <span>
 
 namespace daop::recovery {
+
+// The residency image is each layer's Device row as stored: one byte per
+// cell, 1 on the GPU and 0 on the CPU.
+static_assert(sizeof(cache::Device) == 1 &&
+                  static_cast<std::uint8_t>(cache::Device::Cpu) == 0 &&
+                  static_cast<std::uint8_t>(cache::Device::Gpu) == 1,
+              "write_placement copies Device rows as residency bytes");
 
 void write_placement(ByteWriter& w, const cache::Placement& p) {
   w.i32(p.n_layers());
   w.i32(p.n_experts());
   for (int l = 0; l < p.n_layers(); ++l) w.i32(p.capacity(l));
   for (int l = 0; l < p.n_layers(); ++l) {
-    for (int e = 0; e < p.n_experts(); ++e) w.u8(p.on_gpu(l, e) ? 1 : 0);
+    const std::span<const cache::Device> row = p.layer(l);
+    w.bytes(reinterpret_cast<const std::uint8_t*>(row.data()), row.size());
   }
 }
 

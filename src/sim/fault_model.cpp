@@ -2,16 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.hpp"
 
 namespace daop::sim {
 namespace {
 
+/// True when a periodic hazard with this cycle can fire at all.
+bool cycles(double period, double window) {
+  return period > 0.0 && window > 0.0;
+}
+
 /// True when `t` falls inside the active window of a periodic hazard whose
 /// cycle starts are shifted by `phase`.
 bool in_window(double t, double period, double window, double phase) {
-  if (period <= 0.0 || window <= 0.0) return false;
+  if (!cycles(period, window)) return false;
   const double x = std::fmod(t + phase, period);
   return x < window;
 }
@@ -240,6 +246,32 @@ FaultModel::FaultModel(const HazardScenario& scenario, std::uint64_t seed)
   node_.link_degraded = scenario_.link_degrade_prob > 0.0 &&
                         u_link < scenario_.link_degrade_prob;
   node_.link_latency_s = scenario_.link_degrade_latency_s;
+
+  // Live windows, read off the branches of perturb() below: a resource is
+  // live at every start when one of its hazards draws or follows a
+  // periodic schedule, and otherwise only inside the brownout window (GPU
+  // and PCIe; the CPU pool rides brownouts out).
+  if (!enabled_) return;  // every window stays empty
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const Window always{-kInf, kInf};
+  const Window brownout = node_.brownout ? Window{node_.brownout_start_s,
+                                                  node_.brownout_end_s}
+                                         : Window{};
+  live_[static_cast<std::size_t>(Res::GpuStream)] =
+      cycles(scenario_.gpu_throttle_period_s, scenario_.gpu_throttle_window_s)
+          ? always
+          : brownout;
+  live_[static_cast<std::size_t>(Res::CpuPool)] =
+      cycles(scenario_.cpu_contention_period_s,
+             scenario_.cpu_contention_window_s)
+          ? always
+          : Window{};
+  const Window pcie =
+      scenario_.pcie_stall_prob > 0.0 || scenario_.pcie_fail_prob > 0.0
+          ? always
+          : brownout;
+  live_[static_cast<std::size_t>(Res::PcieH2D)] = pcie;
+  live_[static_cast<std::size_t>(Res::PcieD2H)] = pcie;
 }
 
 FaultModel::Perturbation FaultModel::perturb(Res r, double start,

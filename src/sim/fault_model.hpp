@@ -10,15 +10,17 @@
 // draws flow from an explicit seed through daop::Rng, so a hazard run is as
 // bit-reproducible as a calm one. With no FaultModel attached (the default)
 // the timeline behaves exactly as before — the fault plane is a strict
-// no-op when off.
+// no-op when off — and with one attached, an op whose start lies outside
+// its resource's live window costs one compare (FaultModel::live).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "sim/timeline.hpp"
+#include "sim/res.hpp"
 
 namespace daop::sim {
 
@@ -144,6 +146,28 @@ class FaultModel {
   /// contention/throttle windows are a fixed (seed-phased) schedule.
   Perturbation perturb(Res r, double start, double duration);
 
+  /// Half-open range [lo, hi) of op start times on one resource.
+  struct Window {
+    double lo = 0.0;
+    double hi = 0.0;
+  };
+  /// The live window of `r`, fixed at construction: for every `start`
+  /// outside it, perturb(r, start, d) returns {0, 0} and consumes no draw.
+  /// Empty when the model is disabled or no hazard touches `r`; unbounded
+  /// when a draw-consuming or periodic hazard does (PCIe stalls or
+  /// failures, CPU contention, GPU throttling); otherwise this node's
+  /// brownout window [brownout_start_s, brownout_end_s) for the GPU stream
+  /// and both PCIe directions.
+  Window live_window(Res r) const {
+    return live_[static_cast<std::size_t>(r)];
+  }
+  /// True when `start` lies in r's live window, i.e. when perturb() might
+  /// perturb the op or draw. Timeline::schedule calls perturb() only then.
+  bool live(Res r, double start) const {
+    const Window& w = live_[static_cast<std::size_t>(r)];
+    return start >= w.lo && start < w.hi;
+  }
+
   /// Engine hook: whether the next expert weight-load attempt fails
   /// transiently. Independent stream from perturb().
   bool expert_load_fails();
@@ -204,6 +228,7 @@ class FaultModel {
   double cpu_phase_s_ = 0.0;  ///< window offset within the CPU cycle
   double gpu_phase_s_ = 0.0;  ///< window offset within the GPU cycle
   NodeFaults node_;
+  std::array<Window, kNumRes> live_{};  ///< see live_window()
 };
 
 }  // namespace daop::sim

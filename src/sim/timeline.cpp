@@ -97,7 +97,6 @@ void Timeline::reject_input(double ready, double duration) {
 }
 
 double Timeline::perturb(Res r, double start, double duration) {
-  if (!fault_->enabled()) return duration;
   const FaultModel::Perturbation p = fault_->perturb(r, start, duration);
   DAOP_CHECK_MSG(std::isfinite(p.extra_s) && p.extra_s >= 0.0,
                  "fault perturbation must be finite and >= 0, got "

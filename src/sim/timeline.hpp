@@ -10,7 +10,8 @@
 // times per sweep, so it is defined inline here as one code path: the input
 // and monotonicity checks, the max/add arithmetic, and two branches into
 // private out-of-line hooks — fault perturbation (only with a fault model
-// attached) and interval recording (only while recording is on). Tags are
+// attached and the op's start inside its live window, one inline compare)
+// and interval recording (only while recording is on). Tags are
 // interned TagIds against a per-timeline string pool (zero string work when
 // interval recording is off — the common case) and recorded intervals live
 // in structure-of-arrays columns with chunked reserve growth. The classic
@@ -28,24 +29,10 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "sim/fault_model.hpp"
+#include "sim/res.hpp"
 
 namespace daop::sim {
-
-class FaultModel;
-
-/// Hardware resources that serialize work.
-enum class Res : int {
-  GpuStream = 0,  ///< GPU compute stream
-  CpuPool,        ///< CPU worker pool (experts share memory bandwidth, so
-                  ///< concurrent CPU experts serialize — conservative and
-                  ///< accurate for memory-bound decode GEMV)
-  PcieH2D,        ///< host-to-device DMA engine
-  PcieD2H,        ///< device-to-host DMA engine
-};
-
-inline constexpr int kNumRes = 4;
-
-const char* res_name(Res r);
 
 /// Interned tag handle into a Timeline's TagPool. 0 is the empty tag.
 using TagId = std::uint32_t;
@@ -121,14 +108,18 @@ class Timeline {
   /// The string_view overload interns the tag only while interval recording
   /// is on; with recording off (the default) it is exactly the untagged hot
   /// path — no string is ever constructed, hashed, or copied.
-  double schedule(Res r, double ready, double duration,
-                  std::string_view tag = {}) {
+  [[gnu::always_inline]] double schedule(Res r, double ready,
+                                         double duration,
+                                         std::string_view tag = {}) {
     return schedule(r, ready, duration,
                     (record_ && !tag.empty()) ? tags_.intern(tag) : kNoTag);
   }
   /// Pre-interned tag variant for callers that schedule the same op name in
-  /// a tight loop (see intern_tag()). Defined below the class.
-  double schedule(Res r, double ready, double duration, TagId tag);
+  /// a tight loop (see intern_tag()). Defined below the class. Both
+  /// overloads are always inlined: the live-window test would otherwise tip
+  /// the compiler into calling them out of line from the decode loop.
+  [[gnu::always_inline]] double schedule(Res r, double ready, double duration,
+                                         TagId tag);
 
   /// Interns `tag` into this timeline's pool up front so a loop can call
   /// the TagId overload of schedule().
@@ -183,8 +174,10 @@ class Timeline {
   void reserve_intervals(std::size_t n) { soa_.reserve(n); }
 
   /// Attaches a hazard-injection fault model; every subsequently scheduled
-  /// op is perturbed through it, so all engines price hazards identically.
-  /// nullptr (the default) restores exact unperturbed behaviour.
+  /// op is perturbed through it, so all engines price hazards identically
+  /// (ops starting outside the model's live window skip the call, which
+  /// would return {0, 0}). nullptr (the default) restores exact unperturbed
+  /// behaviour.
   void set_fault_model(FaultModel* fm) { fault_ = fm; }
   FaultModel* fault_model() const { return fault_; }
 
@@ -208,11 +201,12 @@ class Timeline {
   /// `duration` otherwise.
   [[noreturn]] DAOP_COLD_ static void reject_input(double ready,
                                                    double duration);
-  /// Fault hook (out of line), entered for every op of positive duration
-  /// while a fault model is attached: when the model is enabled, perturbs
-  /// the op that starts at `start`, accounts the hazard telemetry, records
-  /// the hazard tail while recording is on, and returns the perturbed
-  /// duration.
+  /// Fault hook (out of line), entered for an op of positive duration only
+  /// when its start lies in the attached model's live window for `r`
+  /// (outside it the model provably returns {0, 0} and draws nothing):
+  /// perturbs the op that starts at `start`, accounts the hazard telemetry,
+  /// records the hazard tail while recording is on, and returns the
+  /// perturbed duration.
   double perturb(Res r, double start, double duration);
   /// Recording hook (out of line), entered only while recording is on:
   /// appends one busy interval.
@@ -248,7 +242,7 @@ inline double Timeline::schedule(Res r, double ready, double duration,
   const int i = static_cast<int>(r);
   const double start = std::max(ready, busy_until_[i]);
   last_start_ = start;
-  if (fault_ != nullptr && duration > 0.0) {
+  if (fault_ != nullptr && duration > 0.0 && fault_->live(r, start)) {
     duration = perturb(r, start, duration);
   }
   const double end = start + duration;
