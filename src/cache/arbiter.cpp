@@ -37,14 +37,6 @@ void PlacementArbiter::unpin_session(long long session) {
   row.session.reset();
 }
 
-int PlacementArbiter::pin_count(int expert) const {
-  int n = 0;
-  for (int layer = 0; layer < placement_.n_layers(); ++layer) {
-    n += pin_count(layer, expert);
-  }
-  return n;
-}
-
 std::vector<long long> PlacementArbiter::pinning_sessions(int layer,
                                                           int expert) const {
   const std::size_t i = idx(layer, expert);

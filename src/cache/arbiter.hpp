@@ -67,9 +67,6 @@ class PlacementArbiter {
   int pin_count(int layer, int expert) const {
     return total_[idx(layer, expert)];
   }
-  /// Per-expert introspection: total pin count on `expert` summed across
-  /// every layer and session (an expert id names one weight set per layer).
-  int pin_count(int expert) const;
   /// The sessions currently pinning (layer, expert), ascending by id —
   /// refusal diagnostics use this to name the contending sessions.
   std::vector<long long> pinning_sessions(int layer, int expert) const;

@@ -49,16 +49,9 @@ std::vector<CachePolicy> all_cache_policies() {
           CachePolicy::kActivationWeighted, CachePolicy::kReusePredictor};
 }
 
-std::vector<CachePolicy> dynamic_cache_policies() {
-  return {CachePolicy::kLru, CachePolicy::kLfu,
-          CachePolicy::kActivationWeighted, CachePolicy::kReusePredictor};
-}
-
 void ExpertCacheOptions::validate() const {
   DAOP_CHECK_GE(realloc_interval, 1);
   DAOP_CHECK_GE(max_swaps_per_step, 1);
-  DAOP_CHECK_MSG(decay > 0.0 && decay <= 1.0,
-                 "cache EWMA decay must be in (0, 1], got " << decay);
   DAOP_CHECK_GE(hysteresis, 0.0);
   DAOP_CHECK_GE(max_migration_retries, 0);
   DAOP_CHECK_GE(migration_deadline_factor, 0.0);
@@ -154,7 +147,7 @@ std::span<const PlannedSwap> ExpertCache::plan(const Placement& placement,
   if (opt_.policy == CachePolicy::kActivationWeighted) {
     // Fold the activations since the previous scan into the EWMA.
     for (std::size_t i = 0; i < ewma_.size(); ++i) {
-      ewma_[i] = ewma_[i] * opt_.decay + (freq_[i] - prev_freq_[i]);
+      ewma_[i] = ewma_[i] * kActivationDecay + (freq_[i] - prev_freq_[i]);
       prev_freq_[i] = freq_[i];
     }
   }

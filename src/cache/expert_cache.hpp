@@ -50,8 +50,9 @@ const char* cache_policy_name(CachePolicy policy);
 CachePolicy parse_cache_policy(const std::string& name);
 /// All policies, frozen first (CLI/report ordering).
 std::vector<CachePolicy> all_cache_policies();
-/// The four dynamic policies (everything but kFrozen).
-std::vector<CachePolicy> dynamic_cache_policies();
+
+/// EWMA decay for kActivationWeighted (score = decay*old + interval count).
+inline constexpr double kActivationDecay = 0.5;
 
 struct ExpertCacheOptions {
   CachePolicy policy = CachePolicy::kFrozen;
@@ -59,8 +60,6 @@ struct ExpertCacheOptions {
   int realloc_interval = 4;
   /// Max swaps committed per scan (PCIe budget per decode step).
   int max_swaps_per_step = 2;
-  /// EWMA decay for kActivationWeighted (score = decay*old + interval count).
-  double decay = 0.5;
   /// A CPU expert must out-score the GPU victim by this fraction of the
   /// layer's score spread (max - min) before a swap is planned. Relative so
   /// one knob works across policies whose score units differ (timestamps

@@ -33,12 +33,6 @@ int Placement::gpu_count(int layer) const {
   return gpu_count_[static_cast<std::size_t>(layer)];
 }
 
-int Placement::total_gpu_count() const {
-  int total = 0;
-  for (int c : gpu_count_) total += c;
-  return total;
-}
-
 bool Placement::move_to_gpu(int layer, int expert) {
   const int i = index(layer, expert);
   if (device_[static_cast<std::size_t>(i)] == Device::Gpu) return false;
@@ -64,11 +58,6 @@ void Placement::swap(int layer, int expert_in, int expert_out) {
                  "swap-in expert not on CPU");
   move_to_cpu(layer, expert_out);
   move_to_gpu(layer, expert_in);
-}
-
-double Placement::ecr() const {
-  return static_cast<double>(total_gpu_count()) /
-         (static_cast<double>(n_layers_) * n_experts_);
 }
 
 int total_slots_for_ecr(int n_layers, int n_experts, double ecr) {

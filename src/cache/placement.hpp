@@ -50,7 +50,6 @@ class Placement {
 
   /// Experts currently on the GPU in `layer`.
   int gpu_count(int layer) const;
-  int total_gpu_count() const;
 
   /// Places `expert` on the GPU (must have free capacity; no-op if already
   /// there — returns false in that case).
@@ -59,9 +58,6 @@ class Placement {
   bool move_to_cpu(int layer, int expert);
   /// Atomic swap: `expert_out` leaves the GPU, `expert_in` enters.
   void swap(int layer, int expert_in, int expert_out);
-
-  /// Fraction of all experts resident on GPU.
-  double ecr() const;
 
  private:
   int index(int layer, int expert) const {

@@ -50,8 +50,6 @@ class HealthChecker {
  public:
   HealthChecker(const HealthOptions& options, int n_nodes);
 
-  bool enabled() const { return options_.enabled; }
-
   /// Time of the next probe round (+inf when disabled). Advances by one
   /// interval per observe() call.
   double next_probe_time() const {

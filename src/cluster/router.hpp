@@ -295,11 +295,6 @@ class ClusterRouter {
   }
   /// Warm-restart recovery telemetry (fully populated after run()).
   const RecoveryStats& recovery() const { return recovery_; }
-  /// Node `node`'s checkpoint store, or nullptr when checkpointing is
-  /// disabled.
-  const recovery::CheckpointStore* node_checkpoint_store(int node) const {
-    return nodes_[static_cast<std::size_t>(node)].ckpt.get();
-  }
 
  private:
   /// One request copy waiting in a node's admission queue.

@@ -18,9 +18,6 @@ void ClusterServingOptions::validate() const {
                  "set the cluster harness's sinks through base.tracer, "
                  "base.tseries and base.profiler, not cluster.*");
   node_hazards.validate();
-  if (!node_placements.empty()) {
-    DAOP_CHECK_EQ(node_placements.size(), static_cast<std::size_t>(n_nodes));
-  }
 }
 
 ClusterServingResult run_cluster_serving_eval(
@@ -37,8 +34,9 @@ ClusterServingResult run_cluster_serving_eval(
   const sim::CostModel cm(platform);
   const model::OpCosts costs(model_cfg, cm);
 
-  // Homogeneous replicas start from the very placement the single-node
-  // server would use.
+  // Every node starts from the very placement the single-node server would
+  // use; a dynamic cache policy is what lets node placements drift apart
+  // (and `expert-affinity` dispatch tell nodes apart).
   const cache::Placement calibrated = eval::calibrated_initial_placement(
       model_cfg, options.base.ecr, options.base.calibration_seqs,
       options.base.seed);
@@ -56,9 +54,7 @@ ClusterServingResult run_cluster_serving_eval(
     auto fault =
         std::make_unique<sim::FaultModel>(options.node_hazards, node_seed);
     if (fault->enabled()) seat.fault = std::move(fault);
-    seat.initial = options.node_placements.empty()
-                       ? calibrated
-                       : options.node_placements[static_cast<std::size_t>(i)];
+    seat.initial = calibrated;
     seats.push_back(std::move(seat));
   }
 

@@ -42,11 +42,6 @@ struct ClusterServingOptions {
   /// node-brownout / link-degrade presets live here; see
   /// sim::make_hazard_scenario's "cluster" kind). Default: calm nodes.
   sim::HazardScenario node_hazards;
-  /// Optional per-node initial placements (size n_nodes). Empty: every node
-  /// starts from the same calibrated placement run_serving_eval would use —
-  /// the homogeneous-replica default. Heterogeneous placements are what
-  /// makes `expert-affinity` dispatch distinguish nodes.
-  std::vector<cache::Placement> node_placements;
 
   void validate() const;
 };

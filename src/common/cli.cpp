@@ -8,6 +8,20 @@
 
 namespace daop {
 
+std::optional<int> parse_int(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text.c_str(), &end, 10);
+  // Out-of-range text (strtol's ERANGE, or a long that int cannot hold) is
+  // rejected rather than silently wrapped.
+  if (text.empty() || end == nullptr || *end != '\0' || errno == ERANGE ||
+      v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    return std::nullopt;
+  }
+  return static_cast<int>(v);
+}
+
 FlagParser::FlagParser(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -56,18 +70,10 @@ int FlagParser::get_int(const std::string& name, int def) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return def;
   used_[name] = true;
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(it->second.c_str(), &end, 10);
-  // Out-of-range text (strtol's ERANGE, or a long that int cannot hold) is
-  // rejected rather than silently wrapped.
-  DAOP_CHECK_MSG(end && *end == '\0' && !it->second.empty() &&
-                     errno != ERANGE &&
-                     v >= std::numeric_limits<int>::min() &&
-                     v <= std::numeric_limits<int>::max(),
-                 "--" << name << " expects an integer, got '" << it->second
-                      << "'");
-  return static_cast<int>(v);
+  const std::optional<int> v = parse_int(it->second);
+  DAOP_CHECK_MSG(v.has_value(), "--" << name << " expects an integer, got '"
+                                     << it->second << "'");
+  return *v;
 }
 
 double FlagParser::get_double(const std::string& name, double def) const {

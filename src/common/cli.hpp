@@ -12,6 +12,12 @@
 
 namespace daop {
 
+/// Parses `text` as a whole base-10 integer that fits in an int: the rule
+/// of every integer flag and integer spec field. nullopt when the text is
+/// empty, has trailing characters (a fraction or an exponent included) or
+/// is out of range.
+std::optional<int> parse_int(const std::string& text);
+
 class FlagParser {
  public:
   /// Parses argv[1..]; the first non-flag token becomes the positional

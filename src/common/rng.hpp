@@ -9,8 +9,6 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <span>
-#include <vector>
 
 namespace daop {
 
@@ -43,9 +41,6 @@ class Rng {
     // 53 high-quality mantissa bits.
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
   }
-
-  /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi);
 
   /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
   int uniform_int(int lo, int hi);
@@ -84,19 +79,6 @@ class Rng {
     }
   }
 
-  /// Gamma(alpha, 1) via Marsaglia-Tsang; alpha > 0.
-  double gamma(double alpha);
-
-  /// Dirichlet sample with symmetric concentration `alpha` over `k` bins.
-  std::vector<double> dirichlet_symmetric(double alpha, int k);
-
-  /// Dirichlet sample with per-bin concentrations.
-  std::vector<double> dirichlet(std::span<const double> alpha);
-
-  /// Samples an index proportionally to `weights` (need not be normalized,
-  /// must be non-negative with positive sum).
-  int categorical(std::span<const double> weights);
-
   /// Derives an independent child stream; deterministic in (parent seed,
   /// stream id) and unaffected by how much the parent has been consumed.
   Rng fork(std::uint64_t stream_id) const;
@@ -131,15 +113,6 @@ class Rng {
   void seek(const Words& w) {
     state_ = w;
     has_cached_normal_ = false;
-  }
-
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) {
-    for (int i = static_cast<int>(v.size()) - 1; i > 0; --i) {
-      const int j = uniform_int(0, i);
-      std::swap(v[static_cast<std::size_t>(i)], v[static_cast<std::size_t>(j)]);
-    }
   }
 
  private:

@@ -44,18 +44,4 @@ double percentile(std::span<const double> values, double p) {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-double pearson(std::span<const double> x, std::span<const double> y) {
-  DAOP_CHECK_EQ(x.size(), y.size());
-  DAOP_CHECK(!x.empty());
-  const Summary sx = summarize(x);
-  const Summary sy = summarize(y);
-  if (sx.stddev == 0.0 || sy.stddev == 0.0) return 0.0;
-  double cov = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    cov += (x[i] - sx.mean) * (y[i] - sy.mean);
-  }
-  cov /= static_cast<double>(x.size() - 1);
-  return cov / (sx.stddev * sy.stddev);
-}
-
 }  // namespace daop

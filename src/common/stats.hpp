@@ -30,7 +30,4 @@ Summary summarize(std::span<const double> values);
 /// p in [0,1]; linear interpolation between order statistics.
 double percentile(std::span<const double> values, double p);
 
-/// Pearson correlation; 0 when either side is constant.
-double pearson(std::span<const double> x, std::span<const double> y);
-
 }  // namespace daop

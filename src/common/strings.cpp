@@ -14,16 +14,6 @@ std::string fmt_pct(double ratio, int decimals) {
   return fmt_f(ratio * 100.0, decimals) + "%";
 }
 
-std::string join(const std::vector<std::string>& parts,
-                 const std::string& sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 std::string pad(const std::string& s, std::size_t width, bool left_align) {
   if (s.size() >= width) return s;
   const std::string fill(width - s.size(), ' ');

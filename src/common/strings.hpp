@@ -12,10 +12,6 @@ std::string fmt_f(double v, int decimals = 2);
 /// Formats a ratio as a percentage string, e.g. 0.469 -> "46.9%".
 std::string fmt_pct(double ratio, int decimals = 1);
 
-/// Joins strings with a separator.
-std::string join(const std::vector<std::string>& parts,
-                 const std::string& sep);
-
 /// Left-pads/truncates to a fixed width (for plain-text tables).
 std::string pad(const std::string& s, std::size_t width, bool left_align = true);
 

@@ -17,9 +17,6 @@ void validate_config(const DaopConfig& config) {
                      config.cpu_quant_bits == 4 || config.cpu_quant_bits == 8,
                  "DaopConfig.cpu_quant_bits must be one of {0, 2, 4, 8}, got "
                      << config.cpu_quant_bits);
-  DAOP_CHECK_MSG(config.cpu_quant_group > 0,
-                 "DaopConfig.cpu_quant_group must be > 0, got "
-                     << config.cpu_quant_group);
   DAOP_CHECK_MSG(config.decode_realloc_interval >= 0,
                  "DaopConfig.decode_realloc_interval must be >= 0 (0 "
                  "disables decode re-allocation), got "

@@ -17,6 +17,9 @@ enum class MispredictPolicy {
   RecomputeExact,
 };
 
+/// Quantization group size of DaopConfig::cpu_quant_bits.
+inline constexpr int kCpuQuantGroup = 64;
+
 struct DaopConfig {
   /// Algorithm 1 comparison threshold: a CPU expert must beat the GPU
   /// candidate's token count by this factor to trigger a swap.
@@ -45,8 +48,6 @@ struct DaopConfig {
   /// use symmetric grouped quantization at this bit-width. Speeds up the
   /// memory-bound CPU path at a measurable fidelity cost. 0 = fp precision.
   int cpu_quant_bits = 0;
-  /// Group size for cpu_quant_bits.
-  int cpu_quant_group = 64;
 
   /// §VI-B future work: re-run Algorithm 1 every N decode tokens over the
   /// trailing N-token activation window, letting the cache follow

@@ -35,7 +35,7 @@ class DaopSession final : public engines::SequenceSession {
         cpu_expert_cost_(
             config.cpu_quant_bits > 0
                 ? costs.expert_cpu_scaled(
-                      QuantSpec{config.cpu_quant_bits, config.cpu_quant_group}
+                      QuantSpec{config.cpu_quant_bits, kCpuQuantGroup}
                           .bytes_per_weight() /
                       costs.config().bytes_per_param)
                 : costs.expert_cpu()),

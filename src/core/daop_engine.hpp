@@ -24,8 +24,6 @@ class DaopEngine : public engines::Engine {
 
   std::string name() const override;
 
-  const DaopConfig& config() const { return config_; }
-
  protected:
   std::unique_ptr<engines::SequenceSession> do_open_session(
       const data::SequenceTrace& trace, const cache::Placement& initial,

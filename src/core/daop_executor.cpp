@@ -36,7 +36,7 @@ DaopFunctionalExecutor::DaopFunctionalExecutor(
   validate_config(config_);
   if (config_.cpu_quant_bits > 0) {
     quantized_ = std::make_unique<model::QuantizedExpertSet>(
-        model_, QuantSpec{config_.cpu_quant_bits, config_.cpu_quant_group});
+        model_, QuantSpec{config_.cpu_quant_bits, kCpuQuantGroup});
   }
 }
 

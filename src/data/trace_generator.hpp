@@ -43,8 +43,6 @@ class TraceGenerator {
   TraceGenerator(WorkloadSpec spec, int n_layers, int n_experts, int top_k,
                  std::uint64_t seed);
 
-  const WorkloadSpec& spec() const { return spec_; }
-
   /// Generates the trace for sequence `seq_index`; deterministic per index.
   SequenceTrace generate(int seq_index) const;
 

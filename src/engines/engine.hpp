@@ -246,7 +246,6 @@ class Engine {
   /// the engine's runs. nullptr (the default) restores calm-device
   /// behaviour, bit-identical to an engine that never had a fault model.
   void set_fault_model(sim::FaultModel* fm) { fault_model_ = fm; }
-  sim::FaultModel* fault_model() const { return fault_model_; }
 
   /// Attaches a span tracer; subsequent runs record gate / expert-exec /
   /// migration / prediction / pre-calculation spans into it. Tracing is
@@ -254,7 +253,6 @@ class Engine {
   /// produced, so the timeline is bit-identical with or without a tracer.
   /// nullptr (the default) disables tracing.
   void set_tracer(obs::SpanTracer* tracer) { tracer_ = tracer; }
-  obs::SpanTracer* tracer() const { return tracer_; }
 
   /// Attaches a critical-path profiler (obs/profiler.hpp); each subsequent
   /// non-shared session records its attribution/heatmap profile into it at
@@ -263,7 +261,6 @@ class Engine {
   /// changes a scheduling decision (a profiled run is bit-identical to an
   /// unprofiled one). nullptr (the default) disables profiling.
   void set_profiler(obs::Profiler* profiler) { profiler_ = profiler; }
-  obs::Profiler* profiler() const { return profiler_; }
 
  protected:
   /// Engine-specific session factory behind open_session(). Overriders see

@@ -328,7 +328,7 @@ Rng::State read_rng_state(recovery::ByteReader& r) {
 
 }  // namespace
 
-// The one decoder of checkpoint()'s payload, behind restore() and peek().
+// The one decoder of checkpoint()'s payload, behind both restore()s.
 std::optional<SessionSnapshot> SequenceSession::decode(
     std::vector<std::uint8_t> payload) {
   SessionSnapshot d;
@@ -372,18 +372,6 @@ std::optional<SessionSnapshot> SequenceSession::decode(
   }
   return d;
 }
-
-namespace {
-
-/// unseal() then decode(): restore(blob) and peek(blob).
-std::optional<SessionSnapshot> decode_sealed(
-    const std::vector<std::uint8_t>& sealed) {
-  std::optional<std::vector<std::uint8_t>> payload = recovery::unseal(sealed);
-  if (!payload.has_value()) return std::nullopt;
-  return SequenceSession::decode(std::move(*payload));
-}
-
-}  // namespace
 
 std::vector<std::uint8_t> SequenceSession::checkpoint() const {
   DAOP_CHECK_MSG(phase_ == Phase::kDecoding,
@@ -441,7 +429,9 @@ bool SequenceSession::restore(const std::vector<std::uint8_t>& sealed,
                               const RestoreOptions& opts) {
   DAOP_CHECK_MSG(phase_ == Phase::kOpened,
                  "restore() replaces prefill() on a fresh session");
-  std::optional<SessionSnapshot> snap = decode_sealed(sealed);
+  std::optional<std::vector<std::uint8_t>> payload = recovery::unseal(sealed);
+  if (!payload.has_value()) return false;
+  std::optional<SessionSnapshot> snap = decode(std::move(*payload));
   return snap.has_value() && restore(std::move(*snap), opts);
 }
 
@@ -506,13 +496,6 @@ bool SequenceSession::restore(SessionSnapshot snap,
              ready_);
   }
   return true;
-}
-
-std::optional<SessionSnapshotInfo> SequenceSession::peek(
-    const std::vector<std::uint8_t>& sealed) {
-  std::optional<SessionSnapshot> snap = decode_sealed(sealed);
-  if (!snap.has_value()) return std::nullopt;
-  return std::move(*snap);
 }
 
 SequenceSession::MigrationOutcome SequenceSession::migrate_with_retry(

@@ -174,10 +174,10 @@ struct RestoreOptions {
   bool apply_rng_cursor = false;
 };
 
-/// Header fields of a sealed snapshot, decodable without a session (the
-/// cluster router uses this to reconcile placement and account restored
-/// tokens before opening the session).
-struct SessionSnapshotInfo {
+/// Every field of a snapshot, decoded and checked for consistency with
+/// itself (SequenceSession::decode). Checks against a live session
+/// (identity, pin range, policy state) are restore()'s.
+struct SessionSnapshot {
   std::string engine;
   long long request_id = -1;
   int prompt_len = 0;
@@ -186,12 +186,6 @@ struct SessionSnapshotInfo {
   double ready = 0.0;  ///< snapshot-time scheduling frontier
   /// The placement the session decoded against (replaced when decoded).
   cache::Placement placement{1, 1};
-};
-
-/// Every field of a snapshot, decoded and checked for consistency with
-/// itself (SequenceSession::decode). Checks against a live session
-/// (identity, pin range, policy state) are restore()'s.
-struct SessionSnapshot : SessionSnapshotInfo {
   int replay = 0;
   double start_time = 0.0;
   double prefill_end = 0.0;
@@ -257,7 +251,6 @@ class SequenceSession {
   /// (the frontier is pushed to max(ready_time, now) — the preempting
   /// session's work occupied the slot in between).
   void resume(double now);
-  bool parked() const { return parked_; }
 
   /// Serializes everything needed to resume this session mid-decode into a
   /// sealed `daop-ckpt/2` blob: lifecycle state, counters, working-set
@@ -284,12 +277,6 @@ class SequenceSession {
   static std::optional<SessionSnapshot> decode(
       std::vector<std::uint8_t> payload);
 
-  /// Decodes a snapshot's header without a session. nullopt when the blob
-  /// fails validation.
-  static std::optional<SessionSnapshotInfo> peek(
-      const std::vector<std::uint8_t>& sealed);
-
-  const std::string& engine_name() const { return name_; }
   const data::SequenceTrace& trace() const { return trace_; }
   long long request_id() const { return request_id_; }
   /// Tokens generated so far.
@@ -299,7 +286,6 @@ class SequenceSession {
   /// Time the session's next step would start at: start_time before
   /// prefill, the running decode frontier afterwards.
   double ready_time() const { return ready_; }
-  double prefill_end() const { return prefill_end_; }
   double start_time() const { return start_time_; }
   const EngineCounters& counters() const { return counters_; }
   /// Tokens a crashed predecessor of this request generated and lost (from

@@ -64,7 +64,6 @@ const char* degrade_level_name(DegradeLevel level) {
 void DegradationOptions::validate() const {
   DAOP_CHECK_GT(window_s, 0.0);
   DAOP_CHECK_GT(stall_trip_fraction, 0.0);
-  DAOP_CHECK_GE(abort_trip, 1);
   DAOP_CHECK_GE(min_dwell_s, 0.0);
   DAOP_CHECK_GT(calm_window_s, 0.0);
   DAOP_CHECK_GE(max_level, 1);
@@ -127,7 +126,7 @@ void DegradationController::observe(double now, const Signals& totals) {
       totals.migration_aborts - oldest.migration_aborts;
   const bool hot = stall_delta >
                        options_.stall_trip_fraction * options_.window_s ||
-                   abort_delta >= options_.abort_trip;
+                   abort_delta >= kDegradeAbortTrip;
   if (hot) last_hot_ = now;
 
   if (hot && level_ < options_.max_level &&

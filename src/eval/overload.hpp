@@ -95,6 +95,10 @@ enum class DegradeLevel {
 
 const char* degrade_level_name(DegradeLevel level);
 
+/// The DegradationController also steps DOWN when this many migration
+/// aborts landed within its window.
+inline constexpr long long kDegradeAbortTrip = 4;
+
 /// Circuit-breaker configuration for the DegradationController. Defaults
 /// are disabled; `enabled = true` activates the ladder with the documented
 /// thresholds.
@@ -103,10 +107,8 @@ struct DegradationOptions {
   /// Sliding telemetry window the trip conditions are evaluated over.
   double window_s = 5.0;
   /// Step DOWN when hazard stall seconds within the window exceed this
-  /// fraction of the window length...
+  /// fraction of the window length (or on kDegradeAbortTrip aborts).
   double stall_trip_fraction = 0.10;
-  /// ...or when this many migration aborts landed within the window.
-  long long abort_trip = 4;
   /// Minimum dwell time between consecutive level changes (hysteresis).
   double min_dwell_s = 1.0;
   /// Step UP one level after this long with no trip condition firing.

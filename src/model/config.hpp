@@ -13,6 +13,9 @@
 
 namespace daop::model {
 
+/// RMSNorm epsilon, shared by every model preset.
+inline constexpr float kRmsNormEps = 1e-5F;
+
 struct ModelConfig {
   std::string name;
 
@@ -27,7 +30,6 @@ struct ModelConfig {
   int vocab_size = 0;
 
   float rope_theta = 10000.0F;
-  float rms_eps = 1e-5F;
 
   /// Weight dtype size used by the performance plane (fp16 => 2 bytes).
   double bytes_per_param = 2.0;
@@ -73,9 +75,6 @@ struct ModelConfig {
   double kv_bytes_per_token_per_layer() const {
     return 2.0 * n_kv_heads * head_dim * bytes_per_param;
   }
-
-  /// Total expert slots in the model.
-  int total_experts() const { return n_layers * n_experts; }
 };
 
 /// Mixtral 8x7B: 32 blocks, 8 experts, top-2, 45.1B expert params, 46.6B total.

@@ -31,7 +31,7 @@ void FunctionalModel::attention_block(int layer, std::span<float> x,
   const int group = cfg_.n_heads / cfg_.n_kv_heads;
 
   std::vector<float> h(static_cast<std::size_t>(cfg_.d_model));
-  rmsnorm(x, lw.attn_norm.span(), cfg_.rms_eps, h);
+  rmsnorm(x, lw.attn_norm.span(), kRmsNormEps, h);
 
   std::vector<float> q(static_cast<std::size_t>(qdim));
   matvec(lw.wq, h, q);
@@ -77,7 +77,7 @@ void FunctionalModel::ffn_input(int layer, std::span<const float> x,
                                 std::span<float> h) const {
   DAOP_CHECK(layer >= 0 && layer < cfg_.n_layers);
   const LayerWeights& lw = weights_.layers[static_cast<std::size_t>(layer)];
-  rmsnorm(x, lw.ffn_norm.span(), cfg_.rms_eps, h);
+  rmsnorm(x, lw.ffn_norm.span(), kRmsNormEps, h);
 }
 
 void FunctionalModel::gate(int layer, std::span<const float> h,
@@ -118,7 +118,7 @@ void FunctionalModel::lm_logits(std::span<const float> x,
                                 std::span<float> logits) const {
   DAOP_CHECK_EQ(static_cast<int>(logits.size()), cfg_.vocab_size);
   std::vector<float> h(static_cast<std::size_t>(cfg_.d_model));
-  rmsnorm(x, weights_.final_norm.span(), cfg_.rms_eps, h);
+  rmsnorm(x, weights_.final_norm.span(), kRmsNormEps, h);
   matvec(weights_.lm_head, h, logits);
 }
 

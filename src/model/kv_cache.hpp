@@ -13,7 +13,6 @@ class KvCache {
  public:
   KvCache(const ModelConfig& cfg, int max_seq);
 
-  int max_seq() const { return max_seq_; }
   /// Number of positions currently filled (same across layers by contract).
   int size() const { return size_; }
 
@@ -29,8 +28,6 @@ class KvCache {
 
   /// Drops cached positions back to `n` (used to replay a prefix).
   void truncate(int n);
-
-  void clear() { size_ = 0; }
 
  private:
   int kv_dim_ = 0;

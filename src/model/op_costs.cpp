@@ -71,19 +71,9 @@ double OpCosts::expert_cpu_scaled(double weight_bytes_factor) const {
   return cm_.dense_op_time(cm_.platform().cpu, flops, bytes, kExpertKernels);
 }
 
-double OpCosts::gate_gpu() const {
-  const double flops = 2.0 * cfg_.gate_params();
-  const double bytes = cfg_.gate_params() * cfg_.bytes_per_param;
-  return cm_.gpu_op_time(flops, bytes, kGateKernels);
-}
-
 double OpCosts::nonmoe_gpu_prefill(int n_tokens) const {
   // Average context during prefill ~ n/2.
   return nonmoe_time(cm_.platform().gpu, n_tokens, n_tokens / 2);
-}
-
-double OpCosts::nonmoe_cpu_prefill(int n_tokens) const {
-  return nonmoe_time(cm_.platform().cpu, n_tokens, n_tokens / 2);
 }
 
 double OpCosts::expert_gpu_prefill(int n_tokens) const {

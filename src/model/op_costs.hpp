@@ -35,13 +35,9 @@ class OpCosts {
   /// bytes until the compute roofline takes over).
   double expert_cpu_scaled(double weight_bytes_factor) const;
 
-  /// Gate MLP alone (used when an engine prices the gate separately).
-  double gate_gpu() const;
-
   // ---- Prefill-phase (n tokens through the same op) ----
 
   double nonmoe_gpu_prefill(int n_tokens) const;
-  double nonmoe_cpu_prefill(int n_tokens) const;
   /// One expert applied to `n_tokens` routed tokens.
   double expert_gpu_prefill(int n_tokens) const;
   double expert_cpu_prefill(int n_tokens) const;

@@ -28,8 +28,7 @@ void expert_forward_quantized(const QuantizedExpert& e,
 
 QuantizedExpertSet::QuantizedExpertSet(const FunctionalModel& model,
                                        const QuantSpec& spec)
-    : spec_(spec),
-      n_layers_(model.config().n_layers),
+    : n_layers_(model.config().n_layers),
       n_experts_(model.config().n_experts) {
   experts_.reserve(static_cast<std::size_t>(n_layers_ * n_experts_));
   for (int l = 0; l < n_layers_; ++l) {
@@ -37,7 +36,7 @@ QuantizedExpertSet::QuantizedExpertSet(const FunctionalModel& model,
       experts_.push_back(quantize_expert(
           model.weights().layers[static_cast<std::size_t>(l)]
               .experts[static_cast<std::size_t>(e)],
-          spec_));
+          spec));
     }
   }
 }

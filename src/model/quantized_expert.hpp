@@ -32,7 +32,6 @@ class QuantizedExpertSet {
  public:
   QuantizedExpertSet(const FunctionalModel& model, const QuantSpec& spec);
 
-  const QuantSpec& spec() const { return spec_; }
   const QuantizedExpert& get(int layer, int expert) const;
 
   /// Forward through the quantized copy of (layer, expert).
@@ -40,7 +39,6 @@ class QuantizedExpertSet {
                std::span<float> out) const;
 
  private:
-  QuantSpec spec_;
   int n_layers_ = 0;
   int n_experts_ = 0;
   std::vector<QuantizedExpert> experts_;  // layer-major

@@ -5,8 +5,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <optional>
+#include <string>
 
 #include "common/check.hpp"
+#include "common/cli.hpp"
 
 namespace daop::obs {
 namespace {
@@ -42,6 +45,18 @@ double parse_num(const std::string& key, const std::string& v) {
   DAOP_CHECK_MSG(end != nullptr && *end == '\0' && !v.empty(),
                  "slo rule field '" << key << "': bad number '" << v << "'");
   return x;
+}
+
+/// A window count: an integer under FlagParser::get_int's rule (whole,
+/// base 10, in int range). `rule` names the rule in the diagnostic.
+int parse_window_count(const std::string& rule, const std::string& key,
+                       const std::string& v) {
+  const std::optional<int> n = parse_int(v);
+  DAOP_CHECK_MSG(n.has_value(),
+                 "slo rule '" << rule << "' field '" << key
+                              << "' expects a whole number in int range, got '"
+                              << v << "'");
+  return *n;
 }
 
 /// Per-window bad/total pair for one rule.
@@ -250,15 +265,17 @@ void SloRule::validate() const {
     DAOP_CHECK_MSG(!total.empty(),
                    "ratio rule '" << name << "' needs a total family");
   } else {
-    DAOP_CHECK_MSG(target_s > 0.0,
-                   "latency rule '" << name << "' needs target > 0");
+    DAOP_CHECK_MSG(target_s > 0.0 && std::isfinite(target_s),
+                   "latency rule '" << name << "' needs a finite target > 0");
   }
   DAOP_CHECK_MSG(objective > 0.0 && objective < 1.0,
                  "slo rule '" << name << "': objective must be in (0,1)");
   DAOP_CHECK_MSG(fast_windows >= 1 && slow_windows >= fast_windows,
                  "slo rule '" << name << "': need slow >= fast >= 1 windows");
-  DAOP_CHECK_MSG(fast_burn > 0.0 && slow_burn > 0.0,
-                 "slo rule '" << name << "': burn thresholds must be > 0");
+  DAOP_CHECK_MSG(fast_burn > 0.0 && slow_burn > 0.0 &&
+                     std::isfinite(fast_burn) && std::isfinite(slow_burn),
+                 "slo rule '" << name
+                              << "': burn thresholds must be finite and > 0");
 }
 
 std::vector<SloRule> parse_slo_rules(const std::string& spec) {
@@ -267,6 +284,10 @@ std::vector<SloRule> parse_slo_rules(const std::string& spec) {
     const std::string rule_s = trim(raw);
     if (rule_s.empty()) continue;
     SloRule r;
+    // Diagnostics name the rule by its name once set, else by position.
+    const auto rule_id = [&r, &rules] {
+      return r.name.empty() ? "#" + std::to_string(rules.size() + 1) : r.name;
+    };
     for (const std::string& raw_field : split(rule_s, ',')) {
       const std::string field = trim(raw_field);
       if (field.empty()) continue;
@@ -295,9 +316,9 @@ std::vector<SloRule> parse_slo_rules(const std::string& spec) {
       } else if (key == "objective") {
         r.objective = parse_num(key, value);
       } else if (key == "fast") {
-        r.fast_windows = static_cast<int>(parse_num(key, value));
+        r.fast_windows = parse_window_count(rule_id(), key, value);
       } else if (key == "slow") {
-        r.slow_windows = static_cast<int>(parse_num(key, value));
+        r.slow_windows = parse_window_count(rule_id(), key, value);
       } else if (key == "fast-burn") {
         r.fast_burn = parse_num(key, value);
       } else if (key == "slow-burn") {

@@ -144,17 +144,6 @@ void HistogramData::merge(const HistogramData& other) {
   sum += other.sum;
 }
 
-double HistogramData::bucket_width(double v) const {
-  DAOP_CHECK(!upper_bounds.empty());
-  const auto it =
-      std::lower_bound(upper_bounds.begin(), upper_bounds.end(), v);
-  const std::size_t i =
-      std::min(static_cast<std::size_t>(it - upper_bounds.begin()),
-               upper_bounds.size() - 1);
-  const double lo = i == 0 ? 0.0 : upper_bounds[i - 1];
-  return upper_bounds[i] - lo;
-}
-
 double histogram_quantile(const HistogramData& h, double q) {
   DAOP_CHECK(q >= 0.0 && q <= 1.0);
   // An empty (or unconfigured) histogram has no order statistics: any
@@ -425,11 +414,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 std::size_t MetricsRegistry::family_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return families_.size();
-}
-
-void MetricsRegistry::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  families_.clear();
 }
 
 }  // namespace daop::obs

@@ -40,9 +40,6 @@ struct HistogramData {
   /// Adds another histogram's counts; bucket bounds must match exactly.
   void merge(const HistogramData& other);
   bool empty() const { return total == 0; }
-  /// Width of the bucket that `v` falls into (+Inf bucket reuses the last
-  /// finite bucket's width). Used by tests to bound quantile error.
-  double bucket_width(double v) const;
 };
 
 /// Quantile estimate (q in [0,1]) by linear interpolation inside the bucket
@@ -163,7 +160,6 @@ class MetricsRegistry {
 
   std::size_t family_count() const;
   bool empty() const { return family_count() == 0; }
-  void clear();
 
  private:
   enum class Type { Counter, Gauge, Histogram };

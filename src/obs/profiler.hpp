@@ -107,7 +107,6 @@ class Profiler {
 
   const std::vector<RunProfile>& runs() const { return runs_; }
   bool empty() const { return runs_.empty(); }
-  void clear() { runs_.clear(); }
 
   /// Attribution summed over all recorded runs' whole windows.
   AttrBreakdown aggregate() const;

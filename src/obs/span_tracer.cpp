@@ -39,12 +39,4 @@ void SpanTracer::flow(std::uint64_t from, std::uint64_t to, std::string name) {
   flows_.push_back(TraceFlow{from, to, std::move(name)});
 }
 
-void SpanTracer::clear() {
-  track_names_.clear();
-  spans_.clear();
-  flows_.clear();
-  request_ = -1;
-  offset_ = 0.0;
-}
-
 }  // namespace daop::obs

@@ -64,8 +64,6 @@ class SpanTracer {
   const std::vector<TraceSpan>& spans() const { return spans_; }
   const std::vector<TraceFlow>& flows() const { return flows_; }
 
-  void clear();
-
  private:
   std::vector<std::string> track_names_;
   std::vector<TraceSpan> spans_;

@@ -120,13 +120,6 @@ void TimeSeriesRecorder::count(int ch, std::string_view name,
   add(counter(ch, name, help, labels), d);
 }
 
-void TimeSeriesRecorder::count_total(int ch, std::string_view name,
-                                     std::string_view help, double total,
-                                     const Labels& labels) {
-  if (!enabled()) return;
-  add_total(counter(ch, name, help, labels), total);
-}
-
 void TimeSeriesRecorder::gauge_set(int ch, std::string_view name,
                                    std::string_view help, double v,
                                    const Labels& labels) {

@@ -15,7 +15,7 @@
 // resolve a SeriesHandle once and record through it; the string-keyed calls
 // resolve through the same slot table on every call. A declared series
 // stays out of every window until its first write (the registry's birth
-// rule: a count_total series is born by its first positive delta).
+// rule: an add_total series is born by its first positive delta).
 //
 // Seal. Sealing a window appends the row of cumulative values to flat
 // per-channel arrays. The read side turns consecutive rows into window
@@ -160,9 +160,6 @@ class TimeSeriesRecorder {
 
   void count(int ch, std::string_view name, std::string_view help,
              double d = 1.0, const Labels& labels = {});
-  /// add_total() by name.
-  void count_total(int ch, std::string_view name, std::string_view help,
-                   double total, const Labels& labels = {});
   void gauge_set(int ch, std::string_view name, std::string_view help,
                  double v, const Labels& labels = {});
   /// Latency observation into a default-bucket histogram.

@@ -9,8 +9,6 @@ void CheckpointOptions::validate() const {
   DAOP_CHECK_GE(every_steps, 0);
   DAOP_CHECK_GE(every_s, 0.0);
   DAOP_CHECK_GE(keep_generations, 1);
-  DAOP_CHECK_GE(write_latency_s, 0.0);
-  DAOP_CHECK_GT(write_gbps, 0.0);
 }
 
 CheckpointStore::CheckpointStore(const CheckpointOptions& opt,
@@ -48,8 +46,8 @@ double CheckpointStore::write(long long request_id, long long step, double now,
   rec.step = step;
   rec.snap_time = now;
   const double cost =
-      opt_.write_latency_s +
-      static_cast<double>(sealed.size()) / (opt_.write_gbps * 1e9);
+      kCheckpointWriteLatencyS +
+      static_cast<double>(sealed.size()) / (kCheckpointWriteGbps * 1e9);
   rec.durable_at = tl_->schedule(sim::Res::PcieD2H, now, cost, "ckpt write");
   rec.bytes = std::move(sealed);
 

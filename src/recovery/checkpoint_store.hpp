@@ -24,6 +24,11 @@
 
 namespace daop::recovery {
 
+/// Durable-write cost of one snapshot: a fixed latency plus streaming the
+/// sealed bytes at this rate.
+inline constexpr double kCheckpointWriteLatencyS = 200e-6;
+inline constexpr double kCheckpointWriteGbps = 8.0;
+
 struct CheckpointOptions {
   /// Checkpoint every K decode steps (0 disables the step trigger).
   int every_steps = 0;
@@ -32,9 +37,6 @@ struct CheckpointOptions {
   /// Snapshot generations retained per request (older ones are dropped;
   /// restore falls back generation by generation when validation rejects).
   int keep_generations = 2;
-  /// Fixed cost per durable write plus streaming cost per byte.
-  double write_latency_s = 200e-6;
-  double write_gbps = 8.0;
 
   bool enabled() const { return every_steps > 0 || every_s > 0.0; }
   void validate() const;
@@ -65,8 +67,6 @@ class CheckpointStore {
   /// checkpoint hazards. Neither is owned.
   CheckpointStore(const CheckpointOptions& opt, sim::Timeline* tl,
                   sim::FaultModel* fault);
-
-  const CheckpointOptions& options() const { return opt_; }
 
   /// True when the cadence says `request_id` (having completed `step` decode
   /// steps, now at simulated time `now`) should checkpoint. The first call

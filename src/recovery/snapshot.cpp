@@ -78,14 +78,6 @@ std::string ByteReader::str() {
   return s;
 }
 
-std::vector<std::uint8_t> seal(const std::vector<std::uint8_t>& payload) {
-  ByteWriter w;
-  w.reserve(kSealHeaderSize + payload.size());
-  begin_seal(w);
-  w.bytes(payload.data(), payload.size());
-  return end_seal(w);
-}
-
 void begin_seal(ByteWriter& w) {
   DAOP_CHECK_EQ(w.size(), 0u);
   w.bytes(kMagic, sizeof(kMagic));

@@ -100,14 +100,11 @@ class ByteReader {
   bool ok_ = true;
 };
 
-/// Wraps a payload in the `daop-ckpt/2` frame: magic, version, payload
-/// length, FNV-1a 64 checksum, payload bytes.
-std::vector<std::uint8_t> seal(const std::vector<std::uint8_t>& payload);
-
-/// Sealing in place, for encoders that write the payload straight into the
-/// frame: begin_seal writes the header (length and checksum zeroed) into an
-/// empty writer, the caller appends the payload, and end_seal back-patches
-/// the length and checksum and hands out the blob without copying it.
+/// Seals a payload into the `daop-ckpt/2` frame (magic, version, payload
+/// length, FNV-1a 64 checksum, payload bytes) in place: begin_seal writes
+/// the header (length and checksum zeroed) into an empty writer, the caller
+/// appends the payload, and end_seal back-patches the length and checksum
+/// and hands out the blob without copying it.
 void begin_seal(ByteWriter& w);
 std::vector<std::uint8_t> end_seal(ByteWriter& w);
 

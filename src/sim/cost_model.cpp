@@ -25,14 +25,6 @@ double CostModel::dense_op_time(const DeviceSpec& dev, double flops,
   return std::max(compute, memory) + n_kernels * dev.kernel_overhead_s;
 }
 
-double CostModel::gpu_op_time(double flops, double bytes, int n_kernels) const {
-  return dense_op_time(platform_.gpu, flops, bytes, n_kernels);
-}
-
-double CostModel::cpu_op_time(double flops, double bytes, int n_kernels) const {
-  return dense_op_time(platform_.cpu, flops, bytes, n_kernels);
-}
-
 double CostModel::h2d_time(double bytes) const {
   DAOP_CHECK_GE(bytes, 0.0);
   return platform_.pcie_h2d.latency_s + bytes / platform_.pcie_h2d.bw();

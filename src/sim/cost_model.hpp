@@ -19,9 +19,6 @@ class CostModel {
   double dense_op_time(const DeviceSpec& dev, double flops, double bytes,
                        int n_kernels = 1) const;
 
-  double gpu_op_time(double flops, double bytes, int n_kernels = 1) const;
-  double cpu_op_time(double flops, double bytes, int n_kernels = 1) const;
-
   /// Host-to-device transfer time for `bytes`.
   double h2d_time(double bytes) const;
   /// Device-to-host transfer time for `bytes`.

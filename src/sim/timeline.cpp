@@ -132,13 +132,6 @@ double Timeline::span() const {
   return s;
 }
 
-void Timeline::block_until(Res r, double t) {
-  DAOP_CHECK_MSG(std::isfinite(t) && t >= 0.0,
-                 "block_until time must be finite and >= 0, got " << t);
-  const int i = static_cast<int>(r);
-  busy_until_[i] = std::max(busy_until_[i], t);
-}
-
 namespace {
 void materialize(const IntervalSoA& soa, const TagPool& tags,
                  std::vector<Interval>& out) {

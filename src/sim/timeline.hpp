@@ -139,10 +139,6 @@ class Timeline {
   /// Latest finish time across all resources (0 when empty).
   double span() const;
 
-  /// Advances a resource's availability to at least `t` without recording
-  /// busy time (used to model synchronization points).
-  void block_until(Res r, double t);
-
   /// Compatibility view of the recorded intervals: materialized (and cached)
   /// from the SoA columns with tags formatted from the pool. The reference
   /// is invalidated by the next schedule()/reset(). Cold-path only —
@@ -169,17 +165,12 @@ class Timeline {
   /// simulations only need aggregate busy times.
   void set_record_intervals(bool on) { record_ = on; }
 
-  /// Pre-sizes the interval columns (e.g. when the caller knows the op
-  /// count of the run it is about to schedule).
-  void reserve_intervals(std::size_t n) { soa_.reserve(n); }
-
   /// Attaches a hazard-injection fault model; every subsequently scheduled
   /// op is perturbed through it, so all engines price hazards identically
   /// (ops starting outside the model's live window skip the call, which
   /// would return {0, 0}). nullptr (the default) restores exact unperturbed
   /// behaviour.
   void set_fault_model(FaultModel* fm) { fault_ = fm; }
-  FaultModel* fault_model() const { return fault_; }
 
   /// Total hazard delay injected into scheduled ops (stalls, retries,
   /// contention and throttle slowdowns), in seconds.

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/check.hpp"
-#include "common/thread_pool.hpp"
 
 namespace daop {
 
@@ -24,57 +23,9 @@ void matvec(const Tensor& w, std::span<const float> x, std::span<float> y) {
   }
 }
 
-void matvec_transposed(const Tensor& w, std::span<const float> x,
-                       std::span<float> y) {
-  DAOP_CHECK_EQ(w.rank(), 2);
-  DAOP_CHECK_EQ(static_cast<std::int64_t>(x.size()), w.rows());
-  DAOP_CHECK_EQ(static_cast<std::int64_t>(y.size()), w.cols());
-  const std::int64_t rows = w.rows();
-  const std::int64_t cols = w.cols();
-  std::fill(y.begin(), y.end(), 0.0F);
-  const float* wd = w.data();
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float xr = x[static_cast<std::size_t>(r)];
-    if (xr == 0.0F) continue;
-    const float* wr = wd + r * cols;
-    for (std::int64_t c = 0; c < cols; ++c) y[static_cast<std::size_t>(c)] += xr * wr[c];
-  }
-}
-
-void matmul(const Tensor& a, const Tensor& b, Tensor& c) {
-  DAOP_CHECK_EQ(a.rank(), 2);
-  DAOP_CHECK_EQ(b.rank(), 2);
-  DAOP_CHECK_EQ(c.rank(), 2);
-  DAOP_CHECK_EQ(a.cols(), b.rows());
-  DAOP_CHECK_EQ(c.rows(), a.rows());
-  DAOP_CHECK_EQ(c.cols(), b.cols());
-  const std::int64_t m = a.rows();
-  const std::int64_t k = a.cols();
-  const std::int64_t n = b.cols();
-  const float* ad = a.data();
-  const float* bd = b.data();
-  float* cd = c.data();
-
-  ThreadPool::global().parallel_for(m, [&](std::int64_t i) {
-    float* crow = cd + i * n;
-    std::fill(crow, crow + n, 0.0F);
-    const float* arow = ad + i * k;
-    for (std::int64_t p = 0; p < k; ++p) {
-      const float av = arow[p];
-      if (av == 0.0F) continue;
-      const float* brow = bd + p * n;
-      for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  });
-}
-
 void add_inplace(std::span<float> a, std::span<const float> b) {
   DAOP_CHECK_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
-}
-
-void scale_inplace(std::span<float> a, float s) {
-  for (auto& v : a) v *= s;
 }
 
 void axpy_inplace(std::span<float> a, float s, std::span<const float> b) {
@@ -82,41 +33,19 @@ void axpy_inplace(std::span<float> a, float s, std::span<const float> b) {
   for (std::size_t i = 0; i < a.size(); ++i) a[i] += s * b[i];
 }
 
-float dot(std::span<const float> a, std::span<const float> b) {
-  DAOP_CHECK_EQ(a.size(), b.size());
-  float acc = 0.0F;
-  for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-float l2_norm(std::span<const float> a) { return std::sqrt(dot(a, a)); }
-
-namespace {
-
-template <typename T>
-double cosine_impl(std::span<const T> a, std::span<const T> b) {
+double cosine_similarity(std::span<const double> a,
+                         std::span<const double> b) {
   DAOP_CHECK_EQ(a.size(), b.size());
   double ab = 0.0;
   double aa = 0.0;
   double bb = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    ab += static_cast<double>(a[i]) * b[i];
-    aa += static_cast<double>(a[i]) * a[i];
-    bb += static_cast<double>(b[i]) * b[i];
+    ab += a[i] * b[i];
+    aa += a[i] * a[i];
+    bb += b[i] * b[i];
   }
   if (aa == 0.0 || bb == 0.0) return 0.0;
   return ab / (std::sqrt(aa) * std::sqrt(bb));
-}
-
-}  // namespace
-
-double cosine_similarity(std::span<const float> a, std::span<const float> b) {
-  return cosine_impl(a, b);
-}
-
-double cosine_similarity(std::span<const double> a,
-                         std::span<const double> b) {
-  return cosine_impl(a, b);
 }
 
 void softmax_inplace(std::span<float> x) {
@@ -160,10 +89,6 @@ void rmsnorm(std::span<const float> x, std::span<const float> gain, float eps,
 }
 
 float silu(float x) { return x / (1.0F + std::exp(-x)); }
-
-void silu_inplace(std::span<float> x) {
-  for (auto& v : x) v = silu(v);
-}
 
 void rope_inplace(std::span<float> x, int n_heads, int head_dim, int pos,
                   float theta) {

@@ -13,31 +13,18 @@
 
 namespace daop {
 
-// ---- GEMV / GEMM -----------------------------------------------------------
+// ---- GEMV ------------------------------------------------------------------
 
 /// y = W * x where W is [rows, cols] and x has `cols` elements.
 void matvec(const Tensor& w, std::span<const float> x, std::span<float> y);
 
-/// y = W^T * x where W is [rows, cols] and x has `rows` elements.
-void matvec_transposed(const Tensor& w, std::span<const float> x,
-                       std::span<float> y);
-
-/// C = A * B with A [m,k], B [k,n]; C must be preallocated [m,n].
-/// Parallelized over rows of A via the global thread pool.
-void matmul(const Tensor& a, const Tensor& b, Tensor& c);
-
 // ---- Elementwise / reductions ----------------------------------------------
 
 void add_inplace(std::span<float> a, std::span<const float> b);
-void scale_inplace(std::span<float> a, float s);
 /// a += s * b
 void axpy_inplace(std::span<float> a, float s, std::span<const float> b);
 
-float dot(std::span<const float> a, std::span<const float> b);
-float l2_norm(std::span<const float> a);
-
 /// Cosine similarity; returns 0 when either vector is all-zero.
-double cosine_similarity(std::span<const float> a, std::span<const float> b);
 double cosine_similarity(std::span<const double> a, std::span<const double> b);
 
 /// In-place numerically stable softmax.
@@ -56,7 +43,6 @@ void rmsnorm(std::span<const float> x, std::span<const float> gain,
              float eps, std::span<float> out);
 
 float silu(float x);
-void silu_inplace(std::span<float> x);
 
 // ---- Rotary position embedding ---------------------------------------------
 

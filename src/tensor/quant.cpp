@@ -44,19 +44,6 @@ QuantizedTensor QuantizedTensor::quantize(const Tensor& w,
   return out;
 }
 
-Tensor QuantizedTensor::dequantize() const {
-  Tensor out(rows_, cols_);
-  for (std::int64_t r = 0; r < rows_; ++r) {
-    for (std::int64_t c = 0; c < cols_; ++c) {
-      const float scale =
-          scales_[static_cast<std::size_t>(r * groups_per_row_ + c / spec_.group_size)];
-      out.at(r, c) =
-          static_cast<float>(q_[static_cast<std::size_t>(r * cols_ + c)]) * scale;
-    }
-  }
-  return out;
-}
-
 void QuantizedTensor::matvec(std::span<const float> x,
                              std::span<float> y) const {
   DAOP_CHECK_EQ(static_cast<std::int64_t>(x.size()), cols_);
@@ -76,19 +63,6 @@ void QuantizedTensor::matvec(std::span<const float> x,
     }
     y[static_cast<std::size_t>(r)] = acc;
   }
-}
-
-double quantization_rms_error(const Tensor& w, const QuantSpec& spec) {
-  const Tensor deq = QuantizedTensor::quantize(w, spec).dequantize();
-  double err = 0.0;
-  double ref = 0.0;
-  for (std::int64_t i = 0; i < w.numel(); ++i) {
-    const double d = static_cast<double>(w.data()[i]) - deq.data()[i];
-    err += d * d;
-    ref += static_cast<double>(w.data()[i]) * w.data()[i];
-  }
-  if (ref == 0.0) return 0.0;
-  return std::sqrt(err / ref);
 }
 
 }  // namespace daop

@@ -32,14 +32,10 @@ class QuantizedTensor {
 
   std::int64_t rows() const { return rows_; }
   std::int64_t cols() const { return cols_; }
-  const QuantSpec& spec() const { return spec_; }
 
   /// Quantizes `w` (rank-2). Rows need not be multiples of group_size; the
   /// final group of a row may be short.
   static QuantizedTensor quantize(const Tensor& w, const QuantSpec& spec);
-
-  /// Reconstructs the full-precision approximation.
-  Tensor dequantize() const;
 
   /// y = Wq * x with dequantization fused into the GEMV.
   void matvec(std::span<const float> x, std::span<float> y) const;
@@ -52,9 +48,5 @@ class QuantizedTensor {
   std::vector<std::int8_t> q_;      ///< rows * cols values
   std::vector<float> scales_;       ///< rows * groups_per_row
 };
-
-/// Root-mean-square relative quantization error of `w` under `spec`
-/// (||W - deq(quant(W))||_rms / ||W||_rms); 0 for exactly representable.
-double quantization_rms_error(const Tensor& w, const QuantSpec& spec);
 
 }  // namespace daop

@@ -18,13 +18,6 @@ Tensor::Tensor(std::int64_t rows, std::int64_t cols) {
   shape_ = {rows, cols};
 }
 
-Tensor Tensor::from(std::initializer_list<float> values) {
-  Tensor t(static_cast<std::int64_t>(values.size()));
-  std::int64_t i = 0;
-  for (float v : values) t.at(i++) = v;
-  return t;
-}
-
 Tensor Tensor::randn(std::int64_t rows, std::int64_t cols, Rng& rng,
                      float stddev) {
   Tensor t(rows, cols);
@@ -80,15 +73,6 @@ float Tensor::at(std::int64_t r, std::int64_t c) const {
 
 void Tensor::fill(float v) {
   for (auto& x : data_) x = v;
-}
-
-std::string Tensor::shape_str() const {
-  std::string s = "[";
-  for (std::size_t i = 0; i < shape_.size(); ++i) {
-    if (i) s += ", ";
-    s += std::to_string(shape_[i]);
-  }
-  return s + "]";
 }
 
 }  // namespace daop

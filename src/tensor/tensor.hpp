@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <span>
 #include <string>
 #include <vector>
@@ -26,8 +25,6 @@ class Tensor {
   /// Rank-2 tensor of zeros with shape [rows, cols].
   Tensor(std::int64_t rows, std::int64_t cols);
 
-  /// Builds a rank-1 tensor from values.
-  static Tensor from(std::initializer_list<float> values);
 
   /// Gaussian init with stddev (default scaled for model weights).
   static Tensor randn(std::int64_t rows, std::int64_t cols, Rng& rng,
@@ -37,7 +34,6 @@ class Tensor {
   std::int64_t rows() const;
   std::int64_t cols() const;
   std::int64_t numel() const { return static_cast<std::int64_t>(data_.size()); }
-  const std::vector<std::int64_t>& shape() const { return shape_; }
 
   float* data() { return data_.data(); }
   const float* data() const { return data_.data(); }
@@ -54,8 +50,6 @@ class Tensor {
   float at(std::int64_t r, std::int64_t c) const;
 
   void fill(float v);
-
-  std::string shape_str() const;
 
  private:
   std::vector<float> data_;

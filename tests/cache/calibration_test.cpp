@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/placement.hpp"
+#include "../testing/helpers.hpp"
 #include "common/check.hpp"
 #include "data/workload.hpp"
 
@@ -53,7 +54,7 @@ TEST(Calibration, MoreSequencesMoreMass) {
 TEST(Calibration, FeedsPlacementInit) {
   const auto counts = calibrate_activation_counts(make_gen(), 4);
   const Placement p = init_placement_calibrated(8, 8, 0.5, counts);
-  EXPECT_EQ(p.total_gpu_count(), 32);
+  EXPECT_EQ(testing::total_gpu_count(p), 32);
 }
 
 TEST(Calibration, RejectsZeroSequences) {

@@ -44,10 +44,6 @@ TEST(ExpertCacheOptions, ValidateRejectsBadKnobs) {
   EXPECT_THROW(o.validate(), CheckError);
   o = {};
   o.policy = CachePolicy::kLru;
-  o.decay = 0.0;
-  EXPECT_THROW(o.validate(), CheckError);
-  o = {};
-  o.policy = CachePolicy::kLru;
   o.hysteresis = -0.1;
   EXPECT_THROW(o.validate(), CheckError);
 }
@@ -64,7 +60,6 @@ TEST(ExpertCachePolicy, ParseRoundTripsAndRejectsTypos) {
   for (const CachePolicy p : all_cache_policies()) {
     EXPECT_EQ(parse_cache_policy(cache_policy_name(p)), p);
   }
-  EXPECT_EQ(dynamic_cache_policies().size(), all_cache_policies().size() - 1);
   EXPECT_THROW(parse_cache_policy("least-recently-used"), CheckError);
 }
 
@@ -238,7 +233,7 @@ HarnessRun run_cb_harness(CachePolicy policy, std::uint64_t seed,
 
 TEST(ExpertCacheInvariants, HoldAcrossPoliciesSeedsAndHazards) {
   long long total_fills = 0;
-  for (const CachePolicy policy : dynamic_cache_policies()) {
+  for (const CachePolicy policy : testing::dynamic_cache_policies()) {
     for (const std::uint64_t seed : {7ull, 23ull, 123ull}) {
       for (const char* hazard : {"none", "all"}) {
         SCOPED_TRACE(std::string(cache_policy_name(policy)) + " seed " +

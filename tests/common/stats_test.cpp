@@ -78,19 +78,5 @@ TEST(Stats, SummaryFillsExactPercentiles) {
   EXPECT_GE(s.p90, s.p50);
 }
 
-TEST(Stats, PearsonPerfectAndAnti) {
-  const std::vector<double> x = {1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> y = {2.0, 4.0, 6.0, 8.0};
-  const std::vector<double> z = {8.0, 6.0, 4.0, 2.0};
-  EXPECT_NEAR(pearson(x, y), 1.0, 1e-12);
-  EXPECT_NEAR(pearson(x, z), -1.0, 1e-12);
-}
-
-TEST(Stats, PearsonConstantSideIsZero) {
-  const std::vector<double> x = {1.0, 1.0, 1.0};
-  const std::vector<double> y = {1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(pearson(x, y), 0.0);
-}
-
 }  // namespace
 }  // namespace daop

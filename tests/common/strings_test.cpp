@@ -18,12 +18,6 @@ TEST(Strings, FmtPct) {
   EXPECT_EQ(fmt_pct(0.05, 2), "5.00%");
 }
 
-TEST(Strings, Join) {
-  EXPECT_EQ(join({}, ","), "");
-  EXPECT_EQ(join({"a"}, ","), "a");
-  EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-}
-
 TEST(Strings, PadLeftAlign) {
   EXPECT_EQ(pad("ab", 5), "ab   ");
   EXPECT_EQ(pad("ab", 5, false), "   ab");

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "../testing/helpers.hpp"
 #include "cache/placement.hpp"
 #include "common/rng.hpp"
 #include "core/allocation.hpp"
@@ -260,7 +261,7 @@ cache::Placement random_placement(Rng& rng, int n_experts) {
     const int gpu = rng.uniform_int(0, n_experts);
     p.set_capacity(l, gpu);
     for (int e = 0; e < n_experts; ++e) ids[static_cast<std::size_t>(e)] = e;
-    rng.shuffle(ids);
+    testing::shuffle(rng, ids);
     for (int i = 0; i < gpu; ++i) p.move_to_gpu(l, ids[static_cast<std::size_t>(i)]);
   }
   return p;

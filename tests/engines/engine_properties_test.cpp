@@ -114,7 +114,7 @@ TEST_P(EngineProperty, FullCacheIsFastest) {
 TEST_P(EngineProperty, InputPlacementNeverMutated) {
   const auto tr = random_trace(4);
   const auto placement = calibrated_placement(0.469);
-  const auto gpu_before = placement.total_gpu_count();
+  const auto gpu_before = testing::total_gpu_count(placement);
   std::vector<bool> residency;
   for (int l = 0; l < cfg_.n_layers; ++l) {
     for (int e = 0; e < cfg_.n_experts; ++e) {
@@ -122,7 +122,7 @@ TEST_P(EngineProperty, InputPlacementNeverMutated) {
     }
   }
   engine()->run(tr, placement);
-  EXPECT_EQ(placement.total_gpu_count(), gpu_before);
+  EXPECT_EQ(testing::total_gpu_count(placement), gpu_before);
   std::size_t i = 0;
   for (int l = 0; l < cfg_.n_layers; ++l) {
     for (int e = 0; e < cfg_.n_experts; ++e) {

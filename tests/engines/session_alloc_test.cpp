@@ -439,8 +439,9 @@ TEST(SessionAlloc, TimeSeriesRecordingIntoExistingSeriesIsAllocationFree) {
   opt.window_s = 1.0;
   obs::TimeSeriesRecorder rec(opt, {"node0", "cluster"});
   const auto tick = [&rec](double t) {
-    rec.count_total(0, "daop_hazard_stall_seconds_total",
-                    "Simulated seconds lost to injected hazards.", t * 0.5);
+    rec.add_total(rec.counter(0, "daop_hazard_stall_seconds_total",
+                              "Simulated seconds lost to injected hazards."),
+                  t * 0.5);
     rec.gauge_set(0, "daop_queue_depth",
                   "Request copies waiting in the node's admission queue.", t);
     rec.count(0, "daop_recovery_checkpoints_total",

@@ -173,7 +173,6 @@ DegradationOptions fast_ladder() {
   o.enabled = true;
   o.window_s = 1.0;
   o.stall_trip_fraction = 0.10;  // > 0.1s stall inside the 1s window trips
-  o.abort_trip = 4;
   o.min_dwell_s = 0.1;
   o.calm_window_s = 0.5;
   return o;
@@ -234,7 +233,7 @@ TEST(DegradationController, StallTripStepsDownAndCalmRecovers) {
 TEST(DegradationController, MigrationAbortsTripTheLadderToo) {
   DegradationController c(fast_ladder());
   c.observe(0.0, Signals{0.0, 0, 0});
-  c.observe(0.5, Signals{0.0, 4, 0});  // abort_trip aborts in the window
+  c.observe(0.5, Signals{0.0, 4, 0});  // kDegradeAbortTrip aborts
   EXPECT_EQ(c.level(), 1);
 }
 

@@ -94,7 +94,8 @@ TEST(Serving, HistogramPercentilesAgreeWithExactWithinOneBucket) {
     for (const auto& [q, field] : quantiles) {
       const double exact = c.exact->*field;
       const double est = obs::histogram_quantile(*c.hist, q);
-      EXPECT_NEAR(est, exact, c.hist->bucket_width(exact) + 1e-12)
+      EXPECT_NEAR(est, exact,
+                  testing::bucket_width(*c.hist, exact) + 1e-12)
           << c.name << " q=" << q;
     }
   }

@@ -46,7 +46,7 @@ TEST(Config, DerivedByteSizes) {
   const ModelConfig c = mixtral_8x7b();
   EXPECT_DOUBLE_EQ(c.hidden_state_bytes(), 4096 * 2.0);
   EXPECT_DOUBLE_EQ(c.kv_bytes_per_token_per_layer(), 2.0 * 8 * 128 * 2.0);
-  EXPECT_EQ(c.total_experts(), 256);
+  EXPECT_EQ(c.n_layers * c.n_experts, 256);
 }
 
 TEST(Config, TinyConfigsShareArchitectureShape) {

@@ -17,7 +17,6 @@ class KvCacheTest : public ::testing::Test {
 
 TEST_F(KvCacheTest, StartsEmpty) {
   EXPECT_EQ(kv_.size(), 0);
-  EXPECT_EQ(kv_.max_seq(), 8);
 }
 
 TEST_F(KvCacheTest, SlotHasKvDimension) {
@@ -73,7 +72,7 @@ TEST_F(KvCacheTest, TruncateReplaysPrefix) {
 
 TEST_F(KvCacheTest, ClearResets) {
   kv_.advance();
-  kv_.clear();
+  kv_.truncate(0);
   EXPECT_EQ(kv_.size(), 0);
 }
 

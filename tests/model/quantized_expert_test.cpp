@@ -2,12 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/check.hpp"
 #include "model/config.hpp"
 #include "tensor/ops.hpp"
 
 namespace daop::model {
 namespace {
+
+double cosine(const std::vector<float>& a, const std::vector<float>& b) {
+  const std::vector<double> da(a.begin(), a.end());
+  const std::vector<double> db(b.begin(), b.end());
+  return cosine_similarity(da, db);
+}
 
 class QuantizedExpertTest : public ::testing::Test {
  protected:
@@ -26,7 +34,7 @@ TEST_F(QuantizedExpertTest, Int8TracksFullPrecisionClosely) {
   std::vector<float> quant(static_cast<std::size_t>(cfg.d_model));
   model_.expert_forward(0, 3, h, exact);
   qset.forward(0, 3, h, quant);
-  const double cos = cosine_similarity(std::span<const float>(exact), quant);
+  const double cos = cosine(exact, quant);
   EXPECT_GT(cos, 0.999);
 }
 
@@ -41,7 +49,7 @@ TEST_F(QuantizedExpertTest, LowerBitsDriftFurther) {
     const QuantizedExpertSet qset(model_, QuantSpec{bits, 32});
     std::vector<float> quant(static_cast<std::size_t>(cfg.d_model));
     qset.forward(2, 1, h, quant);
-    const double cos = cosine_similarity(std::span<const float>(exact), quant);
+    const double cos = cosine(exact, quant);
     EXPECT_LT(cos, prev_cos + 1e-9) << bits;
     prev_cos = cos;
   }

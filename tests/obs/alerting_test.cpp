@@ -54,6 +54,34 @@ TEST(SloRules, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_slo_rules("name=x,kind=banana,signal=s"), CheckError);
   EXPECT_THROW(parse_slo_rules("name=x,kind=ratio,signal=s"), CheckError);
   EXPECT_THROW(parse_slo_rules("nonsense"), CheckError);
+  // A rule that can never fire is rejected, and the export stays JSON.
+  const std::string lat =
+      "name=x,kind=latency,signal=s_seconds,objective=0.9,target=";
+  EXPECT_THROW(parse_slo_rules(lat + "inf"), CheckError);
+  EXPECT_THROW(parse_slo_rules(lat + "1,fast-burn=inf"), CheckError);
+  EXPECT_THROW(parse_slo_rules(lat + "1,slow-burn=inf"), CheckError);
+}
+
+TEST(SloRules, WindowCountsMustBeWholeNumbersInIntRange) {
+  const std::string base =
+      "name=w,kind=latency,signal=s_seconds,target=1,objective=0.9,";
+  EXPECT_EQ(parse_slo_rules(base + "fast=2,slow=6")[0].slow_windows, 6);
+  // A fraction is not silently truncated to 3.
+  EXPECT_THROW(parse_slo_rules(base + "fast=2,slow=3.9"), CheckError);
+  // Out of int range: no float-to-int conversion, no undefined behaviour.
+  EXPECT_THROW(parse_slo_rules(base + "fast=1e300,slow=6"), CheckError);
+  EXPECT_THROW(parse_slo_rules(base + "fast=2,slow=2147483648"), CheckError);
+  EXPECT_THROW(parse_slo_rules(base + "fast=nan,slow=6"), CheckError);
+  EXPECT_THROW(parse_slo_rules(base + "fast=,slow=6"), CheckError);
+  // The diagnostic names the rule and the field.
+  try {
+    parse_slo_rules(base + "fast=2,slow=3.9");
+    FAIL() << "slow=3.9 accepted";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'w'"), std::string::npos) << what;
+    EXPECT_NE(what.find("'slow'"), std::string::npos) << what;
+  }
 }
 
 TEST(SloRules, DefaultRulesValidateAndStaySilentOnZeroTraffic) {

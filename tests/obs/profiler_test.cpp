@@ -251,10 +251,10 @@ TEST(Profiler, RecordWindowHandlesEmptyTimeline) {
   ASSERT_EQ(prof.runs().size(), 1u);
   EXPECT_DOUBLE_EQ(prof.runs().front().total.idle_s, 1.0);
   // Reports render without runs too.
-  prof.clear();
-  EXPECT_TRUE(prof.empty());
-  EXPECT_FALSE(prof.to_json().empty());
-  EXPECT_FALSE(prof.to_text().empty());
+  const obs::Profiler none;
+  EXPECT_TRUE(none.empty());
+  EXPECT_FALSE(none.to_json().empty());
+  EXPECT_FALSE(none.to_text().empty());
 }
 
 }  // namespace

@@ -158,12 +158,13 @@ TEST(TimeSeries, SealsConsecutiveGridWindowsWithDeltas) {
 
 TEST(TimeSeries, CountTotalFeedsDeltasOfCumulativeExternals) {
   TimeSeriesRecorder rec(window(1.0), {"n0"});
+  const SeriesHandle stall = rec.counter(0, "stall_seconds_total", "h");
   rec.advance(0, 0.5);
-  rec.count_total(0, "stall_seconds_total", "h", 2.0);
+  rec.add_total(stall, 2.0);
   rec.advance(0, 1.5);
-  rec.count_total(0, "stall_seconds_total", "h", 2.0);  // no change: no delta
+  rec.add_total(stall, 2.0);  // no change: no delta
   rec.advance(0, 2.5);
-  rec.count_total(0, "stall_seconds_total", "h", 3.25);
+  rec.add_total(stall, 3.25);
   rec.finalize(2.5);
 
   const auto& ws = rec.windows(0);
@@ -180,8 +181,9 @@ TEST(TimeSeries, CountTotalFeedsDeltasOfCumulativeExternals) {
 
 TEST(TimeSeries, CountTotalRejectsBackwardsTotals) {
   TimeSeriesRecorder rec(window(1.0), {"n0"});
-  rec.count_total(0, "t_total", "h", 5.0);
-  EXPECT_THROW(rec.count_total(0, "t_total", "h", 4.0), CheckError);
+  const SeriesHandle t = rec.counter(0, "t_total", "h");
+  rec.add_total(t, 5.0);
+  EXPECT_THROW(rec.add_total(t, 4.0), CheckError);
 }
 
 TEST(TimeSeries, FinalizeIsIdempotentAndFreezesTheRecorder) {
@@ -304,7 +306,8 @@ TEST(TimeSeries, HandleAndStringKeyedTwinProduceBitIdenticalWindows) {
       by_name.advance(ch, t);
     }
     by_handle.add_total(stall, totals[i]);
-    by_name.count_total(0, "stall_seconds_total", "s", totals[i]);
+    by_name.add_total(by_name.counter(0, "stall_seconds_total", "s"),
+                      totals[i]);
     by_handle.set(depth, static_cast<double>(i % 3));
     by_name.gauge_set(0, "depth", "d", static_cast<double>(i % 3));
     by_handle.add(served, 0.5 * static_cast<double>(i));
@@ -545,7 +548,7 @@ TEST(TimeSeries, WindowedQuantilesTrackExactPercentilesWithinBucketWidth) {
           const double est = histogram_quantile(h, q);
           const double exact = exact_quantile(raw, q);
           // Tolerance: the width of the bucket the estimate landed in.
-          EXPECT_NEAR(est, exact, h.bucket_width(est) + 1e-12)
+          EXPECT_NEAR(est, exact, testing::bucket_width(h, est) + 1e-12)
               << "q=" << q << " window " << w;
         }
       }

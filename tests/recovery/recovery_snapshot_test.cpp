@@ -24,6 +24,7 @@
 
 #include "../testing/golden.hpp"
 #include "../testing/helpers.hpp"
+#include "../testing/snapshot.hpp"
 #include "cache/arbiter.hpp"
 #include "cache/calibration.hpp"
 #include "cache/expert_cache.hpp"
@@ -44,6 +45,8 @@
 
 namespace daop::recovery {
 namespace {
+
+using testing::seal;
 
 // ---------------------------------------------------------------------------
 // Frame: seal/unseal
@@ -208,8 +211,8 @@ CheckpointOptions store_options(int every_steps, double every_s = 0.0) {
 
 TEST(CheckpointStore, DisabledIsNeverDue) {
   sim::Timeline tl;
+  EXPECT_FALSE(store_options(0, 0.0).enabled());
   CheckpointStore st(store_options(0, 0.0), &tl, nullptr);
-  EXPECT_FALSE(st.options().enabled());
   EXPECT_FALSE(st.due(1, 1000, 99.0));
 }
 
@@ -495,9 +498,9 @@ TEST(SessionSnapshot, RoundTripIsByteStableAcrossEnginesSeedsAndHazards) {
             << "checkpoint() must be pure (byte-stable)";
 
         // Header peek agrees with the session without needing one.
-        const auto info = engines::SequenceSession::peek(snap);
+        const auto info = testing::peek(snap);
         ASSERT_TRUE(info.has_value());
-        EXPECT_EQ(info->engine, a.session->engine_name());
+        EXPECT_EQ(info->engine, a.engine->name());
         EXPECT_EQ(info->request_id, 42);
         EXPECT_EQ(info->step, 5);
         EXPECT_EQ(info->prompt_len, fx.trace.prompt_len);
@@ -718,7 +721,7 @@ TEST(SessionSnapshot, ForgedPinsAreRejectedUntouched) {
     EXPECT_EQ(b->close().generated_tokens, fx.trace.gen_len);
     EXPECT_EQ(arbiter.total_pin_count(), 0);
   }
-  EXPECT_TRUE(engines::SequenceSession::peek(seal(payload)).has_value());
+  EXPECT_TRUE(testing::peek(seal(payload)).has_value());
 }
 
 // Placement::set_capacity throws on a capacity outside [0, n_experts] and
@@ -747,7 +750,7 @@ TEST(SessionSnapshot, ForgedCapacityIsRejectedUntouched) {
       reseal_with(payload, cap0, 0)};         // below its residents
   for (std::size_t i = 0; i < std::size(forged); ++i) {
     SCOPED_TRACE("forgery " + std::to_string(i));
-    EXPECT_FALSE(engines::SequenceSession::peek(forged[i]).has_value());
+    EXPECT_FALSE(testing::peek(forged[i]).has_value());
     LiveSession b = open_live(fx, eval::EngineKind::Daop, calm, 7);
     bool restored = true;
     EXPECT_NO_THROW(restored = b.session->restore(forged[i], {}));

@@ -1,7 +1,8 @@
-// Seeded mutational fuzz driver for the parsers of external bytes on the
-// recovery path: sealed session snapshots (recovery::unseal,
-// SequenceSession::restore and peek) and the daop-trace text format
-// (data::load_trace).
+// Seeded mutational fuzz driver for the parsers of external bytes: sealed
+// session snapshots (recovery::unseal, SequenceSession::restore and
+// SequenceSession::decode behind the test-side peek), the daop-trace text
+// format (data::load_trace), and the CLI's name and spec parsers
+// (--slo-rules, hazard presets, cache, dispatch and admission policies).
 //
 // Seeds are real mid-decode snapshots from DAOP, Fiddler and MoE-Infinity,
 // each on a private placement and on a shared arbiter, calm and under
@@ -17,13 +18,17 @@
 //    completion, and the arbiter ends with no pins;
 //  - an accepted restore() decodes to completion and releases its pins;
 //  - load_trace() either returns a trace that saves and reloads unchanged
-//    in shape, or rejects with CheckError.
+//    in shape, or rejects with CheckError;
+//  - every name or spec parser either returns a value that passes its
+//    validate() (a policy name round-trips) or rejects with CheckError.
 // The generator seed and the mutant counts are fixed, so the run is
 // deterministic and its cost bounded.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -31,14 +36,19 @@
 #include <vector>
 
 #include "../testing/helpers.hpp"
+#include "../testing/snapshot.hpp"
 #include "cache/arbiter.hpp"
 #include "cache/calibration.hpp"
+#include "cache/expert_cache.hpp"
+#include "cluster/router.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "data/trace_generator.hpp"
 #include "data/trace_io.hpp"
 #include "engines/session.hpp"
+#include "eval/overload.hpp"
 #include "eval/speed.hpp"
+#include "obs/alerting.hpp"
 #include "recovery/snapshot.hpp"
 #include "sim/fault_model.hpp"
 #include "sim/timeline.hpp"
@@ -46,9 +56,13 @@
 namespace daop::recovery {
 namespace {
 
+using testing::seal;
+
 constexpr int kSnapshotMutantsPerSeed = 1000;
 constexpr int kRawMutantsPerSeed = 64;
 constexpr int kTraceMutants = 1500;
+constexpr int kSpecMutants = 2000;
+constexpr int kNameMutants = 400;
 constexpr std::uint64_t kFuzzSeed = 0xF022D41FULL;
 
 /// Applies one to four random mutations to `b`.
@@ -210,7 +224,7 @@ TEST(SnapshotFuzz, MutantsNeverThrowAndRejectionsLeaveSessionsUsable) {
           seal(mutate(payload, rng, kBinaryDict));
       bool peeked = false;
       ASSERT_NO_THROW(
-          peeked = engines::SequenceSession::peek(sealed).has_value());
+          peeked = testing::peek(sealed).has_value());
       const std::unique_ptr<Live> dst = open_live(fx, spec);
       bool restored = false;
       ASSERT_NO_THROW(restored = dst->session->restore(sealed, {}));
@@ -249,7 +263,7 @@ TEST(SnapshotFuzz, RawMutantsAreRejectedByUnsealUnlessUnchanged) {
       std::optional<std::vector<std::uint8_t>> payload;
       ASSERT_NO_THROW(payload = unseal(m));
       EXPECT_EQ(payload.has_value(), m == blob) << "mutant " << i;
-      ASSERT_NO_THROW((void)engines::SequenceSession::peek(m));
+      ASSERT_NO_THROW((void)testing::peek(m));
     }
   }
 }
@@ -296,6 +310,177 @@ TEST(TraceFuzz, MutatedDumpsLoadOrRejectWithCheckError) {
   }
   EXPECT_GT(loaded, 0);
   EXPECT_GT(rejected, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Name and spec parsers (the CLI's --slo-rules, --hazard, --cache-policy,
+// --dispatch and --admission values)
+
+/// Splices the spec grammar's separators and hostile numbers into text.
+const std::vector<std::string> kSpecTokens = {
+    ";", ",", "=", "1e300", "-1e300", "nan", "-nan", "inf", "-1", "-0",
+    "0", "3.9", "2147483648", "-2147483649", "1e-320", "0x10", " "};
+
+std::string mutate_text(const std::string& text, Rng& rng,
+                        const std::vector<std::uint8_t>& dict) {
+  std::vector<std::uint8_t> b(text.begin(), text.end());
+  if (rng.uniform() < 0.5) {
+    b = mutate(std::move(b), rng, dict);
+  } else {
+    const int n_splices = rng.uniform_int(1, 3);
+    for (int k = 0; k < n_splices; ++k) {
+      const std::string& tok = kSpecTokens[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(kSpecTokens.size()) - 1))];
+      const auto at = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(b.size())));
+      // Either replaces the rest of a field or drops the token in.
+      if (rng.uniform() < 0.5) {
+        std::size_t end = at;
+        while (end < b.size() && b[end] != ',' && b[end] != ';') ++end;
+        b.erase(b.begin() + static_cast<std::ptrdiff_t>(at),
+                b.begin() + static_cast<std::ptrdiff_t>(end));
+      }
+      b.insert(b.begin() + static_cast<std::ptrdiff_t>(at), tok.begin(),
+               tok.end());
+    }
+  }
+  return std::string(b.begin(), b.end());
+}
+
+/// Runs `parse` on `input`: true when it accepted, false on CheckError; any
+/// other exception fails the test.
+template <typename Parse>
+bool accepts(const Parse& parse, const std::string& input) {
+  try {
+    parse(input);
+    return true;
+  } catch (const CheckError&) {
+    return false;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "'" << input << "' threw a non-diagnostic " << e.what();
+    return false;
+  }
+}
+
+std::vector<std::uint8_t> spec_dict() {
+  std::vector<std::uint8_t> dict;
+  for (const char c : std::string("0123456789-+.eEnaif;,= \t")) {
+    dict.push_back(static_cast<std::uint8_t>(c));
+  }
+  dict.push_back(0x00);
+  dict.push_back(0xFF);
+  return dict;
+}
+
+TEST(SpecFuzz, SloRuleSpecsParseToValidRulesOrRejectWithCheckError) {
+  const std::vector<std::string> seeds = {
+      "name=ttft,kind=latency,signal=daop_serving_ttft_seconds,target=2.5,"
+      "objective=0.9,fast=2,slow=6,fast-burn=4,slow-burn=2",
+      "name=shed,kind=ratio,signal=daop_requests_shed_total,"
+      "total=daop_serving_requests_total,objective=0.99,fast=1,slow=4,"
+      "fast-burn=10,slow-burn=5;name=lat,kind=latency,signal=s_seconds,"
+      "target=1,objective=0.5"};
+  const std::vector<std::uint8_t> dict = spec_dict();
+  Rng rng(kFuzzSeed ^ 3);
+  long long parsed = 0;
+  long long rejected = 0;
+  for (int i = 0; i < kSpecMutants; ++i) {
+    const std::string m = mutate_text(
+        seeds[static_cast<std::size_t>(i) % seeds.size()], rng, dict);
+    const bool ok = accepts(
+        [](const std::string& spec) {
+          for (const obs::SloRule& r : obs::parse_slo_rules(spec)) {
+            EXPECT_NO_THROW(r.validate()) << "accepted '" << spec << "'";
+          }
+        },
+        m);
+    (ok ? parsed : rejected) += 1;
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(SpecFuzz, HazardPresetsParseToValidScenariosOrRejectWithCheckError) {
+  const std::vector<double> intensities = {
+      0.5, 0.0, 1.0, -0.0, -1.0, 1.0000001, 1e300, -1e300,
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(), 1e-320};
+  const std::vector<std::uint8_t> dict = spec_dict();
+  const std::vector<std::string>& kinds = sim::hazard_scenario_kinds();
+  Rng rng(kFuzzSeed ^ 4);
+  long long parsed = 0;
+  long long rejected = 0;
+  for (int i = 0; i < kNameMutants; ++i) {
+    const std::string& kind = kinds[static_cast<std::size_t>(i) % kinds.size()];
+    const std::string m =
+        rng.uniform() < 0.5 ? kind : mutate_text(kind, rng, dict);
+    const double intensity = intensities[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<int>(intensities.size()) - 1))];
+    const bool ok = accepts(
+        [intensity](const std::string& k) {
+          const sim::HazardScenario sc =
+              sim::make_hazard_scenario(k, intensity);
+          EXPECT_NO_THROW(sc.validate())
+              << "accepted '" << k << "' at " << intensity;
+        },
+        m);
+    (ok ? parsed : rejected) += 1;
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(SpecFuzz, PolicyNamesRoundTripOrRejectWithCheckError) {
+  const std::vector<std::uint8_t> dict = spec_dict();
+  Rng rng(kFuzzSeed ^ 5);
+  // Each parser with the names it accepts, and its name for a value.
+  struct NameParser {
+    std::vector<std::string> names;
+    std::function<std::string(const std::string&)> round_trip;
+  };
+  std::vector<NameParser> parsers;
+  {
+    NameParser p;
+    for (const cache::CachePolicy c : cache::all_cache_policies()) {
+      p.names.emplace_back(cache::cache_policy_name(c));
+    }
+    p.round_trip = [](const std::string& n) {
+      cache::ExpertCacheOptions o;
+      o.policy = cache::parse_cache_policy(n);
+      o.validate();
+      return std::string(cache::cache_policy_name(o.policy));
+    };
+    parsers.push_back(std::move(p));
+  }
+  parsers.push_back(
+      {{"round-robin", "least-loaded", "expert-affinity"},
+       [](const std::string& n) {
+         return std::string(
+             cluster::dispatch_policy_name(cluster::parse_dispatch_policy(n)));
+       }});
+  parsers.push_back(
+      {{"fifo", "lifo-shed", "deadline-edf"}, [](const std::string& n) {
+         return std::string(
+             eval::admission_policy_name(eval::parse_admission_policy(n)));
+       }});
+  for (const NameParser& p : parsers) {
+    long long parsed = 0;
+    long long rejected = 0;
+    for (int i = 0; i < kNameMutants; ++i) {
+      const std::string& name =
+          p.names[static_cast<std::size_t>(i) % p.names.size()];
+      const std::string m =
+          i % 4 == 0 ? name : mutate_text(name, rng, dict);
+      const bool ok = accepts(
+          [&p](const std::string& n) {
+            EXPECT_EQ(p.round_trip(n), n) << "accepted '" << n << "'";
+          },
+          m);
+      (ok ? parsed : rejected) += 1;
+    }
+    EXPECT_GT(parsed, 0);
+    EXPECT_GT(rejected, 0);
+  }
 }
 
 }  // namespace

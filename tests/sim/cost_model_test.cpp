@@ -27,8 +27,8 @@ TEST(CostModel, ComputeBoundVsMemoryBound) {
 TEST(CostModel, KernelOverheadAdds) {
   PlatformSpec p = a6000_i9_platform();
   const CostModel cm(p);
-  const double base = cm.gpu_op_time(0.0, 0.0, 0);
-  const double with4 = cm.gpu_op_time(0.0, 0.0, 4);
+  const double base = cm.dense_op_time(p.gpu, 0.0, 0.0, 0);
+  const double with4 = cm.dense_op_time(p.gpu, 0.0, 0.0, 4);
   EXPECT_DOUBLE_EQ(base, 0.0);
   EXPECT_DOUBLE_EQ(with4, 4.0 * p.gpu.kernel_overhead_s);
 }
@@ -42,9 +42,12 @@ TEST(CostModel, TransferIncludesLatency) {
 }
 
 TEST(CostModel, TimeMonotoneInWork) {
-  const CostModel cm(a6000_i9_platform());
-  EXPECT_LE(cm.gpu_op_time(1e9, 1e6), cm.gpu_op_time(2e9, 1e6));
-  EXPECT_LE(cm.gpu_op_time(1e9, 1e6), cm.gpu_op_time(1e9, 2e6));
+  const PlatformSpec p = a6000_i9_platform();
+  const CostModel cm(p);
+  EXPECT_LE(cm.dense_op_time(p.gpu, 1e9, 1e6),
+            cm.dense_op_time(p.gpu, 2e9, 1e6));
+  EXPECT_LE(cm.dense_op_time(p.gpu, 1e9, 1e6),
+            cm.dense_op_time(p.gpu, 1e9, 2e6));
   EXPECT_LE(cm.h2d_time(1e6), cm.h2d_time(2e6));
 }
 
@@ -53,14 +56,16 @@ TEST(CostModel, GpuFasterThanCpuOnPresets) {
                         rtx4090_desktop_platform(), laptop_platform()}) {
     const CostModel cm(p);
     // Same large op must be faster on the GPU (paper §VI-A assumption 2).
-    EXPECT_LT(cm.gpu_op_time(1e12, 1e9), cm.cpu_op_time(1e12, 1e9))
+    EXPECT_LT(cm.dense_op_time(p.gpu, 1e12, 1e9),
+              cm.dense_op_time(p.cpu, 1e12, 1e9))
         << p.name;
   }
 }
 
 TEST(CostModel, RejectsNegativeWork) {
-  const CostModel cm(a6000_i9_platform());
-  EXPECT_THROW(cm.gpu_op_time(-1.0, 0.0), CheckError);
+  const PlatformSpec p = a6000_i9_platform();
+  const CostModel cm(p);
+  EXPECT_THROW(cm.dense_op_time(p.gpu, -1.0, 0.0), CheckError);
   EXPECT_THROW(cm.h2d_time(-1.0), CheckError);
 }
 

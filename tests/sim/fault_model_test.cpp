@@ -232,7 +232,9 @@ TEST(TimelineFaults, ResetClearsTelemetryButKeepsModel) {
   tl.reset();
   EXPECT_EQ(tl.hazard_stall_s(), 0.0);
   EXPECT_EQ(tl.hazard_transfer_retries(), 0);
-  EXPECT_EQ(tl.fault_model(), &fm);
+  // The model stays attached: the next transfer is perturbed again.
+  tl.schedule(Res::PcieH2D, 0.0, 0.01);
+  EXPECT_GT(tl.hazard_stall_s(), 0.0);
 }
 
 TEST(TimelineFaults, DisabledModelIsStrictNoOp) {

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "../testing/helpers.hpp"
 #include "common/rng.hpp"
 #include "sim/fault_model.hpp"
 #include "sim/timeline.hpp"
@@ -184,7 +185,9 @@ TEST(FaultWindow, StartsOutsideTheWindowNeitherPerturbNorDraw) {
         SCOPED_TRACE(res_name(r));
         const FaultModel::Window w = fm.live_window(r);
         std::vector<double> starts = edge_starts(w);
-        for (int i = 0; i < 200; ++i) starts.push_back(rng.uniform(0.0, 3e3));
+        for (int i = 0; i < 200; ++i) {
+          starts.push_back(testing::uniform(rng, 0.0, 3e3));
+        }
         for (const double start : starts) {
           const bool inside = start >= w.lo && start < w.hi;
           EXPECT_EQ(fm.live(r, start), inside) << "start " << start;
@@ -245,10 +248,11 @@ TEST(FaultWindow, TimelineMatchesTheCallEveryOpReference) {
       Rng rng(seed * 31 + 5);
       double t = 0.0;
       for (int op = 0; op < 6000; ++op) {
-        t += rng.uniform() < 0.02 ? rng.uniform(0.0, 30.0)
-                                  : rng.uniform(0.0, 0.02);
+        t += rng.uniform() < 0.02 ? testing::uniform(rng, 0.0, 30.0)
+                                  : testing::uniform(rng, 0.0, 0.02);
         const Res r = kAllRes[static_cast<std::size_t>(rng.uniform_int(0, 3))];
-        const double d = rng.uniform() < 0.05 ? 0.0 : rng.uniform(1e-5, 0.03);
+        const double d =
+            rng.uniform() < 0.05 ? 0.0 : testing::uniform(rng, 1e-5, 0.03);
         const double end = tl.schedule(r, t, d);
         const double end_ref = ref.schedule(r, t, d);
         ASSERT_EQ(end, end_ref) << "op " << op;

@@ -16,6 +16,10 @@
 namespace daop::sim {
 namespace {
 
+/// A synchronization point: a zero-duration op that may not start before
+/// `t` advances `r`'s availability to at least `t` and adds no busy time.
+void block_until(Timeline& tl, Res r, double t) { tl.schedule(r, t, 0.0); }
+
 /// The ways schedule() can run: its plain path, and each of the hooks it
 /// enters (recording, and a fault model attached while disabled or
 /// enabled).
@@ -113,7 +117,7 @@ TEST(Timeline, ZeroDurationAdvancesNothing) {
 
 TEST(Timeline, BlockUntilAdvancesAvailabilityWithoutBusy) {
   Timeline tl;
-  tl.block_until(Res::GpuStream, 3.0);
+  block_until(tl, Res::GpuStream, 3.0);
   EXPECT_EQ(tl.busy_until(Res::GpuStream), 3.0);
   EXPECT_EQ(tl.busy_time(Res::GpuStream), 0.0);
   const double end = tl.schedule(Res::GpuStream, 0.0, 1.0);
@@ -254,19 +258,19 @@ TEST(Timeline, HooksLeaveTheScheduleBitIdentical) {
 
 TEST(Timeline, BlockUntilRejectsBadTimes) {
   Timeline tl;
-  EXPECT_THROW(tl.block_until(Res::CpuPool, -1.0), CheckError);
+  EXPECT_THROW(block_until(tl, Res::CpuPool, -1.0), CheckError);
   EXPECT_THROW(
-      tl.block_until(Res::CpuPool, std::numeric_limits<double>::quiet_NaN()),
+      block_until(tl, Res::CpuPool, std::numeric_limits<double>::quiet_NaN()),
       CheckError);
   EXPECT_THROW(
-      tl.block_until(Res::CpuPool, std::numeric_limits<double>::infinity()),
+      block_until(tl, Res::CpuPool, std::numeric_limits<double>::infinity()),
       CheckError);
 }
 
 TEST(Timeline, BlockUntilNeverMovesTimeBackwards) {
   Timeline tl;
-  tl.block_until(Res::GpuStream, 5.0);
-  tl.block_until(Res::GpuStream, 2.0);  // earlier sync point: no-op
+  block_until(tl, Res::GpuStream, 5.0);
+  block_until(tl, Res::GpuStream, 2.0);  // earlier sync point: no-op
   EXPECT_EQ(tl.busy_until(Res::GpuStream), 5.0);
 }
 

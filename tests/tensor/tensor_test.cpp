@@ -45,12 +45,6 @@ TEST(Tensor, RowView) {
   EXPECT_EQ(r[2], 3.0F);
 }
 
-TEST(Tensor, FromInitializerList) {
-  const Tensor t = Tensor::from({1.0F, 2.0F, 3.0F});
-  EXPECT_EQ(t.rank(), 1);
-  EXPECT_EQ(t.at(1), 2.0F);
-}
-
 TEST(Tensor, RandnIsDeterministicPerSeed) {
   Rng r1(5);
   Rng r2(5);
@@ -87,11 +81,6 @@ TEST(Tensor, RowsColsRequireRank2) {
   Tensor t(4);
   EXPECT_THROW(t.rows(), CheckError);
   EXPECT_THROW(t.at(0, 0), CheckError);
-}
-
-TEST(Tensor, ShapeStr) {
-  EXPECT_EQ(Tensor(3, 4).shape_str(), "[3, 4]");
-  EXPECT_EQ(Tensor(5).shape_str(), "[5]");
 }
 
 }  // namespace

@@ -1,14 +1,22 @@
-// Shared test helpers: small model/platform setups and hand-built routing
-// traces with fully controlled expert selections and predictions.
+// Shared test helpers: small model/platform setups, hand-built routing
+// traces with fully controlled expert selections and predictions, and the
+// scaffolding tests need that production does not (placement totals, the
+// dynamic cache policies, histogram bucket widths, a shuffle).
 #pragma once
 
+#include <algorithm>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "cache/expert_cache.hpp"
 #include "cache/placement.hpp"
+#include "common/check.hpp"
+#include "common/rng.hpp"
 #include "data/routing_trace.hpp"
 #include "model/config.hpp"
 #include "model/op_costs.hpp"
+#include "obs/metrics.hpp"
 #include "sim/device.hpp"
 
 namespace daop::testing {
@@ -89,6 +97,55 @@ inline cache::Placement prefix_placement(const model::ModelConfig& cfg,
     for (int e = 0; e < cap; ++e) p.move_to_gpu(l, e);
   }
   return p;
+}
+
+/// Uniform double in [lo, hi) drawn from `rng`.
+inline double uniform(Rng& rng, double lo, double hi) {
+  DAOP_CHECK_LE(lo, hi);
+  return lo + (hi - lo) * rng.uniform();
+}
+
+/// Fisher-Yates shuffle drawing from `rng`.
+template <typename T>
+void shuffle(Rng& rng, std::vector<T>& v) {
+  for (int i = static_cast<int>(v.size()) - 1; i > 0; --i) {
+    const int j = rng.uniform_int(0, i);
+    std::swap(v[static_cast<std::size_t>(i)], v[static_cast<std::size_t>(j)]);
+  }
+}
+
+/// Width of the bucket of `h` that `v` falls into (+Inf reuses the last
+/// finite bucket's width): the bound on a histogram quantile's error.
+inline double bucket_width(const obs::HistogramData& h, double v) {
+  const auto& ub = h.upper_bounds;
+  const auto it = std::lower_bound(ub.begin(), ub.end(), v);
+  const std::size_t i =
+      std::min(static_cast<std::size_t>(it - ub.begin()), ub.size() - 1);
+  const double lo = i == 0 ? 0.0 : ub[i - 1];
+  return ub[i] - lo;
+}
+
+/// The dynamic cache policies (every policy but frozen), in
+/// all_cache_policies() order.
+inline std::vector<cache::CachePolicy> dynamic_cache_policies() {
+  std::vector<cache::CachePolicy> out;
+  for (const cache::CachePolicy p : cache::all_cache_policies()) {
+    if (p != cache::CachePolicy::kFrozen) out.push_back(p);
+  }
+  return out;
+}
+
+/// Experts resident on the GPU across all layers.
+inline int total_gpu_count(const cache::Placement& p) {
+  int total = 0;
+  for (int l = 0; l < p.n_layers(); ++l) total += p.gpu_count(l);
+  return total;
+}
+
+/// Fraction of all experts resident on the GPU.
+inline double ecr(const cache::Placement& p) {
+  return static_cast<double>(total_gpu_count(p)) /
+         (static_cast<double>(p.n_layers()) * p.n_experts());
 }
 
 }  // namespace daop::testing
