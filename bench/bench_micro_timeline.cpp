@@ -22,6 +22,11 @@
 //                            a calibrated Mixtral placement (ECR 46.9%): the
 //                            planner every DAOP decode layer runs
 //   - SequenceSpecificSwaps  Algorithm 1 per prefill layer of the same trace
+//   - TraceGenerate          one Mixtral C4 routing trace at the mean
+//                            request lengths of the serving plans (prompt
+//                            192, gen 152), built from the main thread one
+//                            at a time as a serving plan builds them; wall
+//                            time, since the layers run on the shared pool
 //
 // Run: ./build/bench/bench_micro_timeline [--benchmark_filter=...]
 #include <benchmark/benchmark.h>
@@ -248,6 +253,24 @@ void BM_SequenceSpecificSwaps(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * L);
 }
 BENCHMARK(BM_SequenceSpecificSwaps);
+
+// ---------------------------------------------------------------------------
+// Set-up: building one routing trace. Items are tokens.
+
+void BM_TraceGenerate(benchmark::State& state) {
+  const model::ModelConfig cfg = model::mixtral_8x7b();
+  const data::TraceGenerator gen(data::c4(), cfg.n_layers, cfg.n_experts,
+                                 cfg.top_k, 1);
+  constexpr int kPrompt = 192;
+  constexpr int kGen = 152;
+  int index = 0;
+  for (auto _ : state) {
+    const data::SequenceTrace trace = gen.generate(index++, kPrompt, kGen);
+    benchmark::DoNotOptimize(trace.counts(data::Phase::Decode, 0).data());
+  }
+  state.SetItemsProcessed(state.iterations() * (kPrompt + kGen));
+}
+BENCHMARK(BM_TraceGenerate)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 }  // namespace
 

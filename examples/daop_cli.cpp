@@ -950,6 +950,14 @@ int main(int argc, char** argv) {
   try {
     const FlagParser flags(argc, argv);
     const std::string& cmd = flags.command();
+    // No command takes a positional argument, so a stray token is a typo
+    // (a value whose flag is missing, say); refuse it before running.
+    if (!flags.positional().empty()) {
+      for (const auto& arg : flags.positional()) {
+        std::fprintf(stderr, "error: unexpected argument '%s'\n", arg.c_str());
+      }
+      return 2;
+    }
     int rc = 0;
     if (cmd == "speed") {
       rc = cmd_speed(flags);

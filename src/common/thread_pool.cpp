@@ -1,6 +1,7 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 
 #include "common/check.hpp"
@@ -9,8 +10,14 @@ namespace daop {
 
 namespace {
 
-// The pool whose worker_loop() the current thread is running, if any.
+// The pool the current thread works for: set for good on a pool's workers,
+// and on a parallel_for caller while it runs chunks of that pool's batch.
 thread_local const ThreadPool* tl_owner = nullptr;
+
+// Chunks per participating thread. Claiming a chunk is one atomic
+// increment, so chunks can be small; several per thread let a thread that
+// finishes early take over work a slower one has not reached.
+constexpr std::int64_t kChunksPerThread = 4;
 
 }  // namespace
 
@@ -22,6 +29,7 @@ ThreadPool::ThreadPool(unsigned threads) {
   // With one worker requested we run everything inline in parallel_for and
   // never spawn a thread at all.
   if (threads == 1) return;
+  n_workers_ = threads;
   workers_.reserve(threads);
   for (unsigned i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -29,14 +37,23 @@ ThreadPool::ThreadPool(unsigned threads) {
 }
 
 struct ThreadPool::Batch {
-  Batch(const std::function<void(std::int64_t)>& f, std::int64_t chunks)
-      : fn(f), remaining(chunks) {}
+  Batch(const std::function<void(std::int64_t)>& f, std::int64_t n_in,
+        std::int64_t chunk_size_in)
+      : fn(f),
+        n(n_in),
+        chunk_size(chunk_size_in),
+        chunks((n_in + chunk_size_in - 1) / chunk_size_in) {}
 
   const std::function<void(std::int64_t)>& fn;
-  std::mutex mu;
-  std::condition_variable done;
-  std::int64_t remaining;          // chunks not yet finished, under mu
-  std::exception_ptr first_error;  // under mu
+  const std::int64_t n;
+  const std::int64_t chunk_size;
+  const std::int64_t chunks;
+  std::atomic<std::int64_t> next{0};  // the next chunk to claim
+  // Under the pool's mu_:
+  unsigned tickets = 0;  // helpers still wanted; > 0 only while queued
+  unsigned active = 0;   // workers that took a ticket and have not left
+  std::exception_ptr first_error;
+  std::condition_variable done;  // signalled when active drops to 0
 };
 
 ThreadPool::~ThreadPool() { shutdown(); }
@@ -46,10 +63,10 @@ void ThreadPool::shutdown() {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_ && workers_.empty()) return;  // already shut down
     stop_ = true;
-    // Queued-but-unstarted chunks are dropped, not run: at shutdown time
-    // their batches may reference objects that are about to be destroyed.
+    // Unclaimed helper tickets are withdrawn; each caller finishes its own
+    // batch, and workers already inside one finish before they are joined.
+    for (Batch* b : queue_) b->tickets = 0;
     queue_.clear();
-    head_ = 0;
   }
   cv_.notify_all();
   for (auto& w : workers_) w.join();
@@ -59,65 +76,85 @@ void ThreadPool::shutdown() {
 void ThreadPool::worker_loop() {
   tl_owner = this;
   for (;;) {
-    Chunk chunk;
+    Batch* batch = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || head_ < queue_.size(); });
-      if (stop_ && head_ == queue_.size()) return;
-      chunk = queue_[head_++];
-      // Drop the consumed prefix once it is half the queue: the rest moves
-      // down in place, and a drained queue keeps its storage.
-      if (head_ * 2 >= queue_.size()) {
-        queue_.erase(queue_.begin(),
-                     queue_.begin() + static_cast<std::ptrdiff_t>(head_));
-        head_ = 0;
-      }
+      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopping
+      batch = queue_.front();
+      ++batch->active;
+      if (--batch->tickets == 0) queue_.erase(queue_.begin());
     }
-    run(chunk);
+    work(*batch);
+    // The caller returns (destroying the batch) only once it holds mu_ and
+    // sees active == 0, so nothing touches the batch after this unlock.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--batch->active == 0) batch->done.notify_one();
   }
 }
 
-void ThreadPool::run(const Chunk& chunk) {
-  Batch& batch = *chunk.batch;
-  std::exception_ptr error;
-  try {
-    for (std::int64_t i = chunk.begin; i < chunk.end; ++i) batch.fn(i);
-  } catch (...) {
-    error = std::current_exception();
+void ThreadPool::work(Batch& batch) {
+  for (;;) {
+    const std::int64_t c = batch.next.fetch_add(1, std::memory_order_relaxed);
+    if (c >= batch.chunks) return;
+    const std::int64_t end = std::min(batch.n, (c + 1) * batch.chunk_size);
+    try {
+      for (std::int64_t i = c * batch.chunk_size; i < end; ++i) batch.fn(i);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!batch.first_error) batch.first_error = std::current_exception();
+    }
   }
-  // The caller returns (destroying the batch) only once it holds mu and
-  // sees remaining == 0, so nothing touches the batch after this unlock.
-  std::lock_guard<std::mutex> lock(batch.mu);
-  if (error && !batch.first_error) batch.first_error = error;
-  if (--batch.remaining == 0) batch.done.notify_all();
 }
 
 void ThreadPool::parallel_for(std::int64_t n,
                               const std::function<void(std::int64_t)>& fn) {
   if (n <= 0) return;
-  // A call from one of our own workers runs inline: queueing the chunks and
-  // blocking here would deadlock once every worker waits on its own chunks.
-  if (workers_.empty() || n == 1 || tl_owner == this) {
+  // A call from a thread already working for this pool runs inline: every
+  // other participant may be busy with the outer call's chunks.
+  if (n_workers_ == 0 || n == 1 || tl_owner == this) {
     for (std::int64_t i = 0; i < n; ++i) fn(i);
     return;
   }
 
-  const std::int64_t chunks =
-      std::min<std::int64_t>(n, static_cast<std::int64_t>(workers_.size()) * 4);
-  const std::int64_t chunk_size = (n + chunks - 1) / chunks;
-
-  Batch batch(fn, chunks);
-  {
+  // The caller and up to every worker: the caller is often the one thread
+  // with serial work between calls, so the workers alone fill the machine
+  // while it does that work.
+  const std::int64_t threads =
+      std::min<std::int64_t>(n, static_cast<std::int64_t>(n_workers_) + 1);
+  const std::int64_t want =
+      std::min<std::int64_t>(n, threads * kChunksPerThread);
+  Batch batch(fn, n, (n + want - 1) / want);
+  const auto helpers = static_cast<unsigned>(
+      std::min<std::int64_t>(threads, batch.chunks) - 1);
+  bool queued = false;
+  if (helpers > 0) {
     std::lock_guard<std::mutex> lock(mu_);
-    for (std::int64_t c = 0; c < chunks; ++c) {
-      const std::int64_t begin = c * chunk_size;
-      queue_.push_back({&batch, begin, std::min(n, begin + chunk_size)});
+    if (!stop_) {
+      batch.tickets = helpers;
+      queue_.push_back(&batch);
+      queued = true;
     }
   }
-  cv_.notify_all();
+  if (queued) {
+    for (unsigned h = 0; h < helpers; ++h) cv_.notify_one();
+  }
 
-  std::unique_lock<std::mutex> lock(batch.mu);
-  batch.done.wait(lock, [&] { return batch.remaining == 0; });
+  {
+    // While it runs chunks the caller counts as one of this pool's
+    // threads, so a nested call from them runs inline too.
+    const ThreadPool* const outer = tl_owner;
+    tl_owner = this;
+    work(batch);
+    tl_owner = outer;
+  }
+
+  std::unique_lock<std::mutex> lock(mu_);
+  if (batch.tickets > 0) {  // nobody took them: withdraw before leaving
+    std::erase(queue_, &batch);
+    batch.tickets = 0;
+  }
+  batch.done.wait(lock, [&] { return batch.active == 0; });
   if (batch.first_error) std::rethrow_exception(batch.first_error);
 }
 

@@ -56,15 +56,25 @@ PhaseRouting::Blocks* PhaseRouting::allocate(bool with_pred) const {
   return b;
 }
 
-void PhaseRouting::reset(int n_layers, int n_tokens, int n_experts,
-                         int top_k, bool with_pred) {
+void PhaseRouting::reset_unfilled(int n_layers, int n_tokens, int n_experts,
+                                  int top_k, bool with_pred) {
   PhaseRouting fresh;
   fresh.n_layers_ = n_layers;
   fresh.n_tokens_ = n_tokens;
   fresh.n_experts_ = n_experts;
   fresh.top_k_ = top_k;
   fresh.blocks_ = fresh.allocate(with_pred);
-  Blocks& b = *fresh.blocks_;
+  std::fill_n(fresh.blocks_->counts,
+              static_cast<std::size_t>(n_layers) *
+                  static_cast<std::size_t>(n_experts),
+              0.0);
+  swap(fresh);
+}
+
+void PhaseRouting::reset(int n_layers, int n_tokens, int n_experts,
+                         int top_k, bool with_pred) {
+  reset_unfilled(n_layers, n_tokens, n_experts, top_k, with_pred);
+  Blocks& b = *blocks_;
   const std::size_t cells = static_cast<std::size_t>(n_layers) *
                             static_cast<std::size_t>(n_tokens);
   const auto E = static_cast<std::size_t>(n_experts);
@@ -77,7 +87,6 @@ void PhaseRouting::reset(int n_layers, int n_tokens, int n_experts,
       b.ids[c * K + j] = static_cast<ExpertId>(j);
     }
   }
-  std::fill_n(b.counts, static_cast<std::size_t>(n_layers) * E, 0.0);
   for (std::size_t l = 0; l < static_cast<std::size_t>(n_layers); ++l) {
     std::fill_n(b.counts + l * E, K, static_cast<double>(n_tokens));
   }
@@ -86,7 +95,6 @@ void PhaseRouting::reset(int n_layers, int n_tokens, int n_experts,
     std::fill_n(b.pred_ids, cells * K, ExpertId{0});
     std::fill_n(b.has_pred, cells, std::uint8_t{0});
   }
-  swap(fresh);
 }
 
 PhaseRouting::Blocks& PhaseRouting::own_blocks() {
@@ -147,6 +155,56 @@ SequenceTrace::SequenceTrace(int n_layers, int n_experts_in, int top_k_in,
                     "bad trace shape");
   prefill.reset(n_layers, prompt_len, n_experts, top_k, /*with_pred=*/false);
   decode.reset(n_layers, gen_len, n_experts, top_k, /*with_pred=*/true);
+}
+
+SequenceTrace::SequenceTrace(Unfilled, int n_layers, int n_experts_in,
+                             int top_k_in, int prompt_len_in, int gen_len_in)
+    : n_experts(n_experts_in),
+      top_k(top_k_in),
+      prompt_len(prompt_len_in),
+      gen_len(gen_len_in) {
+  check_trace_shape(n_layers, n_experts, top_k, prompt_len, gen_len,
+                    "bad trace shape");
+  prefill.reset_unfilled(n_layers, prompt_len, n_experts, top_k,
+                         /*with_pred=*/false);
+  decode.reset_unfilled(n_layers, gen_len, n_experts, top_k,
+                        /*with_pred=*/true);
+}
+
+SequenceTrace::LayerWriter::LayerWriter(SequenceTrace& trace, Phase phase,
+                                        int layer)
+    : LayerWriter(phase == Phase::Prefill ? trace.prefill : trace.decode,
+                  layer) {}
+
+SequenceTrace::LayerWriter::LayerWriter(PhaseRouting& p, int layer)
+    : blocks_(*p.blocks_),
+      counts_(blocks_.counts + static_cast<std::size_t>(layer) *
+                                   static_cast<std::size_t>(p.n_experts_)),
+      first_cell_(p.cell_index(layer, 0)),
+      E_(static_cast<std::size_t>(p.n_experts_)),
+      K_(static_cast<std::size_t>(p.top_k_)),
+      layer_(layer) {}
+
+void SequenceTrace::LayerWriter::commit(int token, bool with_pred) {
+  const std::size_t c = cell(token);
+  const std::span<const float> scores(blocks_.scores + c * E_, E_);
+  const std::span<const float> pred =
+      with_pred ? std::span<const float>(blocks_.pred_scores + c * E_, E_)
+                : std::span<const float>();
+  DAOP_CHECK_MSG(!has_nan(scores) && !has_nan(pred),
+                 "NaN gate score at layer " << layer_ << " token " << token);
+  const std::span<ExpertId> ids(blocks_.ids + c * K_, K_);
+  topk_indices_into(scores, ids);
+  for (const ExpertId e : ids) counts_[e] += 1.0;
+  if (blocks_.has_pred == nullptr) return;  // prefill
+  blocks_.has_pred[c] = with_pred ? 1 : 0;
+  const std::span<ExpertId> pred_ids(blocks_.pred_ids + c * K_, K_);
+  if (with_pred) {
+    topk_indices_into(pred, pred_ids);
+  } else {
+    std::fill_n(blocks_.pred_scores + c * E_, E_, 0.0F);
+    std::fill_n(pred_ids.begin(), K_, ExpertId{0});
+  }
 }
 
 namespace {

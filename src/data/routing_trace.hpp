@@ -6,15 +6,16 @@
 // array (plus, for decode, one for the one-layer-ahead predictions), the
 // top-k expert ids of every cell, and the per-layer activation-count
 // matrix. Replay reads the stored ids and counts; nothing re-ranks a
-// recorded gate. A trace is built by TraceGenerator::generate, load_trace,
-// or the shape constructor plus set_cell (hand-built traces).
+// recorded gate. A trace is built by load_trace or the shape constructor
+// plus set_cell (hand-built traces), or by TraceGenerator::generate, which
+// writes every cell in place into blocks it never zero-fills (LayerWriter).
 //
 // Copy-on-write. A phase keeps its blocks in one reference-counted heap
 // buffer, so copying a trace (or a phase) shares them: a refcount bump, no
-// allocation. SequenceTrace::set_cell is the only writer; when the blocks
-// are shared it first clones them, so a write to one copy never shows in
-// another. The shape constructor (and load_trace) build fresh blocks; a
-// default-constructed trace allocates nothing.
+// allocation. SequenceTrace::set_cell is the only writer of a built trace;
+// when the blocks are shared it first clones them, so a write to one copy
+// never shows in another. The shape constructor (and load_trace) build
+// fresh blocks; a default-constructed trace allocates nothing.
 //
 // Views. TokenRouting and LayerTokens are read-only views into the blocks,
 // valid while the trace that produced them is alive and unmodified.
@@ -22,8 +23,9 @@
 // Threads. Copying, reading and destroying copies of one trace from many
 // threads at once is safe, as for any const value. Concurrent set_cell
 // calls on disjoint cells are legal only on an unshared trace (no other
-// copy holds its blocks), as in TraceGenerator's per-layer tasks; a shared
-// trace would detach in each of them at once.
+// copy holds its blocks); a shared trace would detach in each of them at
+// once. TraceGenerator's per-layer tasks each write their own layer's rows
+// through a LayerWriter before the trace is ever copied.
 #pragma once
 
 #include <atomic>
@@ -222,6 +224,11 @@ class PhaseRouting {
   void reset(int n_layers, int n_tokens, int n_experts, int top_k,
              bool with_pred);
 
+  /// Shapes fresh blocks for n_layers x n_tokens cells with zero counts,
+  /// leaving every other byte unwritten.
+  void reset_unfilled(int n_layers, int n_tokens, int n_experts, int top_k,
+                      bool with_pred);
+
   /// An unshared buffer laid out for this phase's dimensions, blocks
   /// unset.
   Blocks* allocate(bool with_pred) const;
@@ -318,6 +325,17 @@ struct SequenceTrace {
                 std::span<const float> pred_scores = {});
 
  private:
+  friend class TraceGenerator;
+  class LayerWriter;
+
+  /// Selects the constructor that leaves the cells unwritten.
+  struct Unfilled {};
+  /// A trace of this shape whose counts are zero and whose cells are
+  /// unwritten: every (phase, layer, token) cell must be committed once
+  /// through a LayerWriter before the trace is read or copied.
+  SequenceTrace(Unfilled, int n_layers, int n_experts, int top_k,
+                int prompt_len, int gen_len);
+
   const PhaseRouting& phase_block(Phase phase) const {
     return phase == Phase::Prefill ? prefill : decode;
   }
@@ -327,6 +345,43 @@ struct SequenceTrace {
   [[noreturn]] DAOP_COLD_ void reject_cell(Phase phase, int layer,
                                            int token) const;
   [[noreturn]] DAOP_COLD_ void reject_layer(Phase phase, int layer) const;
+};
+
+/// TraceGenerator's in-place writer for one layer of one phase of an
+/// unfilled trace. The caller writes cell `token`'s scores into
+/// scores(token) (and, for a decode cell with a prediction, the prediction
+/// into pred_scores(token)), then commit()s the cell. Writers of different
+/// layers touch disjoint bytes and may run on different threads at once.
+class SequenceTrace::LayerWriter {
+ public:
+  LayerWriter(SequenceTrace& trace, Phase phase, int layer);
+
+  /// The cell's score row (n_experts floats); `token` is not checked.
+  float* scores(int token) const { return blocks_.scores + cell(token) * E_; }
+  /// The cell's prediction row; decode only, `token` not checked.
+  float* pred_scores(int token) const {
+    return blocks_.pred_scores + cell(token) * E_;
+  }
+
+  /// Ranks the written scores (and the prediction when `with_pred`, decode
+  /// only) into the cell's stored ids, and adds the cell to the layer's
+  /// counts. A decode cell without a prediction gets zero prediction
+  /// scores and ids, as set_cell leaves them. NaN scores are rejected.
+  void commit(int token, bool with_pred);
+
+ private:
+  LayerWriter(PhaseRouting& phase, int layer);
+
+  std::size_t cell(int token) const {
+    return first_cell_ + static_cast<std::size_t>(token);
+  }
+
+  PhaseRouting::Blocks& blocks_;
+  double* counts_;  ///< this layer's row
+  std::size_t first_cell_;
+  std::size_t E_;
+  std::size_t K_;
+  int layer_;
 };
 
 inline std::size_t LayerTokens::Tokens::size() const {

@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <functional>
-#include <span>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -80,7 +79,9 @@ SequenceTrace TraceGenerator::generate(int seq_index, int prompt_len,
   const double rho = spec_.layer_rho;
   const double shift = spec_.phase_shift_sigma;
 
-  SequenceTrace tr(n_layers_, n_experts_, top_k_, prompt_len, gen_len);
+  // Every cell is written in place by exactly one layer task below.
+  SequenceTrace tr(SequenceTrace::Unfilled{}, n_layers_, n_experts_, top_k_,
+                   prompt_len, gen_len);
 
   // Layer-correlated sequence preference field, [layer][expert].
   std::vector<double> pref(L * E);
@@ -120,7 +121,7 @@ SequenceTrace TraceGenerator::generate(int seq_index, int prompt_len,
 
   // The record pass marks where each layer's segments start; a
   // parallel_for over layers replays them, each layer carrying its own
-  // drift and writing only its own rows of the trace's blocks. Step -1
+  // drift and writing its own rows of the trace's blocks in place. Step -1
   // replays the prefill and step b >= 0 decode block b. Task 0 of each step
   // records the next decode block into the other mark buffer, so the
   // serial record pass overlaps the replay.
@@ -159,26 +160,24 @@ SequenceTrace TraceGenerator::generate(int seq_index, int prompt_len,
     const auto l = static_cast<std::size_t>(task - 1);
     const int li = static_cast<int>(l);
     Rng r = rng;
-    // One cell's scores and prediction, staged as floats for set_cell.
-    std::array<float, kMaxTraceExperts> score_buf{};
-    std::array<float, kMaxTraceExperts> pred_buf{};
-    const std::span<float> scores(score_buf.data(), E);
-    const std::span<float> pred(pred_buf.data(), E);
 
     if (step < 0) {  // prefill tokens
+      SequenceTrace::LayerWriter out(tr, Phase::Prefill, li);
       seek_normal(r, prefill_marks[l], l * prefill_pos);
       const double* p = pref.data() + l * E;
       for (int t = 0; t < prompt_len; ++t) {
+        float* scores = out.scores(t);
         for (std::size_t e = 0; e < E; ++e) {
           scores[e] = static_cast<float>(
               p[e] + spec_.token_noise_sigma * r.normal());
         }
-        tr.set_cell(Phase::Prefill, li, t, scores);
+        out.commit(t, /*with_pred=*/false);
       }
       return;
     }
 
     // Decode tokens with random-walk drift and gate-ahead predictions.
+    SequenceTrace::LayerWriter out(tr, Phase::Decode, li);
     const auto& marks = cell_marks[static_cast<std::size_t>(step % 2)];
     const int t0 = step * kDecodeBlock;
     const int t1 = std::min(gen_len, t0 + kDecodeBlock);
@@ -190,20 +189,22 @@ SequenceTrace TraceGenerator::generate(int seq_index, int prompt_len,
       for (std::size_t e = 0; e < E; ++e) {
         d[e] = spec_.drift_rho * d[e] + spec_.drift_sigma * skew * r.normal();
       }
+      float* scores = out.scores(t);
       for (std::size_t e = 0; e < E; ++e) {
         scores[e] = static_cast<float>(
             dp[e] + d[e] + spec_.token_noise_sigma * r.normal());
       }
       if (l == 0) {
-        tr.set_cell(Phase::Decode, li, t, scores);
+        out.commit(t, /*with_pred=*/false);
         continue;
       }
       // A prediction for this layer, formed while layer l-1 executed.
       const double pn = l < 4 ? spec_.pred_noise_early : spec_.pred_noise_late;
+      float* pred = out.pred_scores(t);
       for (std::size_t e = 0; e < E; ++e) {
         pred[e] = scores[e] + static_cast<float>(pn * r.normal());
       }
-      tr.set_cell(Phase::Decode, li, t, scores, pred);
+      out.commit(t, /*with_pred=*/true);
     }
   };
   for (; step < n_blocks; ++step) {

@@ -24,11 +24,19 @@
 // Box-Muller pair boundary at or before its start (32 bytes). Each
 // ThreadPool::global().parallel_for over layers then replays every segment
 // of its layer (Rng::seek, dropping the cosine half when the position is
-// odd), carries that layer's drift across tokens, and writes only that
-// layer's rows of the trace. Decode goes in blocks of 64 tokens, so the
+// odd), carries that layer's drift across tokens, and writes that layer's
+// rows of the trace in place. Decode goes in blocks of 64 tokens, so the
 // marks stay small, and one extra task of each parallel_for records the
-// next block while the layers replay this one. The pool is re-entrant: a
-// caller already on a pool worker runs the same code inline.
+// next block while the layers replay this one. The calling thread runs
+// tasks beside the pool's workers; a caller already working for the pool
+// runs the same code inline.
+//
+// In place. The trace's blocks are allocated and never zero-filled: each
+// layer task draws its cells' scores and predictions straight into the
+// blocks through SequenceTrace::LayerWriter, which ranks them into the
+// stored ids, writes layer 0's empty prediction rows, and adds each cell
+// to its layer's count row (whole numbers, so the same bytes as
+// set_cell's updates). A NaN score throws CheckError as set_cell does.
 #pragma once
 
 #include <cstdint>

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <functional>
 #include <new>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -30,12 +32,16 @@ namespace daop {
 namespace {
 
 TEST(ThreadPool, RunsEveryIterationExactlyOnce) {
+  // Fewer iterations than workers, and lengths that leave the last chunk
+  // short.
   ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(1000, [&](std::int64_t i) {
-    hits[static_cast<std::size_t>(i)].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  for (const std::int64_t n : {2, 3, 4, 5, 7, 17, 21, 33, 41, 101, 1000}) {
+    std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+    pool.parallel_for(n, [&](std::int64_t i) {
+      hits[static_cast<std::size_t>(i)].fetch_add(1);
+    });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "n = " << n;
+  }
 }
 
 TEST(ThreadPool, SingleWorkerRunsInline) {
@@ -109,6 +115,67 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+TEST(ThreadPool, CallerNestedCallsRunInline) {
+  // The caller claims chunks beside the workers; while it runs them it
+  // counts as one of the pool's threads, so its nested calls run inline on
+  // it like a worker's. The sleep makes sure the caller gets chunks.
+  ThreadPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> on_caller{0};
+  std::atomic<int> off_thread{0};
+  std::vector<std::atomic<int>> hits(16 * 8);
+  pool.parallel_for(16, [&](std::int64_t i) {
+    const std::thread::id outer = std::this_thread::get_id();
+    if (outer == caller) on_caller.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    pool.parallel_for(8, [&](std::int64_t j) {
+      if (std::this_thread::get_id() != outer) off_thread.fetch_add(1);
+      hits[static_cast<std::size_t>(i * 8 + j)].fetch_add(1);
+    });
+  });
+  EXPECT_GT(on_caller.load(), 0);
+  EXPECT_EQ(off_thread.load(), 0);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, TwoOutsideCallersShareOnePool) {
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(2 * 20 * 500);
+  const auto caller = [&](int who) {
+    for (int rep = 0; rep < 20; ++rep) {
+      pool.parallel_for(500, [&](std::int64_t i) {
+        hits[static_cast<std::size_t>((who * 20 + rep) * 500 + i)].fetch_add(
+            1);
+      });
+    }
+  };
+  std::thread a(caller, 0);
+  std::thread b(caller, 1);
+  a.join();
+  b.join();
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ExceptionOnCallerChunkReachesCaller) {
+  ThreadPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> thrown{0};
+  EXPECT_THROW(pool.parallel_for(32,
+                                 [&](std::int64_t) {
+                                   std::this_thread::sleep_for(
+                                       std::chrono::milliseconds(1));
+                                   if (std::this_thread::get_id() == caller) {
+                                     thrown.fetch_add(1);
+                                     throw std::runtime_error("caller");
+                                   }
+                                 }),
+               std::runtime_error);
+  EXPECT_GT(thrown.load(), 0);
+  std::atomic<int> count{0};
+  pool.parallel_for(50, [&](std::int64_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 50);
+}
+
 TEST(ThreadPool, ParallelForAllocatesNothingOnceWarm) {
   // Callers such as TraceGenerator issue one call per block of work; their
   // heap use must not grow with the number of calls.
@@ -150,6 +217,35 @@ TEST(ThreadPool, RunsInlineAfterShutdown) {
   std::atomic<long long> sum{0};
   pool.parallel_for(1000, [&](std::int64_t i) { sum.fetch_add(i); });
   EXPECT_EQ(sum.load(), 1000LL * 999 / 2);
+}
+
+TEST(ThreadPool, ShutdownDuringCallCompletesOnCaller) {
+  // Two outside callers: the first keeps both workers busy, so the
+  // second's helper tickets are still queued when shutdown() withdraws
+  // them. Each call must still run every iteration once and return (a
+  // hang here is the failure); the second's caller runs its batch alone.
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> slow_hits(64);
+  std::vector<std::atomic<int>> late_hits(16);
+  std::thread slow([&] {
+    pool.parallel_for(64, [&](std::int64_t i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      slow_hits[static_cast<std::size_t>(i)].fetch_add(1);
+    });
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  std::thread late([&] {
+    pool.parallel_for(16, [&](std::int64_t i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      late_hits[static_cast<std::size_t>(i)].fetch_add(1);
+    });
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  pool.shutdown();
+  slow.join();
+  late.join();
+  for (const auto& h : slow_hits) EXPECT_EQ(h.load(), 1);
+  for (const auto& h : late_hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, PropagatesExceptionsAfterShutdown) {

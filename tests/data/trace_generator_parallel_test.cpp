@@ -1,27 +1,54 @@
 // Differential test of the parallel trace build: TraceGenerator::generate
 // records the normal() stream once and replays it per layer on the shared
-// pool, and must reproduce the serial draw order bit for bit. The oracle
-// below is the serial generate body verbatim, so every score, prediction,
-// id and count is compared against what a single-threaded walk of the same
-// stream produces. The shapes put segment starts on both halves of a
-// Box-Muller pair (odd n_experts and prompt lengths), cross decode token
-// blocks, and hit the degenerate edges; the callers cover the main thread,
-// a shared-pool worker (the nested, inline path) and a foreign pool's
-// worker.
+// pool, writing each layer's cells in place into blocks it never
+// zero-fills, and must reproduce the serial draw order bit for bit. The
+// oracle below is the serial generate body verbatim, built through the
+// zero-filling shape constructor and set_cell, and the two traces' phase
+// blocks are compared byte for byte: scores, predictions, ids, flags and
+// counts, the bytes no accessor shows (layer 0's empty prediction rows)
+// included. Every heap allocation in this binary is poisoned first, so a
+// byte the in-place writer forgets to write differs from the oracle's
+// whatever the allocator hands back. The shapes put segment starts on both
+// halves of a Box-Muller pair (odd n_experts and prompt lengths), cross
+// decode token blocks, and hit the degenerate edges; the callers cover the
+// main thread, a shared-pool worker (the nested, inline path) and a
+// foreign pool's worker.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <new>
 #include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "data/trace_generator.hpp"
 #include "data/workload.hpp"
+
+namespace {
+constexpr unsigned char kPoison = 0xA5;
+}  // namespace
+
+// Poisons every allocation, so unwritten bytes never read as zero.
+void* operator new(std::size_t n) {
+  if (void* p = std::malloc(n == 0 ? 1 : n)) {
+    std::memset(p, kPoison, n);
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace daop::data {
 namespace {
@@ -121,45 +148,93 @@ SequenceTrace serial_generate(const WorkloadSpec& spec_, int n_layers_,
   return tr;
 }
 
-template <class T>
-bool same_bytes(std::span<const T> a, std::span<const T> b) {
-  return a.size() == b.size() &&
-         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+// One phase's blocks as one run of bytes, laid out as routing_trace.hpp
+// describes: counts, scores, (decode) predictions, ids, (decode) predicted
+// ids and has-prediction flags. Each block start that an accessor hands
+// out is checked against the computed layout, so a layout change fails
+// here instead of reading past the buffer.
+struct PhaseBytes {
+  std::span<const unsigned char> bytes;
+  // Block names and the offsets where they start, in order.
+  std::vector<std::pair<const char*, std::size_t>> blocks;
+};
+
+PhaseBytes phase_bytes(const SequenceTrace& tr, Phase phase) {
+  const bool decode = phase == Phase::Decode;
+  const auto L = static_cast<std::size_t>(tr.n_layers());
+  const auto E = static_cast<std::size_t>(tr.n_experts);
+  const auto K = static_cast<std::size_t>(tr.top_k);
+  const auto T = static_cast<std::size_t>(decode ? tr.gen_len : tr.prompt_len);
+  const std::size_t cells = L * T;
+  const auto* base =
+      reinterpret_cast<const unsigned char*>(tr.counts(phase, 0).data());
+  PhaseBytes out;
+  std::size_t off = 0;
+  // Appends a block and returns where it starts.
+  const auto block = [&](const char* name, std::size_t bytes) {
+    out.blocks.emplace_back(name, off);
+    off += bytes;
+    return static_cast<const void*>(base + out.blocks.back().second);
+  };
+  block("counts", L * E * sizeof(double));
+  const void* scores = block("scores", cells * E * sizeof(float));
+  const void* pred_scores =
+      decode ? block("pred_scores", cells * E * sizeof(float)) : nullptr;
+  const void* ids = block("ids", cells * K);
+  const void* pred_ids = decode ? block("pred_ids", cells * K) : nullptr;
+  if (decode) block("has_pred", cells);
+
+  bool anchored = true;
+  if (T > 0) {
+    const TokenRouting first = tr.at(phase, 0, 0);
+    anchored = first.scores.data() == scores && first.selected.data() == ids;
+    if (decode && L > 1) {
+      // Layer 1's first cell has a prediction, T cells into each block.
+      const TokenRouting next = tr.at(phase, 1, 0);
+      anchored = anchored &&
+                 next.pred_scores.data() ==
+                     static_cast<const float*>(pred_scores) + T * E &&
+                 next.predicted.data() ==
+                     static_cast<const ExpertId*>(pred_ids) + T * K;
+    }
+  }
+  if (!anchored) {
+    ADD_FAILURE() << "trace blocks are not laid out as this test expects";
+    return {};
+  }
+  out.bytes = {base, off};
+  return out;
 }
 
 // The first place `got` differs from `want` bit for bit, or "" if nowhere.
 std::string first_difference(const SequenceTrace& want,
                              const SequenceTrace& got) {
-  std::ostringstream out;
   if (want.n_layers() != got.n_layers() || want.n_experts != got.n_experts ||
       want.top_k != got.top_k || want.prompt_len != got.prompt_len ||
       want.gen_len != got.gen_len) {
     return "shape";
   }
   for (const Phase phase : {Phase::Prefill, Phase::Decode}) {
-    const char* name = phase == Phase::Prefill ? "prefill" : "decode";
-    const int n_tokens = phase == Phase::Prefill ? want.prompt_len : want.gen_len;
-    for (int l = 0; l < want.n_layers(); ++l) {
-      if (!same_bytes(want.counts(phase, l), got.counts(phase, l))) {
-        out << name << " counts, layer " << l;
-        return out.str();
-      }
-      for (int t = 0; t < n_tokens; ++t) {
-        const TokenRouting a = want.at(phase, l, t);
-        const TokenRouting b = got.at(phase, l, t);
-        const char* field = !same_bytes(a.scores, b.scores) ? "scores"
-                            : !same_bytes(a.pred_scores, b.pred_scores)
-                                ? "pred_scores"
-                            : !same_bytes(a.selected, b.selected) ? "selected"
-                            : !same_bytes(a.predicted, b.predicted)
-                                ? "predicted"
-                                : nullptr;
-        if (field != nullptr) {
-          out << name << ' ' << field << ", layer " << l << " token " << t;
-          return out.str();
-        }
+    const PhaseBytes a = phase_bytes(want, phase);
+    const PhaseBytes b = phase_bytes(got, phase);
+    if (a.bytes.empty() || a.bytes.size() != b.bytes.size()) return "layout";
+    const auto diff =
+        std::mismatch(a.bytes.begin(), a.bytes.end(), b.bytes.begin());
+    if (diff.first == a.bytes.end()) continue;
+    const auto offset =
+        static_cast<std::size_t>(diff.first - a.bytes.begin());
+    const char* name = "";
+    std::size_t start = 0;
+    for (const auto& [n, o] : a.blocks) {
+      if (o <= offset) {
+        name = n;
+        start = o;
       }
     }
+    std::ostringstream out;
+    out << (phase == Phase::Prefill ? "prefill " : "decode ") << name
+        << ", byte " << offset - start;
+    return out.str();
   }
   return "";
 }
@@ -236,6 +311,23 @@ TEST(TraceGeneratorParallel, MatchesSerialOracleFromForeignPool) {
     failures[static_cast<std::size_t>(i)] = check_all();
   });
   for (const std::string& f : failures) EXPECT_EQ(f, "");
+}
+
+TEST(TraceGeneratorParallel, NanScoresAreRejected) {
+  // A NaN score has no rank; the in-place writer rejects it like
+  // set_cell, from whichever thread wrote the cell.
+  WorkloadSpec prefill_nan = c4();
+  prefill_nan.token_noise_sigma = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(TraceGenerator(prefill_nan, 8, 8, 2, 1).generate(0, 16, 16),
+               CheckError);
+  WorkloadSpec pred_nan = c4();  // only predictions above layer 3
+  pred_nan.pred_noise_late = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(TraceGenerator(pred_nan, 8, 8, 2, 1).generate(0, 16, 16),
+               CheckError);
+  // The pool stays usable.
+  EXPECT_EQ(first_difference(serial_generate(c4(), 8, 8, 2, 1, 0, 16, 16),
+                             TraceGenerator(c4(), 8, 8, 2, 1).generate(0, 16, 16)),
+            "");
 }
 
 TEST(TraceGeneratorParallel, DefaultLengthsMatchSerialOracle) {
