@@ -12,7 +12,11 @@ with its own CARGO_TARGET_DIR, `<checkout>/.bench_build` unless
 a workload name, run at perfbench's default seed 1, or `name:seed`. Per
 entry, pair i runs both sides back to back, the parent first on even i and
 the change first on odd i, so slow drift on a shared machine hits both
-sides alike.
+sides alike. An order effect (the second run of a pair reading higher,
+whichever side it is) does not cancel within a pair, so every metric is
+also split by run order: wins and the median per-pair change/parent ratio
+where the change ran second and where it ran first, and the geometric mean
+of those two ratios, in which the order effect cancels.
 
 The output (schema daop-perf-pairs/1) holds every run's metrics and, per
 entry and end-to-end metric (directions from the change's
@@ -30,6 +34,7 @@ times do not show is a shift in the kernel, not in the simulator.
 """
 import argparse
 import json
+import math
 import os
 import re
 import statistics
@@ -55,9 +60,40 @@ def side_summary(values):
     return {"median": med, "q1": q1, "q3": q3, "values": values}
 
 
-def summarise(parent, change, better):
+def change_ran_second(pair):
+    """Whether pair `pair` ran the parent first (even pairs) or the change."""
+    return pair % 2 == 0
+
+
+def by_order(parent, change, better, pairs):
+    """Wins and the median per-pair change/parent ratio over the pairs
+    where the change ran second and over those where it ran first, and the
+    order-balanced ratio: the geometric mean of the two medians."""
+    sign = 1.0 if better == "higher" else -1.0
+    out = {}
+    for key, second in (("change_second", True), ("change_first", False)):
+        idx = [i for i, pair in enumerate(pairs)
+               if change_ran_second(pair) == second]
+        ratios = [change[i] / parent[i] for i in idx if parent[i]]
+        out[key] = {
+            "pairs": len(idx),
+            "wins": sum(1 for i in idx if sign * (change[i] - parent[i]) > 0),
+            "median_ratio": statistics.median(ratios) if ratios else None,
+        }
+    a = out["change_second"]["median_ratio"]
+    b = out["change_first"]["median_ratio"]
+    out["balanced_ratio"] = (math.sqrt(a * b)
+                             if a is not None and b is not None and a * b > 0
+                             else None)
+    return out
+
+
+def summarise(parent, change, better, pairs=None):
     """Compares one metric's paired runs; `parent[i]` and `change[i]` are
-    pair i's values, `better` is "higher" or "lower"."""
+    the values of pair number `pairs[i]` (default i), `better` is "higher"
+    or "lower"."""
+    if pairs is None:
+        pairs = list(range(len(parent)))
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
     losses = sum(1 for p, c in zip(parent, change) if sign * (c - p) < 0)
@@ -74,6 +110,7 @@ def summarise(parent, change, better):
         "pairs": len(parent),
         "identical": len(set(parent) | set(change)) == 1,
         "gain_rule_holds": gain,
+        "by_order": by_order(parent, change, better, pairs),
     }
 
 
@@ -86,7 +123,8 @@ def summarise_pairs(pairs, key, directions):
                          for side in ("parent", "change")):
             out[name] = summarise([p["parent"][key][name] for p in pairs],
                                   [p["change"][key][name] for p in pairs],
-                                  better)
+                                  better,
+                                  [p["parent"]["pair"] for p in pairs])
     return out
 
 
@@ -170,8 +208,8 @@ def measure(args, run=run_side):
         seed = int(seed) if seed else DEFAULT_SEED
         runs = []
         for i in range(args.pairs):
-            order = ["parent", "change"] if i % 2 == 0 else ["change",
-                                                              "parent"]
+            order = (["parent", "change"] if change_ran_second(i)
+                     else ["change", "parent"])
             for name in order:
                 r = run(sides[name], builds[name], workload, seed,
                         args.seconds)
@@ -235,6 +273,30 @@ def self_test():
     # Identical values on both sides: no wins, flagged identical.
     s = summarise([4.5] * 4, [4.5] * 4, "higher")
     assert s["identical"] and s["wins"] == 0 and not s["gain_rule_holds"]
+    # An order effect: whichever side runs second reads 5% higher. Split by
+    # order the change wins only where it ran second; the balanced ratio
+    # cancels the effect.
+    parent = [100.0 if change_ran_second(i) else 105.0 for i in range(10)]
+    change = [105.0 if change_ran_second(i) else 100.0 for i in range(10)]
+    o = summarise(parent, change, "higher")["by_order"]
+    assert o["change_second"] == {"pairs": 5, "wins": 5,
+                                  "median_ratio": 1.05}, o
+    assert o["change_first"]["pairs"] == 5 and o["change_first"]["wins"] == 0
+    assert abs(o["change_first"]["median_ratio"] - 100.0 / 105.0) < 1e-12
+    assert abs(o["balanced_ratio"] - 1.0) < 1e-12, o
+    # "lower" is better: wins follow the direction, ratios stay change/parent.
+    o = summarise(parent, change, "lower")["by_order"]
+    assert (o["change_second"]["wins"], o["change_first"]["wins"]) == (0, 5)
+    # Pair numbers, not positions, decide the order (a dropped pair 0 leaves
+    # pair 1, where the change ran first, at position 0).
+    o = summarise([1.0, 1.0], [2.0, 4.0], "higher", pairs=[1, 2])["by_order"]
+    assert o["change_first"]["median_ratio"] == 2.0
+    assert o["change_second"]["median_ratio"] == 4.0
+    assert abs(o["balanced_ratio"] - math.sqrt(8.0)) < 1e-12
+    # A zero parent value leaves its group without a ratio.
+    o = summarise([0.0, 1.0], [1.0, 1.0], "higher")["by_order"]
+    assert o["change_second"]["median_ratio"] is None
+    assert o["balanced_ratio"] is None
 
     env, result = parse_run('noise\nenv: {"git_sha": "abc"}\n'
                             '{"correct": true, "metrics": {}}\n')
@@ -288,6 +350,12 @@ def self_test():
         assert len(w["runs"]) == 6 and w["failed_runs"] == 0
         assert w["metrics"]["speed"]["wins"] == 3
         assert w["metrics"]["sim"]["identical"]
+        # Pairs 0 and 2 ran the change second, pair 1 ran it first.
+        o = w["metrics"]["speed"]["by_order"]
+        assert (o["change_second"]["pairs"], o["change_first"]["pairs"]) == (
+            2, 1)
+        assert (o["change_second"]["wins"], o["change_first"]["wins"]) == (
+            2, 1)
         # Raw timings are summarised per pair, lower being better.
         assert w["raw"]["exec_median_s"]["wins"] == 3
         assert w["raw"]["exec_min_s"]["parent"]["values"][0] == 90.0 / 101.0

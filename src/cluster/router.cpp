@@ -1,11 +1,13 @@
 #include "cluster/router.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 #include <span>
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/thread_pool.hpp"
 #include "eval/continuous_batching.hpp"
 #include "eval/serving_record.hpp"
 #include "recovery/reconcile.hpp"
@@ -15,6 +17,7 @@ namespace daop::cluster {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+constexpr std::size_t kNoLimit = static_cast<std::size_t>(-1);
 }  // namespace
 
 const char* dispatch_policy_name(DispatchPolicy policy) {
@@ -56,6 +59,9 @@ void ClusterOptions::validate() const {
   degrade.validate();
   cache.validate();
   checkpoint.validate();
+  DAOP_CHECK_MSG(crash_node >= -1, "crash_node " << crash_node
+                                                 << " is not a node id (or "
+                                                    "-1 for none)");
   DAOP_CHECK_GE(crash_time_s, 0.0);
 }
 
@@ -93,11 +99,20 @@ ClusterRouter::ClusterRouter(std::vector<NodeSeat> seats,
       if (nf.crash) n.crash_time = nf.crash_time_s;
       if (nf.link_degraded) n.link_latency = nf.link_latency_s;
     }
-    if (options_.tracer != nullptr) n.engine->set_tracer(options_.tracer);
+    // Sessions on different nodes run concurrently unless a tracer makes
+    // windows one event long, so the only span sink is the router's.
+    n.engine->set_tracer(options_.tracer);
     nodes_.push_back(std::move(n));
   }
+  one_event_windows_ =
+      options_.tracer != nullptr || options_.hedge_ttft_threshold_s > 0.0;
+  gauges_.resize(nodes_.size());
+  cursors_.resize(nodes_.size());
   if (options_.crash_node >= 0) {
-    DAOP_CHECK_LT(options_.crash_node, n_nodes());
+    DAOP_CHECK_MSG(options_.crash_node < n_nodes(),
+                   "crash_node " << options_.crash_node
+                                 << " is out of range: valid node ids are 0.."
+                                 << n_nodes() - 1 << ", or -1 for none");
     nodes_[static_cast<std::size_t>(options_.crash_node)].crash_time =
         options_.crash_time_s;
   }
@@ -281,21 +296,23 @@ void ClusterRouter::tinstant(long long request_id, const std::string& name,
 void ClusterRouter::ts_tick(double t) {
   obs::TimeSeriesRecorder& r = *options_.tseries;
   for (const Node& n : nodes_) {
-    const NodeSeries& s = ts_nodes_[static_cast<std::size_t>(n.id)];
+    const std::size_t i = static_cast<std::size_t>(n.id);
+    const NodeSeries& s = ts_nodes_[i];
+    const NodeGauge& g = gauges_[i];
     r.advance(n.id, t);
-    r.add_total(s.stall, n.timeline.hazard_stall_s());
-    r.set(s.queue_depth, static_cast<double>(n.pending.size()));
-    r.set(s.active, static_cast<double>(n.active.size()));
+    r.add_total(s.stall, g.stall);
+    r.set(s.queue_depth, static_cast<double>(g.queue));
+    r.set(s.active, static_cast<double>(g.active));
     r.set(s.in_service, health_.in_service(n.id) ? 1.0 : 0.0);
   }
   r.advance(ts_cluster_channel(), t);
 }
 
-void ClusterRouter::ts_served(const Track& tr, double start, double end,
-                              const engines::RunResult& result) {
+void ClusterRouter::ts_served(const Track& tr, const Outcome& o) {
   obs::TimeSeriesRecorder& r = *options_.tseries;
   const int ch = ts_cluster_channel();
-  r.advance(ch, end);
+  const engines::RunResult& result = o.result;
+  r.advance(ch, o.end);
   r.count(ch, "daop_serving_requests_total", eval::family_help::kRequests,
           1.0, {{"outcome", "served"}});
   r.count(ch, "daop_serving_generated_tokens_total",
@@ -304,7 +321,7 @@ void ClusterRouter::ts_served(const Track& tr, double start, double end,
   // The serving ledger's formulas: everything counts from the ORIGINAL
   // arrival so failover backoffs show in the windows.
   const eval::ServedTimes t =
-      eval::served_times(tr.request.arrival, start, end, result);
+      eval::served_times(tr.request.arrival, o.start, o.end, result);
   r.observe(ch, "daop_serving_queue_wait_seconds",
             eval::family_help::kClusterQueueWait, t.queue_wait_s);
   r.observe(ch, "daop_serving_ttft_seconds", eval::family_help::kTtft,
@@ -512,31 +529,27 @@ void ClusterRouter::probe_round(double t) {
   }
 }
 
-void ClusterRouter::resolve_served(std::size_t track, int node_id,
-                                   double start, double end, bool hedge,
-                                   engines::RunResult result) {
+void ClusterRouter::resolve_served(std::size_t track) {
   Track& tr = tracks_[track];
   DAOP_CHECK_MSG(!tr.resolved, "request resolved twice");
   tr.resolved = true;
   --unresolved_;
-  if (ts_on()) ts_served(tr, start, end, result);
+  // The serving node filled node, start, end, hedge_won and the result.
   Outcome& o = outcomes_[track];
+  if (ts_on()) ts_served(tr, o);
   o.served = true;
-  o.node = node_id;
-  o.start = start;
-  o.end = end;
   o.failovers = tr.failovers;
   o.replayed_tokens = tr.replayed_tokens;
   o.hedged = tr.hedged;
-  o.hedge_won = hedge;
   o.restores = tr.restores;
   o.recovery = tr.last_recovery;
-  o.result = std::move(result);
-  ++stats_.node_served[static_cast<std::size_t>(node_id)];
-  if (hedge) ++stats_.hedge_wins;
+  ++stats_.node_served[static_cast<std::size_t>(o.node)];
+  if (o.hedge_won) ++stats_.hedge_wins;
   DAOP_CHECK_MSG(!tr.loss_open,
                  "a served request cannot have an unresolved loss episode");
   drop_checkpoints(tr.request.id);
+  // First completion wins: cancel the losing twin everywhere else.
+  if (tr.live_copies > 0) cancel_copies(track, o.end);
 }
 
 void ClusterRouter::resolve_shed(std::size_t track, eval::ShedReason reason,
@@ -640,6 +653,307 @@ bool ClusterRouter::try_warm_restore(Node& n, Track& tr,
   return true;
 }
 
+ClusterRouter::NodeEvent ClusterRouter::next_event(const Node& n) const {
+  NodeEvent e;
+  if (!n.alive) return e;
+  const int mc_eff = eval::effective_concurrency(
+      options_.max_concurrent_per_node,
+      n.degrade != nullptr && n.degrade->cap_concurrency());
+  double t_admit = kInf;
+  if (!n.pending.empty() && !n.free_slots.empty() &&
+      static_cast<int>(n.active.size()) < mc_eff) {
+    e.slot = eval::earliest_slot(n.free_slots);
+    t_admit = std::max(n.pending.front().ready, n.free_slots[e.slot]);
+  }
+  const auto [si, t_step] = eval::least_advanced(n.active);
+  e.step = si;
+  e.admit = t_admit <= t_step;
+  e.t = e.admit ? t_admit : t_step;
+  return e;
+}
+
+void ClusterRouter::step(Node& n, const NodeEvent& e, bool alone,
+                         NodeEntry& out) {
+  out.t = e.t;
+  if (e.admit) {
+    admit(n, e, alone, out);
+  } else {
+    advance(n, e, out);
+  }
+  out.after = gauge(n);
+}
+
+void ClusterRouter::admit(Node& n, const NodeEvent& e, bool alone,
+                          NodeEntry& out) {
+  const double t_admit = e.t;
+  const QueuedCopy q = n.pending.front();
+  Track& tr = tracks_[q.track];
+  out.track = q.track;
+  if (tr.resolved) {  // orphaned copy (defensive; twins cancel eagerly)
+    n.pending.pop_front();
+    return;
+  }
+  if (n.degrade != nullptr) n.degrade->observe(t_admit, node_signals(n));
+  // Deadline shedding against the ORIGINAL arrival: a copy that cannot
+  // make its first token in time frees the slot for one that can.
+  if (const auto why = eval::deadline_shed(
+          tr.request.arrival,
+          eval::deadline_budget(tr.request.deadline_s, options_.deadline_s),
+          t_admit + options_.service_estimate_s,
+          n.degrade != nullptr && n.degrade->shed_aggressively())) {
+    n.pending.pop_front();
+    --tr.live_copies;
+    if (tr.live_copies == 0) {
+      out.kind = NodeEntry::Kind::kShed;
+      out.shed_reason = *why;
+    }
+    return;
+  }
+  engines::SessionEnv env;
+  env.timeline = &n.timeline;
+  env.start_time = t_admit;
+  env.request_id = tr.request.id;
+  env.arbiter = n.arbiter.get();
+  env.cache = n.cache.get();
+  env.shared = true;
+  if (n.degrade != nullptr) {
+    env.degrade_no_speculation = n.degrade->no_speculation();
+    env.degrade_no_migrations = n.degrade->no_migrations();
+  }
+  env.failover_replay_tokens = static_cast<int>(tr.replayed_tokens);
+  ActiveCopy a;
+  a.track = q.track;
+  a.start = t_admit;
+  a.hedge = q.hedge;
+  a.session =
+      n.engine->open_session(tr.request.trace, n.arbiter->placement(), env);
+  bool restored = false;
+  double recovery_ready = t_admit;
+  if (tr.loss_open && options_.checkpoint.enabled()) {
+    DAOP_CHECK_MSG(alone, "a warm restore scans every node's checkpoint "
+                          "store, so no other node may be stepping");
+    restored = try_warm_restore(n, tr, *a.session, t_admit, recovery_ready);
+  }
+  if (!restored) a.session->prefill();
+  if (tr.loss_open) {
+    // The loss episode resolves at this re-admission: warm-restored from
+    // the snapshot, or replayed from the recorded trace.
+    tr.loss_open = false;
+    tr.last_recovery = restored ? "restored" : "replayed";
+    if (restored) ++tr.restores;
+    RestoreEvent& ev = out.recovery;
+    ev.request_id = tr.request.id;
+    ev.node = n.id;
+    ev.restored = restored;
+    ev.step = restored ? a.session->tokens_generated() : 0;
+    ev.loss_time = tr.loss_time;
+    ev.admit_time = t_admit;
+    ev.latency_s =
+        std::max(a.session->ready_time(), recovery_ready) - tr.loss_time;
+    out.kind = NodeEntry::Kind::kRecovered;
+  }
+  n.free_slots.erase(n.free_slots.begin() +
+                     static_cast<std::ptrdiff_t>(e.slot));
+  n.active.push_back(std::move(a));
+  n.pending.pop_front();
+}
+
+void ClusterRouter::advance(Node& n, const NodeEvent& e, NodeEntry& out) {
+  ActiveCopy& a = n.active[e.step];
+  out.track = a.track;
+  if (a.session->decode_step()) {
+    if (n.ckpt != nullptr) {
+      const long long rid = tracks_[a.track].request.id;
+      const long long step = a.session->tokens_generated();
+      const double now = a.session->ready_time();
+      if (n.ckpt->due(rid, step, now)) {
+        n.ckpt->write(rid, step, now, a.session->checkpoint());
+        out.kind = NodeEntry::Kind::kCheckpoint;
+      }
+    }
+    return;
+  }
+  // For warm-restored sessions the session clock starts at the ORIGINAL
+  // admission (shifted), not this copy's re-admission, so completion time
+  // must come from the session's own start. For normal sessions
+  // start_time() == a.start exactly (bit-identical to the historical
+  // `a.start + r.total_s`).
+  const double session_start = a.session->start_time();
+  engines::RunResult r = a.session->close();
+  n.closed.add(r.counters);
+  const double end = session_start + r.total_s;
+  Outcome& o = outcomes_[a.track];
+  o.node = n.id;
+  o.start = a.start;
+  o.end = end;
+  o.hedge_won = a.hedge;
+  o.result = std::move(r);
+  --tracks_[a.track].live_copies;
+  out.kind = NodeEntry::Kind::kServed;
+  n.free_slots.push_back(end);
+  n.active.erase(n.active.begin() + static_cast<std::ptrdiff_t>(e.step));
+  if (n.degrade != nullptr) n.degrade->observe(end, node_signals(n));
+}
+
+void ClusterRouter::run_node(Node& n, double horizon, bool alone,
+                             std::size_t max_events) {
+  for (std::size_t k = 0; k < max_events; ++k) {
+    const NodeEvent e = next_event(n);
+    if (!(e.t < horizon)) return;
+    NodeEntry& out = n.journal.emplace_back();
+    if (!alone && e.admit && options_.checkpoint.enabled() &&
+        tracks_[n.pending.front().track].loss_open) {
+      out.t = e.t;
+      out.kind = NodeEntry::Kind::kHeld;
+      return;
+    }
+    step(n, e, alone, out);
+  }
+}
+
+void ClusterRouter::apply(Node& n, const NodeEntry& e) {
+  switch (e.kind) {
+    case NodeEntry::Kind::kLocal:
+      return;
+    case NodeEntry::Kind::kHeld:
+      DAOP_CHECK_MSG(false, "a held admission is run, not applied");
+      return;
+    case NodeEntry::Kind::kCheckpoint:
+      if (ts_on()) {
+        options_.tseries->add(
+            ts_nodes_[static_cast<std::size_t>(n.id)].checkpoints);
+      }
+      return;
+    case NodeEntry::Kind::kShed:
+      resolve_shed(e.track, e.shed_reason, e.t);
+      return;
+    case NodeEntry::Kind::kServed:
+      resolve_served(e.track);
+      return;
+    case NodeEntry::Kind::kRecovered:
+      break;
+  }
+  const RestoreEvent& ev = e.recovery;
+  if (ev.restored) {
+    ++recovery_.recovered_restored;
+  } else {
+    ++recovery_.recovered_replayed;
+  }
+  recovery_.recovery_latency_s.push_back(ev.latency_s);
+  recovery_.events.push_back(ev);
+  if (ts_on()) {
+    const char* path = ev.restored ? "restored" : "replayed";
+    options_.tseries->count(
+        ts_cluster_channel(), "daop_cluster_recoveries_total",
+        "Loss episodes resolved at re-admission, by recovery path.", 1.0,
+        {{"path", path}});
+    options_.tseries->observe(ts_cluster_channel(),
+                              "daop_recovery_latency_seconds",
+                              eval::family_help::kRecoveryLatency,
+                              ev.latency_s);
+    options_.tseries->record_event(
+        ev.admit_time, n.id, ev.restored ? "restore" : "replay",
+        "req " + std::to_string(ev.request_id) + " on node " +
+            std::to_string(n.id));
+  }
+  tinstant(ev.request_id,
+           std::string(ev.restored ? "warm restore req " : "replay req ") +
+               std::to_string(ev.request_id) + " on node " +
+               std::to_string(n.id) +
+               (ev.restored ? " (token " + std::to_string(ev.step) + ")"
+                            : ""),
+           ev.admit_time);
+}
+
+void ClusterRouter::run_window(int first) {
+  // The horizon: the next crash or launch, and the next probe round when
+  // slow-probe detection reads node state (projected_start, pending). Node
+  // events never create launches (lost_copy runs only from crash_node and
+  // dispatch_copy), so the horizon holds for the whole window. A node
+  // event at exactly the horizon waits: router events win time ties.
+  double horizon = kInf;
+  for (const Node& n : nodes_) {
+    if (n.alive) horizon = std::min(horizon, n.crash_time);
+  }
+  for (const Launch& l : launches_) horizon = std::min(horizon, l.time);
+  if (options_.health.slow_probe_s > 0.0) {
+    horizon = std::min(horizon, health_.next_probe_time());
+  }
+
+  for (Node& n : nodes_) {
+    n.journal.clear();
+    cursors_[static_cast<std::size_t>(n.id)] = 0;
+    if (ts_on()) gauges_[static_cast<std::size_t>(n.id)] = gauge(n);
+  }
+  if (one_event_windows_) {
+    run_node(nodes_[static_cast<std::size_t>(first)], horizon,
+             /*alone=*/true, 1);
+  } else {
+    window_nodes_.clear();
+    for (const Node& n : nodes_) {
+      if (next_event(n).t < horizon) window_nodes_.push_back(n.id);
+    }
+    if (window_nodes_.size() == 1) {
+      run_node(nodes_[static_cast<std::size_t>(first)], horizon,
+               /*alone=*/true, kNoLimit);
+    } else {
+      const std::function<void(std::int64_t)> task =
+          [this, horizon](std::int64_t i) {
+            run_node(nodes_[static_cast<std::size_t>(
+                         window_nodes_[static_cast<std::size_t>(i)])],
+                     horizon, /*alone=*/false, kNoLimit);
+          };
+      ThreadPool::global().parallel_for(
+          static_cast<std::int64_t>(window_nodes_.size()), task);
+    }
+  }
+
+  // Merge: the one-event loop's order is (time, router before node, lowest
+  // node id), and each node's events in its own order.
+  while (unresolved_ > 0) {
+    Node* head = nullptr;
+    double t_head = kInf;
+    for (Node& n : nodes_) {
+      const std::size_t c = cursors_[static_cast<std::size_t>(n.id)];
+      if (c < n.journal.size() && n.journal[c].t < t_head) {
+        head = &n;
+        t_head = n.journal[c].t;
+      }
+    }
+    if (head == nullptr) break;
+    // Probe rounds read no node state here (the horizon stops at them
+    // otherwise); one at or before the head runs first.
+    const double t_probe = health_.next_probe_time();
+    if (t_probe <= t_head) {
+      if (ts_on()) ts_tick(t_probe);
+      probe_round(t_probe);
+      continue;
+    }
+    const std::size_t i = static_cast<std::size_t>(head->id);
+    std::size_t& c = cursors_[i];
+    if (head->journal[c].kind == NodeEntry::Kind::kHeld) {
+      // The node stopped before a warm restore. Every other node is at
+      // rest now: run the admission at its turn, then the rest of the
+      // node's window here. A restore reads only the lost request's
+      // snapshots, which no node event in the window writes or drops.
+      head->journal.pop_back();
+      run_node(*head, horizon, /*alone=*/true, kNoLimit);
+      continue;
+    }
+    const NodeEntry& e = head->journal[c];
+    if (ts_on()) ts_tick(e.t);
+    apply(*head, e);
+    gauges_[i] = e.after;
+    ++c;
+  }
+  for (const Node& n : nodes_) {
+    DAOP_CHECK_MSG(cursors_[static_cast<std::size_t>(n.id)] ==
+                       n.journal.size(),
+                   "node " << n.id << " journaled events past the last "
+                                      "resolution");
+  }
+}
+
 int ClusterRouter::total_leaked_pins() const {
   int pins = 0;
   for (const Node& n : nodes_) pins += n.arbiter->total_pin_count();
@@ -653,7 +967,7 @@ std::vector<ClusterRouter::Outcome> ClusterRouter::run() {
   stats_.node_served.assign(nodes_.size(), 0);
   const std::size_t total = tracks_.size();
 
-  enum class Ev { kNone, kCrash, kProbe, kLaunch, kNode };
+  enum class Ev { kNone, kCrash, kProbe, kLaunch };
   long long iters = 0;
   const long long max_iters =
       1'000'000 + 10'000 * static_cast<long long>(total);
@@ -661,7 +975,7 @@ std::vector<ClusterRouter::Outcome> ClusterRouter::run() {
   while (unresolved_ > 0) {
     DAOP_CHECK_MSG(++iters <= max_iters,
                    "cluster router failed to make progress");
-    // ---- Candidate events. Fixed priority on time ties (strict < below):
+    // ---- Router events. Fixed priority on time ties (strict < below):
     // crash < probe < launch < node admit/step, then lowest node id. ----
     double best_t = kInf;
     Ev ev = Ev::kNone;
@@ -692,35 +1006,19 @@ std::vector<ClusterRouter::Outcome> ClusterRouter::run() {
       }
     }
 
-    int node_id = -1;
-    bool node_admit = false;
-    std::size_t step_i = kNone;
-    std::size_t slot_i = kNone;
+    // ---- A node event before every router event opens a window. ----
+    int first = -1;
+    double t_first = best_t;
     for (const Node& n : nodes_) {
-      if (!n.alive) continue;
-      const int mc_eff = eval::effective_concurrency(
-          options_.max_concurrent_per_node,
-          n.degrade != nullptr && n.degrade->cap_concurrency());
-      double t_admit = kInf;
-      std::size_t slot = kNone;
-      if (!n.pending.empty() && !n.free_slots.empty() &&
-          static_cast<int>(n.active.size()) < mc_eff) {
-        slot = eval::earliest_slot(n.free_slots);
-        t_admit = std::max(n.pending.front().ready, n.free_slots[slot]);
+      const double t = next_event(n).t;
+      if (t < t_first) {
+        t_first = t;
+        first = n.id;
       }
-      const auto [si, t_step] = eval::least_advanced(n.active);
-      // Within a node, admission wins ties against stepping — the same
-      // preference as the single-node scheduler loops.
-      const bool admit = t_admit <= t_step;
-      const double t_node = admit ? t_admit : t_step;
-      if (t_node < best_t) {
-        best_t = t_node;
-        ev = Ev::kNode;
-        node_id = n.id;
-        node_admit = admit;
-        step_i = si;
-        slot_i = slot;
-      }
+    }
+    if (first >= 0) {
+      run_window(first);
+      continue;
     }
 
     DAOP_CHECK_MSG(ev != Ev::kNone,
@@ -729,7 +1027,12 @@ std::vector<ClusterRouter::Outcome> ClusterRouter::run() {
     // Passive telemetry sampling at the chosen event time, BEFORE the event
     // executes (events recorded while handling it land in the window
     // containing best_t).
-    if (ts_on()) ts_tick(best_t);
+    if (ts_on()) {
+      for (const Node& n : nodes_) {
+        gauges_[static_cast<std::size_t>(n.id)] = gauge(n);
+      }
+      ts_tick(best_t);
+    }
 
     if (ev == Ev::kCrash) {
       crash_node(nodes_[static_cast<std::size_t>(crash_id)], best_t);
@@ -741,200 +1044,54 @@ std::vector<ClusterRouter::Outcome> ClusterRouter::run() {
       continue;
     }
 
-    if (ev == Ev::kLaunch) {
-      const Launch l = launches_[launch_i];
-      launches_.erase(launches_.begin() +
-                      static_cast<std::ptrdiff_t>(launch_i));
-      Track& tr = tracks_[l.track];
-      if (tr.resolved) continue;
-      // Dispatch eligibility is the health checker's verdict, never the
-      // router peeking at `alive`: without health checking every node —
-      // including a dead one — stays a target.
-      std::vector<int> eligible;
-      bool any_alive = false;
-      for (const Node& n : nodes_) {
-        if (n.alive) any_alive = true;
-        if (health_.in_service(n.id)) eligible.push_back(n.id);
-      }
-      if (eligible.empty()) {
-        if (!any_alive) {
-          // No replica left to fail over to.
-          resolve_shed(l.track, eval::ShedReason::kNodeLost, l.time);
-          continue;
-        }
-        // Every node is ejected: hold the dispatch until the next probe
-        // round can re-admit one.
-        launches_.push_back({health_.next_probe_time(), l.track});
+    const Launch l = launches_[launch_i];
+    launches_.erase(launches_.begin() + static_cast<std::ptrdiff_t>(launch_i));
+    Track& tr = tracks_[l.track];
+    if (tr.resolved) continue;
+    // Dispatch eligibility is the health checker's verdict, never the
+    // router peeking at `alive`: without health checking every node —
+    // including a dead one — stays a target.
+    std::vector<int> eligible;
+    bool any_alive = false;
+    for (const Node& n : nodes_) {
+      if (n.alive) any_alive = true;
+      if (health_.in_service(n.id)) eligible.push_back(n.id);
+    }
+    if (eligible.empty()) {
+      if (!any_alive) {
+        // No replica left to fail over to.
+        resolve_shed(l.track, eval::ShedReason::kNodeLost, l.time);
         continue;
       }
-      const int primary = pick_node(eligible, tr.request.trace, l.time);
-      // Hedging decision against the pre-dispatch queue state; one hedge
-      // per request, never for failover re-dispatches of a hedged request.
-      int mate = -1;
-      if (options_.hedge_ttft_threshold_s > 0.0 && !tr.hedged &&
-          eligible.size() > 1) {
-        const Node& p = nodes_[static_cast<std::size_t>(primary)];
-        const double proj =
-            projected_ttft(p, l.time + p.link_latency, tr.request.arrival);
-        if (proj > options_.hedge_ttft_threshold_s) {
-          mate = least_loaded_of(eligible, l.time, primary);
-        }
-      }
-      dispatch_copy(l.track, primary, l.time, /*hedge=*/false);
-      if (mate >= 0 && !tr.resolved && tr.live_copies > 0) {
-        tr.hedged = true;
-        ++stats_.hedges;
-        tinstant(tr.request.id,
-                 "hedge req " + std::to_string(tr.request.id) + " -> node " +
-                     std::to_string(mate),
-                 l.time);
-        dispatch_copy(l.track, mate, l.time, /*hedge=*/true);
-      }
+      // Every node is ejected: hold the dispatch until the next probe
+      // round can re-admit one.
+      launches_.push_back({health_.next_probe_time(), l.track});
       continue;
     }
-
-    // ---- Node event ----
-    Node& n = nodes_[static_cast<std::size_t>(node_id)];
-    if (node_admit) {
-      const double t_admit = best_t;
-      const QueuedCopy q = n.pending.front();
-      Track& tr = tracks_[q.track];
-      if (tr.resolved) {  // orphaned copy (defensive; twins cancel eagerly)
-        n.pending.pop_front();
-        continue;
+    const int primary = pick_node(eligible, tr.request.trace, l.time);
+    // Hedging decision against the pre-dispatch queue state; one hedge
+    // per request, never for failover re-dispatches of a hedged request.
+    int mate = -1;
+    if (options_.hedge_ttft_threshold_s > 0.0 && !tr.hedged &&
+        eligible.size() > 1) {
+      const Node& p = nodes_[static_cast<std::size_t>(primary)];
+      const double proj =
+          projected_ttft(p, l.time + p.link_latency, tr.request.arrival);
+      if (proj > options_.hedge_ttft_threshold_s) {
+        mate = least_loaded_of(eligible, l.time, primary);
       }
-      if (n.degrade != nullptr) n.degrade->observe(t_admit, node_signals(n));
-      // Deadline shedding against the ORIGINAL arrival: a copy that cannot
-      // make its first token in time frees the slot for one that can.
-      if (const auto why = eval::deadline_shed(
-              tr.request.arrival,
-              eval::deadline_budget(tr.request.deadline_s,
-                                    options_.deadline_s),
-              t_admit + options_.service_estimate_s,
-              n.degrade != nullptr && n.degrade->shed_aggressively())) {
-        n.pending.pop_front();
-        --tr.live_copies;
-        if (tr.live_copies == 0) resolve_shed(q.track, *why, t_admit);
-        continue;
-      }
-      engines::SessionEnv env;
-      env.timeline = &n.timeline;
-      env.start_time = t_admit;
-      env.request_id = tr.request.id;
-      env.arbiter = n.arbiter.get();
-      env.cache = n.cache.get();
-      env.shared = true;
-      if (n.degrade != nullptr) {
-        env.degrade_no_speculation = n.degrade->no_speculation();
-        env.degrade_no_migrations = n.degrade->no_migrations();
-      }
-      env.failover_replay_tokens = static_cast<int>(tr.replayed_tokens);
-      ActiveCopy a;
-      a.track = q.track;
-      a.start = t_admit;
-      a.hedge = q.hedge;
-      a.session = n.engine->open_session(tr.request.trace,
-                                         n.arbiter->placement(), env);
-      bool restored = false;
-      double recovery_ready = t_admit;
-      if (tr.loss_open && options_.checkpoint.enabled()) {
-        restored = try_warm_restore(n, tr, *a.session, t_admit,
-                                    recovery_ready);
-      }
-      if (!restored) a.session->prefill();
-      if (tr.loss_open) {
-        // The loss episode resolves at this re-admission: warm-restored
-        // from the snapshot, or replayed from the recorded trace.
-        tr.loss_open = false;
-        tr.last_recovery = restored ? "restored" : "replayed";
-        if (restored) {
-          ++tr.restores;
-          ++recovery_.recovered_restored;
-        } else {
-          ++recovery_.recovered_replayed;
-        }
-        RestoreEvent ev;
-        ev.request_id = tr.request.id;
-        ev.node = n.id;
-        ev.restored = restored;
-        ev.step = restored ? a.session->tokens_generated() : 0;
-        ev.loss_time = tr.loss_time;
-        ev.admit_time = t_admit;
-        ev.latency_s = std::max(a.session->ready_time(), recovery_ready) -
-                       tr.loss_time;
-        recovery_.recovery_latency_s.push_back(ev.latency_s);
-        recovery_.events.push_back(ev);
-        if (ts_on()) {
-          const char* path = restored ? "restored" : "replayed";
-          options_.tseries->count(
-              ts_cluster_channel(), "daop_cluster_recoveries_total",
-              "Loss episodes resolved at re-admission, by recovery path.",
-              1.0, {{"path", path}});
-          options_.tseries->observe(ts_cluster_channel(),
-                                    "daop_recovery_latency_seconds",
-                                    eval::family_help::kRecoveryLatency,
-                                    ev.latency_s);
-          options_.tseries->record_event(
-              t_admit, n.id, restored ? "restore" : "replay",
-              "req " + std::to_string(tr.request.id) + " on node " +
-                  std::to_string(n.id));
-        }
-        tinstant(tr.request.id,
-                 std::string(restored ? "warm restore req " : "replay req ") +
-                     std::to_string(tr.request.id) + " on node " +
-                     std::to_string(n.id) +
-                     (restored ? " (token " +
-                                     std::to_string(
-                                         a.session->tokens_generated()) +
-                                     ")"
-                               : ""),
-                 t_admit);
-      }
-      n.free_slots.erase(n.free_slots.begin() +
-                         static_cast<std::ptrdiff_t>(slot_i));
-      n.active.push_back(std::move(a));
-      n.pending.pop_front();
-      continue;
     }
-
-    ActiveCopy& a = n.active[step_i];
-    if (a.session->decode_step()) {
-      if (n.ckpt != nullptr) {
-        const long long rid = tracks_[a.track].request.id;
-        const long long step = a.session->tokens_generated();
-        const double now = a.session->ready_time();
-        if (n.ckpt->due(rid, step, now)) {
-          n.ckpt->write(rid, step, now, a.session->checkpoint());
-          if (ts_on()) {
-            options_.tseries->add(
-                ts_nodes_[static_cast<std::size_t>(n.id)].checkpoints);
-          }
-        }
-      }
-      continue;
+    dispatch_copy(l.track, primary, l.time, /*hedge=*/false);
+    if (mate >= 0 && !tr.resolved && tr.live_copies > 0) {
+      tr.hedged = true;
+      ++stats_.hedges;
+      tinstant(tr.request.id,
+               "hedge req " + std::to_string(tr.request.id) + " -> node " +
+                   std::to_string(mate),
+               l.time);
+      dispatch_copy(l.track, mate, l.time, /*hedge=*/true);
     }
-    // For warm-restored sessions the session clock starts at the ORIGINAL
-    // admission (shifted), not this copy's re-admission, so completion time
-    // must come from the session's own start. For normal sessions
-    // start_time() == a.start exactly (bit-identical to the historical
-    // `a.start + r.total_s`).
-    const double session_start = a.session->start_time();
-    engines::RunResult r = a.session->close();
-    n.closed.add(r.counters);
-    const double end = session_start + r.total_s;
-    const double start = a.start;
-    const bool hedge = a.hedge;
-    const std::size_t track = a.track;
-    n.free_slots.push_back(end);
-    n.active.erase(n.active.begin() + static_cast<std::ptrdiff_t>(step_i));
-    if (n.degrade != nullptr) n.degrade->observe(end, node_signals(n));
-    Track& tr = tracks_[track];
-    --tr.live_copies;
-    resolve_served(track, n.id, start, end, hedge, std::move(r));
-    // First completion wins: cancel the losing twin everywhere else.
-    if (tr.live_copies > 0) cancel_copies(track, end);
   }
-
   // ---- Final telemetry + conservation (cluster-aware: one outcome per
   // request no matter how many copies or failover attempts it consumed). ----
   if (options_.checkpoint.enabled()) {

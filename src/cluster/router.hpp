@@ -35,12 +35,27 @@
 //    first completed copy wins, the loser is cancelled and its pins
 //    released (SequenceSession::abandon).
 //
-// Deterministic and single-threaded: every decision is a pure function of
-// (enqueue order, per-seed node fault draws), with fixed tie-breaks — event
-// priority crash < probe < dispatch < node admit/step, then lowest node id.
+// Deterministic: every decision is a pure function of (enqueue order,
+// per-seed node fault draws), with fixed tie-breaks — event priority
+// crash < probe < dispatch < node admit/step, then lowest node id.
 // Conservation is DAOP_CHECKed: every request resolves exactly once
 // (served or shed) no matter how many copies or failover attempts it
 // consumed, and every node's arbiter ends with zero pins.
+//
+// PARALLEL NODE WINDOWS: run() steps the nodes concurrently between the
+// router events that need every node in step (a crash, a launch, and a
+// probe round when slow-probe detection reads node state). Each node runs
+// its own admit/step/close events up to that horizon on
+// ThreadPool::global(), journaling whatever they do to shared state (the
+// request's resolution, recovery records, time-series writes, the gauges
+// ts_tick samples). The caller then merges the journals in the order the
+// one-event-at-a-time loop would have run those events, interleaving probe
+// rounds, so every output is byte-identical at any thread count. A warm
+// restore scans every node's checkpoint store, so a node's window stops
+// before one and the caller runs it at its turn. Windows hold one event
+// when shared writes happen inside node events: a tracer is attached
+// (sessions write spans) or hedging is on (a completion cancels copies on
+// other nodes).
 #pragma once
 
 #include <deque>
@@ -105,7 +120,9 @@ struct ClusterOptions {
   /// Hedged dispatch: when > 0 and the chosen node's projected TTFT at
   /// dispatch exceeds this threshold, the request is duplicated to the
   /// least-loaded other eligible node. First completion wins; the losing
-  /// copy is cancelled with its pins released. 0 disables hedging.
+  /// copy is cancelled with its pins released. 0 disables hedging. Hedging
+  /// makes run() step one node event at a time (a completion cancels its
+  /// twin on another node).
   double hedge_ttft_threshold_s = 0.0;
   /// Per-node degradation ladder (eval/overload.hpp), observed at each
   /// node's admissions with that node's own fault-plane telemetry.
@@ -125,11 +142,14 @@ struct ClusterOptions {
   recovery::CheckpointOptions checkpoint;
   /// Explicit chaos injection for acceptance tests: crash `crash_node` at
   /// exactly `crash_time_s` (overrides that node's fault-model crash draw).
-  /// -1 = no override.
+  /// -1 = no override; otherwise a node id in 0..n_nodes-1 (checked by the
+  /// router, which knows the node count).
   int crash_node = -1;
   double crash_time_s = 0.0;
   /// Receives router-level instants (crashes, ejections, failovers,
-  /// hedges). nullptr disables.
+  /// hedges) and every node's session spans. nullptr disables. Attaching
+  /// one makes run() step one node event at a time (sessions on different
+  /// nodes would otherwise write spans concurrently).
   obs::SpanTracer* tracer = nullptr;
   /// Windowed time-series recorder (obs/timeseries.hpp). Channel
   /// convention: channels 0..n_nodes-1 carry per-node series (hazard
@@ -227,7 +247,8 @@ class ClusterRouter {
   /// Everything one replica brings to the cluster. The router owns the
   /// engine (sessions capture the engine's fault model at open, so each
   /// node needs its own instance) and the optional per-node fault model;
-  /// `initial` seeds the node's arbitrated expert placement.
+  /// `initial` seeds the node's arbitrated expert placement. The engine's
+  /// span sink is replaced by ClusterOptions::tracer.
   struct NodeSeat {
     std::unique_ptr<engines::Engine> engine;
     std::unique_ptr<sim::FaultModel> fault;  ///< nullptr = calm node
@@ -275,7 +296,9 @@ class ClusterRouter {
   void enqueue(Request request);
 
   /// Drives every enqueued request to served or shed and returns the
-  /// outcomes sorted by request id. Call at most once.
+  /// outcomes sorted by request id. Call at most once. Steps the nodes in
+  /// parallel windows on ThreadPool::global() (see the file comment); the
+  /// outputs do not depend on the thread count.
   std::vector<Outcome> run();
 
   const ClusterStats& stats() const { return stats_; }
@@ -310,6 +333,38 @@ class ClusterRouter {
     bool hedge = false;
     std::unique_ptr<engines::SequenceSession> session;
   };
+  /// What ts_tick samples of one node.
+  struct NodeGauge {
+    double stall = 0.0;       ///< timeline hazard-stall total
+    std::size_t queue = 0;    ///< copies waiting for admission
+    std::size_t active = 0;   ///< sessions in flight
+  };
+  /// One node event's writes to state the node does not own, left for the
+  /// caller to apply in merge order (see run()).
+  struct NodeEntry {
+    enum class Kind : std::uint8_t {
+      kLocal,       ///< nothing shared beyond the gauges
+      kHeld,        ///< not run: an admission the caller must run (restore)
+      kCheckpoint,  ///< wrote a checkpoint
+      kRecovered,   ///< resolved a loss episode at admission (`recovery`)
+      kShed,        ///< shed the request at admission (`shed_reason`)
+      kServed,      ///< completed the request (its Outcome holds the rest)
+    };
+    double t = 0.0;
+    Kind kind = Kind::kLocal;
+    std::size_t track = 0;
+    eval::ShedReason shed_reason = eval::ShedReason::kDeadline;
+    NodeGauge after;  ///< the node's gauges once the event ran
+    RestoreEvent recovery;
+  };
+  /// A node's next admit/step/close event (t = +inf: none). Admission wins
+  /// a tie against stepping, as in the single-node scheduler loops.
+  struct NodeEvent {
+    double t = std::numeric_limits<double>::infinity();
+    bool admit = false;
+    std::size_t step = 0;  ///< index into `active` (stepping)
+    std::size_t slot = 0;  ///< index into `free_slots` (admitting)
+  };
   struct Node {
     int id = -1;
     std::unique_ptr<engines::Engine> engine;
@@ -327,6 +382,8 @@ class ClusterRouter {
     std::vector<double> free_slots;
     /// Migration totals of the node's closed sessions.
     eval::DegradationController::Signals closed;
+    /// This window's events, in the node's own order (storage reused).
+    std::vector<NodeEntry> journal;
   };
   /// Per-request routing state: how many live copies exist and what the
   /// failover path has consumed so far.
@@ -378,8 +435,32 @@ class ClusterRouter {
   void cancel_copies(std::size_t track, double now);
   void crash_node(Node& n, double t);
   void probe_round(double t);
-  void resolve_served(std::size_t track, int node_id, double start, double end,
-                      bool hedge, engines::RunResult result);
+
+  // ---- Node stepping: each touches only the node, the requests it hosts
+  // and its journal, so nodes step concurrently between router events. ----
+  /// The node's next event; next_event(n).t is its next event time.
+  NodeEvent next_event(const Node& n) const;
+  /// Runs event `e` (which must be next_event(n)) and fills `out`.
+  /// `alone`: no other node steps concurrently, so a warm restore may scan
+  /// every node's checkpoint store.
+  void step(Node& n, const NodeEvent& e, bool alone, NodeEntry& out);
+  void admit(Node& n, const NodeEvent& e, bool alone, NodeEntry& out);
+  void advance(Node& n, const NodeEvent& e, NodeEntry& out);
+  /// Steps `n` through up to `max_events` of its events with t < horizon,
+  /// appending them to its journal. Not `alone`, it stops before an
+  /// admission that needs a warm restore, journaling it as held.
+  void run_node(Node& n, double horizon, bool alone, std::size_t max_events);
+  /// One window, opened by node `first`'s event (the earliest, and before
+  /// every router event): steps the nodes up to the next router event that
+  /// needs them in step, then merges their journals.
+  void run_window(int first);
+  /// Applies one journal entry at its merge turn.
+  void apply(Node& n, const NodeEntry& e);
+  static NodeGauge gauge(const Node& n) {
+    return {n.timeline.hazard_stall_s(), n.pending.size(), n.active.size()};
+  }
+
+  void resolve_served(std::size_t track);
   void resolve_shed(std::size_t track, eval::ShedReason reason, double t);
   void tinstant(long long request_id, const std::string& name, double t);
 
@@ -390,10 +471,9 @@ class ClusterRouter {
   }
   int ts_cluster_channel() const { return n_nodes(); }
   /// Advances every channel to the chosen event time and samples per-node
-  /// hazard-stall totals and queue/occupancy gauges.
+  /// hazard-stall totals and queue/occupancy gauges from `gauges_`.
   void ts_tick(double t);
-  void ts_served(const Track& tr, double start, double end,
-                 const engines::RunResult& result);
+  void ts_served(const Track& tr, const Outcome& o);
   void ts_shed(const Track& tr, eval::ShedReason reason, double t);
 
   /// The node-channel series sampled per router event, declared once.
@@ -417,6 +497,13 @@ class ClusterRouter {
   ClusterStats stats_;
   RecoveryStats recovery_;
   std::vector<NodeSeries> ts_nodes_;  ///< indexed by node id; empty: off
+  /// Each node's gauges at the merge cursor (ts_tick's sample).
+  std::vector<NodeGauge> gauges_;
+  /// Windows hold one event: a tracer or hedging writes shared state from
+  /// inside node events.
+  bool one_event_windows_ = false;
+  std::vector<int> window_nodes_;  ///< nodes stepping in this window
+  std::vector<std::size_t> cursors_;  ///< per node: next journal entry
   std::uint32_t tracer_track_ = 0;
 };
 

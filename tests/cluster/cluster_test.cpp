@@ -108,6 +108,11 @@ TEST(ClusterOptions, ValidateRejectsInconsistentKnobs) {
     o.max_concurrent_per_node = 0;
     EXPECT_THROW(o.validate(), CheckError);
   }
+  {
+    ClusterOptions o;
+    o.crash_node = -3;  // -1 is "none"; below that names no node
+    EXPECT_THROW(o.validate(), CheckError);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -480,6 +485,36 @@ TEST(ClusterRouterDirect, RunTwiceIsRejected) {
   (void)router.run();
   EXPECT_THROW(router.enqueue(ClusterRouter::Request{}), CheckError);
   EXPECT_THROW(router.run(), CheckError);
+}
+
+// The options do not know the node count, so the router checks the upper
+// end of crash_node, naming the valid range.
+TEST(ClusterRouterDirect, CrashNodeOutOfRangeNamesTheValidRange) {
+  const auto cfg = daop::testing::small_mixtral();
+  const sim::CostModel cm(sim::a6000_i9_platform());
+  const model::OpCosts costs(cfg, cm);
+  for (const int crash_node : {-1, 1, 2}) {
+    SCOPED_TRACE(crash_node);
+    std::vector<ClusterRouter::NodeSeat> seats(2);
+    for (auto& seat : seats) {
+      seat.engine = eval::make_engine(eval::EngineKind::Fiddler, costs);
+      seat.initial = cache::Placement(cfg.n_layers, cfg.n_experts);
+    }
+    ClusterOptions opt;
+    opt.crash_node = crash_node;
+    if (crash_node < 2) {
+      EXPECT_NO_THROW(ClusterRouter(std::move(seats), opt));
+      continue;
+    }
+    try {
+      ClusterRouter router(std::move(seats), opt);
+      ADD_FAILURE() << "crash_node 2 accepted with 2 nodes";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("0..1, or -1 for none"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace
