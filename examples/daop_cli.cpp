@@ -59,20 +59,36 @@ int usage() {
       "usage: daop_cli <command> [--flags]\n"
       "commands: speed | compare | serve | accuracy | observe | timeline |\n"
       "          dump | replay\n"
-      "common flags:\n"
+      "common flags (a command's own default is named after ';'):\n"
       "  --engine   ondemand|deepspeed|mixtral-offloading|pregated|edgemoe|\n"
       "             moe-infinity|fiddler|daop           (default daop)\n"
-      "  --model    mixtral|phi                         (default mixtral)\n"
+      "  --model    mixtral|phi|tiny                    (default mixtral)\n"
       "  --platform a6000|a100|4090|laptop              (default a6000)\n"
-      "  --dataset  c4|math|gsm8k|triviaqa|alpaca|bbh|truthfulqa\n"
-      "  --ecr      expert cache ratio                  (default 0.469)\n"
-      "  --in/--out prompt / generation lengths         (default 256/256)\n"
-      "  --seqs     sequences to average over           (default 4)\n"
-      "  --seed     RNG seed                            (default 7)\n"
+      "  --dataset  c4|math|gsm8k|triviaqa|alpaca|bbh|truthfulqa|sharegpt\n"
+      "                                                 (default c4; serve\n"
+      "                                                 sharegpt)\n"
+      "  --ecr      expert cache ratio                  (default 0.469;\n"
+      "                                                 accuracy 0.375)\n"
+      "  --in/--out prompt / generation lengths         (default 256/256;\n"
+      "                                                 accuracy 24/32,\n"
+      "                                                 timeline 32/2, dump\n"
+      "                                                 64/64; serve: fixed\n"
+      "                                                 lengths, else drawn\n"
+      "                                                 per request)\n"
+      "  --seqs     sequences to average over           (default 4; observe\n"
+      "                                                 64)\n"
+      "  --seed     RNG seed                            (default 7; serve 99,\n"
+      "                                                 accuracy 42)\n"
       "DAOP knobs: --no-alloc --no-precalc --no-degrade --swap-threshold X\n"
-      "            --quant-bits N --realloc-every N\n"
+      "            --quant-bits N --realloc-every N --mispredict-fallback\n"
+      "            (substitute a GPU expert for a mispredicted CPU one)\n"
       "robustness: --migration-deadline X (abort swaps over X*transfer time)\n"
       "            --migration-retries N --stale-precalc X\n"
+      "accuracy:   --episodes N (default 16) --model-seed N (functional-model\n"
+      "            weights, default 1)\n"
+      "compare:    --extended (adds the extended baseline engines)\n"
+      "dump:       --path PATH (required) --seq I (sequence index, default 0)\n"
+      "replay:     --path PATH (required; a trace written by dump)\n"
       "hazards:    --hazard none|pcie|cpu|thermal|expert-load|all\n"
       "            --hazard-intensity X in [0,1]       (default 0.5)\n"
       "serve only: --rate RPS --requests N --max-concurrent K (K>=2 enables\n"
@@ -154,17 +170,11 @@ struct Outputs {
   std::string cache_report_path;
 };
 
-/// Reads the output flags of `mode`, which must be registered for them in
-/// cli_output_flag_matrix() — the single source of truth that keeps
-/// output-flag support uniform across the report-producing modes.
-/// `cache_report`: the mode takes --cache-report.
-Outputs outputs_from(const FlagParser& flags, const char* mode,
-                     bool cache_report) {
-  for (const char* flag : {"metrics-out", "profile-out", "tseries-out"}) {
-    DAOP_CHECK_MSG(cli_output_flag_supported(flag, mode),
-                   "mode '" << mode << "' missing from the --" << flag
-                            << " support matrix (common/cli.cpp)");
-  }
+/// Reads the output flags. Every report-producing mode (speed, compare,
+/// serve, serve --nodes, timeline) reads them here and nowhere else, so
+/// each of them takes every output flag; any other mode rejects them as
+/// unknown. `cache_report`: the mode takes --cache-report.
+Outputs outputs_from(const FlagParser& flags, bool cache_report) {
   Outputs o;
   o.metrics_path = flags.get("metrics-out", "");
   o.metrics_format = flags.get("metrics-format", "prom");
@@ -351,7 +361,7 @@ Run cmd_speed(const FlagParser& flags) {
   const auto model = pick_model(flags.get("model", "mixtral"));
   const auto platform = pick_platform(flags.get("platform", "a6000"));
   const auto dataset = pick_dataset(flags.get("dataset", "c4"));
-  const Outputs out = outputs_from(flags, "speed", /*cache_report=*/true);
+  const Outputs out = outputs_from(flags, /*cache_report=*/true);
   return [=]() mutable -> int {
     std::string cache_report;
     opt.cache_report = &cache_report;
@@ -453,8 +463,7 @@ Run cmd_serve_cluster(const FlagParser& flags, int nodes) {
   const auto model = pick_model(flags.get("model", "mixtral"));
   const auto platform = pick_platform(flags.get("platform", "a6000"));
   const auto dataset = pick_dataset(flags.get("dataset", "sharegpt"));
-  const Outputs out =
-      outputs_from(flags, "serve-cluster", /*cache_report=*/true);
+  const Outputs out = outputs_from(flags, /*cache_report=*/true);
   return [=]() mutable -> int {
     obs::MetricsRegistry reg;
     opt.base.metrics = &reg;
@@ -628,7 +637,7 @@ Run cmd_serve(const FlagParser& flags) {
   const auto model = pick_model(flags.get("model", "mixtral"));
   const auto platform = pick_platform(flags.get("platform", "a6000"));
   const auto dataset = pick_dataset(flags.get("dataset", "sharegpt"));
-  const Outputs out = outputs_from(flags, "serve", /*cache_report=*/true);
+  const Outputs out = outputs_from(flags, /*cache_report=*/true);
   return [=]() mutable -> int {
     std::string cache_report;
     opt.cache_report = &cache_report;
@@ -799,7 +808,7 @@ Run cmd_timeline(const FlagParser& flags) {
   const core::DaopConfig dc = daop_config_from(flags);
   const sim::HazardScenario hazards = hazards_from(flags);
   const std::string json = flags.get("out-json", "");
-  const Outputs out = outputs_from(flags, "timeline", /*cache_report=*/false);
+  const Outputs out = outputs_from(flags, /*cache_report=*/false);
   return [=]() mutable -> int {
     const sim::CostModel cm(platform);
     const model::OpCosts costs(cfg, cm);
@@ -885,7 +894,7 @@ Run cmd_compare(const FlagParser& flags) {
   const auto platform = pick_platform(flags.get("platform", "a6000"));
   const auto workload = pick_dataset(flags.get("dataset", "c4"));
   const bool extended = flags.get_bool("extended");
-  const Outputs out = outputs_from(flags, "compare", /*cache_report=*/false);
+  const Outputs out = outputs_from(flags, /*cache_report=*/false);
   return [=]() mutable -> int {
     obs::MetricsRegistry reg;
     opt.metrics = &reg;

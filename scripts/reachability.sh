@@ -15,7 +15,8 @@
 # and scripts/reachability_report.py prints, in a stable order:
 #   - every src/ function with zero hits;
 #   - the zero-hit functions no production source names (tests only);
-#   - options-struct fields no production source sets;
+#   - options-struct fields no production source sets, from the write
+#     sites of scripts/field_pass.py (a compiler-resolved pass of its own);
 # each with its verdict from scripts/reachability_verdicts.txt, or
 # "NO VERDICT".
 #
@@ -183,5 +184,13 @@ while IFS= read -r f; do
       2>/dev/null ) > "$GCOV/$n.json"
 done < <( { find "$OUT/main" "$OUT/perfbench" -name '*.gcda'
             find "$OUT/inline" -name '*.gcno'; } | sort)
+# Field write sites from the compiler-resolved field pass (about a minute;
+# its exit status, 1 when a never-set field has no verdict, is the report's
+# business here).
+rm -f "$OUT/field_writes.json"
+python3 "$ROOT/scripts/field_pass.py" --root "$ROOT" --work "$OUT/fields" \
+  --verdicts "$ROOT/scripts/reachability_verdicts.txt" \
+  --json-out "$OUT/field_writes.json" > "$OUT/field_pass.txt" || true
 python3 "$ROOT/scripts/reachability_report.py" --root "$ROOT" \
-  --gcov-dir "$GCOV" --verdicts "$ROOT/scripts/reachability_verdicts.txt"
+  --gcov-dir "$GCOV" --verdicts "$ROOT/scripts/reachability_verdicts.txt" \
+  --field-writes "$OUT/field_writes.json"

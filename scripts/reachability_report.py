@@ -8,8 +8,8 @@ stable order:
   2. the zero-hit functions that no production source (src/, examples/,
      bench/, perfbench/) calls by name: a name scan, so an overload or a
      shared method name hides a function from this list;
-  3. options-struct fields (structs named *Options, *Config, *Scenario,
-     *Spec) that no production source assigns.
+  3. options-struct fields no production source sets, from the write sites
+     of scripts/field_pass.py (--field-writes, its --json-out).
 Each line carries its verdict from the verdicts file or "NO VERDICT". The
 verdicts file has one `key<TAB>verdict<TAB>reason` per line; a key is a
 qualified-name suffix ("KvCache::truncate", "ExpertCacheOptions::decay") or
@@ -17,32 +17,14 @@ an fnmatch pattern ("*{lambda*").
 """
 
 import argparse
-import fnmatch
 import json
 import re
 import sys
 from collections import defaultdict
 from pathlib import Path
 
-PRODUCTION_DIRS = ("src", "examples", "bench", "perfbench")
-OPTION_STRUCT = re.compile(r"^\s*struct\s+(\w*(?:Options|Config|Scenario|Spec))\s*\{")
-FIELD = re.compile(
-    r"^\s*(?!return\b|using\b|static\b|friend\b|enum\b|struct\b|class\b)"
-    r"([\w:<>,\s\*&]+?)\s+(\w+)\s*(?:=[^=][^;]*|\{[^}]*\})?;\s*(?://.*)?$")
-
-
-def strip_comments(text):
-    text = re.sub(r"/\*.*?\*/", "", text, flags=re.S)
-    return re.sub(r"//[^\n]*", "", text)
-
-
-def sources(root, dirs):
-    out = {}
-    for d in dirs:
-        for p in sorted((root / d).rglob("*")):
-            if p.suffix in (".cpp", ".hpp", ".h", ".cc") and p.is_file():
-                out[p] = strip_comments(p.read_text(errors="replace"))
-    return out
+from field_pass import (PRODUCTION_DIRS, load_verdicts, print_report,
+                        qualified, sources, verdict_for)
 
 
 def load_counts(root, gcov_dir):
@@ -76,50 +58,8 @@ def load_counts(root, gcov_dir):
     return counts
 
 
-def qualified(demangled):
-    """'daop::Rng::gamma(double)' -> 'daop::Rng::gamma' (ABI tags such as
-    '[abi:cxx11]' dropped)."""
-    demangled = re.sub(r"\[abi:\w+\]", "", demangled)
-    depth = 0
-    for i, ch in enumerate(demangled):
-        if ch == "<":
-            depth += 1
-        elif ch == ">":
-            depth -= 1
-        elif ch == "(" and depth == 0 and i > 0:
-            return demangled[:i]
-    return demangled
-
-
 def short(qual):
     return re.sub(r"<.*>$", "", qual).split("::")[-1]
-
-
-def load_verdicts(path):
-    rules = []
-    if path and Path(path).exists():
-        for line in Path(path).read_text().splitlines():
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            key = parts[0].strip()
-            verdict = parts[1].strip() if len(parts) > 1 else ""
-            reason = parts[2].strip() if len(parts) > 2 else ""
-            rules.append((key, verdict + (": " + reason if reason else "")))
-    return rules
-
-
-def verdict_for(demangled, rules):
-    """Patterns match the whole demangled name; plain keys match a suffix
-    of the qualified name."""
-    qual = qualified(demangled)
-    for key, verdict in rules:
-        if any(c in key for c in "*?["):
-            if fnmatch.fnmatchcase(demangled, key):
-                return verdict
-        elif qual == key or qual.endswith("::" + key):
-            return verdict
-    return None
 
 
 def named_by(name, texts):
@@ -127,58 +67,13 @@ def named_by(name, texts):
     return sum(len(pat.findall(t)) for t in texts.values())
 
 
-def option_fields(src_texts):
-    """[(struct, field, type, header)] for every options-like struct in
-    src/."""
-    out = []
-    for path, text in src_texts.items():
-        if path.suffix != ".hpp":
-            continue
-        lines = text.splitlines()
-        i = 0
-        while i < len(lines):
-            m = OPTION_STRUCT.match(lines[i])
-            if not m:
-                i += 1
-                continue
-            depth = lines[i].count("{") - lines[i].count("}")
-            i += 1
-            while i < len(lines) and depth > 0:
-                line = lines[i]
-                if depth == 1 and "(" not in line:
-                    fm = FIELD.match(line)
-                    if fm:
-                        out.append((m.group(1), fm.group(2),
-                                    fm.group(1).split()[-1], path))
-                depth += line.count("{") - line.count("}")
-                i += 1
-    return sorted(set(out), key=lambda t: (t[0], t[1]))
-
-
-def assigned(field, texts):
-    """True when some source assigns `field`, or a member of it."""
-    pat = re.compile(r"(?:\.|->)\s*" + re.escape(field) +
-                     r"(?:\.\w+)*\s*(?:=[^=]|\+=|-=)")
-    return any(pat.search(t) for t in texts.values())
-
-
-def brace_built(struct, fields, texts):
-    """True when some source builds a `struct` from a non-empty braced
-    list, which sets its fields by position: `S{a, b}`, `S x{a}`,
-    `S x = {a}`, or `.f = {a, b}` for a field f of type S."""
-    typed = [f for _, f, t, _ in fields if t.split("::")[-1] == struct]
-    pats = [re.compile(r"(?<!struct )\b" + struct +
-                       r"(?:\s+\w+)?\s*(?:=\s*)?\{\s*[^\s}]")]
-    pats += [re.compile(r"(?:\.|->)\s*" + re.escape(f) + r"\s*=\s*\{\s*[^\s}]")
-             for f in typed]
-    return any(p.search(t) for p in pats for t in texts.values())
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", required=True)
     ap.add_argument("--gcov-dir", required=True)
     ap.add_argument("--verdicts")
+    ap.add_argument("--field-writes", required=True,
+                    help="scripts/field_pass.py --json-out")
     a = ap.parse_args()
     root = Path(a.root).resolve()
     rules = load_verdicts(a.verdicts)
@@ -189,8 +84,6 @@ def main():
         return 1
     prod = sources(root, PRODUCTION_DIRS)
     tests = sources(root, ("tests",))
-    src_only = {p: t for p, t in prod.items()
-                if p.is_relative_to(root / "src")}
 
     zero = sorted(k for k, n in counts.items() if n == 0)
     print(f"== zero-hit src/ functions: {len(zero)} of {len(counts)}")
@@ -222,23 +115,9 @@ def main():
         missing += v is None
         print(f"{q}\t{f}:{line}\tnamed by {users}\t{v or 'NO VERDICT'}")
 
-    fields = option_fields(src_only)
-    unset = []
-    for struct, field, _, header in fields:
-        if assigned(field, prod) or brace_built(struct, fields, prod):
-            continue
-        by_tests = assigned(field, tests) or brace_built(struct, fields, tests)
-        unset.append((struct, field, header,
-                      "tests" if by_tests else "nothing"))
-    print(f"\n== option fields no production source sets: {len(unset)} of "
-          f"{len(fields)} fields in {len({f[0] for f in fields})} structs")
-    missing_fields = 0
-    for struct, field, header, by in unset:
-        v = verdict_for(f"{struct}::{field}", rules)
-        missing_fields += v is None
-        print(f"{struct}::{field}\t{header.relative_to(root)}\tset by {by}\t"
-              f"{v or 'NO VERDICT'}")
-
+    print()
+    missing_fields = print_report(
+        root, json.loads(Path(a.field_writes).read_text()), rules)
     print(f"\n== without a verdict: {missing} functions, {missing_fields} "
           f"fields")
     return 0

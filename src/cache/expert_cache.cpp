@@ -53,8 +53,6 @@ void ExpertCacheOptions::validate() const {
   DAOP_CHECK_GE(realloc_interval, 1);
   DAOP_CHECK_GE(max_swaps_per_step, 1);
   DAOP_CHECK_GE(hysteresis, 0.0);
-  DAOP_CHECK_GE(max_migration_retries, 0);
-  DAOP_CHECK_GE(migration_deadline_factor, 0.0);
 }
 
 std::string CacheRefusal::describe() const {

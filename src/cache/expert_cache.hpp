@@ -53,6 +53,10 @@ std::vector<CachePolicy> all_cache_policies();
 
 /// EWMA decay for kActivationWeighted (score = decay*old + interval count).
 inline constexpr double kActivationDecay = 0.5;
+/// Retry/deadline discipline for cache migrations (same semantics as
+/// DaopConfig: retries spent or deadline passed => abort, keep old expert).
+inline constexpr int kMigrationRetries = 2;
+inline constexpr double kMigrationDeadlineFactor = 4.0;
 
 struct ExpertCacheOptions {
   CachePolicy policy = CachePolicy::kFrozen;
@@ -65,10 +69,6 @@ struct ExpertCacheOptions {
   /// one knob works across policies whose score units differ (timestamps
   /// for lru, counts for lfu); suppresses thrashing on near-tied scores.
   double hysteresis = 0.05;
-  /// Retry/deadline discipline for cache migrations (same semantics as
-  /// DaopConfig: retries spent or deadline passed => abort, keep old expert).
-  int max_migration_retries = 2;
-  double migration_deadline_factor = 4.0;
 
   /// True when a dynamic policy is selected. Frozen == no cache object.
   bool enabled() const { return policy != CachePolicy::kFrozen; }

@@ -25,13 +25,13 @@ namespace daop::cluster {
 
 struct ClusterServingOptions {
   /// Workload plan (arrival rate, request count, prompt/gen ranges, seed,
-  /// ecr, calibration), SLO thresholds and observability sinks. The plan
-  /// fields are interpreted exactly as run_serving_eval does; `base.
-  /// max_concurrent`, `base.overload` and the client retry knobs are NOT
-  /// used here (per-node concurrency comes from `cluster.
-  /// max_concurrent_per_node`, shedding from the router's failover and
-  /// deadline planes).
-  eval::ServingOptions base;
+  /// ecr, calibration), SLO thresholds and observability sinks, read
+  /// exactly as run_serving_eval reads them. The single-node server's own
+  /// knobs have cluster counterparts instead: per-node concurrency is
+  /// `cluster.max_concurrent_per_node`, hazards are `node_hazards`,
+  /// shedding comes from the router's failover and deadline planes, and the
+  /// dynamic cache is `cluster.cache`.
+  eval::ServingPlanOptions base;
   int n_nodes = 4;
   /// Router configuration (dispatch policy, health checking, failover
   /// budget, hedging, degradation, explicit crash injection). Its sinks

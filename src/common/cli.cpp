@@ -107,33 +107,4 @@ std::vector<std::string> FlagParser::unused() const {
   return out;
 }
 
-const std::vector<std::string>& cli_output_modes() {
-  static const std::vector<std::string> modes{
-      "speed", "compare", "serve", "serve-cluster", "timeline"};
-  return modes;
-}
-
-const std::vector<CliOutputFlagSpec>& cli_output_flag_matrix() {
-  static const std::vector<CliOutputFlagSpec> matrix{
-      {"metrics-out", {"metrics-format"}, cli_output_modes()},
-      {"profile-out", {"profile-format"}, cli_output_modes()},
-      {"tseries-out",
-       {"tseries-format", "tseries-window", "slo-rules"},
-       cli_output_modes()},
-  };
-  return matrix;
-}
-
-bool cli_output_flag_supported(const std::string& flag,
-                               const std::string& mode) {
-  for (const CliOutputFlagSpec& spec : cli_output_flag_matrix()) {
-    if (spec.flag != flag) continue;
-    for (const std::string& m : spec.modes) {
-      if (m == mode) return true;
-    }
-    return false;
-  }
-  return false;
-}
-
 }  // namespace daop

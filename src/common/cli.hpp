@@ -47,26 +47,4 @@ class FlagParser {
   mutable std::map<std::string, bool> used_;
 };
 
-/// One row of the CLI output-flag support matrix: an observability output
-/// flag, its companion configuration flags, and the report-producing modes
-/// that accept it.
-struct CliOutputFlagSpec {
-  std::string flag;                     ///< e.g. "metrics-out"
-  std::vector<std::string> companions;  ///< e.g. {"metrics-format"}
-  std::vector<std::string> modes;       ///< modes accepting the flag
-};
-
-/// The report-producing daop_cli modes ("serve-cluster" is `serve --nodes
-/// N`'s dedicated path). Every observability output flag is supported in
-/// every one of these modes — the uniformity contract the matrix encodes.
-const std::vector<std::string>& cli_output_modes();
-
-/// The full support matrix. Commands consult cli_output_flag_supported()
-/// before reading an output flag and tests assert the matrix is complete,
-/// so flag support can never silently drift per command again.
-const std::vector<CliOutputFlagSpec>& cli_output_flag_matrix();
-
-bool cli_output_flag_supported(const std::string& flag,
-                               const std::string& mode);
-
 }  // namespace daop

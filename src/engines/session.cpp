@@ -168,7 +168,7 @@ void SequenceSession::maybe_cache_realloc(int t) {
     const MigrationOutcome m = migrate_with_retry(
         ready_, costs_.expert_migration(), "cache swap-in", "cache swap retry",
         SpanName{"cache swap-in L", " e", s.layer, s.expert_in},
-        opt.max_migration_retries, opt.migration_deadline_factor,
+        cache::kMigrationRetries, cache::kMigrationDeadlineFactor,
         /*abort_when_exhausted=*/true);
     if (m.aborted) {
       ++counters_.migration_aborts;
@@ -511,7 +511,7 @@ SequenceSession::MigrationOutcome SequenceSession::migrate_with_retry(
   const double deadline =
       deadline_factor > 0.0 ? issue + deadline_factor * cost : 0.0;
   if (fault_ != nullptr && fault_->enabled()) {
-    double backoff = fault_->scenario().retry_backoff_s;
+    double backoff = sim::kTransferRetryBackoffS;
     int attempts = 0;
     for (;;) {
       if (!abort_when_exhausted && attempts >= max_retries) break;

@@ -23,7 +23,12 @@
 
 namespace daop::eval {
 
-struct ServingOptions {
+/// What every serving harness reads: the request plan (RequestPlan), the
+/// SLO thresholds (ServingLedger), the engine and initial-placement set-up,
+/// and the observability sinks. The cluster harness takes exactly this
+/// (cluster/serving.hpp); ServingOptions adds the single-node server's own
+/// knobs.
+struct ServingPlanOptions {
   /// Mean request arrival rate (requests/second, Poisson process).
   double arrival_rate_rps = 0.02;
   int n_requests = 24;
@@ -36,6 +41,45 @@ struct ServingOptions {
   std::uint64_t seed = 99;
   core::DaopConfig daop_config;
 
+  /// SLO thresholds for violation accounting; 0 disables the corresponding
+  /// check.
+  double slo_ttft_s = 0.0;
+  double slo_latency_s = 0.0;
+
+  /// Deadline-critical request mix: every `priority_every`-th request
+  /// (indices priority_every-1, 2*priority_every-1, ...) carries the
+  /// tighter `priority_deadline_s` first-token budget instead of the
+  /// harness default (`overload.deadline_s` on one node, `cluster.
+  /// deadline_s` on a cluster) — the interactive traffic class that
+  /// exercises `deadline-edf` ordering and preemption. 0 = uniform
+  /// deadlines.
+  int priority_every = 0;
+  double priority_deadline_s = 0.0;
+
+  // ---- Observability (all default off) ----
+  // Attaching any is strictly passive: the simulated schedule, queue
+  // decisions and all timing results stay bit-identical.
+  /// Receives serving latency histograms, request outcome counters and the
+  /// summed engine counters.
+  obs::MetricsRegistry* metrics = nullptr;
+  /// Receives per-request spans (queue wait, request service, first-token
+  /// instant) plus the engine's own spans shifted onto the serving clock.
+  obs::SpanTracer* tracer = nullptr;
+  /// Receives critical-path attribution profiles (obs/profiler.hpp). In the
+  /// sequential mode every served request records its own per-run profile;
+  /// in continuous-batching mode the shared timeline's whole window is
+  /// profiled once (per-request phases are not attributable to one session).
+  obs::Profiler* profiler = nullptr;
+  /// Receives windowed time series over simulated time
+  /// (obs/timeseries.hpp), recorded on channel 0 as scheduling decisions
+  /// resolve and finalized at the run makespan. Strictly passive like the
+  /// other sinks.
+  obs::TimeSeriesRecorder* tseries = nullptr;
+};
+
+/// The single-node server: the shared plan plus its concurrency, hazard,
+/// client-retry, overload and dynamic-cache knobs.
+struct ServingOptions : ServingPlanOptions {
   /// Maximum simultaneously in-flight requests. 1 (the default) is the
   /// sequential FCFS server — bit-identical to the pre-scheduler harness.
   /// >= 2 switches to the continuous-batching scheduler
@@ -59,24 +103,12 @@ struct ServingOptions {
   /// Client backoff between abandoning and retrying.
   double retry_backoff_s = 0.5;
 
-  /// SLO thresholds for violation accounting; 0 disables the corresponding
-  /// check.
-  double slo_ttft_s = 0.0;
-  double slo_latency_s = 0.0;
-
   /// Overload-control plane (eval/overload.hpp): admission policy, bounded
   /// queue, deadline shedding, preemption, hazard-adaptive degradation.
   /// Default-constructed it is disabled and serving is bit-identical to the
   /// pre-overload harness. Requires max_concurrent >= 2 (it layers on the
   /// continuous-batching scheduler).
   OverloadOptions overload;
-  /// Deadline-critical request mix: every `priority_every`-th request
-  /// (indices priority_every-1, 2*priority_every-1, ...) carries the
-  /// tighter `priority_deadline_s` first-token budget instead of
-  /// overload.deadline_s — the interactive traffic class that exercises
-  /// `deadline-edf` ordering and preemption. 0 = uniform deadlines.
-  int priority_every = 0;
-  double priority_deadline_s = 0.0;
 
   /// Dynamic expert-cache policy (cache/expert_cache.hpp). Policy `frozen`
   /// (the default) keeps DAOP's prefill-frozen placement and is
@@ -87,26 +119,6 @@ struct ServingOptions {
   /// When non-null and the cache is enabled, receives the cache's
   /// fig8-style attribution report after the run (`--cache-report`).
   std::string* cache_report = nullptr;
-
-  // ---- Observability (both default off) ----
-  // Attaching either is strictly passive: the simulated schedule, queue
-  // decisions and all timing results stay bit-identical.
-  /// Receives serving latency histograms, request outcome counters and the
-  /// summed engine counters.
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Receives per-request spans (queue wait, request service, first-token
-  /// instant) plus the engine's own spans shifted onto the serving clock.
-  obs::SpanTracer* tracer = nullptr;
-  /// Receives critical-path attribution profiles (obs/profiler.hpp). In the
-  /// sequential mode every served request records its own per-run profile;
-  /// in continuous-batching mode the shared timeline's whole window is
-  /// profiled once (per-request phases are not attributable to one session).
-  obs::Profiler* profiler = nullptr;
-  /// Receives windowed time series over simulated time
-  /// (obs/timeseries.hpp), recorded on channel 0 as scheduling decisions
-  /// resolve and finalized at the run makespan. Strictly passive like the
-  /// other sinks.
-  obs::TimeSeriesRecorder* tseries = nullptr;
 };
 
 struct ServingResult {

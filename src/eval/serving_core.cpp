@@ -11,7 +11,7 @@ namespace daop::eval {
 
 RequestPlan::RequestPlan(const model::ModelConfig& model_cfg,
                          const data::WorkloadSpec& workload,
-                         const ServingOptions& options)
+                         const ServingPlanOptions& options)
     : gen_(workload, model_cfg.n_layers, model_cfg.n_experts, model_cfg.top_k,
            options.seed) {
   DAOP_CHECK_GT(options.arrival_rate_rps, 0.0);
@@ -42,7 +42,7 @@ RequestPlan::RequestPlan(const model::ModelConfig& model_cfg,
   }
 }
 
-ServingLedger::ServingLedger(ServingResult& out, const ServingOptions& options)
+ServingLedger::ServingLedger(ServingResult& out, const ServingPlanOptions& options)
     : out_(out),
       slo_ttft_s_(options.slo_ttft_s),
       slo_latency_s_(options.slo_latency_s),

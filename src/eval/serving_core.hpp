@@ -33,7 +33,7 @@ class RequestPlan {
   /// priority mix).
   RequestPlan(const model::ModelConfig& model_cfg,
               const data::WorkloadSpec& workload,
-              const ServingOptions& options);
+              const ServingPlanOptions& options);
 
   const std::vector<Request>& requests() const { return requests_; }
   /// The request's routing trace, generated on demand.
@@ -54,7 +54,7 @@ class ServingLedger {
  public:
   /// `out` must outlive the ledger; `options` supplies the SLO thresholds
   /// (checked here).
-  ServingLedger(ServingResult& out, const ServingOptions& options);
+  ServingLedger(ServingResult& out, const ServingPlanOptions& options);
 
   /// A request admitted at `start` that completed at `end` with session
   /// result `r`.

@@ -24,8 +24,6 @@ std::string label_key_with(const Labels& labels, const std::string& extra_k,
   return label_key(l);
 }
 
-std::string json_escape(const std::string& s) { return json_escape_string(s); }
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -333,21 +331,21 @@ std::string MetricsRegistry::to_json() const {
   for (const auto& [name, f] : families_) {
     if (!first_family) out += ",";
     first_family = false;
-    out += "{\"name\":\"" + json_escape(name) + "\",\"type\":\"";
+    out += "{\"name\":\"" + json_escape_string(name) + "\",\"type\":\"";
     switch (f.type) {
       case Type::Counter: out += "counter"; break;
       case Type::Gauge: out += "gauge"; break;
       case Type::Histogram: out += "histogram"; break;
     }
-    out += "\",\"help\":\"" + json_escape(f.help) + "\",\"series\":[";
+    out += "\",\"help\":\"" + json_escape_string(f.help) + "\",\"series\":[";
     bool first_series = true;
     auto emit_labels = [&](const std::string& key) {
       out += "\"labels\":{";
       const Labels& labels = f.label_sets.at(key);
       for (std::size_t i = 0; i < labels.size(); ++i) {
         if (i != 0) out += ",";
-        out += "\"" + json_escape(labels[i].first) + "\":\"" +
-               json_escape(labels[i].second) + "\"";
+        out += "\"" + json_escape_string(labels[i].first) + "\":\"" +
+               json_escape_string(labels[i].second) + "\"";
       }
       out += "}";
     };

@@ -7,6 +7,7 @@
 #include "common/check.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
+#include "obs/metrics.hpp"
 
 namespace daop::obs {
 namespace {
@@ -18,30 +19,6 @@ std::string fmt_num(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.12g", v);
   return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (u < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 void append_attr_json(std::string& out, const AttrBreakdown& a) {
@@ -66,7 +43,7 @@ void append_counters_json(
   out += "{";
   for (std::size_t i = 0; i < cs.size(); ++i) {
     if (i != 0) out += ",";
-    out += "\"" + json_escape(cs[i].first) + "\":" + fmt_num(cs[i].second);
+    out += "\"" + json_escape_string(cs[i].first) + "\":" + fmt_num(cs[i].second);
   }
   out += "}";
 }
@@ -146,7 +123,7 @@ std::string Profiler::to_json() const {
   for (std::size_t i = 0; i < runs_.size(); ++i) {
     const RunProfile& p = runs_[i];
     if (i != 0) out += ",";
-    out += "{\"label\":\"" + json_escape(p.label) +
+    out += "{\"label\":\"" + json_escape_string(p.label) +
            "\",\"request\":" + fmt_num(static_cast<double>(p.request)) +
            ",\"window\":{\"start_s\":" + fmt_num(p.start_s) +
            ",\"prefill_end_s\":" + fmt_num(p.prefill_end_s) +

@@ -47,8 +47,6 @@ void HazardScenario::validate() const {
                      << expert_load_fail_prob);
   DAOP_CHECK_MSG(pcie_stall_mean_s >= 0.0,
                  "pcie_stall_mean_s must be >= 0, got " << pcie_stall_mean_s);
-  DAOP_CHECK_MSG(retry_backoff_s >= 0.0,
-                 "retry_backoff_s must be >= 0, got " << retry_backoff_s);
   DAOP_CHECK_MSG(max_transfer_retries >= 0,
                  "max_transfer_retries must be >= 0, got "
                      << max_transfer_retries);
@@ -300,7 +298,7 @@ FaultModel::Perturbation FaultModel::perturb(Res r, double start,
                      std::log(std::max(transfer_rng_.uniform(), 1e-12));
       }
       if (scenario_.pcie_fail_prob > 0.0) {
-        double backoff = scenario_.retry_backoff_s;
+        double backoff = kTransferRetryBackoffS;
         while (p.retries < scenario_.max_transfer_retries &&
                transfer_rng_.uniform() < scenario_.pcie_fail_prob) {
           // The failed attempt burned the full transfer; back off and

@@ -24,6 +24,10 @@
 
 namespace daop::sim {
 
+/// Base backoff in seconds before a failed transfer is retried; doubles per
+/// consecutive retry.
+inline constexpr double kTransferRetryBackoffS = 1e-3;
+
 /// Configuration of one hazard environment. All fields default to "no
 /// hazard"; a default-constructed scenario is disabled.
 struct HazardScenario {
@@ -35,12 +39,11 @@ struct HazardScenario {
   double pcie_stall_mean_s = 0.0;
   /// Probability that a transfer attempt fails outright and must be
   /// retried (ECC replay, DMA error). Retries re-pay the full transfer
-  /// plus an exponential backoff; the attempt after `max_transfer_retries`
+  /// plus an exponential backoff (kTransferRetryBackoffS); the attempt after
+  /// `max_transfer_retries`
   /// always succeeds so runs terminate.
   double pcie_fail_prob = 0.0;
   int max_transfer_retries = 3;
-  /// Base retry backoff in seconds; doubles per consecutive retry.
-  double retry_backoff_s = 1e-3;
 
   // ---- CPU-pool contention (co-running app steals memory bandwidth) ----
   /// Length of one contention cycle; 0 disables CPU contention.

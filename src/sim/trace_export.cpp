@@ -3,25 +3,11 @@
 #include <cstdio>
 #include <fstream>
 
+#include "obs/metrics.hpp"
 #include "obs/span_tracer.hpp"
 
 namespace daop::sim {
 namespace {
-
-// Escapes the few characters that can appear in op tags.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
 
 void append_complete_event(std::string& out, bool& first,
                            const std::string& name, int tid, double start_s,
@@ -33,7 +19,7 @@ void append_complete_event(std::string& out, bool& first,
   std::snprintf(buf, sizeof(buf),
                 "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,"
                 "\"ts\":%.3f,\"dur\":%.3f}",
-                json_escape(name).c_str(), tid, start_s * 1e6,
+                obs::json_escape_string(name).c_str(), tid, start_s * 1e6,
                 (end_s - start_s) * 1e6);
   out += buf;
 }
@@ -55,14 +41,14 @@ void append_span_event(std::string& out, bool& first,
     std::snprintf(buf, sizeof(buf),
                   "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,"
                   "\"ts\":%.3f,\"dur\":%.3f%s}",
-                  json_escape(sp.name).c_str(), tid, sp.start * 1e6,
+                  obs::json_escape_string(sp.name).c_str(), tid, sp.start * 1e6,
                   (sp.end - sp.start) * 1e6, args.c_str());
   } else {
     // Zero-duration spans are instants ("i"), thread-scoped.
     std::snprintf(buf, sizeof(buf),
                   "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,"
                   "\"tid\":%d,\"ts\":%.3f%s}",
-                  json_escape(sp.name).c_str(), tid, sp.start * 1e6,
+                  obs::json_escape_string(sp.name).c_str(), tid, sp.start * 1e6,
                   args.c_str());
   }
   out += buf;
@@ -75,7 +61,7 @@ void append_flow_events(std::string& out, bool& first,
   const obs::TraceSpan& a = tracer.spans()[fl.from - 1];
   const obs::TraceSpan& b = tracer.spans()[fl.to - 1];
   const std::string name =
-      json_escape(fl.name.empty() ? a.name + " -> " + b.name : fl.name);
+      obs::json_escape_string(fl.name.empty() ? a.name + " -> " + b.name : fl.name);
   char buf[320];
   if (!first) out += ",\n";
   first = false;
@@ -139,7 +125,7 @@ std::string to_chrome_trace_json(const Timeline& tl,
       char buf[160];
       std::snprintf(buf, sizeof(buf), ",\"thread_name_%d\":\"%s\"",
                     kSpanTidBase + static_cast<int>(t),
-                    json_escape(tracer->tracks()[t]).c_str());
+                    obs::json_escape_string(tracer->tracks()[t]).c_str());
       out += buf;
     }
   }

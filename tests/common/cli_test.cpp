@@ -92,53 +92,5 @@ TEST(Cli, NoCommandIsEmpty) {
   EXPECT_TRUE(p.command().empty());
 }
 
-// ---------------------------------------------------------------------------
-// Output-flag support matrix: every report flag must be available in every
-// reporting mode. This is the regression net for the historical asymmetry
-// where serve-cluster silently lacked --profile-out — the write helpers in
-// daop_cli CHECK against this matrix at runtime, and this test pins the
-// matrix itself to "all flags, all modes".
-
-TEST(CliOutputMatrix, EveryOutputFlagIsSupportedInEveryMode) {
-  ASSERT_FALSE(cli_output_flag_matrix().empty());
-  ASSERT_FALSE(cli_output_modes().empty());
-  for (const CliOutputFlagSpec& spec : cli_output_flag_matrix()) {
-    for (const std::string& mode : cli_output_modes()) {
-      EXPECT_TRUE(cli_output_flag_supported(spec.flag, mode))
-          << "--" << spec.flag << " missing from mode '" << mode << "'";
-    }
-  }
-}
-
-TEST(CliOutputMatrix, CoversTheThreeReportFamilies) {
-  bool metrics = false, profile = false, tseries = false;
-  for (const CliOutputFlagSpec& spec : cli_output_flag_matrix()) {
-    if (spec.flag == "metrics-out") metrics = true;
-    if (spec.flag == "profile-out") profile = true;
-    if (spec.flag == "tseries-out") tseries = true;
-  }
-  EXPECT_TRUE(metrics);
-  EXPECT_TRUE(profile);
-  EXPECT_TRUE(tseries);
-}
-
-TEST(CliOutputMatrix, UnknownFlagsAndModesAreUnsupported) {
-  EXPECT_FALSE(cli_output_flag_supported("metrics-out", "sweep"));
-  EXPECT_FALSE(cli_output_flag_supported("bogus-out", "serve"));
-}
-
-TEST(CliOutputMatrix, CompanionFlagsRideWithTheirPrimary) {
-  for (const CliOutputFlagSpec& spec : cli_output_flag_matrix()) {
-    if (spec.flag != "tseries-out") continue;
-    bool window = false, rules = false;
-    for (const std::string& c : spec.companions) {
-      if (c == "tseries-window") window = true;
-      if (c == "slo-rules") rules = true;
-    }
-    EXPECT_TRUE(window) << "--tseries-window must ride with --tseries-out";
-    EXPECT_TRUE(rules) << "--slo-rules must ride with --tseries-out";
-  }
-}
-
 }  // namespace
 }  // namespace daop

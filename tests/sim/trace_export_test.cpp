@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "obs/span_tracer.hpp"
+
 namespace daop::sim {
 namespace {
 
@@ -43,6 +45,17 @@ TEST(TraceExport, EscapesTagCharacters) {
   tl.schedule(Res::GpuStream, 0.0, 0.001, "op \"quoted\"\\slash");
   const std::string json = to_chrome_trace_json(tl);
   EXPECT_NE(json.find("op \\\"quoted\\\"\\\\slash"), std::string::npos);
+}
+
+// Span names are free text: every control byte must come out escaped, or
+// the Chrome-trace JSON does not parse.
+TEST(TraceExport, EscapesControlBytesInSpanNames) {
+  Timeline tl;
+  obs::SpanTracer tracer;
+  tracer.span(tracer.track("t"), "a\tb\x01", 0.0, 0.001);
+  const std::string json = to_chrome_trace_json(tl, &tracer);
+  EXPECT_NE(json.find("\"name\":\"a\\tb\\u0001\""), std::string::npos)
+      << json;
 }
 
 TEST(TraceExport, UnnamedIntervalsUseResourceName) {
