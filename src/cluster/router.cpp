@@ -409,8 +409,7 @@ void ClusterRouter::lost_copy(std::size_t track, int tokens_done, double t,
     if (ts_on()) {
       options_.tseries->count(
           ts_cluster_channel(), "daop_cluster_failovers_total",
-          "Failover re-dispatches after losing every live request copy.",
-          1.0,
+          eval::family_help::kFailovers, 1.0,
           {{"reason", reason == FailoverReason::kNodeCrash
                           ? "node-crash"
                           : "dead-dispatch"}});
@@ -461,8 +460,8 @@ void ClusterRouter::crash_node(Node& n, double t) {
   ++stats_.crashes;
   if (ts_on()) {
     options_.tseries->count(ts_cluster_channel(),
-                            "daop_cluster_crashes_total", "Node crashes.",
-                            1.0);
+                            "daop_cluster_crashes_total",
+                            eval::family_help::kCrashes, 1.0);
     options_.tseries->record_event(t, n.id, "crash",
                                    "node " + std::to_string(n.id) +
                                        " crashed");
@@ -520,8 +519,8 @@ void ClusterRouter::probe_round(double t) {
       const char* dir = e.ejected ? "eject" : "readmit";
       options_.tseries->count(ts_cluster_channel(),
                               "daop_cluster_health_transitions_total",
-                              "Health-checker ejections and re-admissions.",
-                              1.0, {{"direction", dir}});
+                              eval::family_help::kHealthTransitions, 1.0,
+                              {{"direction", dir}});
       options_.tseries->record_event(
           e.time, e.node, dir,
           "node " + std::to_string(e.node) + " (" + e.reason + ")");

@@ -154,13 +154,11 @@ ClusterServingResult run_cluster_serving_eval(
                 eval::family_help::kDispatches, labels)
         .inc(static_cast<double>(cs.dispatches));
     reg.counter(
-           "daop_cluster_failovers_total",
-           "Failover re-dispatches after losing every live request copy.",
+           "daop_cluster_failovers_total", eval::family_help::kFailovers,
            obs::Labels{{"engine", out.engine}, {"reason", "node-crash"}})
         .inc(static_cast<double>(cs.failovers_node_crash));
     reg.counter(
-           "daop_cluster_failovers_total",
-           "Failover re-dispatches after losing every live request copy.",
+           "daop_cluster_failovers_total", eval::family_help::kFailovers,
            obs::Labels{{"engine", out.engine}, {"reason", "dead-dispatch"}})
         .inc(static_cast<double>(cs.failovers_dead_dispatch));
     reg.counter("daop_cluster_replayed_tokens_total",
@@ -175,14 +173,15 @@ ClusterServingResult run_cluster_serving_eval(
     hedge_counter("issued", cs.hedges);
     hedge_counter("won", cs.hedge_wins);
     hedge_counter("cancelled", cs.hedge_cancels);
-    reg.counter("daop_cluster_crashes_total", "Node crashes.", labels)
+    reg.counter("daop_cluster_crashes_total", eval::family_help::kCrashes,
+                labels)
         .inc(static_cast<double>(cs.crashes));
     reg.counter("daop_cluster_health_transitions_total",
-                "Health-checker ejections and re-admissions.",
+                eval::family_help::kHealthTransitions,
                 obs::Labels{{"engine", out.engine}, {"direction", "eject"}})
         .inc(static_cast<double>(cs.ejections));
     reg.counter("daop_cluster_health_transitions_total",
-                "Health-checker ejections and re-admissions.",
+                eval::family_help::kHealthTransitions,
                 obs::Labels{{"engine", out.engine}, {"direction", "readmit"}})
         .inc(static_cast<double>(cs.readmissions));
     reg.counter("daop_cluster_readmit_total",

@@ -43,6 +43,11 @@ inline constexpr const char* kClusterQueueWait =
 inline constexpr const char* kClusterShed =
     "Requests rejected or lost, by reason.";
 inline constexpr const char* kDispatches = "Request copies handed to a node.";
+inline constexpr const char* kFailovers =
+    "Failover re-dispatches after losing every live request copy.";
+inline constexpr const char* kCrashes = "Node crashes.";
+inline constexpr const char* kHealthTransitions =
+    "Health-checker ejections and re-admissions.";
 inline constexpr const char* kCheckpoints =
     "Session snapshots durably written across node stores.";
 inline constexpr const char* kRecoveryLatency =
