@@ -184,11 +184,6 @@ ClusterServingResult run_cluster_serving_eval(
                 eval::family_help::kHealthTransitions,
                 obs::Labels{{"engine", out.engine}, {"direction", "readmit"}})
         .inc(static_cast<double>(cs.readmissions));
-    reg.counter("daop_cluster_readmit_total",
-                "Nodes re-admitted to service by the health checker after a "
-                "recovery or brownout clearing.",
-                labels)
-        .inc(static_cast<double>(cs.readmissions));
     for (int i = 0; i < router.n_nodes(); ++i) {
       const obs::Labels node_labels{{"engine", out.engine},
                                     {"node", std::to_string(i)}};

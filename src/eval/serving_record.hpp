@@ -29,6 +29,8 @@ inline constexpr const char* kHazardStall =
     engines::counter_help("daop_hazard_stall_seconds_total");
 inline constexpr const char* kPreemptions =
     engines::counter_help("daop_session_preemptions_total");
+inline constexpr const char* kPreemptResumes =
+    engines::counter_help("daop_session_preempt_resumes_total");
 // The sequential/CB server.
 inline constexpr const char* kServerQueueWait = "Arrival to service start.";
 inline constexpr const char* kServerShed =
@@ -158,8 +160,8 @@ class TsHook {
   }
   void resumed() {
     if (rec_ == nullptr) return;
-    rec_->count(kChannel, "daop_session_resumes_total",
-                "Parked sessions resumed into a freed slot.");
+    rec_->count(kChannel, "daop_session_preempt_resumes_total",
+                family_help::kPreemptResumes);
   }
   void degrade_event(const DegradationEvent& e) {
     if (rec_ == nullptr) return;
