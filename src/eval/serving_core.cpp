@@ -42,7 +42,8 @@ RequestPlan::RequestPlan(const model::ModelConfig& model_cfg,
   }
 }
 
-ServingLedger::ServingLedger(ServingResult& out, const ServingPlanOptions& options)
+ServingLedger::ServingLedger(ServingResult& out,
+                             const ServingPlanOptions& options)
     : out_(out),
       slo_ttft_s_(options.slo_ttft_s),
       slo_latency_s_(options.slo_latency_s),

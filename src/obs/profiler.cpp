@@ -43,7 +43,8 @@ void append_counters_json(
   out += "{";
   for (std::size_t i = 0; i < cs.size(); ++i) {
     if (i != 0) out += ",";
-    out += "\"" + json_escape_string(cs[i].first) + "\":" + fmt_num(cs[i].second);
+    out += "\"" + json_escape_string(cs[i].first) +
+           "\":" + fmt_num(cs[i].second);
   }
   out += "}";
 }

@@ -39,9 +39,8 @@ struct HazardScenario {
   double pcie_stall_mean_s = 0.0;
   /// Probability that a transfer attempt fails outright and must be
   /// retried (ECC replay, DMA error). Retries re-pay the full transfer
-  /// plus an exponential backoff (kTransferRetryBackoffS); the attempt after
-  /// `max_transfer_retries`
-  /// always succeeds so runs terminate.
+  /// plus an exponential backoff (kTransferRetryBackoffS); the attempt
+  /// after `max_transfer_retries` always succeeds so runs terminate.
   double pcie_fail_prob = 0.0;
   int max_transfer_retries = 3;
 

@@ -60,8 +60,8 @@ void append_flow_events(std::string& out, bool& first,
   // Span ids are 1-based indices into spans().
   const obs::TraceSpan& a = tracer.spans()[fl.from - 1];
   const obs::TraceSpan& b = tracer.spans()[fl.to - 1];
-  const std::string name =
-      obs::json_escape_string(fl.name.empty() ? a.name + " -> " + b.name : fl.name);
+  const std::string name = obs::json_escape_string(
+      fl.name.empty() ? a.name + " -> " + b.name : fl.name);
   char buf[320];
   if (!first) out += ",\n";
   first = false;
