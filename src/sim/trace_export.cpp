@@ -9,49 +9,50 @@
 namespace daop::sim {
 namespace {
 
+// Starts an event object with its escaped name; the name is appended whole,
+// so a long or control-heavy name cannot be cut off by a fixed buffer.
+void open_event(std::string& out, bool& first, const std::string& name) {
+  if (!first) out += ",\n";
+  first = false;
+  out += "{\"name\":\"";
+  out += obs::json_escape_string(name);
+  out += '"';
+}
+
 void append_complete_event(std::string& out, bool& first,
                            const std::string& name, int tid, double start_s,
                            double end_s) {
-  if (!first) out += ",\n";
-  first = false;
-  char buf[256];
+  open_event(out, first, name);
+  char buf[128];
   // ts/dur in microseconds, one pid, one tid per resource.
   std::snprintf(buf, sizeof(buf),
-                "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,"
-                "\"ts\":%.3f,\"dur\":%.3f}",
-                obs::json_escape_string(name).c_str(), tid, start_s * 1e6,
-                (end_s - start_s) * 1e6);
+                ",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f}",
+                tid, start_s * 1e6, (end_s - start_s) * 1e6);
   out += buf;
 }
 
 void append_span_event(std::string& out, bool& first,
                        const obs::TraceSpan& sp) {
-  if (!first) out += ",\n";
-  first = false;
+  open_event(out, first, sp.name);
   const int tid = kSpanTidBase + static_cast<int>(sp.track);
-  char buf[320];
-  std::string args;
-  if (sp.request >= 0) {
-    char abuf[64];
-    std::snprintf(abuf, sizeof(abuf), ",\"args\":{\"request\":%lld}",
-                  static_cast<long long>(sp.request));
-    args = abuf;
-  }
+  char buf[128];
   if (sp.end > sp.start) {
     std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,"
-                  "\"ts\":%.3f,\"dur\":%.3f%s}",
-                  obs::json_escape_string(sp.name).c_str(), tid, sp.start * 1e6,
-                  (sp.end - sp.start) * 1e6, args.c_str());
+                  ",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f",
+                  tid, sp.start * 1e6, (sp.end - sp.start) * 1e6);
   } else {
     // Zero-duration spans are instants ("i"), thread-scoped.
     std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,"
-                  "\"tid\":%d,\"ts\":%.3f%s}",
-                  obs::json_escape_string(sp.name).c_str(), tid, sp.start * 1e6,
-                  args.c_str());
+                  ",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":%d,\"ts\":%.3f",
+                  tid, sp.start * 1e6);
   }
   out += buf;
+  if (sp.request >= 0) {
+    std::snprintf(buf, sizeof(buf), ",\"args\":{\"request\":%lld}",
+                  static_cast<long long>(sp.request));
+    out += buf;
+  }
+  out += '}';
 }
 
 void append_flow_events(std::string& out, bool& first,
@@ -60,25 +61,23 @@ void append_flow_events(std::string& out, bool& first,
   // Span ids are 1-based indices into spans().
   const obs::TraceSpan& a = tracer.spans()[fl.from - 1];
   const obs::TraceSpan& b = tracer.spans()[fl.to - 1];
-  const std::string name = obs::json_escape_string(
-      fl.name.empty() ? a.name + " -> " + b.name : fl.name);
-  char buf[320];
-  if (!first) out += ",\n";
-  first = false;
+  const std::string name = fl.name.empty() ? a.name + " -> " + b.name : fl.name;
+  char buf[160];
   // Flow start anchors to the end of the producing span, flow finish (with
   // binding point "e" = enclosing slice) to the start of the consuming span.
+  open_event(out, first, name);
   std::snprintf(buf, sizeof(buf),
-                "{\"name\":\"%s\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":%zu,"
-                "\"pid\":1,\"tid\":%d,\"ts\":%.3f}",
-                name.c_str(), flow_idx + 1,
-                kSpanTidBase + static_cast<int>(a.track), a.end * 1e6);
+                ",\"cat\":\"flow\",\"ph\":\"s\",\"id\":%zu,\"pid\":1,"
+                "\"tid\":%d,\"ts\":%.3f}",
+                flow_idx + 1, kSpanTidBase + static_cast<int>(a.track),
+                a.end * 1e6);
   out += buf;
-  out += ",\n";
+  open_event(out, first, name);
   std::snprintf(buf, sizeof(buf),
-                "{\"name\":\"%s\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\","
-                "\"id\":%zu,\"pid\":1,\"tid\":%d,\"ts\":%.3f}",
-                name.c_str(), flow_idx + 1,
-                kSpanTidBase + static_cast<int>(b.track), b.start * 1e6);
+                ",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":%zu,"
+                "\"pid\":1,\"tid\":%d,\"ts\":%.3f}",
+                flow_idx + 1, kSpanTidBase + static_cast<int>(b.track),
+                b.start * 1e6);
   out += buf;
 }
 
@@ -122,11 +121,12 @@ std::string to_chrome_trace_json(const Timeline& tl,
   }
   if (tracer != nullptr) {
     for (std::size_t t = 0; t < tracer->tracks().size(); ++t) {
-      char buf[160];
-      std::snprintf(buf, sizeof(buf), ",\"thread_name_%d\":\"%s\"",
-                    kSpanTidBase + static_cast<int>(t),
-                    obs::json_escape_string(tracer->tracks()[t]).c_str());
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), ",\"thread_name_%d\":\"",
+                    kSpanTidBase + static_cast<int>(t));
       out += buf;
+      out += obs::json_escape_string(tracer->tracks()[t]);
+      out += '"';
     }
   }
   out += "}";

@@ -58,6 +58,33 @@ TEST(TraceExport, EscapesControlBytesInSpanNames) {
       << json;
 }
 
+// Each control byte escapes to six bytes, so a long name must still come out
+// whole, with the event's numeric fields after it, in spans, flows and tracks.
+TEST(TraceExport, LongControlByteNamesStayWhole) {
+  const std::string name = std::string(100, '\x01') + "end";
+  std::string escaped;
+  for (int i = 0; i < 100; ++i) escaped += "\\u0001";
+  escaped += "end";
+  Timeline tl;
+  obs::SpanTracer tracer;
+  const std::uint32_t t = tracer.track(name);
+  const std::uint64_t a = tracer.span(t, name, 0.0, 0.001);
+  const std::uint64_t b = tracer.span(t, name, 0.002, 0.003);
+  tracer.flow(a, b, name);
+  const std::string json = to_chrome_trace_json(tl, &tracer);
+  EXPECT_NE(json.find("\"name\":\"" + escaped + "\",\"ph\":\"X\""),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"name\":\"" + escaped + "\",\"cat\":\"flow\""),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"thread_name_" + std::to_string(kSpanTidBase) +
+                      "\":\"" + escaped + "\"}"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.substr(json.size() - 2), "}\n");
+}
+
 TEST(TraceExport, UnnamedIntervalsUseResourceName) {
   Timeline tl;
   tl.set_record_intervals(true);
