@@ -74,8 +74,9 @@ std::string outcomes_line(
   return os.str();
 }
 
-ServingOptions base_options(int max_concurrent, std::uint64_t seed) {
-  ServingOptions opt;
+/// The plan both harnesses read; a cluster takes it as its `base`.
+ServingPlanOptions plan_options(std::uint64_t seed) {
+  ServingPlanOptions opt;
   opt.arrival_rate_rps = 1.0;
   opt.n_requests = 8;
   opt.min_prompt = 16;
@@ -84,6 +85,12 @@ ServingOptions base_options(int max_concurrent, std::uint64_t seed) {
   opt.max_gen = 24;
   opt.calibration_seqs = 4;
   opt.seed = seed;
+  return opt;
+}
+
+ServingOptions base_options(int max_concurrent, std::uint64_t seed) {
+  ServingOptions opt;
+  static_cast<ServingPlanOptions&>(opt) = plan_options(seed);
   opt.max_concurrent = max_concurrent;
   return opt;
 }
@@ -141,7 +148,7 @@ std::string serving_snapshot(EngineKind kind, ServingOptions opt,
 std::string cluster_snapshot(EngineKind kind) {
   cluster::ClusterServingOptions opt;
   opt.n_nodes = 3;
-  opt.base = base_options(1, 7);
+  opt.base = plan_options(7);
   opt.base.arrival_rate_rps = 6.0;
   opt.base.n_requests = 24;
   opt.base.min_gen = 16;
