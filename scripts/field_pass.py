@@ -2,7 +2,7 @@
 """Compiler-resolved field pass: which options-struct fields some source
 writes, named by the struct that owns them.
 
-    field_pass.py [--work DIR] [--verdicts FILE] [--json-out FILE] [--jobs N]
+    field_pass.py [--work DIR] [--verdicts FILE] [--json-out FILE]
     field_pass.py --self-test
 
 Every data member of every options-like struct in src/ (structs named
@@ -244,14 +244,14 @@ def syntax_only(argv):
     return out + ["-fsyntax-only", "-fmax-errors=0"]
 
 
-def run_probe(entries, jobs):
+def run_probe(entries):
     env = dict(os.environ, LC_ALL="C")
 
     def one(entry):
         d, argv, _ = entry
         return subprocess.run(argv, cwd=d, env=env, stdout=subprocess.PIPE,
                               stderr=subprocess.STDOUT, text=True).stdout
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 2) as pool:
         return list(pool.map(one, entries))
 
 
@@ -355,12 +355,25 @@ def verdict_for(demangled, rules):
     return None
 
 
+def names(type_, scope, struct):
+    """True when `type_`, declared inside class `scope`, names `struct`:
+    spelled with the struct's enclosing classes, or unqualified from
+    inside them."""
+    t = re.sub(r"<.*>$", "", re.sub(r"\bconst\b|[*&]", "", type_).strip())
+    t, want, outer = t.split("::"), struct.split("::"), scope.split("::")
+    return t[-len(want):] == want or \
+        any(outer[:k] + t == want for k in range(len(outer) + 1))
+
+
 def brace_built(struct, fields, texts):
     """True when some source builds a `struct` from a non-empty braced
     list, which sets its fields by position: `S{a, b}`, `S x{a}`,
-    `S x = {a}`, or `.f = {a, b}` for a field f of type S."""
-    name = struct.split("::")[-1]
-    typed = [f["field"] for f in fields if base_type(f["type"]) == name]
+    `S x = {a}`, or `.f = {a, b}` for a field f of type S. A nested struct
+    must be spelled with its enclosing classes (`Host::Options{a}`), so
+    one class's `Options` does not stand for another's."""
+    typed = [f["field"] for f in fields
+             if names(f["type"], f["struct"], struct)]
+    name = r"\s*::\s*".join(struct.split("::"))
     built = re.compile(r"\b" + name + r"(?:\s+\w+)?\s*(?:=\s*)?\{\s*[^\s}]")
     # `struct S {` and a base clause `struct D : public S {` open a class
     # body, not a braced list.
@@ -414,7 +427,7 @@ def print_report(root, result, rules, out=sys.stdout):
     return missing
 
 
-def field_pass(root, work, jobs, entries=None):
+def field_pass(root, work, entries=None):
     """Probes root in work/ and returns {fields, writes, units}.
     `entries(copy)` gives the syntax-only commands; the default configures
     the copy with CMake."""
@@ -423,7 +436,7 @@ def field_pass(root, work, jobs, entries=None):
     make_copy(root, copy)
     constify(copy, fields)
     units = entries(copy) if entries else compile_entries(copy, work / "build")
-    writes = parse_writes(run_probe(units, jobs), copy, fields)
+    writes = parse_writes(run_probe(units), copy, fields)
     return {"fields": [{k: f[k] for k in ("struct", "field", "type", "kind",
                                           "header")} for f in fields],
             "writes": writes,
@@ -457,7 +470,14 @@ struct DerivedConfig : public BetaConfig {  // a base clause, not a braced list
 class Host {
  public:
   struct Options {
-    int depth = 3;  // set by tests
+    int depth = 3;  // brace-built in src/
+  };
+};
+class Guest {
+ public:
+  struct Options {  // shares Host::Options's name
+    int width = 1;   // set nowhere
+    int height = 1;  // set by tests
   };
 };
 }  // namespace fx
@@ -470,12 +490,13 @@ void configure(fx::AlphaOptions& a, fx::BetaConfig& b, double* d) {
   b.enabled = a.enabled && b.alpha.depth > 0;
   b.alpha.sink = d;
 }
+fx::Host::Options host_defaults() { return fx::Host::Options{4}; }
 """
 FIXTURE_TEST = """\
 #include "fx/opts.hpp"
-void tweak(fx::AlphaOptions& a, fx::Host::Options& h) {
+void tweak(fx::AlphaOptions& a, fx::Guest::Options& g) {
   a.mode = fx::Mode::kB;
-  ++h.depth;
+  ++g.height;
 }
 """
 
@@ -495,14 +516,15 @@ def self_test():
                                              str(copy / "src"), "-c",
                                              str(copy / f)]), str(copy / f))
                     for f in ("src/fx/use.cpp", "tests/fx/use_test.cpp")]
-        result = field_pass(root, Path(tmp) / "work", 2, entries)
+        result = field_pass(root, Path(tmp) / "work", entries)
         got = {(s, f): by for s, f, _, by in never_set(root, result)}
         want = {("BetaConfig", "depth"): "nothing",
                 ("BetaConfig", "sizes"): "nothing",
                 ("DerivedConfig", "extra"): "nothing",
                 ("AlphaOptions", "enabled"): "nothing",
                 ("AlphaOptions", "mode"): "tests",
-                ("Host::Options", "depth"): "tests"}
+                ("Guest::Options", "width"): "nothing",
+                ("Guest::Options", "height"): "tests"}
         assert got == want, f"never-set fields {got}, want {want}"
         kinds = {(f["struct"], f["field"]): f["kind"]
                  for f in result["fields"]}
@@ -511,10 +533,10 @@ def self_test():
         assert ("AlphaOptions", "twice") not in kinds, kinds
         rules = [("AlphaOptions::enabled", "keep: fixture"),
                  ("AlphaOptions::mode", "keep: fixture"),
-                 ("Host::Options::depth", "keep: fixture")]
+                 ("Guest::Options::height", "keep: fixture")]
         with open(os.devnull, "w") as null:
             missing = print_report(root, result, rules, out=null)
-        assert missing == 3, f"{missing} fields without a verdict, want 3"
+        assert missing == 4, f"{missing} fields without a verdict, want 4"
     print("field_pass self-test: ok")
     return 0
 
@@ -527,13 +549,12 @@ def main():
                     "<root>/build-reach/fields)")
     ap.add_argument("--verdicts")
     ap.add_argument("--json-out")
-    ap.add_argument("--jobs", type=int, default=os.cpu_count() or 2)
     a = ap.parse_args()
     if a.self_test:
         return self_test()
     root = Path(a.root).resolve()
     work = Path(a.work) if a.work else root / "build-reach" / "fields"
-    result = field_pass(root, work.resolve(), a.jobs)
+    result = field_pass(root, work.resolve())
     if a.json_out:
         Path(a.json_out).write_text(json.dumps(result, indent=1) + "\n")
     missing = print_report(root, result, load_verdicts(a.verdicts))
