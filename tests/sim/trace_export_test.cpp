@@ -48,7 +48,9 @@ TEST(TraceExport, EscapesTagCharacters) {
 }
 
 // Span names are free text: every control byte must come out escaped, or
-// the Chrome-trace JSON does not parse.
+// the Chrome-trace JSON does not parse. Each escapes to six bytes, so a long
+// name must still come out whole, with the event's fields after it, in
+// spans, flows and track names.
 TEST(TraceExport, EscapesControlBytesInSpanNames) {
   Timeline tl;
   obs::SpanTracer tracer;
@@ -56,33 +58,29 @@ TEST(TraceExport, EscapesControlBytesInSpanNames) {
   const std::string json = to_chrome_trace_json(tl, &tracer);
   EXPECT_NE(json.find("\"name\":\"a\\tb\\u0001\""), std::string::npos)
       << json;
-}
 
-// Each control byte escapes to six bytes, so a long name must still come out
-// whole, with the event's numeric fields after it, in spans, flows and tracks.
-TEST(TraceExport, LongControlByteNamesStayWhole) {
   const std::string name = std::string(100, '\x01') + "end";
   std::string escaped;
   for (int i = 0; i < 100; ++i) escaped += "\\u0001";
   escaped += "end";
-  Timeline tl;
-  obs::SpanTracer tracer;
-  const std::uint32_t t = tracer.track(name);
-  const std::uint64_t a = tracer.span(t, name, 0.0, 0.001);
-  const std::uint64_t b = tracer.span(t, name, 0.002, 0.003);
-  tracer.flow(a, b, name);
-  const std::string json = to_chrome_trace_json(tl, &tracer);
-  EXPECT_NE(json.find("\"name\":\"" + escaped + "\",\"ph\":\"X\""),
+  obs::SpanTracer long_tracer;
+  const std::uint32_t t = long_tracer.track(name);
+  const std::uint64_t a = long_tracer.span(t, name, 0.0, 0.001);
+  const std::uint64_t b = long_tracer.span(t, name, 0.002, 0.003);
+  long_tracer.flow(a, b, name);
+  const std::string long_json = to_chrome_trace_json(tl, &long_tracer);
+  EXPECT_NE(long_json.find("\"name\":\"" + escaped + "\",\"ph\":\"X\""),
             std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"name\":\"" + escaped + "\",\"cat\":\"flow\""),
+      << long_json;
+  EXPECT_NE(
+      long_json.find("\"name\":\"" + escaped + "\",\"cat\":\"flow\""),
+      std::string::npos)
+      << long_json;
+  EXPECT_NE(long_json.find("\"thread_name_" + std::to_string(kSpanTidBase) +
+                           "\":\"" + escaped + "\"}"),
             std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"thread_name_" + std::to_string(kSpanTidBase) +
-                      "\":\"" + escaped + "\"}"),
-            std::string::npos)
-      << json;
-  EXPECT_EQ(json.substr(json.size() - 2), "}\n");
+      << long_json;
+  EXPECT_EQ(long_json.substr(long_json.size() - 2), "}\n");
 }
 
 TEST(TraceExport, UnnamedIntervalsUseResourceName) {
